@@ -1,0 +1,68 @@
+"""Golden tables: every CLI table must keep matching the reference output.
+
+Each file under ``tests/golden/`` is the CSV that ``spinwire <argv>``
+printed before the batched time-grid engine replaced the per-time
+propagator and the closed-form sums in the CLI. The files are fixed
+references, not snapshots to refresh: a change that moves a value by
+more than ``TOL`` is a regression. Header, row count and the exact
+``t``/``tau``/``site`` columns must be identical; every other value may
+move in its last digits only.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from spinwire.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+TOL = 1e-12
+EXACT_COLUMNS = ("t", "tau", "site")
+
+CASES = {
+    "transfer_engineered_xx": ["transfer", "--n", "12", "--grid", "0:10:31"],
+    "transfer_engineered_dq": ["transfer", "--n", "12", "--model", "dq", "--grid", "0:10:31"],
+    "transfer_homogeneous_xx": ["transfer", "--n", "9", "--family", "homogeneous",
+                                "--d", "0.7", "--j", "3", "--grid", "-2:6:17"],
+    "transfer_disordered_target": ["transfer", "--n", "200", "--l", "200", "--sigma", "0.05",
+                                   "--seed", "7", "--grid", "0:100:101"],
+    "logical_homogeneous_xx": ["logical", "--n", "10", "--family", "homogeneous",
+                               "--grid", "0:16:81"],
+    "logical_homogeneous_dq_raw": ["logical", "--n", "10", "--family", "homogeneous",
+                                   "--model", "dq", "--raw", "--grid", "0:16:81"],
+    "logical_homogeneous_long": ["logical", "--n", "200", "--family", "homogeneous",
+                                 "--grid", "0:16:41"],
+    "logical_engineered_even": ["logical", "--n", "20", "--family", "engineered",
+                                "--grid", "0:16:81"],
+    "logical_engineered_odd": ["logical", "--n", "21", "--family", "engineered",
+                               "--d", "1.3", "--grid", "0:16:81"],
+    "logical_engineered_dq_raw": ["logical", "--n", "20", "--family", "engineered",
+                                  "--model", "dq", "--raw", "--grid", "0:16:81"],
+    "mqc_z_ends": ["mqc", "--n", "12", "--grid", "0:5:51"],
+    "mqc_y_logical": ["mqc", "--n", "12", "--initial", "y-logical", "--grid", "0:5:51"],
+}
+
+
+def _table(text: str) -> tuple[list[str], list[list[str]]]:
+    lines = text.splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_matches_golden(name):
+    result = CliRunner().invoke(main, CASES[name])
+    assert result.exit_code == 0, result.output
+    want_header, want = _table((GOLDEN / f"{name}.csv").read_text())
+    got_header, got = _table(result.stdout)
+    assert got_header == want_header
+    assert len(got) == len(want)
+    for col, label in enumerate(want_header):
+        got_col = [row[col] for row in got]
+        want_col = [row[col] for row in want]
+        if label in EXACT_COLUMNS:
+            assert got_col == want_col, label
+        else:
+            err = np.max(np.abs(np.array(got_col, float) - np.array(want_col, float)), initial=0.0)
+            assert err <= TOL, f"{label}: max error {err:.3e}"
