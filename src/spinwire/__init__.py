@@ -41,6 +41,8 @@ from .logical import (
     dq_parity_correction,
     entanglement_fidelity,
     logical_basis,
+    channel_correlations,
+    channel_fidelity,
     logical_correlation_from_spec,
     logical_correlations,
     logical_transport_engineered,
@@ -68,6 +70,7 @@ from .propagator import (
     polarization_correlation,
     polarization_from_propagator,
     propagate,
+    propagate_grid,
     slater_amplitude,
     spectral_decompose,
 )
@@ -92,6 +95,7 @@ __all__ = [
     "Propagator",
     "spectral_decompose",
     "propagate",
+    "propagate_grid",
     "chain_propagator",
     "homogeneous_amplitude",
     "engineered_amplitude",
@@ -108,6 +112,8 @@ __all__ = [
     "apply_parity_correction",
     "dq_parity_correction",
     "logical_correlations",
+    "channel_correlations",
+    "channel_fidelity",
     "logical_correlation_from_spec",
     "logical_transport_homogeneous",
     "logical_transport_engineered",

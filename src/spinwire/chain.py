@@ -247,11 +247,14 @@ def dipolar_couplings(
 def perturb_couplings(spec: ChainSpec, sigma: float, seed: int) -> ChainSpec:
     """Multiplicative Gaussian disorder: d -> d (1 + sigma g), g ~ N(0, 1).
 
-    Deterministic for a fixed seed. sigma = 0 returns an equal spec.
+    Deterministic for a fixed seed, a non-negative integer. sigma = 0
+    returns an equal spec.
     """
     sigma = float(sigma)
     if not math.isfinite(sigma) or sigma < 0:
         raise InvalidParameterError(f"sigma must be >= 0, got {sigma}")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(len(spec.couplings))
     vals = np.asarray(spec.couplings) * (1.0 + sigma * g)

@@ -20,6 +20,7 @@ import datetime
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,14 +38,9 @@ from .chain import (
     perturb_couplings,
 )
 from .errors import SpinwireError
-from .logical import (
-    CHANNELS,
-    dq_parity_correction,
-    logical_transport_engineered,
-    logical_transport_homogeneous,
-)
+from .logical import channel_correlations, channel_fidelity
 from .mqc import mqc_analytic, mqc_phase_cycled, prepare_state
-from .propagator import polarization_from_propagator, propagate, spectral_decompose
+from .propagator import propagate_grid, spectral_decompose
 from .verify import run_verification
 
 _FAMILIES = ("homogeneous", "engineered", "dipolar")
@@ -61,33 +57,56 @@ def _parse_grid(_ctx, _param, value: str) -> np.ndarray:
         steps = int(parts[2])
     except ValueError:
         raise click.BadParameter(f"expected start:end:steps numbers, got {value!r}")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise click.BadParameter(f"start and end must be finite, got {value!r}")
     if steps < 0:
         raise click.BadParameter(f"steps must be >= 0, got {steps}")
     return np.linspace(start, end, steps)
 
 
-def _fmt(x: float) -> str:
-    # +0.0 folds negative zero into plain 0
-    return format(float(x) + 0.0, ".15g")
+def _grid_record(grid: np.ndarray) -> list:
+    """The grid as the manifest records it: [start, end, steps]."""
+    if not len(grid):
+        return [0.0, 0.0, 0]
+    return [float(grid[0]), float(grid[-1]), len(grid)]
+
+
+_BLOCK_ROWS = 2048
+
+
+def _csv_blocks(header: list[str], rows: np.ndarray, block_rows: int = _BLOCK_ROWS):
+    """CSV text in chunks of at most ``block_rows`` rows, header first."""
+    yield ",".join(header) + "\n"
+    line = ",".join(["%.15g"] * len(header)) + "\n"
+    for start in range(0, len(rows), block_rows):
+        # +0.0 folds negative zero into plain 0
+        block = rows[start:start + block_rows] + 0.0
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def _write_table(out: Path | None, header: list[str], rows, command: str, parameters: dict) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    """Write ``rows`` (one value per header column) as CSV, block by block."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
     if out is None:
-        click.echo(text, nl=False)
+        for chunk in _csv_blocks(header, rows):
+            click.echo(chunk, nl=False)
         return
     out = Path(out)
-    out.write_text(text)
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = hashlib.sha256()
+    size = 0
+    with out.open("wb") as fh:
+        for chunk in _csv_blocks(header, rows):
+            data = chunk.encode()
+            fh.write(data)
+            digest.update(data)
+            size += len(data)
     manifest = {
         "schema": "spinwire.manifest/1",
         "command": command,
         "parameters": parameters,
         "artifact-version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "output-files": [{"path": out.name, "sha256": digest, "bytes": len(text)}],
+        "output-files": [{"path": out.name, "sha256": digest.hexdigest(), "bytes": size}],
     }
     out.with_name(out.name + ".manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n"
@@ -150,19 +169,19 @@ def transfer(n, d, family, model, grid, source, target, sigma, seed, out) -> Non
     spec = _build_chain(family, n, d, model)
     if sigma:
         spec = perturb_couplings(spec, sigma, seed)
-    dec = spectral_decompose(spec)
-    targets = range(1, n + 1) if target is None else (target,)
-    rows = []
-    for t in grid:
-        prop = propagate(dec, float(t))
-        tau = normalized_time(n, d, float(t))
-        for l in targets:
-            corr = polarization_from_propagator(prop, source, l, model)
-            rows.append((t, tau, l, corr))
+    sites = np.arange(1, n + 1) if target is None else np.array([target])
+    amp = propagate_grid(spectral_decompose(spec), grid, (source,), sites)[:, 0, :]
+    corr = np.abs(amp) ** 2
+    if model == "dq":
+        corr = np.where((source - sites) % 2, -corr, corr)
+    rows = np.column_stack([
+        np.repeat(grid, len(sites)),
+        np.repeat(normalized_time(n, d, grid), len(sites)),
+        np.tile(sites, len(grid)),
+        corr.ravel(),
+    ])
     params = {
-        "n": n, "d": d, "family": family, "model": model,
-        "grid": [float(grid[0]) if len(grid) else 0.0,
-                 float(grid[-1]) if len(grid) else 0.0, len(grid)],
+        "n": n, "d": d, "family": family, "model": model, "grid": _grid_record(grid),
         "j": source, "l": target, "sigma": sigma, "seed": seed,
     }
     _write_table(out, ["t", "tau", "site", "correlation"], rows, "transfer", params)
@@ -185,24 +204,15 @@ def logical(n, d, family, model, corrected, grid, out) -> None:
     Columns: t, c_x, c_y, c_z, c_1, fidelity. The fidelity is the
     channel average; it reaches 1 at the engineered mirror time.
     """
-    closed = (
-        logical_transport_homogeneous
-        if family == "homogeneous"
-        else logical_transport_engineered
+    spec = _build_chain(family, n, d, model)
+    amp = propagate_grid(spectral_decompose(spec), grid, (1, 2))
+    vals = channel_correlations(amp, model, corrected)
+    rows = np.column_stack(
+        [grid, vals["x"], vals["y"], vals["z"], vals["1"], channel_fidelity(vals)]
     )
-    flip = model == "dq" and not corrected and dq_parity_correction(max(n, 2))
-    rows = []
-    for t in grid:
-        vals = {alpha: closed(n, d, alpha, float(t)) for alpha in CHANNELS}
-        if flip:
-            vals["y"] = -vals["y"]
-            vals["z"] = -vals["z"]
-        fidelity = sum(vals.values()) / 4.0
-        rows.append((t, vals["x"], vals["y"], vals["z"], vals["1"], fidelity))
     params = {
         "n": n, "d": d, "family": family, "model": model, "corrected": corrected,
-        "grid": [float(grid[0]) if len(grid) else 0.0,
-                 float(grid[-1]) if len(grid) else 0.0, len(grid)],
+        "grid": _grid_record(grid),
     }
     _write_table(
         out, ["t", "c_x", "c_y", "c_z", "c_1", "fidelity"], rows, "logical", params
@@ -244,9 +254,7 @@ def mqc(n, d, initial, engine, phase_steps, grid, out) -> None:
             rows.append((t, scale * spectrum.intensity(0), scale * spectrum.intensity(2)))
     params = {
         "n": n, "d": d, "initial": initial, "engine": engine,
-        "phase_steps": phase_steps,
-        "grid": [float(grid[0]) if len(grid) else 0.0,
-                 float(grid[-1]) if len(grid) else 0.0, len(grid)],
+        "phase_steps": phase_steps, "grid": _grid_record(grid),
     }
     _write_table(out, ["t", "j0", "j2"], rows, "mqc", params)
 

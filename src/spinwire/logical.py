@@ -25,11 +25,10 @@ import math
 
 import numpy as np
 
-from .chain import ChainSpec, normalized_time
+from .chain import ChainSpec, _check_scale, normalized_time
 from .errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
-    InvalidParameterError,
     UnsupportedFamilyError,
     UnsupportedModelError,
 )
@@ -45,6 +44,8 @@ __all__ = [
     "apply_parity_correction",
     "dq_parity_correction",
     "logical_correlations",
+    "channel_correlations",
+    "channel_fidelity",
     "logical_transport_homogeneous",
     "logical_transport_engineered",
     "entanglement_fidelity",
@@ -133,15 +134,54 @@ def apply_parity_correction(basis: LogicalBasis) -> LogicalBasis:
 # -- correlations from amplitudes ---------------------------------------------
 
 
-def _bilinear_channels(amp: np.ndarray, n: int) -> dict[str, float]:
-    """All four logical correlations from the amplitude matrix (xx model)."""
-    a1m, a1n = amp[0, n - 2], amp[0, n - 1]
-    a2m, a2n = amp[1, n - 2], amp[1, n - 1]
+def _bilinear_channels(amp: np.ndarray) -> dict[str, np.ndarray]:
+    """All four logical correlations from rows 1, 2 of A (xx model).
+
+    ``amp`` has shape (..., R, n) with R >= 2; leading axes (a time grid,
+    say) broadcast through.
+    """
+    n = amp.shape[-1]
+    a1m, a1n = amp[..., 0, n - 2], amp[..., 0, n - 1]
+    a2m, a2n = amp[..., 1, n - 2], amp[..., 1, n - 1]
     cx = (a1n * np.conj(a2m) + a2n * np.conj(a1m)).real
     cy = (a1n * np.conj(a2m)).real - (a2n * np.conj(a1m)).real
     cz = 0.5 * (abs(a1n) ** 2 - abs(a1m) ** 2 - abs(a2n) ** 2 + abs(a2m) ** 2)
     c1 = 0.5 * (1.0 + abs(a1m * a2n - a1n * a2m) ** 2)
-    return {"x": float(cx), "y": float(cy), "z": float(cz), "1": float(c1)}
+    return {"x": cx, "y": cy, "z": cz, "1": c1}
+
+
+def _readout(vals: dict, n: int, model: str, corrected: bool) -> dict:
+    """Channels as read out under ``model``: raw dq on even n flips y and z."""
+    if model == "dq":
+        if not corrected and dq_parity_correction(n):
+            vals["y"] = -vals["y"]
+            vals["z"] = -vals["z"]
+    elif model != "xx":
+        raise UnsupportedModelError(f"model must be xx or dq, got {model!r}")
+    return vals
+
+
+def channel_correlations(
+    amplitudes: np.ndarray, model: str = "xx", corrected: bool = True
+) -> dict[str, np.ndarray]:
+    """Channel correlations C_alpha from rows 1 and 2 of the propagator.
+
+    ``amplitudes`` holds A[(1, 2), :] (or more rows, of which the first
+    two are used) with any leading axes, e.g. the (T, 2, n) block that
+    ``propagate_grid(decomposition, times, (1, 2))`` returns; each
+    channel comes back with the leading shape. The dq readout follows
+    ``logical_correlations``.
+    """
+    amplitudes = np.asarray(amplitudes)
+    n = amplitudes.shape[-1]
+    if n < 4:
+        raise InvalidDimensionError("logical transport needs n >= 4")
+    return _readout(_bilinear_channels(amplitudes), n, model, corrected)
+
+
+def channel_fidelity(vals: dict) -> float | np.ndarray:
+    """Entanglement fidelity F = (C_1 + C_x + C_y + C_z) / 4 from the channels."""
+    return (vals["1"] + vals["x"] + vals["y"] + vals["z"]) / 4.0
 
 
 def logical_correlations(
@@ -157,18 +197,8 @@ def logical_correlations(
     pi-x corrected target basis, which agree with the xx channels at
     all times.
     """
-    n = prop.n
-    if n < 4:
-        raise InvalidDimensionError("logical transport needs n >= 4")
-    vals = _bilinear_channels(prop.amplitudes, n)
-    if model == "xx":
-        return vals
-    if model != "dq":
-        raise UnsupportedModelError(f"model must be xx or dq, got {model!r}")
-    if not corrected and dq_parity_correction(n):
-        vals["y"] = -vals["y"]
-        vals["z"] = -vals["z"]
-    return vals
+    vals = channel_correlations(prop.amplitudes, model, corrected)
+    return {alpha: float(v) for alpha, v in vals.items()}
 
 
 def _check_channel(alpha: str) -> str:
@@ -191,6 +221,7 @@ def logical_transport_homogeneous(n: int, d: float, alpha: str, t: float) -> flo
     _check_channel(alpha)
     if n < 4:
         raise InvalidDimensionError("logical transport needs n >= 4")
+    d = _check_scale(d)
     if alpha in ("x", "y"):
         k = np.arange(1, n + 1)
         kappa = np.pi * k / (n + 1)
@@ -234,8 +265,6 @@ def logical_transport_engineered(n: int, d: float, alpha: str, t: float) -> floa
     _check_channel(alpha)
     if n < 4:
         raise InvalidDimensionError("logical transport needs n >= 4")
-    if d <= 0 or not math.isfinite(d):
-        raise InvalidParameterError(f"coupling scale must be positive, got {d}")
     tau = normalized_time(n, d, t)
     s2 = math.sin(tau) ** 2
     c2 = math.cos(tau) ** 2
@@ -276,13 +305,7 @@ def entanglement_fidelity(
         raise UnsupportedFamilyError(
             f"family must be homogeneous or engineered, got {family!r}"
         )
-    if model == "dq":
-        if not corrected and dq_parity_correction(n):
-            vals["y"] = -vals["y"]
-            vals["z"] = -vals["z"]
-    elif model != "xx":
-        raise UnsupportedModelError(f"model must be xx or dq, got {model!r}")
-    return (vals["1"] + vals["x"] + vals["y"] + vals["z"]) / 4.0
+    return channel_fidelity(_readout(vals, n, model, corrected))
 
 
 def logical_correlation_from_spec(

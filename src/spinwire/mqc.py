@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, _check_scale
 from .errors import (
     AliasingError,
     InvalidConfigurationError,
@@ -117,6 +117,7 @@ def prepare_state(n: int, kind: str) -> DeviationState:
 
 
 def _homogeneous_modes(n: int, d: float) -> tuple[np.ndarray, np.ndarray]:
+    d = _check_scale(d)
     k = np.arange(1, n + 1)
     kappa = np.pi * k / (n + 1)
     return kappa, 2.0 * d * np.cos(kappa)
@@ -161,6 +162,7 @@ def mqc_x_analytic(n: int, d: float, t: float) -> MqcSpectrum:
     """x_logical gives no signal: the protocol's readout is blind to it."""
     if n < 4:
         raise InvalidDimensionError("x_logical needs n >= 4")
+    _check_scale(d)
     return MqcSpectrum(float(t), (-2, 0, 2), (0.0, 0.0, 0.0))
 
 

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .chain import ChainSpec, engineered_couplings
+from .chain import ChainSpec, _check_scale, engineered_couplings
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -36,6 +36,7 @@ __all__ = [
     "Propagator",
     "spectral_decompose",
     "propagate",
+    "propagate_grid",
     "chain_propagator",
     "homogeneous_amplitude",
     "engineered_amplitude",
@@ -118,18 +119,53 @@ def spectral_decompose(spec: ChainSpec) -> SpectralDecomposition:
     return SpectralDecomposition(n, freqs, modes)
 
 
+def propagate_grid(
+    decomposition: SpectralDecomposition,
+    times: Sequence[float],
+    rows: Sequence[int] | None = None,
+    cols: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Selected entries of A(t) at every time of a grid, in one matrix product.
+
+    Returns a complex array of shape (len(times), len(rows), len(cols))
+    holding A[rows, cols](t); ``rows`` and ``cols`` are 1-based sites and
+    default to the whole chain. A is evaluated as
+    I + V (e^{-i w t} - 1) V^T, which is exact at t = 0.
+    """
+    try:
+        times = np.asarray(times, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"times must be real numbers, got {times!r}") from None
+    if times.ndim != 1:
+        raise InvalidParameterError(f"times must be one-dimensional, got shape {times.shape}")
+    if not np.all(np.isfinite(times)):
+        raise InvalidParameterError(f"time must be finite, got {times[~np.isfinite(times)][0]}")
+    n = decomposition.n
+    r = _site_indices(n, rows)
+    c = _site_indices(n, cols)
+    v = decomposition.modes
+    shift = np.expm1(-1j * np.multiply.outer(times, decomposition.frequencies))
+    left = (v[r] * shift[:, None, :]).reshape(-1, n)
+    amp = (left @ v[c].T).reshape(len(times), len(r), len(c))
+    amp += r[:, None] == c[None, :]
+    return amp
+
+
+def _site_indices(n: int, sites: Sequence[int] | None) -> np.ndarray:
+    if sites is None:
+        return np.arange(n)
+    return np.array([_site(n, s) - 1 for s in sites], dtype=int)
+
+
 def propagate(decomposition: SpectralDecomposition, t: float) -> Propagator:
-    """Evaluate A(t) from a spectral decomposition.
+    """Evaluate the full A(t) at one time through ``propagate_grid``.
 
     The product is symmetrised to remove the tiny asymmetry left by
     floating-point evaluation of V e^{-i w t} V^T.
     """
     t = _check_time(t)
-    v = decomposition.modes
-    phases = np.exp(-1j * decomposition.frequencies * t)
-    amp = (v * phases) @ v.T
-    amp = 0.5 * (amp + amp.T)
-    return Propagator(decomposition.n, t, amp)
+    amp = propagate_grid(decomposition, (t,))[0]
+    return Propagator(decomposition.n, t, 0.5 * (amp + amp.T))
 
 
 def chain_propagator(spec: ChainSpec, t: float) -> Propagator:
@@ -158,6 +194,7 @@ def homogeneous_amplitude(n: int, d: float, j: int, l: int, t: float) -> complex
     """
     if n < 1:
         raise InvalidDimensionError(f"chain length must be >= 1, got {n}")
+    d = _check_scale(d)
     j = _site(n, j)
     l = _site(n, l)
     t = _check_time(t)
@@ -218,21 +255,14 @@ def slater_amplitude(
         raise DimensionMismatchError(
             f"source and target excitation numbers differ: {len(src)} != {len(tgt)}"
         )
-    if not src:
-        return 1.0 + 0j
-    rows = np.array(src) - 1
-    cols = np.array(tgt) - 1
-    return complex(np.linalg.det(prop.amplitudes[np.ix_(rows, cols)]))
+    return _minor(prop.amplitudes, src, tgt)
 
 
-def _det_block(amp: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> complex:
-    if len(rows) != len(cols):
-        return 0j
+def _minor(amp: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> complex:
+    """det A[rows, cols] for equal-length 1-based site tuples; the empty minor is 1."""
     if not rows:
         return 1.0 + 0j
-    r = np.array(rows) - 1
-    c = np.array(cols) - 1
-    return complex(np.linalg.det(amp[np.ix_(r, c)]))
+    return complex(np.linalg.det(amp[np.ix_(np.array(rows) - 1, np.array(cols) - 1)]))
 
 
 MixedState = Mapping[tuple[tuple[int, ...], tuple[int, ...]], complex]
@@ -266,7 +296,7 @@ def mixed_state_overlap(prop: Propagator, a: MixedState, b: MixedState) -> compl
         for r, s, wb in bv:
             if len(p) != len(s) or len(q) != len(r):
                 continue
-            total += wa * wb * _det_block(amp, p, s) * np.conj(_det_block(amp, q, r))
+            total += wa * wb * _minor(amp, p, s) * np.conj(_minor(amp, q, r))
     return total
 
 

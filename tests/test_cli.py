@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -208,3 +209,50 @@ def test_verify_rejects_out_of_range_max_n(runner):
         result = runner.invoke(main, ["verify", "--max-n", bad])
         assert result.exit_code == 1
         assert "max_n must be in 4..12" in result.stderr
+
+
+def assert_clean_domain_error(result):
+    """Exit 1 through the domain-error handler: one ``error:`` line, no traceback."""
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("d", ["-1", "nan", "0", "inf"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["logical", "--n", "8", "--family", "homogeneous", "--grid", "0:2:3"],
+        ["logical", "--n", "8", "--family", "engineered", "--grid", "0:2:3"],
+        ["mqc", "--n", "8", "--grid", "0:2:3"],
+        ["mqc", "--n", "8", "--initial", "x-logical", "--grid", "0:2:3"],
+    ],
+)
+def test_bad_coupling_scale_is_a_domain_error(runner, args, d):
+    assert_clean_domain_error(runner.invoke(main, args + ["--d", d]))
+
+
+def test_negative_disorder_seed_is_a_domain_error(runner):
+    result = runner.invoke(
+        main, ["transfer", "--n", "6", "--grid", "0:1:2", "--sigma", "0.1", "--seed", "-1"]
+    )
+    assert_clean_domain_error(result)
+
+
+@pytest.mark.parametrize("grid", ["0:inf:2", "-inf:1:2", "nan:1:2", "0:nan:0"])
+def test_non_finite_grid_is_a_usage_error(runner, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["transfer", "--n", "4", "--grid", grid])
+    assert result.exit_code == 2
+    assert "must be finite" in result.stderr
+
+
+def test_bad_sites_are_domain_errors(runner):
+    for extra in (["--j", "9"], ["--l", "0"]):
+        result = runner.invoke(main, ["transfer", "--n", "8", "--grid", "0:1:2"] + extra)
+        assert_clean_domain_error(result)
+    assert_clean_domain_error(runner.invoke(main, ["logical", "--n", "3", "--grid", "0:1:2"]))

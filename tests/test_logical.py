@@ -14,12 +14,15 @@ from spinwire.chain import (
 from spinwire.errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
+    InvalidParameterError,
     UnsupportedFamilyError,
     UnsupportedModelError,
 )
 from spinwire.logical import (
     CHANNELS,
     apply_parity_correction,
+    channel_correlations,
+    channel_fidelity,
     dq_parity_correction,
     entanglement_fidelity,
     logical_basis,
@@ -279,3 +282,26 @@ def test_error_paths():
         entanglement_fidelity(8, 1.0, "engineered", 0.5, model="ising")
     with pytest.raises(UnsupportedModelError):
         logical_correlations(chain_propagator(homogeneous_couplings(6, 1.0), 0.5), "ising")
+
+
+@pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("closed", [logical_transport_homogeneous, logical_transport_engineered])
+def test_closed_forms_reject_bad_coupling_scale(closed, d):
+    for alpha in CHANNELS:
+        with pytest.raises(InvalidParameterError):
+            closed(8, d, alpha, 0.7)
+
+
+def test_channel_correlations_broadcast_over_time():
+    spec = homogeneous_couplings(10, 1.0, model="dq")  # even n: raw readout flips y, z
+    times = (0.0, 0.4, 2.5)
+    props = [chain_propagator(spec, t) for t in times]
+    block = np.stack([p.amplitudes[:2] for p in props])
+    vals = channel_correlations(block, "dq", corrected=False)
+    for k, prop in enumerate(props):
+        single = logical_correlations(prop, "dq", corrected=False)
+        for alpha in CHANNELS:
+            assert vals[alpha][k] == pytest.approx(single[alpha], abs=1e-15)
+    assert channel_fidelity(vals).shape == (3,)
+    with pytest.raises(InvalidDimensionError):
+        channel_correlations(block[..., :3])

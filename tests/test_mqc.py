@@ -211,3 +211,10 @@ def test_long_chain_zero_order_revives_near_mirror_time():
     assert mqc_z_analytic(n, d, t_peak).intensity(0) == pytest.approx(j_peak, abs=1e-9)
     for dt in (-0.05, 0.05):
         assert mqc_z_analytic(n, d, t_peak + dt).intensity(0) < j_peak
+
+
+@pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("series", [mqc_z_analytic, mqc_y_analytic, mqc_x_analytic])
+def test_analytic_series_reject_bad_coupling_scale(series, d):
+    with pytest.raises(InvalidParameterError):
+        series(8, d, 0.7)

@@ -13,6 +13,7 @@ from spinwire.errors import (
     IndexOutOfRangeError,
     InvalidConfigurationError,
     InvalidDimensionError,
+    InvalidParameterError,
     UnsupportedModelError,
 )
 from spinwire.oracle import (
@@ -303,3 +304,10 @@ def test_engineered_autocorrelation_revives_at_mirror_time():
     t_star = transfer_timing(engineered_couplings(n, 1.0)).t_star
     assert end_autocorrelation(spec, "z_ends", t_star) == pytest.approx(1.0, abs=1e-9)
     assert end_autocorrelation(spec, "y_logical", t_star) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
+def test_homogeneous_amplitude_rejects_bad_coupling_scale(d):
+    with pytest.raises(InvalidParameterError):
+        homogeneous_amplitude(6, d, 1, 6, 0.5)
+
