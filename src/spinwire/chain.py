@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +42,27 @@ _JSON_SCHEMA = "spinwire.chain/1"
 
 
 def _check_length(n: int, minimum: int = 1) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise InvalidDimensionError(f"chain length must be int, got {n!r}")
     if n < minimum:
         raise InvalidDimensionError(f"chain length must be >= {minimum}, got {n}")
-    return n
+    return int(n)
+
+
+def _check_couplings(values) -> tuple[float, ...]:
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise InvalidParameterError(f"couplings must be a sequence of numbers, got {values!r}")
+    vals = tuple(values)
+    for c in vals:
+        if not isinstance(c, numbers.Real) or isinstance(c, bool):
+            raise InvalidParameterError(f"couplings must be real numbers, got {c!r}")
+    try:
+        vals = tuple(float(c) for c in vals)
+    except OverflowError:
+        raise InvalidParameterError("couplings must be finite") from None
+    if not all(math.isfinite(c) for c in vals):
+        raise InvalidParameterError("couplings must be finite")
+    return vals
 
 
 def _check_scale(d: float) -> float:
@@ -76,14 +94,12 @@ class ChainSpec:
     couplings: tuple[float, ...]
 
     def __post_init__(self):
-        _check_length(self.n)
+        object.__setattr__(self, "n", _check_length(self.n))
         if self.model not in MODELS:
             raise UnsupportedModelError(
                 f"model must be one of {MODELS}, got {self.model!r}"
             )
-        vals = tuple(float(c) for c in self.couplings)
-        if not all(math.isfinite(c) for c in vals):
-            raise InvalidParameterError("couplings must be finite")
+        vals = _check_couplings(self.couplings)
         expected = (
             self.n * (self.n - 1) // 2 if self.model == "dipolar" else self.n - 1
         )
@@ -151,7 +167,9 @@ class ChainSpec:
         missing = {"n", "model", "couplings"} - set(data)
         if missing:
             raise InvalidConfigurationError(f"chain JSON missing {sorted(missing)}")
-        return cls(int(data["n"]), str(data["model"]), tuple(data["couplings"]))
+        if not isinstance(data["couplings"], list):
+            raise InvalidConfigurationError("chain JSON couplings must be a list")
+        return cls(data["n"], data["model"], data["couplings"])
 
 
 @dataclass(frozen=True)
@@ -259,6 +277,11 @@ def perturb_couplings(spec: ChainSpec, sigma: float, seed: int) -> ChainSpec:
     g = rng.standard_normal(len(spec.couplings))
     vals = np.asarray(spec.couplings) * (1.0 + sigma * g)
     return ChainSpec(spec.n, spec.model, tuple(float(v) for v in vals))
+
+
+def random_couplings(rng: np.random.Generator, n: int) -> tuple[float, ...]:
+    """n-1 bond couplings drawn uniformly from [0.5, 1.5), for randomised checks."""
+    return tuple(float(c) for c in rng.uniform(0.5, 1.5, n - 1))
 
 
 # -- timing ---------------------------------------------------------------

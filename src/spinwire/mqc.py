@@ -73,11 +73,6 @@ class MqcSpectrum:
         """Sum of the computed intensities."""
         return float(sum(self.intensities))
 
-    @property
-    def normalization(self) -> float:
-        """Conserved total; constant in time, so it equals the t=0 sum."""
-        return self.total()
-
 
 def prepare_state(n: int, kind: str) -> DeviationState:
     """Initial deviation state for the coherence protocol.

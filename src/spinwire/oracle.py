@@ -241,12 +241,19 @@ def trace_overlap(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.trace(a @ b) / a.shape[0])
 
 
+def _total_z_diag(n: int) -> np.ndarray:
+    """Eigenvalues n - 2 popcount(x) of sum_j Z_j, by basis label x."""
+    labels = np.arange(2**n)
+    popcount = np.zeros(2**n, dtype=np.int64)
+    for bit in range(n):
+        popcount += (labels >> bit) & 1
+    return n - 2 * popcount
+
+
 def total_z(n: int, budget: OracleBudget | None = None) -> np.ndarray:
     """Diagonal matrix of sum_j Z_j."""
     require_within_budget(n, budget)
-    labels = np.arange(2**n)
-    popcount = np.array([bin(x).count("1") for x in labels])
-    return np.diag((n - 2 * popcount).astype(complex))
+    return np.diag(_total_z_diag(n).astype(complex))
 
 
 def staggered_z(n: int, budget: OracleBudget | None = None) -> np.ndarray:
@@ -261,9 +268,7 @@ def staggered_z(n: int, budget: OracleBudget | None = None) -> np.ndarray:
 def collective_rotation_diag(n: int, phi: float, budget: OracleBudget | None = None) -> np.ndarray:
     """Diagonal of exp(-i phi sum_j Z_j / 2) as a vector."""
     require_within_budget(n, budget)
-    labels = np.arange(2**n)
-    popcount = np.array([bin(x).count("1") for x in labels])
-    return np.exp(-0.5j * phi * (n - 2 * popcount))
+    return np.exp(-0.5j * phi * _total_z_diag(n))
 
 
 # -- model equivalence ---------------------------------------------------------

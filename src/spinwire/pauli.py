@@ -10,7 +10,6 @@ preparation and trace algebra exact; dense realisation lives in
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -238,8 +237,3 @@ def parse_string_label(label: str) -> PauliString:
         elif ch not in ("I", "1"):
             raise InvalidConfigurationError(f"unknown character {ch!r} in {label!r}")
     return tuple(sites)
-
-
-def phase_factor(phi: float) -> complex:
-    """exp(i phi) helper used by phase-cycling code."""
-    return cmath.exp(1j * phi)

@@ -1,11 +1,14 @@
-"""Cross-module invariant suite behind the verify command.
+"""Cross-module invariant registry behind the verify command.
 
-Each check exercises an identity that must hold to numerical precision
-(unitarity, gauge equivalence, closed forms vs dense oracle, ...) and
-reports its worst deviation, its tolerance, and the inputs needed to
-replay it. The whole suite is deterministic for a fixed seed, and the
-JSON report contains no timestamps, so repeated runs produce identical
-bytes.
+Each paper identity is written once, as a plain function in
+:data:`CHECKS` (unitarity, gauge equivalence, closed forms vs dense
+oracle, ...). A check takes the random generator and the two working
+sizes ``(rng, max_n, oracle_n)`` and yields one
+``(name, deviation, tolerance, inputs)`` tuple per identity: its worst
+deviation, its own tolerance, and the inputs needed to replay it. The
+verify command, the test grid and the acceptance gate all run this
+list. The whole suite is deterministic for a fixed seed, and the JSON
+report contains no timestamps, so repeated runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from . import propagator as prop_mod
 from .chain import ChainSpec
 from .errors import InvalidDimensionError
 
-__all__ = ["CheckResult", "VerificationReport", "run_verification"]
+__all__ = ["CHECKS", "CheckResult", "VerificationReport", "run_verification"]
 
 # identities that are pure finite-precision linear algebra
 _TOL_LINALG = 1e-10
@@ -80,442 +83,450 @@ class VerificationReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _random_couplings(rng: np.random.Generator, n: int) -> tuple[float, ...]:
-    return tuple(float(c) for c in rng.uniform(0.5, 1.5, n - 1))
+# -- single-excitation engine ----------------------------------------
 
 
-class _Suite:
-    def __init__(self, max_n: int, seed: int, tolerance: float | None):
-        self.max_n = max_n
-        self.seed = seed
-        self.override = tolerance
-        self.rng = np.random.default_rng(seed)
-        self.results: list[CheckResult] = []
-        budget = oracle_mod.oracle_budget()
-        self.n_oracle = min(max_n, budget.effective_max_n, 7)
+def spectral_reconstruction(rng, max_n, oracle_n):
+    n = max_n
+    cpl = chain_mod.random_couplings(rng, n)
+    spec = ChainSpec(n, "xx", cpl)
+    dec = prop_mod.spectral_decompose(spec)
+    m = spec.coupling_matrix()
+    recon = (dec.modes * dec.frequencies) @ dec.modes.T
+    ortho = dec.modes.T @ dec.modes - np.eye(n)
+    dev = max(np.abs(recon - m).max(), np.abs(ortho).max())
+    yield ("spectral_reconstruction", dev, _TOL_LINALG, {"n": n, "couplings": cpl})
 
-    def add(self, name: str, deviation: float, tol: float, inputs: dict) -> None:
-        tol = self.override if self.override is not None else tol
-        self.results.append(
-            CheckResult(name, float(deviation), float(tol), bool(deviation <= tol), inputs)
-        )
 
-    # -- single-excitation engine ----------------------------------------
+def propagator_vs_expm(rng, max_n, oracle_n):
+    n = max_n
+    cpl = chain_mod.random_couplings(rng, n)
+    t = float(rng.uniform(0.3, 4.0))
+    spec = ChainSpec(n, "xx", cpl)
+    amp = prop_mod.chain_propagator(spec, t).amplitudes
+    ref = expm(-1j * spec.coupling_matrix() * t)
+    yield (
+        "propagator_vs_expm",
+        np.abs(amp - ref).max(),
+        _TOL_LINALG,
+        {"n": n, "couplings": cpl, "t": t},
+    )
 
-    def check_spectral(self) -> None:
-        n = self.max_n
-        cpl = _random_couplings(self.rng, n)
-        spec = ChainSpec(n, "xx", cpl)
-        dec = prop_mod.spectral_decompose(spec)
-        m = spec.coupling_matrix()
-        recon = (dec.modes * dec.frequencies) @ dec.modes.T
-        ortho = dec.modes.T @ dec.modes - np.eye(n)
-        dev = max(np.abs(recon - m).max(), np.abs(ortho).max())
-        self.add("spectral_reconstruction", dev, _TOL_LINALG, {"n": n, "couplings": cpl})
 
-    def check_propagator_vs_expm(self) -> None:
-        n = self.max_n
-        cpl = _random_couplings(self.rng, n)
-        t = float(self.rng.uniform(0.3, 4.0))
-        spec = ChainSpec(n, "xx", cpl)
-        amp = prop_mod.chain_propagator(spec, t).amplitudes
-        ref = expm(-1j * spec.coupling_matrix() * t)
-        self.add(
-            "propagator_vs_expm",
-            np.abs(amp - ref).max(),
-            _TOL_LINALG,
-            {"n": n, "couplings": cpl, "t": t},
-        )
+def unitarity_group_symmetry(rng, max_n, oracle_n):
+    n = max_n
+    cpl = chain_mod.random_couplings(rng, n)
+    t1, t2 = (float(x) for x in rng.uniform(0.2, 3.0, 2))
+    dec = prop_mod.spectral_decompose(ChainSpec(n, "xx", cpl))
+    a1 = prop_mod.propagate(dec, t1).amplitudes
+    a2 = prop_mod.propagate(dec, t2).amplitudes
+    a12 = prop_mod.propagate(dec, t1 + t2).amplitudes
+    dev = max(
+        np.abs(a1 @ a1.conj().T - np.eye(n)).max(),
+        np.abs(a1 @ a2 - a12).max(),
+        np.abs(a1 - a1.T).max(),
+    )
+    yield (
+        "unitarity_group_symmetry",
+        dev,
+        _TOL_LINALG,
+        {"n": n, "couplings": cpl, "t1": t1, "t2": t2},
+    )
 
-    def check_unitarity_group(self) -> None:
-        n = self.max_n
-        cpl = _random_couplings(self.rng, n)
-        t1, t2 = (float(x) for x in self.rng.uniform(0.2, 3.0, 2))
-        dec = prop_mod.spectral_decompose(ChainSpec(n, "xx", cpl))
-        a1 = prop_mod.propagate(dec, t1).amplitudes
-        a2 = prop_mod.propagate(dec, t2).amplitudes
-        a12 = prop_mod.propagate(dec, t1 + t2).amplitudes
-        dev = max(
-            np.abs(a1 @ a1.conj().T - np.eye(n)).max(),
-            np.abs(a1 @ a2 - a12).max(),
-            np.abs(a1 - a1.T).max(),
-        )
-        self.add(
-            "unitarity_group_symmetry",
-            dev,
-            _TOL_LINALG,
-            {"n": n, "couplings": cpl, "t1": t1, "t2": t2},
-        )
 
-    def check_homogeneous_closed_form(self) -> None:
-        n = self.max_n
-        d = float(self.rng.uniform(0.5, 1.5))
-        t = float(self.rng.uniform(0.2, 5.0))
-        spec = chain_mod.homogeneous_couplings(n, d)
-        amp = prop_mod.chain_propagator(spec, t).amplitudes
-        closed = np.array(
-            [
-                [prop_mod.homogeneous_amplitude(n, d, j, l, t) for l in range(1, n + 1)]
-                for j in range(1, n + 1)
-            ]
-        )
-        dev = np.abs(amp - closed).max()
-        # two-site special case: the single off-diagonal is -i sin(d t)
-        a12 = prop_mod.homogeneous_amplitude(2, d, 1, 2, t)
-        dev = max(dev, abs(a12 - (-1j * math.sin(d * t))))
-        self.add("homogeneous_closed_form", dev, _TOL_LINALG, {"n": n, "d": d, "t": t})
+def homogeneous_closed_form(rng, max_n, oracle_n):
+    n = max_n
+    d = float(rng.uniform(0.5, 1.5))
+    t = float(rng.uniform(0.2, 5.0))
+    spec = chain_mod.homogeneous_couplings(n, d)
+    amp = prop_mod.chain_propagator(spec, t).amplitudes
+    closed = np.array(
+        [
+            [prop_mod.homogeneous_amplitude(n, d, j, l, t) for l in range(1, n + 1)]
+            for j in range(1, n + 1)
+        ]
+    )
+    dev = np.abs(amp - closed).max()
+    # two-site special case: the single off-diagonal is -i sin(d t)
+    a12 = prop_mod.homogeneous_amplitude(2, d, 1, 2, t)
+    dev = max(dev, abs(a12 - (-1j * math.sin(d * t))))
+    yield ("homogeneous_closed_form", dev, _TOL_LINALG, {"n": n, "d": d, "t": t})
 
-    def check_engineered_spectrum(self) -> None:
-        devs = []
-        for n in range(2, max(self.max_n, 12) + 1):
-            dec = prop_mod.spectral_decompose(chain_mod.engineered_couplings(n, 1.0))
-            devs.append(np.abs(dec.frequencies - prop_mod.engineered_frequencies(n, 1.0)).max())
-        self.add(
-            "engineered_spectrum_linear",
-            max(devs),
-            _TOL_LINALG,
-            {"n_range": [2, max(self.max_n, 12)], "d": 1.0},
-        )
 
-    def check_engineered_mirror(self) -> None:
-        n = max(self.max_n, 8)
-        d = 1.0
-        spec = chain_mod.engineered_couplings(n, d)
-        t_star = chain_mod.transfer_timing(spec).t_star
-        amp = prop_mod.chain_propagator(spec, t_star).amplitudes
-        phase = (-1j) ** (n - 1)
-        dev = max(abs(amp[j, n - 1 - j] - phase) for j in range(n))
-        # binomial transfer profile away from the mirror time
-        t = 0.37 * t_star
-        tau = chain_mod.normalized_time(n, d, t)
-        amp_t = prop_mod.chain_propagator(spec, t).amplitudes
-        s2, c2 = math.sin(tau) ** 2, math.cos(tau) ** 2
-        for l in range(1, n + 1):
-            pred = math.comb(n - 1, l - 1) * s2 ** (l - 1) * c2 ** (n - l)
-            dev = max(dev, abs(abs(amp_t[0, l - 1]) ** 2 - pred))
-        self.add("engineered_mirror_profile", dev, _TOL_LINALG, {"n": n, "d": d})
+def engineered_spectrum_linear(rng, max_n, oracle_n):
+    devs = []
+    for n in range(2, max(max_n, 12) + 1):
+        dec = prop_mod.spectral_decompose(chain_mod.engineered_couplings(n, 1.0))
+        devs.append(np.abs(dec.frequencies - prop_mod.engineered_frequencies(n, 1.0)).max())
+    yield (
+        "engineered_spectrum_linear",
+        max(devs),
+        _TOL_LINALG,
+        {"n_range": [2, max(max_n, 12)], "d": 1.0},
+    )
 
-    # -- oracle comparisons ------------------------------------------------
 
-    def check_polarization_oracle(self) -> None:
-        n = self.n_oracle
-        cpl = _random_couplings(self.rng, n)
-        t = float(self.rng.uniform(0.3, 2.5))
-        dev = 0.0
-        for model in ("xx", "dq"):
-            spec = ChainSpec(n, model, cpl)
-            h = oracle_mod.build_hamiltonian(spec)
-            for j, l in ((1, n), (2, n - 1), (1, 1)):
-                zl = oracle_mod.pauli_string_to_dense(n, ((l, "Z"),))
-                zj = oracle_mod.pauli_string_to_dense(n, ((j, "Z"),))
-                ref = oracle_mod.trace_overlap(
-                    oracle_mod.evolve_deviation(h, zj, t), zl
-                ).real
-                got = prop_mod.polarization_correlation(spec, j, l, t)
-                dev = max(dev, abs(got - ref))
-        self.add(
-            "polarization_vs_oracle", dev, _TOL_ORACLE, {"n": n, "couplings": cpl, "t": t}
-        )
+def engineered_mirror_profile(rng, max_n, oracle_n):
+    n = max(max_n, 8)
+    d = 1.0
+    spec = chain_mod.engineered_couplings(n, d)
+    t_star = chain_mod.transfer_timing(spec).t_star
+    amp = prop_mod.chain_propagator(spec, t_star).amplitudes
+    phase = (-1j) ** (n - 1)
+    dev = max(abs(amp[j, n - 1 - j] - phase) for j in range(n))
+    # binomial transfer profile away from the mirror time
+    t = 0.37 * t_star
+    tau = chain_mod.normalized_time(n, d, t)
+    amp_t = prop_mod.chain_propagator(spec, t).amplitudes
+    s2, c2 = math.sin(tau) ** 2, math.cos(tau) ** 2
+    for l in range(1, n + 1):
+        pred = math.comb(n - 1, l - 1) * s2 ** (l - 1) * c2 ** (n - l)
+        dev = max(dev, abs(abs(amp_t[0, l - 1]) ** 2 - pred))
+    yield ("engineered_mirror_profile", dev, _TOL_LINALG, {"n": n, "d": d})
 
-    def check_slater_oracle(self) -> None:
-        n = self.n_oracle
-        cpl = _random_couplings(self.rng, n)
-        t = float(self.rng.uniform(0.3, 2.5))
-        spec = ChainSpec(n, "xx", cpl)
-        u = oracle_mod.evolve_unitary(oracle_mod.build_hamiltonian(spec), t)
-        prop = prop_mod.chain_propagator(spec, t)
-        dev = 0.0
-        configs = [((1, 2), (n - 1, n)), ((1, 3), (2, n)), ((1, 2, 3), (1, n - 1, n))]
-        for src, tgt in configs:
-            got = prop_mod.slater_amplitude(prop, src, tgt)
-            ref = u[oracle_mod.basis_index(n, tgt), oracle_mod.basis_index(n, src)]
+
+# -- oracle comparisons ------------------------------------------------
+
+
+def polarization_vs_oracle(rng, max_n, oracle_n):
+    n = oracle_n
+    cpl = chain_mod.random_couplings(rng, n)
+    t = float(rng.uniform(0.3, 2.5))
+    dev = 0.0
+    for model in ("xx", "dq"):
+        spec = ChainSpec(n, model, cpl)
+        h = oracle_mod.build_hamiltonian(spec)
+        for j, l in ((1, n), (2, n - 1), (1, 1)):
+            zl = oracle_mod.pauli_string_to_dense(n, ((l, "Z"),))
+            zj = oracle_mod.pauli_string_to_dense(n, ((j, "Z"),))
+            ref = oracle_mod.trace_overlap(
+                oracle_mod.evolve_deviation(h, zj, t), zl
+            ).real
+            got = prop_mod.polarization_correlation(spec, j, l, t)
             dev = max(dev, abs(got - ref))
-        self.add(
-            "slater_vs_oracle", dev, _TOL_ORACLE, {"n": n, "couplings": cpl, "t": t}
-        )
+    yield (
+        "polarization_vs_oracle", dev, _TOL_ORACLE, {"n": n, "couplings": cpl, "t": t}
+    )
 
-    def check_mixed_overlap_oracle(self) -> None:
-        n = self.n_oracle
-        cpl = _random_couplings(self.rng, n)
-        t = float(self.rng.uniform(0.3, 2.5))
-        spec = ChainSpec(n, "xx", cpl)
-        a = {
-            ((1,), (1,)): 0.6,
-            ((2,), (2,)): 0.4,
-            ((1,), (2,)): 0.2 + 0.1j,
-            ((2,), (1,)): 0.2 - 0.1j,
-            ((1, 2), (1, 2)): 0.3,
-        }
-        b = {
-            ((n - 1,), (n - 1,)): 0.5,
-            ((n,), (n,)): 0.5,
-            ((n - 1,), (n,)): -0.15j,
-            ((n,), (n - 1,)): +0.15j,
-            ((n - 1, n), (n - 1, n)): 0.25,
-        }
+
+def slater_vs_oracle(rng, max_n, oracle_n):
+    n = oracle_n
+    cpl = chain_mod.random_couplings(rng, n)
+    t = float(rng.uniform(0.3, 2.5))
+    spec = ChainSpec(n, "xx", cpl)
+    u = oracle_mod.evolve_unitary(oracle_mod.build_hamiltonian(spec), t)
+    prop = prop_mod.chain_propagator(spec, t)
+    dev = 0.0
+    configs = [((1, 2), (n - 1, n)), ((1, 3), (2, n)), ((1, 2, 3), (1, n - 1, n))]
+    for src, tgt in configs:
+        got = prop_mod.slater_amplitude(prop, src, tgt)
+        ref = u[oracle_mod.basis_index(n, tgt), oracle_mod.basis_index(n, src)]
+        dev = max(dev, abs(got - ref))
+    yield (
+        "slater_vs_oracle", dev, _TOL_ORACLE, {"n": n, "couplings": cpl, "t": t}
+    )
+
+
+def mixed_overlap_vs_oracle(rng, max_n, oracle_n):
+    n = oracle_n
+    cpl = chain_mod.random_couplings(rng, n)
+    t = float(rng.uniform(0.3, 2.5))
+    spec = ChainSpec(n, "xx", cpl)
+    a = {
+        ((1,), (1,)): 0.6,
+        ((2,), (2,)): 0.4,
+        ((1,), (2,)): 0.2 + 0.1j,
+        ((2,), (1,)): 0.2 - 0.1j,
+        ((1, 2), (1, 2)): 0.3,
+    }
+    b = {
+        ((n - 1,), (n - 1,)): 0.5,
+        ((n,), (n,)): 0.5,
+        ((n - 1,), (n,)): -0.15j,
+        ((n,), (n - 1,)): +0.15j,
+        ((n - 1, n), (n - 1, n)): 0.25,
+    }
+    prop = prop_mod.chain_propagator(spec, t)
+    got = prop_mod.mixed_state_overlap(prop, a, b)
+    u = oracle_mod.evolve_unitary(oracle_mod.build_hamiltonian(spec), t)
+    ra = oracle_mod.excitation_operator(n, a)
+    rb = oracle_mod.excitation_operator(n, b)
+    ref = np.trace(u @ ra @ u.conj().T @ rb)
+    yield (
+        "mixed_overlap_vs_oracle",
+        abs(got - ref),
+        _TOL_ORACLE,
+        {"n": n, "couplings": cpl, "t": t},
+    )
+
+
+def logical_channels_vs_oracle(rng, max_n, oracle_n):
+    n = oracle_n
+    cpl = chain_mod.random_couplings(rng, n)
+    t = float(rng.uniform(0.3, 2.5))
+    dev = 0.0
+    for model in ("xx", "dq"):
+        spec = ChainSpec(n, model, cpl)
+        h = oracle_mod.build_hamiltonian(spec)
+        source = logical_mod.logical_basis(model, n, "source").observables
+        target = logical_mod.logical_basis(model, n, "target").observables
         prop = prop_mod.chain_propagator(spec, t)
-        got = prop_mod.mixed_state_overlap(prop, a, b)
-        u = oracle_mod.evolve_unitary(oracle_mod.build_hamiltonian(spec), t)
-        ra = oracle_mod.excitation_operator(n, a)
-        rb = oracle_mod.excitation_operator(n, b)
-        ref = np.trace(u @ ra @ u.conj().T @ rb)
-        self.add(
-            "mixed_overlap_vs_oracle",
-            abs(got - ref),
-            _TOL_ORACLE,
-            {"n": n, "couplings": cpl, "t": t},
-        )
-
-    def check_logical_oracle(self) -> None:
-        n = self.n_oracle
-        cpl = _random_couplings(self.rng, n)
-        t = float(self.rng.uniform(0.3, 2.5))
-        dev = 0.0
-        for model in ("xx", "dq"):
-            spec = ChainSpec(n, model, cpl)
-            h = oracle_mod.build_hamiltonian(spec)
-            source = logical_mod.logical_basis(model, n, "source").observables
-            target = logical_mod.logical_basis(model, n, "target").observables
-            prop = prop_mod.chain_propagator(spec, t)
-            got = logical_mod.logical_correlations(prop, model, corrected=False)
-            for alpha in logical_mod.CHANNELS:
-                rho_t = oracle_mod.evolve_deviation(
-                    h, oracle_mod.deviation_to_dense(source[alpha]), t
-                )
-                ref = 2.0 * oracle_mod.trace_overlap(
-                    rho_t, oracle_mod.deviation_to_dense(target[alpha])
-                ).real
-                dev = max(dev, abs(got[alpha] - ref))
-        self.add(
-            "logical_channels_vs_oracle",
-            dev,
-            _TOL_ORACLE,
-            {"n": n, "couplings": cpl, "t": t},
-        )
-
-    def check_autocorrelation_oracle(self) -> None:
-        n = self.n_oracle
-        cpl = _random_couplings(self.rng, n)
-        t = float(self.rng.uniform(0.3, 2.5))
-        dev = 0.0
-        for model in ("xx", "dq"):
-            spec = ChainSpec(n, model, cpl)
-            h = oracle_mod.build_hamiltonian(spec)
-            for kind in prop_mod.INITIAL_KINDS:
-                state = mqc_mod.prepare_state(n, kind)
-                rho0 = oracle_mod.deviation_to_dense(state)
-                norm = oracle_mod.trace_overlap(rho0, rho0).real
-                ref = (
-                    oracle_mod.trace_overlap(
-                        oracle_mod.evolve_deviation(h, rho0, t), rho0
-                    ).real
-                    / norm
-                )
-                got = prop_mod.end_autocorrelation(spec, kind, t)
-                dev = max(dev, abs(got - ref))
-        self.add(
-            "autocorrelation_vs_oracle",
-            dev,
-            _TOL_ORACLE,
-            {"n": n, "couplings": cpl, "t": t},
-        )
-
-    def check_dq_parity(self) -> None:
-        dev = 0.0
-        for n in (self.max_n, self.max_n + 1):
-            cpl = _random_couplings(self.rng, n)
-            t = float(self.rng.uniform(0.3, 2.5))
-            prop = prop_mod.chain_propagator(ChainSpec(n, "xx", cpl), t)
-            xx = logical_mod.logical_correlations(prop, "xx")
-            raw = logical_mod.logical_correlations(prop, "dq", corrected=False)
-            cor = logical_mod.logical_correlations(prop, "dq", corrected=True)
-            sign = -1.0 if logical_mod.dq_parity_correction(n) else 1.0
-            for alpha in ("x", "1"):
-                dev = max(dev, abs(raw[alpha] - xx[alpha]), abs(cor[alpha] - xx[alpha]))
-            for alpha in ("y", "z"):
-                dev = max(dev, abs(raw[alpha] - sign * xx[alpha]), abs(cor[alpha] - xx[alpha]))
-        self.add(
-            "dq_parity_rule",
-            dev,
-            _TOL_EXACT,
-            {"n_values": [self.max_n, self.max_n + 1]},
-        )
-
-    def check_engineered_fidelity(self) -> None:
-        dev = 0.0
-        for n in range(4, 21):
-            timing = chain_mod.transfer_timing(chain_mod.engineered_couplings(n, 1.0))
-            f = logical_mod.entanglement_fidelity(n, 1.0, "engineered", timing.t_star)
-            dev = max(dev, abs(f - 1.0))
-            # closed forms agree with the propagator bilinears
-            prop = prop_mod.chain_propagator(
-                chain_mod.engineered_couplings(n, 1.0), 0.43 * timing.t_star
+        got = logical_mod.logical_correlations(prop, model, corrected=False)
+        for alpha in logical_mod.CHANNELS:
+            rho_t = oracle_mod.evolve_deviation(
+                h, oracle_mod.deviation_to_dense(source[alpha]), t
             )
-            vals = logical_mod.logical_correlations(prop, "xx")
-            for alpha in logical_mod.CHANNELS:
-                closed = logical_mod.logical_transport_engineered(
-                    n, 1.0, alpha, 0.43 * timing.t_star
-                )
-                dev = max(dev, abs(vals[alpha] - closed))
-        self.add("engineered_fidelity_mirror", dev, 1e-9, {"n_range": [4, 20]})
+            ref = 2.0 * oracle_mod.trace_overlap(
+                rho_t, oracle_mod.deviation_to_dense(target[alpha])
+            ).real
+            dev = max(dev, abs(got[alpha] - ref))
+    yield (
+        "logical_channels_vs_oracle",
+        dev,
+        _TOL_ORACLE,
+        {"n": n, "couplings": cpl, "t": t},
+    )
 
-    def check_homogeneous_logical_forms(self) -> None:
-        dev = 0.0
-        for n in (self.max_n, self.max_n + 3):
-            d = 1.0
-            t = float(self.rng.uniform(0.5, 4.0))
-            prop = prop_mod.chain_propagator(chain_mod.homogeneous_couplings(n, d), t)
-            vals = logical_mod.logical_correlations(prop, "xx")
-            for alpha in logical_mod.CHANNELS:
-                closed = logical_mod.logical_transport_homogeneous(n, d, alpha, t)
-                dev = max(dev, abs(vals[alpha] - closed))
-        self.add(
-            "homogeneous_logical_closed_forms",
-            dev,
-            _TOL_LINALG,
-            {"n_values": [self.max_n, self.max_n + 3]},
-        )
 
-    # -- coherence protocol ---------------------------------------------------
-
-    def check_mqc_against_analytic(self) -> None:
-        n = self.n_oracle
-        d = 1.0
-        spec = chain_mod.homogeneous_couplings(n, d, model="dq")
-        t = float(self.rng.uniform(0.2, 1.5))
-        dev = 0.0
-        z_state = mqc_mod.prepare_state(n, "z_ends")
-        cycled = mqc_mod.mqc_phase_cycled(spec, z_state, t)
-        analytic = mqc_mod.mqc_z_analytic(n, d, t)
-        for q in (-2, 0, 2):
-            dev = max(dev, abs(cycled.intensity(q) - 2.0 * analytic.intensity(q)))
-        y_state = mqc_mod.prepare_state(n, "y_logical")
-        cycled_y = mqc_mod.mqc_phase_cycled(spec, y_state, t)
-        analytic_y = mqc_mod.mqc_y_analytic(n, d, t)
-        for q in (-2, 0, 2):
-            dev = max(dev, abs(cycled_y.intensity(q) - analytic_y.intensity(q)))
-        x_state = mqc_mod.prepare_state(n, "x_logical")
-        cycled_x = mqc_mod.mqc_phase_cycled(spec, x_state, t)
-        dev = max(dev, max(abs(v) for v in cycled_x.intensities))
-        self.add("mqc_vs_analytic", dev, _TOL_ORACLE, {"n": n, "d": d, "t": t})
-
-    def check_mqc_support_conservation(self) -> None:
-        n = self.n_oracle
-        spec = chain_mod.homogeneous_couplings(n, 1.0, model="dq")
-        t = float(self.rng.uniform(0.2, 1.5))
-        dev = 0.0
-        for kind in mqc_mod.PREPARED_KINDS:
+def autocorrelation_vs_oracle(rng, max_n, oracle_n):
+    n = oracle_n
+    cpl = chain_mod.random_couplings(rng, n)
+    t = float(rng.uniform(0.3, 2.5))
+    dev = 0.0
+    for model in ("xx", "dq"):
+        spec = ChainSpec(n, model, cpl)
+        h = oracle_mod.build_hamiltonian(spec)
+        for kind in prop_mod.INITIAL_KINDS:
             state = mqc_mod.prepare_state(n, kind)
-            full = mqc_mod.mqc_phase_cycled(
-                spec, state, t, phase_steps=2 * n + 3, max_order=n
-            )
-            at0 = mqc_mod.mqc_phase_cycled(
-                spec, state, 0.0, phase_steps=2 * n + 3, max_order=n
-            )
-            dev = max(dev, abs(full.total() - at0.total()))
-            for q, j in zip(full.orders, full.intensities):
-                if q not in (-2, 0, 2):
-                    dev = max(dev, abs(j))
-                if q < 0:
-                    dev = max(dev, abs(j - full.intensity(-q)))
-        self.add("mqc_support_and_conservation", dev, _TOL_LINALG, {"n": n, "t": t})
-
-    # -- dense-model identities ---------------------------------------------
-
-    def check_purity_commutation_similarity(self) -> None:
-        n = self.n_oracle
-        cpl = _random_couplings(self.rng, n)
-        t = float(self.rng.uniform(0.3, 2.5))
-        state = mqc_mod.prepare_state(n, "y_logical")
-        dev = 0.0
-        for model in ("xx", "dq"):
-            spec = ChainSpec(n, model, cpl)
-            h = oracle_mod.build_hamiltonian(spec)
             rho0 = oracle_mod.deviation_to_dense(state)
-            rho_t = oracle_mod.evolve_deviation(h, rho0, t)
-            p0 = oracle_mod.trace_overlap(rho0, rho0).real
-            pt = oracle_mod.trace_overlap(rho_t, rho_t).real
-            dev = max(dev, abs(pt - p0))
-        hx = oracle_mod.build_hamiltonian(ChainSpec(n, "xx", cpl))
-        hd = oracle_mod.build_hamiltonian(ChainSpec(n, "dq", cpl))
-        zt = oracle_mod.total_z(n)
-        zs = oracle_mod.staggered_z(n)
-        dev_exact = max(
-            np.abs(hx @ zt - zt @ hx).max(),
-            np.abs(hd @ zs - zs @ hd).max(),
-            oracle_mod.similarity_residual(n, cpl),
-        )
-        self.add(
-            "purity_preservation", dev, _TOL_LINALG, {"n": n, "couplings": cpl, "t": t}
-        )
-        self.add(
-            "commutation_and_gauge",
-            dev_exact,
-            _TOL_EXACT,
-            {"n": n, "couplings": cpl},
-        )
+            norm = oracle_mod.trace_overlap(rho0, rho0).real
+            ref = (
+                oracle_mod.trace_overlap(
+                    oracle_mod.evolve_deviation(h, rho0, t), rho0
+                ).real
+                / norm
+            )
+            got = prop_mod.end_autocorrelation(spec, kind, t)
+            dev = max(dev, abs(got - ref))
+    yield (
+        "autocorrelation_vs_oracle",
+        dev,
+        _TOL_ORACLE,
+        {"n": n, "couplings": cpl, "t": t},
+    )
 
-    # -- chain utilities -------------------------------------------------------
 
-    def check_chain_utilities(self) -> None:
-        n = self.max_n + 5
-        positions = chain_mod.implant_spacings(n, r_min=1.3)
-        spec = chain_mod.dipolar_couplings(positions, prefactor=-0.7, model="xx")
-        timing = chain_mod.transfer_timing(spec)
-        d_eff = 4.0 * 0.7 / 1.3**3 / 2.0
-        dev = abs(timing.t_star - math.pi * n / (4.0 * d_eff))
-        dev = max(dev, abs(timing.t_star * timing.group_velocity - n))
-        rnd = ChainSpec(n, "dq", _random_couplings(self.rng, n))
-        dev_json = 0.0 if ChainSpec.from_json(rnd.to_json()) == rnd else 1.0
-        perturbed = chain_mod.perturb_couplings(rnd, 0.05, seed=7)
-        again = chain_mod.perturb_couplings(rnd, 0.05, seed=7)
-        dev_json = max(dev_json, 0.0 if perturbed == again else 1.0)
-        unchanged = chain_mod.perturb_couplings(rnd, 0.0, seed=11)
-        dev_json = max(
-            dev_json,
-            max(abs(a - b) for a, b in zip(unchanged.couplings, rnd.couplings)),
+def dq_parity_rule(rng, max_n, oracle_n):
+    dev = 0.0
+    for n in (max_n, max_n + 1):
+        cpl = chain_mod.random_couplings(rng, n)
+        t = float(rng.uniform(0.3, 2.5))
+        prop = prop_mod.chain_propagator(ChainSpec(n, "xx", cpl), t)
+        xx = logical_mod.logical_correlations(prop, "xx")
+        raw = logical_mod.logical_correlations(prop, "dq", corrected=False)
+        cor = logical_mod.logical_correlations(prop, "dq", corrected=True)
+        sign = -1.0 if logical_mod.dq_parity_correction(n) else 1.0
+        for alpha in ("x", "1"):
+            dev = max(dev, abs(raw[alpha] - xx[alpha]), abs(cor[alpha] - xx[alpha]))
+        for alpha in ("y", "z"):
+            dev = max(dev, abs(raw[alpha] - sign * xx[alpha]), abs(cor[alpha] - xx[alpha]))
+    yield (
+        "dq_parity_rule",
+        dev,
+        _TOL_EXACT,
+        {"n_values": [max_n, max_n + 1]},
+    )
+
+
+def engineered_fidelity_mirror(rng, max_n, oracle_n):
+    dev = 0.0
+    for n in range(4, 21):
+        timing = chain_mod.transfer_timing(chain_mod.engineered_couplings(n, 1.0))
+        f = logical_mod.entanglement_fidelity(n, 1.0, "engineered", timing.t_star)
+        dev = max(dev, abs(f - 1.0))
+        # closed forms agree with the propagator bilinears
+        prop = prop_mod.chain_propagator(
+            chain_mod.engineered_couplings(n, 1.0), 0.43 * timing.t_star
         )
-        self.add("implant_timing", dev, _TOL_LINALG, {"n": n, "r_min": 1.3})
-        self.add("serde_and_disorder", dev_json, _TOL_EXACT, {"n": n})
+        vals = logical_mod.logical_correlations(prop, "xx")
+        for alpha in logical_mod.CHANNELS:
+            closed = logical_mod.logical_transport_engineered(
+                n, 1.0, alpha, 0.43 * timing.t_star
+            )
+            dev = max(dev, abs(vals[alpha] - closed))
+    yield ("engineered_fidelity_mirror", dev, 1e-9, {"n_range": [4, 20]})
 
-    def run(self) -> None:
-        self.check_spectral()
-        self.check_propagator_vs_expm()
-        self.check_unitarity_group()
-        self.check_homogeneous_closed_form()
-        self.check_engineered_spectrum()
-        self.check_engineered_mirror()
-        self.check_polarization_oracle()
-        self.check_slater_oracle()
-        self.check_mixed_overlap_oracle()
-        self.check_logical_oracle()
-        self.check_autocorrelation_oracle()
-        self.check_dq_parity()
-        self.check_engineered_fidelity()
-        self.check_homogeneous_logical_forms()
-        self.check_mqc_against_analytic()
-        self.check_mqc_support_conservation()
-        self.check_purity_commutation_similarity()
-        self.check_chain_utilities()
+
+def homogeneous_logical_closed_forms(rng, max_n, oracle_n):
+    dev = 0.0
+    for n in (max_n, max_n + 3):
+        d = 1.0
+        t = float(rng.uniform(0.5, 4.0))
+        prop = prop_mod.chain_propagator(chain_mod.homogeneous_couplings(n, d), t)
+        vals = logical_mod.logical_correlations(prop, "xx")
+        for alpha in logical_mod.CHANNELS:
+            closed = logical_mod.logical_transport_homogeneous(n, d, alpha, t)
+            dev = max(dev, abs(vals[alpha] - closed))
+    yield (
+        "homogeneous_logical_closed_forms",
+        dev,
+        _TOL_LINALG,
+        {"n_values": [max_n, max_n + 3]},
+    )
+
+
+# -- coherence protocol ---------------------------------------------------
+
+
+def mqc_vs_analytic(rng, max_n, oracle_n):
+    n = oracle_n
+    d = 1.0
+    spec = chain_mod.homogeneous_couplings(n, d, model="dq")
+    t = float(rng.uniform(0.2, 1.5))
+    dev = 0.0
+    z_state = mqc_mod.prepare_state(n, "z_ends")
+    cycled = mqc_mod.mqc_phase_cycled(spec, z_state, t)
+    analytic = mqc_mod.mqc_z_analytic(n, d, t)
+    for q in (-2, 0, 2):
+        dev = max(dev, abs(cycled.intensity(q) - 2.0 * analytic.intensity(q)))
+    y_state = mqc_mod.prepare_state(n, "y_logical")
+    cycled_y = mqc_mod.mqc_phase_cycled(spec, y_state, t)
+    analytic_y = mqc_mod.mqc_y_analytic(n, d, t)
+    for q in (-2, 0, 2):
+        dev = max(dev, abs(cycled_y.intensity(q) - analytic_y.intensity(q)))
+    x_state = mqc_mod.prepare_state(n, "x_logical")
+    cycled_x = mqc_mod.mqc_phase_cycled(spec, x_state, t)
+    dev = max(dev, max(abs(v) for v in cycled_x.intensities))
+    yield ("mqc_vs_analytic", dev, _TOL_ORACLE, {"n": n, "d": d, "t": t})
+
+
+def mqc_support_and_conservation(rng, max_n, oracle_n):
+    n = oracle_n
+    spec = chain_mod.homogeneous_couplings(n, 1.0, model="dq")
+    t = float(rng.uniform(0.2, 1.5))
+    dev = 0.0
+    for kind in mqc_mod.PREPARED_KINDS:
+        state = mqc_mod.prepare_state(n, kind)
+        full = mqc_mod.mqc_phase_cycled(
+            spec, state, t, phase_steps=2 * n + 3, max_order=n
+        )
+        at0 = mqc_mod.mqc_phase_cycled(
+            spec, state, 0.0, phase_steps=2 * n + 3, max_order=n
+        )
+        dev = max(dev, abs(full.total() - at0.total()))
+        for q, j in zip(full.orders, full.intensities):
+            if q not in (-2, 0, 2):
+                dev = max(dev, abs(j))
+            if q < 0:
+                dev = max(dev, abs(j - full.intensity(-q)))
+    yield ("mqc_support_and_conservation", dev, _TOL_LINALG, {"n": n, "t": t})
+
+
+# -- dense-model identities ---------------------------------------------
+
+
+def purity_and_commutation(rng, max_n, oracle_n):
+    n = oracle_n
+    cpl = chain_mod.random_couplings(rng, n)
+    t = float(rng.uniform(0.3, 2.5))
+    state = mqc_mod.prepare_state(n, "y_logical")
+    dev = 0.0
+    for model in ("xx", "dq"):
+        spec = ChainSpec(n, model, cpl)
+        h = oracle_mod.build_hamiltonian(spec)
+        rho0 = oracle_mod.deviation_to_dense(state)
+        rho_t = oracle_mod.evolve_deviation(h, rho0, t)
+        p0 = oracle_mod.trace_overlap(rho0, rho0).real
+        pt = oracle_mod.trace_overlap(rho_t, rho_t).real
+        dev = max(dev, abs(pt - p0))
+    hx = oracle_mod.build_hamiltonian(ChainSpec(n, "xx", cpl))
+    hd = oracle_mod.build_hamiltonian(ChainSpec(n, "dq", cpl))
+    zt = oracle_mod.total_z(n)
+    zs = oracle_mod.staggered_z(n)
+    dev_exact = max(
+        np.abs(hx @ zt - zt @ hx).max(),
+        np.abs(hd @ zs - zs @ hd).max(),
+        oracle_mod.similarity_residual(n, cpl),
+    )
+    yield (
+        "purity_preservation", dev, _TOL_LINALG, {"n": n, "couplings": cpl, "t": t}
+    )
+    yield (
+        "commutation_and_gauge",
+        dev_exact,
+        _TOL_EXACT,
+        {"n": n, "couplings": cpl},
+    )
+
+
+# -- chain utilities -------------------------------------------------------
+
+
+def chain_utilities(rng, max_n, oracle_n):
+    n = max_n + 5
+    positions = chain_mod.implant_spacings(n, r_min=1.3)
+    spec = chain_mod.dipolar_couplings(positions, prefactor=-0.7, model="xx")
+    timing = chain_mod.transfer_timing(spec)
+    d_eff = 4.0 * 0.7 / 1.3**3 / 2.0
+    dev = abs(timing.t_star - math.pi * n / (4.0 * d_eff))
+    dev = max(dev, abs(timing.t_star * timing.group_velocity - n))
+    rnd = ChainSpec(n, "dq", chain_mod.random_couplings(rng, n))
+    dev_json = 0.0 if ChainSpec.from_json(rnd.to_json()) == rnd else 1.0
+    perturbed = chain_mod.perturb_couplings(rnd, 0.05, seed=7)
+    again = chain_mod.perturb_couplings(rnd, 0.05, seed=7)
+    dev_json = max(dev_json, 0.0 if perturbed == again else 1.0)
+    unchanged = chain_mod.perturb_couplings(rnd, 0.0, seed=11)
+    dev_json = max(
+        dev_json,
+        max(abs(a - b) for a, b in zip(unchanged.couplings, rnd.couplings)),
+    )
+    yield ("implant_timing", dev, _TOL_LINALG, {"n": n, "r_min": 1.3})
+    yield ("serde_and_disorder", dev_json, _TOL_EXACT, {"n": n})
+
+
+CHECKS = (
+    spectral_reconstruction,
+    propagator_vs_expm,
+    unitarity_group_symmetry,
+    homogeneous_closed_form,
+    engineered_spectrum_linear,
+    engineered_mirror_profile,
+    polarization_vs_oracle,
+    slater_vs_oracle,
+    mixed_overlap_vs_oracle,
+    logical_channels_vs_oracle,
+    autocorrelation_vs_oracle,
+    dq_parity_rule,
+    engineered_fidelity_mirror,
+    homogeneous_logical_closed_forms,
+    mqc_vs_analytic,
+    mqc_support_and_conservation,
+    purity_and_commutation,
+    chain_utilities,
+)
 
 
 def run_verification(
     max_n: int = 8, seed: int = 0, tolerance: float | None = None
 ) -> VerificationReport:
-    """Run every invariant check and collect a deterministic report.
+    """Run every check in :data:`CHECKS` and collect a deterministic report.
 
     max_n sets the working chain length for analytic checks (4..12);
-    dense oracle comparisons run at min(max_n, oracle budget, 7). When
-    ``tolerance`` is given it overrides every check's own tolerance.
+    dense oracle comparisons run at min(max_n, oracle budget, 7). The
+    checks draw from one generator seeded with ``seed``, in registry
+    order. When ``tolerance`` is given it overrides every check's own
+    tolerance.
     """
     if not 4 <= max_n <= 12:
         raise InvalidDimensionError(f"max_n must be in 4..12, got {max_n}")
-    suite = _Suite(max_n, seed, tolerance)
-    suite.run()
-    params = {
-        "max_n": max_n,
-        "seed": seed,
-        "tolerance": tolerance,
-        "oracle_n": suite.n_oracle,
-    }
-    return VerificationReport(parameters=params, checks=tuple(suite.results))
+    rng = np.random.default_rng(seed)
+    oracle_n = min(max_n, oracle_mod.oracle_budget().effective_max_n, 7)
+    results = []
+    for check in CHECKS:
+        for name, deviation, tol, inputs in check(rng, max_n, oracle_n):
+            tol = tolerance if tolerance is not None else tol
+            results.append(
+                CheckResult(name, float(deviation), float(tol), bool(deviation <= tol), inputs)
+            )
+    params = {"max_n": max_n, "seed": seed, "tolerance": tolerance, "oracle_n": oracle_n}
+    return VerificationReport(parameters=params, checks=tuple(results))

@@ -1,4 +1,4 @@
-"""Independent reference formulas used only by the tests.
+"""Independent reference formulas and the registry grid used by the tests.
 
 The mode coefficients of the parabolic-profile chain have an exact
 closed form in terms of Jacobi polynomials evaluated at zero. Evaluated
@@ -6,10 +6,13 @@ here in exact rational arithmetic, they provide an eigenvector oracle
 that shares no code with the package's eigensolver path.
 """
 
+import functools
 from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
+
+from spinwire.verify import CHECKS
 
 
 def jacobi_at_zero(m: int, a: int, b: int) -> Fraction:
@@ -59,6 +62,41 @@ def mode_matrix(n: int) -> np.ndarray:
     return out
 
 
-def random_couplings(rng: np.random.Generator, n: int) -> tuple[float, ...]:
-    """n-1 bond couplings drawn uniformly from [0.5, 1.5)."""
-    return tuple(float(c) for c in rng.uniform(0.5, 1.5, n - 1))
+# (max_n, oracle_n, seed) points at which every registry check runs. Together
+# they cover the chain lengths of the unit and acceptance tests the registry
+# replaced: max_n 4..25 and every oracle_n from 4 to 8.
+GRID = ((4, 4, 0), (6, 5, 1), (8, 6, 2), (9, 7, 3), (11, 8, 4), (21, 4, 5), (25, 4, 6))
+
+# Bounds tighter than a check's own tolerance, kept from the replaced tests.
+REPLACED_TOL = {
+    "homogeneous_closed_form": 1e-12,
+    "engineered_mirror_profile": 1e-12,
+    "engineered_fidelity_mirror": 1e-10,
+    "mqc_vs_analytic": 1e-10,
+    "mqc_support_and_conservation": 1e-12,
+}
+
+
+@functools.cache
+def check_results(check, point) -> tuple:
+    """``(name, deviation, bound)`` of each identity ``check`` yields at ``point``."""
+    max_n, oracle_n, seed = point
+    return tuple(
+        (name, deviation, min(tol, REPLACED_TOL.get(name, tol)))
+        for name, deviation, tol, _ in check(np.random.default_rng(seed), max_n, oracle_n)
+    )
+
+
+def registry_summary(names) -> tuple[bool, str]:
+    """Whether the named checks pass at every grid point, and their worst deviations."""
+    results = [
+        result
+        for check in CHECKS
+        for point in GRID
+        for result in check_results(check, point)
+        if result[0] in names
+    ]
+    assert {name for name, _, _ in results} == set(names), f"unknown checks in {names}"
+    worst = {name: max(dev for other, dev, _ in results if other == name) for name in names}
+    detail = ", ".join(f"{name} {dev:.1e}" for name, dev in worst.items())
+    return all(dev <= bound for _, dev, bound in results), detail

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinwire.chain import (
+    MODELS,
     ChainSpec,
     dipolar_couplings,
     engineered_couplings,
@@ -23,6 +24,7 @@ from spinwire.errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
     InvalidParameterError,
+    SpinwireError,
     UnsupportedFamilyError,
     UnsupportedModelError,
 )
@@ -224,4 +226,65 @@ def test_json_error_paths():
 def test_json_round_trip_property(n, model, values):
     couplings = tuple(values[: n - 1]) + (1.0,) * max(0, n - 1 - len(values))
     spec = ChainSpec(n, model, couplings)
+    assert ChainSpec.from_json(spec.to_json()) == spec
+
+
+def test_spec_accepts_numpy_length_and_rejects_non_numeric_couplings():
+    spec = ChainSpec(np.int64(3), "xx", (1.0, 1.0))
+    assert spec == ChainSpec(3, "xx", (1.0, 1.0)) and type(spec.n) is int
+    for bad in (("a", 1.0), (1.0, 1j), (True, 1.0), 5, "11"):
+        with pytest.raises(InvalidParameterError):
+            ChainSpec(3, "xx", bad)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        '"n": 3.7, "model": "xx", "couplings": [1.0, 1.0]',
+        '"n": true, "model": "xx", "couplings": []',
+        '"n": "abc", "model": "xx", "couplings": [1.0, 1.0]',
+        '"n": null, "model": "xx", "couplings": [1.0, 1.0]',
+        '"n": 3, "model": "xx", "couplings": "11"',
+        '"n": 3, "model": "xx", "couplings": 5',
+        '"n": 3, "model": "xx", "couplings": ["a", 1.0]',
+        '"n": 3, "model": "xx", "couplings": [1' + '0' * 400 + ', 1.0]',
+    ],
+    ids=lambda fields: fields[:48],
+)
+def test_json_rejects_malformed_fields(fields):
+    with pytest.raises(SpinwireError):
+        ChainSpec.from_json("{" + fields + "}")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def chain_docs(draw):
+    """A valid chain document with any of its fields dropped or replaced by arbitrary JSON."""
+    n = draw(st.integers(1, 6))
+    model = draw(st.sampled_from(MODELS))
+    size = n * (n - 1) // 2 if model == "dipolar" else n - 1
+    values = st.lists(st.floats(-3, 3) | st.integers(-5, 5), min_size=size, max_size=size)
+    doc = {"n": n, "model": model, "couplings": draw(values)}
+    for key in draw(st.sets(st.sampled_from(["n", "model", "couplings", "schema"]))):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(JSON_VALUES)
+    return doc
+
+
+@given(chain_docs() | JSON_VALUES)
+@settings(max_examples=50, deadline=None)
+def test_from_json_gives_valid_spec_or_spinwire_error(doc):
+    try:
+        spec = ChainSpec.from_json(json.dumps(doc))
+    except SpinwireError:
+        return
+    assert type(spec.n) is int and all(math.isfinite(c) for c in spec.couplings)
     assert ChainSpec.from_json(spec.to_json()) == spec

@@ -191,19 +191,6 @@ def test_verify_failure_reports_inputs(runner):
     assert "slater_vs_oracle" in result.stderr
 
 
-def test_verify_report_is_reproducible(runner, tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for path in (a, b):
-        result = runner.invoke(
-            main, ["verify", "--max-n", "4", "--seed", "7", "--out", str(path)]
-        )
-        assert result.exit_code == 0
-    assert a.read_bytes() == b.read_bytes()
-    report = json.loads(a.read_text())
-    assert report["schema"] == "spinwire.verify/1"
-    assert report["passed"] is True
-
-
 def test_verify_rejects_out_of_range_max_n(runner):
     for bad in ("3", "13"):
         result = runner.invoke(main, ["verify", "--max-n", bad])

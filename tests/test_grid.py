@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from spinwire.chain import ChainSpec, engineered_couplings, homogeneous_couplings
+from spinwire.chain import ChainSpec, engineered_couplings, homogeneous_couplings, random_couplings
 from spinwire.cli import _csv_blocks
 from spinwire.errors import SpinwireError
 from spinwire.logical import (
@@ -23,8 +23,6 @@ from spinwire.logical import (
     logical_transport_homogeneous,
 )
 from spinwire.propagator import propagate, propagate_grid, spectral_decompose
-
-from support import random_couplings
 
 TIMES = st.lists(st.floats(-50, 50, allow_nan=False), max_size=4)
 

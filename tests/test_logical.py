@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinwire.chain import (
-    ChainSpec,
-    engineered_couplings,
-    homogeneous_couplings,
-    transfer_timing,
-)
+from spinwire.chain import engineered_couplings, homogeneous_couplings
 from spinwire.errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
@@ -31,18 +26,8 @@ from spinwire.logical import (
     logical_transport_engineered,
     logical_transport_homogeneous,
 )
-from spinwire.oracle import (
-    build_hamiltonian,
-    deviation_to_dense,
-    evolve_deviation,
-    similarity_transform,
-    trace_overlap,
-)
+from spinwire.oracle import deviation_to_dense, similarity_transform, trace_overlap
 from spinwire.propagator import chain_propagator
-
-from support import random_couplings
-
-RNG = np.random.default_rng(99)
 
 
 def test_source_basis_terms_xx():
@@ -115,39 +100,6 @@ def test_gauge_links_the_two_encodings():
             assert dev <= 1e-14
 
 
-def test_correlations_match_dense_oracle():
-    n, t = 6, 1.61
-    cpl = random_couplings(RNG, n)
-    for model in ("xx", "dq"):
-        spec = ChainSpec(n, model, cpl)
-        h = build_hamiltonian(spec)
-        source = logical_basis(model, n, "source").observables
-        target = logical_basis(model, n, "target").observables
-        got = logical_correlations(chain_propagator(spec, t), model, corrected=False)
-        for alpha in CHANNELS:
-            rho_t = evolve_deviation(h, deviation_to_dense(source[alpha]), t)
-            # normalise by Tr[sigma^2]/dim = 1/2
-            ref = 2.0 * trace_overlap(rho_t, deviation_to_dense(target[alpha])).real
-            assert got[alpha] == pytest.approx(ref, abs=1e-8)
-
-
-def test_corrected_dq_channels_equal_xx_channels():
-    n, t = 6, 0.9  # even n: the raw dq readout flips y and z
-    cpl = random_couplings(RNG, n)
-    xx = logical_correlations(chain_propagator(ChainSpec(n, "xx", cpl), t), "xx")
-    dq_raw = logical_correlations(
-        chain_propagator(ChainSpec(n, "dq", cpl), t), "dq", corrected=False
-    )
-    dq_fixed = logical_correlations(
-        chain_propagator(ChainSpec(n, "dq", cpl), t), "dq", corrected=True
-    )
-    for alpha in ("x", "1"):
-        assert dq_raw[alpha] == pytest.approx(xx[alpha], abs=1e-12)
-    for alpha in ("y", "z"):
-        assert dq_raw[alpha] == pytest.approx(-xx[alpha], abs=1e-12)
-        assert dq_fixed[alpha] == pytest.approx(xx[alpha], abs=1e-12)
-
-
 def test_parity_correction_predicate():
     assert dq_parity_correction(20) is True
     assert dq_parity_correction(21) is False
@@ -195,21 +147,6 @@ def test_engineered_closed_forms_explicit():
     assert logical_transport_engineered(n, d, "z", t) == pytest.approx(cz, abs=1e-12)
 
 
-def test_closed_forms_match_propagator_bilinears():
-    for family, build in (
-        ("homogeneous", homogeneous_couplings),
-        ("engineered", engineered_couplings),
-    ):
-        n, d, t = 9, 0.8, 2.3
-        vals = logical_correlations(chain_propagator(build(n, d), t))
-        for alpha in CHANNELS:
-            if family == "homogeneous":
-                closed = logical_transport_homogeneous(n, d, alpha, t)
-            else:
-                closed = logical_transport_engineered(n, d, alpha, t)
-            assert vals[alpha] == pytest.approx(closed, abs=1e-10)
-
-
 def test_frozen_channel_samples():
     got = [logical_transport_homogeneous(6, 1.0, a, 2.7) for a in ("x", "y", "z", "1")]
     frozen = [0.233896694330509, -0.352100089982969, -0.171008235473989, 0.52735383180937]
@@ -217,14 +154,6 @@ def test_frozen_channel_samples():
     got = [logical_transport_engineered(6, 1.0, a, 2.0) for a in ("x", "y", "z", "1")]
     frozen = [0.0213789409518399, -0.110661414753853, 0.0599549260770046, 0.500228529558111]
     np.testing.assert_allclose(got, frozen, atol=1e-12)
-
-
-def test_engineered_mirror_fidelity_is_perfect():
-    for n in range(4, 21):
-        t_star = transfer_timing(engineered_couplings(n, 1.0)).t_star
-        assert entanglement_fidelity(n, 1.0, "engineered", t_star) == pytest.approx(
-            1.0, abs=1e-9
-        )
 
 
 def test_channel_bounds():
@@ -250,15 +179,6 @@ def test_homogeneous_peaks_are_later_and_lower():
     peaks = [frozen[n][1] for n in (10, 15, 20)]
     assert times == sorted(times)
     assert peaks == sorted(peaks, reverse=True)
-
-
-def test_uncorrected_dq_fidelity_collapses_at_mirror_time():
-    n = 6  # even: correction required
-    t_star = transfer_timing(engineered_couplings(n, 1.0)).t_star
-    good = entanglement_fidelity(n, 1.0, "engineered", t_star, model="dq", corrected=True)
-    bad = entanglement_fidelity(n, 1.0, "engineered", t_star, model="dq", corrected=False)
-    assert good == pytest.approx(1.0, abs=1e-9)
-    assert bad < 1.0 - 1e-6
 
 
 def test_correlation_from_spec():

@@ -2,10 +2,9 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from spinwire.chain import ChainSpec, homogeneous_couplings
+from spinwire.chain import homogeneous_couplings
 from spinwire.errors import (
     AliasingError,
     InvalidConfigurationError,
@@ -106,7 +105,6 @@ def test_analytic_z_total_is_conserved():
     for t in (0.0, 0.4, 1.1, 2.9):
         spect = mqc_z_analytic(6, 1.0, t)
         assert spect.total() == pytest.approx(1.0, abs=1e-12)
-        assert spect.normalization == pytest.approx(1.0, abs=1e-12)
     # y-series intensities sum to zero instead: the state is orthogonal to Z
     for t in (0.4, 1.1):
         assert mqc_y_analytic(6, 1.0, t).total() == pytest.approx(0.0, abs=1e-14)
@@ -117,35 +115,6 @@ def test_analytic_dispatch():
     assert spect.intensity(0) == mqc_z_analytic(5, 1.0, 0.8).intensity(0)
     with pytest.raises(InvalidConfigurationError):
         mqc_analytic(5, 1.0, "full_z", 0.8)
-
-
-def test_cycled_matches_analytic_z_up_to_conserved_total():
-    n, d, t = 5, 1.0, 0.8
-    spec = homogeneous_couplings(n, d, model="dq")
-    cycled = mqc_phase_cycled(spec, prepare_state(n, "z_ends"), t)
-    analytic = mqc_z_analytic(n, d, t)
-    # raw conserved total Tr[rho Z]/2^n = 2, analytic series normalises to 1
-    assert cycled.total() == pytest.approx(2.0, abs=1e-10)
-    for q in (-2, 0, 2):
-        assert cycled.intensity(q) == pytest.approx(2.0 * analytic.intensity(q), abs=1e-10)
-    assert cycled.intensity(1) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_cycled_matches_analytic_y_raw():
-    n, d, t = 6, 1.0, 1.3
-    spec = homogeneous_couplings(n, d, model="dq")
-    cycled = mqc_phase_cycled(spec, prepare_state(n, "y_logical"), t)
-    analytic = mqc_y_analytic(n, d, t)
-    for q in (-2, 0, 2):
-        assert cycled.intensity(q) == pytest.approx(analytic.intensity(q), abs=1e-10)
-
-
-def test_cycled_x_logical_is_dark():
-    n = 5
-    spec = homogeneous_couplings(n, 1.0, model="dq")
-    for t in (0.5, 1.9):
-        spect = mqc_phase_cycled(spec, prepare_state(n, "x_logical"), t)
-        assert max(abs(v) for v in spect.intensities) <= 1e-10
 
 
 def test_cycled_support_is_zero_and_two():
@@ -198,7 +167,6 @@ def test_spectrum_accessors():
     spect = MqcSpectrum(0.0, (-2, 0, 2), (0.25, 0.5, 0.25))
     assert spect.intensity(0) == 0.5
     assert spect.total() == 1.0
-    assert spect.normalization == 1.0
     with pytest.raises(InvalidParameterError):
         spect.intensity(4)
 

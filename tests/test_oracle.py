@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinwire.chain import ChainSpec, homogeneous_couplings
+from spinwire.chain import ChainSpec, homogeneous_couplings, random_couplings
 from spinwire.errors import (
     IndexOutOfRangeError,
     InvalidConfigurationError,
@@ -27,13 +27,10 @@ from spinwire.oracle import (
     require_within_budget,
     similarity_residual,
     similarity_transform,
-    staggered_z,
     total_z,
     trace_overlap,
 )
 from spinwire.pauli import DeviationState
-
-from support import random_couplings
 
 RNG = np.random.default_rng(7)
 
@@ -131,15 +128,11 @@ def test_excitation_sector_block_structure():
 
 
 def test_conserved_charges_commute():
+    # the commutators themselves are the registry's commutation_and_gauge check;
+    # the dq model does NOT conserve total polarisation
     n = 5
-    cpl = random_couplings(RNG, n)
-    h_xx = build_hamiltonian(ChainSpec(n, "xx", cpl))
+    h_dq = build_hamiltonian(ChainSpec(n, "dq", random_couplings(RNG, n)))
     z = total_z(n)
-    assert np.max(np.abs(h_xx @ z - z @ h_xx)) <= 1e-12
-    h_dq = build_hamiltonian(ChainSpec(n, "dq", cpl))
-    zt = staggered_z(n)
-    assert np.max(np.abs(h_dq @ zt - zt @ h_dq)) <= 1e-12
-    # and the dq model does NOT conserve total polarisation
     assert np.max(np.abs(h_dq @ z - z @ h_dq)) > 0.1
 
 

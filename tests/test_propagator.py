@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinwire.chain import ChainSpec, engineered_couplings, homogeneous_couplings, transfer_timing
+from spinwire.chain import (
+    ChainSpec,
+    engineered_couplings,
+    homogeneous_couplings,
+    random_couplings,
+    transfer_timing,
+)
 from spinwire.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -16,20 +22,10 @@ from spinwire.errors import (
     InvalidParameterError,
     UnsupportedModelError,
 )
-from spinwire.oracle import (
-    basis_index,
-    build_hamiltonian,
-    evolve_deviation,
-    evolve_unitary,
-    excitation_operator,
-    pauli_string_to_dense,
-    trace_overlap,
-)
 from spinwire.propagator import (
     chain_propagator,
     end_autocorrelation,
     engineered_amplitude,
-    engineered_frequencies,
     homogeneous_amplitude,
     mixed_state_overlap,
     polarization_correlation,
@@ -37,8 +33,6 @@ from spinwire.propagator import (
     slater_amplitude,
     spectral_decompose,
 )
-
-from support import random_couplings
 
 RNG = np.random.default_rng(20260814)
 
@@ -93,47 +87,12 @@ def test_two_site_amplitude():
         homogeneous_amplitude(4, d, 0, 2, t)
 
 
-def test_homogeneous_closed_form_matches_eigensolver():
-    n, d = 21, 1.0
-    dec = spectral_decompose(homogeneous_couplings(n, d))
-    for t in np.linspace(0.0, 12.0, 7):
-        amp = propagate(dec, float(t)).amplitudes
-        closed = np.array(
-            [[homogeneous_amplitude(n, d, j, l, float(t)) for l in range(1, n + 1)]
-             for j in range(1, n + 1)]
-        )
-        np.testing.assert_allclose(amp, closed, atol=1e-12)
-
-
-def test_engineered_frequencies_and_mirror():
-    for n in (2, 5, 12):
-        dec = spectral_decompose(engineered_couplings(n, 1.0))
-        np.testing.assert_allclose(dec.frequencies, engineered_frequencies(n, 1.0), atol=1e-10)
-    n, d = 11, 1.0
-    t_star = transfer_timing(engineered_couplings(n, d)).t_star
-    assert abs(engineered_amplitude(n, d, 1, n, t_star)) == pytest.approx(1.0, abs=1e-9)
-    # mirror rule holds for every site pair, with a common phase
-    amp = chain_propagator(engineered_couplings(n, d), t_star).amplitudes
-    for j in range(n):
-        assert abs(amp[j, n - 1 - j]) == pytest.approx(1.0, abs=1e-9)
-
-
 def test_end_to_end_probability_law():
     n, d = 9, 1.3
     for t in (0.3, 1.1, 2.9):
         tau = 2 * d * t / n
         p = abs(engineered_amplitude(n, d, 1, n, t)) ** 2
         assert p == pytest.approx(math.sin(tau) ** (2 * (n - 1)), abs=1e-12)
-
-
-def test_binomial_transfer_profile():
-    n, d, t = 8, 1.0, 0.9
-    tau = 2 * d * t / n
-    s2, c2 = math.sin(tau) ** 2, math.cos(tau) ** 2
-    for l in range(1, n + 1):
-        p = abs(engineered_amplitude(n, d, 1, l, t)) ** 2
-        predicted = math.comb(n - 1, l - 1) * s2 ** (l - 1) * c2 ** (n - l)
-        assert p == pytest.approx(predicted, abs=1e-12)
 
 
 @given(st.integers(2, 9), st.floats(0.05, 4.0, allow_nan=False), st.integers(0, 2**31 - 1))
@@ -176,18 +135,6 @@ def test_full_filling_determinant_modulus_one():
     assert abs(det) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_slater_matches_dense_oracle():
-    n = 6
-    spec = ChainSpec(n, "xx", random_couplings(RNG, n))
-    t = 1.37
-    u = evolve_unitary(build_hamiltonian(spec), t)
-    prop = chain_propagator(spec, t)
-    for src, tgt in (((1, 2), (5, 6)), ((1, 4), (2, 6)), ((1, 2, 3), (2, 4, 6))):
-        got = slater_amplitude(prop, src, tgt)
-        ref = u[basis_index(n, tgt), basis_index(n, src)]
-        assert got == pytest.approx(ref, abs=1e-8)
-
-
 def test_mixed_state_overlap_reductions():
     n, t = 6, 0.8
     prop = chain_propagator(homogeneous_couplings(n, 1.0), t)
@@ -200,28 +147,6 @@ def test_mixed_state_overlap_reductions():
     mixed = {((1,), (1,)): 0.5, ((2,), (2,)): 0.5, ((1,), (2,)): 0.25, ((2,), (1,)): 0.25}
     self_overlap = 0.5**2 + 0.5**2 + 2 * 0.25**2
     assert mixed_state_overlap(at0, mixed, mixed).real == pytest.approx(self_overlap, abs=1e-12)
-
-
-def test_mixed_state_overlap_matches_dense_oracle():
-    n, t = 6, 1.9
-    spec = ChainSpec(n, "xx", random_couplings(RNG, n))
-    prop = chain_propagator(spec, t)
-    a = {
-        ((1,), (1,)): 0.7,
-        ((1,), (3,)): 0.1 - 0.2j,
-        ((3,), (1,)): 0.1 + 0.2j,
-        ((1, 2), (1, 2)): 0.4,
-    }
-    b = {
-        ((6,), (6,)): 0.6,
-        ((4,), (6,)): 0.3j,
-        ((6,), (4,)): -0.3j,
-        ((5, 6), (5, 6)): 0.2,
-    }
-    got = mixed_state_overlap(prop, a, b)
-    u = evolve_unitary(build_hamiltonian(spec), t)
-    ref = np.trace(u @ excitation_operator(n, a) @ u.conj().T @ excitation_operator(n, b))
-    assert got == pytest.approx(ref, abs=1e-8)
 
 
 def test_mixed_state_overlap_size_cap():
@@ -256,19 +181,6 @@ def test_dq_polarization_sign_alternation():
     )
 
 
-def test_polarization_matches_dense_oracle():
-    n, t = 6, 1.4
-    cpl = random_couplings(RNG, n)
-    for model in ("xx", "dq"):
-        spec = ChainSpec(n, model, cpl)
-        h = build_hamiltonian(spec)
-        for j, l in ((1, 6), (2, 4), (3, 3)):
-            zj = pauli_string_to_dense(n, ((j, "Z"),))
-            zl = pauli_string_to_dense(n, ((l, "Z"),))
-            ref = trace_overlap(evolve_deviation(h, zj, t), zl).real
-            assert polarization_correlation(spec, j, l, t) == pytest.approx(ref, abs=1e-8)
-
-
 def test_autocorrelation_normalisation_and_errors():
     for model in ("xx", "dq"):
         for kind in ("z_ends", "y_logical"):
@@ -280,22 +192,6 @@ def test_autocorrelation_normalisation_and_errors():
         end_autocorrelation(homogeneous_couplings(3, 1.0), "y_logical", 0.1)
     with pytest.raises(UnsupportedModelError):
         end_autocorrelation(ChainSpec(3, "dipolar", (1.0, 0.2, 1.0)), "z_ends", 0.1)
-
-
-@pytest.mark.parametrize("model", ["xx", "dq"])
-@pytest.mark.parametrize("kind", ["z_ends", "y_logical"])
-def test_autocorrelation_matches_dense_oracle(model, kind):
-    from spinwire.mqc import prepare_state
-    from spinwire.oracle import deviation_to_dense
-
-    n = 6
-    spec = ChainSpec(n, model, random_couplings(RNG, n))
-    h = build_hamiltonian(spec)
-    rho0 = deviation_to_dense(prepare_state(n, kind))
-    norm = trace_overlap(rho0, rho0).real
-    for t in (0.35, 1.8):
-        ref = trace_overlap(evolve_deviation(h, rho0, t), rho0).real / norm
-        assert end_autocorrelation(spec, kind, t) == pytest.approx(ref, abs=1e-8)
 
 
 def test_engineered_autocorrelation_revives_at_mirror_time():
