@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinwire.chain import engineered_couplings, homogeneous_couplings
+from spinwire.chain import engineered_couplings, homogeneous_couplings, transfer_timing
 from spinwire.errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
@@ -179,6 +179,15 @@ def test_homogeneous_peaks_are_later_and_lower():
     peaks = [frozen[n][1] for n in (10, 15, 20)]
     assert times == sorted(times)
     assert peaks == sorted(peaks, reverse=True)
+
+
+def test_uncorrected_dq_fidelity_collapses_at_mirror_time():
+    n = 6  # even: correction required
+    t_star = transfer_timing(engineered_couplings(n, 1.0)).t_star
+    good = entanglement_fidelity(n, 1.0, "engineered", t_star, model="dq", corrected=True)
+    bad = entanglement_fidelity(n, 1.0, "engineered", t_star, model="dq", corrected=False)
+    assert good == pytest.approx(1.0, abs=1e-9)
+    assert bad < 1.0 - 1e-6
 
 
 def test_correlation_from_spec():

@@ -117,6 +117,26 @@ def test_analytic_dispatch():
         mqc_analytic(5, 1.0, "full_z", 0.8)
 
 
+def test_cycled_matches_analytic_z_up_to_conserved_total():
+    n, d, t = 5, 1.0, 0.8
+    spec = homogeneous_couplings(n, d, model="dq")
+    cycled = mqc_phase_cycled(spec, prepare_state(n, "z_ends"), t)
+    analytic = mqc_z_analytic(n, d, t)
+    # raw conserved total Tr[rho Z]/2^n = 2, analytic series normalises to 1
+    assert cycled.total() == pytest.approx(2.0, abs=1e-10)
+    for q in (-2, 0, 2):
+        assert cycled.intensity(q) == pytest.approx(2.0 * analytic.intensity(q), abs=1e-10)
+    assert cycled.intensity(1) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cycled_x_logical_is_dark():
+    n = 5
+    spec = homogeneous_couplings(n, 1.0, model="dq")
+    for t in (0.5, 1.9):
+        spect = mqc_phase_cycled(spec, prepare_state(n, "x_logical"), t)
+        assert max(abs(v) for v in spect.intensities) <= 1e-10
+
+
 def test_cycled_support_is_zero_and_two():
     n = 5
     spec = homogeneous_couplings(n, 1.0, model="dq")

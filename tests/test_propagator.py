@@ -22,6 +22,7 @@ from spinwire.errors import (
     InvalidParameterError,
     UnsupportedModelError,
 )
+from spinwire.oracle import build_hamiltonian, evolve_deviation, trace_overlap
 from spinwire.propagator import (
     chain_propagator,
     end_autocorrelation,
@@ -192,6 +193,22 @@ def test_autocorrelation_normalisation_and_errors():
         end_autocorrelation(homogeneous_couplings(3, 1.0), "y_logical", 0.1)
     with pytest.raises(UnsupportedModelError):
         end_autocorrelation(ChainSpec(3, "dipolar", (1.0, 0.2, 1.0)), "z_ends", 0.1)
+
+
+@pytest.mark.parametrize("model", ["xx", "dq"])
+@pytest.mark.parametrize("kind", ["z_ends", "y_logical"])
+def test_autocorrelation_matches_dense_oracle(model, kind):
+    from spinwire.mqc import prepare_state
+    from spinwire.oracle import deviation_to_dense
+
+    n = 6
+    spec = ChainSpec(n, model, random_couplings(RNG, n))
+    h = build_hamiltonian(spec)
+    rho0 = deviation_to_dense(prepare_state(n, kind))
+    norm = trace_overlap(rho0, rho0).real
+    for t in (0.35, 1.8):
+        ref = trace_overlap(evolve_deviation(h, rho0, t), rho0).real / norm
+        assert end_autocorrelation(spec, kind, t) == pytest.approx(ref, abs=1e-8)
 
 
 def test_engineered_autocorrelation_revives_at_mirror_time():
