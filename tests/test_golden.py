@@ -2,7 +2,9 @@
 
 Each file under ``tests/golden/`` is the CSV that ``spinwire <argv>``
 printed before the batched time-grid engine replaced the per-time
-propagator and the closed-form sums in the CLI. The files are fixed
+propagator and the closed-form sums in the CLI; the ``mqc_oracle_*``
+tables were printed by the per-time dense phase cycle before the
+sector-blocked grid engine replaced it. The files are fixed
 references, not snapshots to refresh: a change that moves a value by
 more than ``TOL`` is a regression. Header, row count and the exact
 ``t``/``tau``/``site`` columns must be identical; every other value may
@@ -42,6 +44,12 @@ CASES = {
                                   "--model", "dq", "--raw", "--grid", "0:16:81"],
     "mqc_z_ends": ["mqc", "--n", "12", "--grid", "0:5:51"],
     "mqc_y_logical": ["mqc", "--n", "12", "--initial", "y-logical", "--grid", "0:5:51"],
+    "mqc_oracle_z_ends": ["mqc", "--n", "6", "--engine", "oracle", "--grid", "0:3:16"],
+    "mqc_oracle_y_logical": ["mqc", "--n", "8", "--engine", "oracle", "--phase-steps", "16",
+                             "--initial", "y-logical", "--grid", "0:3.5:11"],
+    "mqc_oracle_x_logical_odd": ["mqc", "--n", "7", "--engine", "oracle",
+                                 "--initial", "x-logical", "--grid", "-1:2:7"],
+    "mqc_oracle_n10": ["mqc", "--n", "10", "--engine", "oracle", "--grid", "1.5:1.5:1"],
 }
 
 
