@@ -52,6 +52,7 @@ from .mqc import (
     MqcSpectrum,
     mqc_analytic,
     mqc_phase_cycled,
+    mqc_phase_cycled_grid,
     mqc_x_analytic,
     mqc_y_analytic,
     mqc_z_analytic,
@@ -126,6 +127,7 @@ __all__ = [
     "mqc_y_analytic",
     "mqc_x_analytic",
     "mqc_phase_cycled",
+    "mqc_phase_cycled_grid",
     # pauli
     "DeviationState",
     # verify

@@ -39,7 +39,7 @@ from .chain import (
 )
 from .errors import SpinwireError
 from .logical import channel_correlations, channel_fidelity
-from .mqc import mqc_analytic, mqc_phase_cycled, prepare_state
+from .mqc import mqc_analytic, mqc_phase_cycled_grid, prepare_state
 from .propagator import propagate_grid, spectral_decompose
 from .verify import run_verification
 
@@ -249,8 +249,8 @@ def mqc(n, d, initial, engine, phase_steps, grid, out) -> None:
         state = prepare_state(n, kind)
         # conserved total Tr[rho Z]/2^n: 2 for z_ends, 0 for logical states
         scale = 0.5 if kind == "z_ends" else 1.0
-        for t in grid:
-            spectrum = mqc_phase_cycled(spec, state, float(t), phase_steps=phase_steps)
+        spectra = mqc_phase_cycled_grid(spec, state, grid, phase_steps=phase_steps)
+        for t, spectrum in zip(grid, spectra):
             rows.append((t, scale * spectrum.intensity(0), scale * spectrum.intensity(2)))
     params = {
         "n": n, "d": d, "initial": initial, "engine": engine,

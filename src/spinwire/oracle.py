@@ -40,6 +40,8 @@ __all__ = [
     "excitation_operator",
     "basis_index",
     "build_hamiltonian",
+    "conserved_sectors",
+    "popcount",
     "evolve_unitary",
     "evolve_deviation",
     "trace_overlap",
@@ -191,32 +193,66 @@ def build_hamiltonian(spec: ChainSpec, budget: OracleBudget | None = None) -> np
     xx:      sum_j d_j (X_j X_{j+1} + Y_j Y_{j+1}) / 2
     dq:      sum_j d_j (X_j X_{j+1} - Y_j Y_{j+1}) / 2
     dipolar: sum_{j<l} d_jl [Z_j Z_l - (X_j X_l + Y_j Y_l) / 2]
+
+    Built on basis labels with flip masks rather than Kronecker
+    products: (X_j X_l +- Y_j Y_l)/2 flips bits j and l together, on
+    labels whose two bits differ (+) or agree (-), and Z_j Z_l is +1
+    where they agree. Every entry equals the Pauli-string sum exactly.
     """
     n = require_within_budget(spec.n, budget)
-    dim = 2**n
-    h = np.zeros((dim, dim), dtype=complex)
+    labels = np.arange(2**n)
+    h = np.zeros((2**n, 2**n), dtype=complex)
 
-    def two_site(a: int, b: int, letter: str) -> np.ndarray:
-        return pauli_string_to_dense(n, ((a, letter), (b, letter)), budget)
+    def bits_differ(j: int, l: int) -> np.ndarray:
+        return ((labels >> (n - j)) ^ (labels >> (n - l))) & 1
+
+    def flip(rows: np.ndarray, j: int, l: int, value: float) -> None:
+        h[rows, rows ^ ((1 << (n - j)) | (1 << (n - l)))] = value
 
     if spec.model in ("xx", "dq"):
-        sign = 1.0 if spec.model == "xx" else -1.0
+        differ = 1 if spec.model == "xx" else 0
         for j, d in enumerate(spec.couplings, start=1):
-            h += d / 2.0 * (two_site(j, j + 1, "X") + sign * two_site(j, j + 1, "Y"))
+            # d/2 times the 2 that X X +- Y Y has on its flipped entries
+            flip(labels[bits_differ(j, j + 1) == differ], j, j + 1, d / 2.0 * 2.0)
         return h
     if spec.model != "dipolar":
         raise UnsupportedModelError(f"unknown model {spec.model!r}")
     mat = spec.coupling_matrix()
+    diag = np.zeros(2**n)
     for j in range(1, n + 1):
         for l in range(j + 1, n + 1):
             d = mat[j - 1, l - 1]
             if d == 0.0:
                 continue
-            h += d * (
-                two_site(j, l, "Z")
-                - 0.5 * (two_site(j, l, "X") + two_site(j, l, "Y"))
-            )
+            differ = bits_differ(j, l)
+            diag = diag + d * (1 - 2 * differ)
+            flip(labels[differ == 1], j, l, -d)
+    h[labels, labels] = diag
     return h
+
+
+def popcount(labels: np.ndarray, n: int) -> np.ndarray:
+    """Number of set bits among the low n bits of each label."""
+    count = np.zeros(labels.shape, dtype=np.int64)
+    for bit in range(n):
+        count += (labels >> bit) & 1
+    return count
+
+
+def conserved_sectors(spec: ChainSpec, budget: OracleBudget | None = None) -> tuple[np.ndarray, ...]:
+    """Basis labels of each block of ``build_hamiltonian(spec)``, by charge.
+
+    xx and dipolar conserve the excitation number popcount(x); dq
+    conserves popcount(x ^ odd-site mask), its image under the gauge of
+    ``similarity_transform``. Entry k holds the sorted labels of charge
+    k = 0..n (C(n, k) of them); H has no entry between two blocks.
+    """
+    n = require_within_budget(spec.n, budget)
+    labels = np.arange(2**n)
+    # basis-label bits of the odd sites 1, 3, 5, ...
+    gauge = sum(1 << (n - j) for j in range(1, n + 1, 2)) if spec.model == "dq" else 0
+    charge = popcount(labels ^ gauge, n)
+    return tuple(labels[charge == k] for k in range(n + 1))
 
 
 # -- evolution and traces -----------------------------------------------------
@@ -243,11 +279,7 @@ def trace_overlap(a: np.ndarray, b: np.ndarray) -> complex:
 
 def _total_z_diag(n: int) -> np.ndarray:
     """Eigenvalues n - 2 popcount(x) of sum_j Z_j, by basis label x."""
-    labels = np.arange(2**n)
-    popcount = np.zeros(2**n, dtype=np.int64)
-    for bit in range(n):
-        popcount += (labels >> bit) & 1
-    return n - 2 * popcount
+    return n - 2 * popcount(np.arange(2**n), n)
 
 
 def total_z(n: int, budget: OracleBudget | None = None) -> np.ndarray:

@@ -431,16 +431,15 @@ def purity_and_commutation(rng, max_n, oracle_n):
     t = float(rng.uniform(0.3, 2.5))
     state = mqc_mod.prepare_state(n, "y_logical")
     dev = 0.0
+    hams = {}
     for model in ("xx", "dq"):
-        spec = ChainSpec(n, model, cpl)
-        h = oracle_mod.build_hamiltonian(spec)
+        h = hams[model] = oracle_mod.build_hamiltonian(ChainSpec(n, model, cpl))
         rho0 = oracle_mod.deviation_to_dense(state)
         rho_t = oracle_mod.evolve_deviation(h, rho0, t)
         p0 = oracle_mod.trace_overlap(rho0, rho0).real
         pt = oracle_mod.trace_overlap(rho_t, rho_t).real
         dev = max(dev, abs(pt - p0))
-    hx = oracle_mod.build_hamiltonian(ChainSpec(n, "xx", cpl))
-    hd = oracle_mod.build_hamiltonian(ChainSpec(n, "dq", cpl))
+    hx, hd = hams["xx"], hams["dq"]
     zt = oracle_mod.total_z(n)
     zs = oracle_mod.staggered_z(n)
     dev_exact = max(
