@@ -203,13 +203,8 @@ def mqc_phase_cycled(
         raise InvalidDimensionError(
             f"state on {initial.n} sites does not match chain n={spec.n}"
         )
-    if max_order < 0:
-        raise InvalidParameterError(f"max_order must be >= 0, got {max_order}")
-    if phase_steps <= 2 * max_order:
-        raise AliasingError(
-            f"phase_steps={phase_steps} cannot resolve orders up to "
-            f"{max_order}; need phase_steps > {2 * max_order}"
-        )
+    _check_cycle(phase_steps, max_order)
+    t = float(_check_times([t])[0])
     h = build_hamiltonian(spec, budget)
     rho0 = deviation_to_dense(initial, budget)
     z = total_z(spec.n, budget)

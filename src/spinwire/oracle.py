@@ -1,22 +1,25 @@
 """Dense brute-force reference implementations.
 
-Everything here works on full 2^n x 2^n matrices with no structure
-exploited, so results are trustworthy but exponentially expensive. The
-module exists to cross-check the analytic paths; a size budget (default
-n <= 10, hard cap 12, overridable through SPINWIRE_ORACLE_MAX_N within
-the cap) keeps accidental large requests from exhausting memory.
+Everything here works on full 2^n x 2^n matrices, so results are
+trustworthy but exponentially expensive. The module exists to
+cross-check the analytic paths; a size budget (default n <= 10, hard cap
+12, overridable through SPINWIRE_ORACLE_MAX_N within the cap) keeps
+accidental large requests from exhausting memory.
 
 Basis convention: site 1 is the most significant bit of the basis
 label, bit value 1 marks an excitation (spin down), so Z_1 on two sites
 is diag(1, 1, -1, -1).
+
+Every operator is built from one primitive that writes a Pauli string
+as a signed permutation of basis labels; the Kronecker-product
+references it is checked against live in the tests.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,13 +59,6 @@ HARD_CAP = 12
 _DEFAULT_MAX_N = 10
 _ENV_VAR = "SPINWIRE_ORACLE_MAX_N"
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 @dataclass(frozen=True)
 class OracleBudget:
@@ -71,10 +67,11 @@ class OracleBudget:
     max_n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_n, int) or isinstance(self.max_n, bool):
+        if not isinstance(self.max_n, (int, np.integer)) or isinstance(self.max_n, bool):
             raise InvalidConfigurationError(
                 f"budget max_n must be int, got {self.max_n!r}"
             )
+        object.__setattr__(self, "max_n", int(self.max_n))
         if self.max_n < 2:
             raise InvalidConfigurationError(
                 f"budget max_n must be >= 2, got {self.max_n}"
@@ -119,8 +116,45 @@ def require_within_budget(n: int, budget: OracleBudget | None = None) -> int:
 # -- operator construction ---------------------------------------------------
 
 
-def _kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    return functools.reduce(np.kron, mats)
+def popcount(labels: np.ndarray, n: int) -> np.ndarray:
+    """Number of set bits among the low n bits of each label."""
+    count = np.zeros(labels.shape, dtype=np.int64)
+    for bit in range(n):
+        count += (labels >> bit) & 1
+    return count
+
+
+def _signed_permutation(n: int, string: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and phases of a sparse Pauli string as a signed permutation.
+
+    P|x> = i^#Y (-1)^popcount(x & zy) |x ^ xy>, with xy the basis-label
+    bits of the X and Y sites and zy those of the Y and Z sites, so
+    P[rows[x], x] = phases[x] and every other entry is zero. A repeated
+    site keeps its last letter.
+    """
+    letters = {}
+    for site, letter in string:
+        if not 1 <= site <= n:
+            raise IndexOutOfRangeError(f"site {site} outside 1..{n}")
+        if letter not in ("I", "X", "Y", "Z"):
+            raise InvalidConfigurationError(f"unknown Pauli letter {letter!r}")
+        letters[site] = letter
+    xy = sum(1 << (n - site) for site, letter in letters.items() if letter in ("X", "Y"))
+    zy = sum(1 << (n - site) for site, letter in letters.items() if letter in ("Y", "Z"))
+    n_y = sum(letter == "Y" for letter in letters.values())
+    labels = np.arange(2**n)
+    signs = 1 - 2 * (popcount(labels & zy, n) & 1)
+    return labels ^ xy, (1, 1j, -1, -1j)[n_y % 4] * signs
+
+
+def _dense_sum(n: int, terms) -> np.ndarray:
+    """Dense sum of weighted sparse Pauli strings, one signed permutation each."""
+    labels = np.arange(2**n)
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for weight, string in terms:
+        rows, phases = _signed_permutation(n, string)
+        out[rows, labels] += weight * phases
+    return out
 
 
 def pauli_string_to_dense(
@@ -137,28 +171,15 @@ def pauli_string_to_dense(
             raise InvalidConfigurationError(
                 f"label length {len(string)} does not match n={n}"
             )
-        sparse = parse_string_label(string)
-    else:
-        sparse = tuple(string)
-    letters = ["I"] * n
-    for site, letter in sparse:
-        if not 1 <= site <= n:
-            raise IndexOutOfRangeError(f"site {site} outside 1..{n}")
-        if letter not in _PAULI:
-            raise InvalidConfigurationError(f"unknown Pauli letter {letter!r}")
-        letters[site - 1] = letter
-    return _kron_all(_PAULI[letter] for letter in letters)
+        string = parse_string_label(string)
+    return _dense_sum(n, ((1, tuple(string)),))
 
 
 def deviation_to_dense(
     state: DeviationState, budget: OracleBudget | None = None
 ) -> np.ndarray:
     """Dense matrix of a symbolic deviation state."""
-    require_within_budget(state.n, budget)
-    out = np.zeros((2**state.n, 2**state.n), dtype=complex)
-    for weight, sites in state.terms:
-        out += weight * pauli_string_to_dense(state.n, sites, budget)
-    return out
+    return _dense_sum(require_within_budget(state.n, budget), state.terms)
 
 
 def basis_index(n: int, sites: Sequence[int]) -> int:
@@ -194,49 +215,29 @@ def build_hamiltonian(spec: ChainSpec, budget: OracleBudget | None = None) -> np
     dq:      sum_j d_j (X_j X_{j+1} - Y_j Y_{j+1}) / 2
     dipolar: sum_{j<l} d_jl [Z_j Z_l - (X_j X_l + Y_j Y_l) / 2]
 
-    Built on basis labels with flip masks rather than Kronecker
-    products: (X_j X_l +- Y_j Y_l)/2 flips bits j and l together, on
-    labels whose two bits differ (+) or agree (-), and Z_j Z_l is +1
-    where they agree. Every entry equals the Pauli-string sum exactly.
+    X_j X_l and Y_j Y_l share one signed permutation; their phases are
+    added before the coupling multiplies them, as grouped above, so every
+    entry equals the Kronecker-product sum exactly, subnormal d included.
     """
     n = require_within_budget(spec.n, budget)
+    if spec.model in ("xx", "dq"):
+        bonds = [(j, j + 1, d) for j, d in enumerate(spec.couplings, start=1)]
+    elif spec.model == "dipolar":
+        mat = spec.coupling_matrix()
+        bonds = [(j + 1, l + 1, mat[j, l]) for j, l in zip(*np.nonzero(np.triu(mat, 1)))]
+    else:
+        raise UnsupportedModelError(f"unknown model {spec.model!r}")
     labels = np.arange(2**n)
     h = np.zeros((2**n, 2**n), dtype=complex)
-
-    def bits_differ(j: int, l: int) -> np.ndarray:
-        return ((labels >> (n - j)) ^ (labels >> (n - l))) & 1
-
-    def flip(rows: np.ndarray, j: int, l: int, value: float) -> None:
-        h[rows, rows ^ ((1 << (n - j)) | (1 << (n - l)))] = value
-
-    if spec.model in ("xx", "dq"):
-        differ = 1 if spec.model == "xx" else 0
-        for j, d in enumerate(spec.couplings, start=1):
-            # d/2 times the 2 that X X +- Y Y has on its flipped entries
-            flip(labels[bits_differ(j, j + 1) == differ], j, j + 1, d / 2.0 * 2.0)
-        return h
-    if spec.model != "dipolar":
-        raise UnsupportedModelError(f"unknown model {spec.model!r}")
-    mat = spec.coupling_matrix()
-    diag = np.zeros(2**n)
-    for j in range(1, n + 1):
-        for l in range(j + 1, n + 1):
-            d = mat[j - 1, l - 1]
-            if d == 0.0:
-                continue
-            differ = bits_differ(j, l)
-            diag = diag + d * (1 - 2 * differ)
-            flip(labels[differ == 1], j, l, -d)
-    h[labels, labels] = diag
+    for j, l, d in bonds:
+        rows, xx = _signed_permutation(n, ((j, "X"), (l, "X")))
+        yy = _signed_permutation(n, ((j, "Y"), (l, "Y")))[1]
+        if spec.model == "dipolar":
+            h[labels, labels] += d * _signed_permutation(n, ((j, "Z"), (l, "Z")))[1]
+            h[rows, labels] -= d * ((xx + yy) / 2.0)
+        else:
+            h[rows, labels] += d / 2.0 * (xx + yy if spec.model == "xx" else xx - yy)
     return h
-
-
-def popcount(labels: np.ndarray, n: int) -> np.ndarray:
-    """Number of set bits among the low n bits of each label."""
-    count = np.zeros(labels.shape, dtype=np.int64)
-    for bit in range(n):
-        count += (labels >> bit) & 1
-    return count
 
 
 def conserved_sectors(spec: ChainSpec, budget: OracleBudget | None = None) -> tuple[np.ndarray, ...]:
@@ -290,11 +291,8 @@ def total_z(n: int, budget: OracleBudget | None = None) -> np.ndarray:
 
 def staggered_z(n: int, budget: OracleBudget | None = None) -> np.ndarray:
     """Diagonal matrix of sum_j (-1)^(j+1) Z_j."""
-    require_within_budget(n, budget)
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for j in range(1, n + 1):
-        out += (-1) ** (j + 1) * pauli_string_to_dense(n, ((j, "Z"),), budget)
-    return out
+    n = require_within_budget(n, budget)
+    return _dense_sum(n, [((-1) ** (j + 1), ((j, "Z"),)) for j in range(1, n + 1)])
 
 
 def collective_rotation_diag(n: int, phi: float, budget: OracleBudget | None = None) -> np.ndarray:

@@ -137,7 +137,7 @@ def test_conservation_suite():
     finish("conservation suite")
 
 
-def test_mirror_time_autocorrelation(tmp_path):
+def test_mirror_time_autocorrelation():
     n, d = 21, 1.0
     spec = engineered_couplings(n, d, model="dq")
     t_star = transfer_timing(engineered_couplings(n, d)).t_star
@@ -146,13 +146,6 @@ def test_mirror_time_autocorrelation(tmp_path):
         kind: np.array([end_autocorrelation(spec, kind, float(t)) for t in grid])
         for kind in ("z_ends", "y_logical")
     }
-    out = tmp_path / "autocorrelation_dq_n21.csv"
-    lines = ["t,z_ends,y_logical"]
-    lines += [
-        f"{t:.15g},{cz:.15g},{cy:.15g}"
-        for t, cz, cy in zip(grid, curves["z_ends"], curves["y_logical"])
-    ]
-    out.write_text("\n".join(lines) + "\n")
     ok = True
     details = []
     for kind, curve in curves.items():
@@ -162,4 +155,4 @@ def test_mirror_time_autocorrelation(tmp_path):
         t_peak = float(grid[inner][np.argmax(curve[inner])])
         ok = ok and abs(c0 - 1.0) <= 1e-9 and abs(t_peak - t_star) <= 0.05 * t_star
         details.append(f"{kind}: C(0)={c0:.9f}, peak at t={t_peak:.3f} (t*={t_star:.3f})")
-    finish("mirror-time autocorrelation (n=21, dq)", ok, "; ".join(details) + f"; csv={out.name}")
+    finish("mirror-time autocorrelation (n=21, dq)", ok, "; ".join(details))

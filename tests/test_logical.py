@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from spinwire.chain import engineered_couplings, homogeneous_couplings, transfer_timing
+from spinwire.chain import (
+    ChainSpec,
+    engineered_couplings,
+    homogeneous_couplings,
+    random_couplings,
+    transfer_timing,
+)
 from spinwire.errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
@@ -26,7 +32,13 @@ from spinwire.logical import (
     logical_transport_engineered,
     logical_transport_homogeneous,
 )
-from spinwire.oracle import deviation_to_dense, similarity_transform, trace_overlap
+from spinwire.oracle import (
+    build_hamiltonian,
+    deviation_to_dense,
+    evolve_deviation,
+    similarity_transform,
+    trace_overlap,
+)
 from spinwire.propagator import chain_propagator
 
 
@@ -116,6 +128,25 @@ def test_apply_parity_correction():
     assert fixed.observables["1"] == basis.observables["1"]
     with pytest.raises(UnsupportedModelError):
         apply_parity_correction(logical_basis("xx", 6, "target"))
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_corrected_dq_channels_match_dense_dq_dynamics(n):
+    # the dq chain evolved densely and read through the target basis, pi-x
+    # corrected on even n: independent of the readout's own sign table
+    rng = np.random.default_rng(n)
+    spec = ChainSpec(n, "dq", random_couplings(rng, n))
+    h = build_hamiltonian(spec)
+    source = logical_basis("dq", n, "source").observables
+    target = logical_basis("dq", n, "target")
+    if n % 2 == 0:
+        target = apply_parity_correction(target)
+    for t in rng.uniform(0.3, 2.5, 3):
+        got = logical_correlations(chain_propagator(spec, t), "dq", corrected=True)
+        for alpha in CHANNELS:
+            rho_t = evolve_deviation(h, deviation_to_dense(source[alpha]), t)
+            ref = 2.0 * trace_overlap(rho_t, deviation_to_dense(target.observables[alpha]))
+            assert abs(got[alpha] - ref.real) <= 1e-12
 
 
 def test_initial_time_values():

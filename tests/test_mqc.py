@@ -181,6 +181,14 @@ def test_cycled_parameter_validation():
         mqc_phase_cycled(spec, state, 0.5, max_order=-1)
     with pytest.raises(InvalidDimensionError):
         mqc_phase_cycled(spec, prepare_state(5, "z_ends"), 0.5)
+    for t in (math.nan, math.inf, -math.inf, "a"):
+        with pytest.raises(InvalidParameterError):
+            mqc_phase_cycled(spec, state, t)
+    for bad in (8.0, True):
+        with pytest.raises(InvalidParameterError):
+            mqc_phase_cycled(spec, state, 0.5, phase_steps=bad)
+    with pytest.raises(InvalidParameterError):
+        mqc_phase_cycled(spec, state, 0.5, max_order=1.5)
 
 
 def test_spectrum_accessors():

@@ -247,3 +247,15 @@ def test_explicit_budget_overrides_env(monkeypatch):
     assert require_within_budget(6, OracleBudget(8)) == 6
     with pytest.raises(OracleSizeError):
         require_within_budget(6, OracleBudget(5))
+
+
+@pytest.mark.parametrize("value", [np.int64(8), np.int32(8), np.uint8(8)])
+def test_budget_accepts_numpy_integers(value):
+    budget = OracleBudget(value)
+    assert budget.max_n == 8 and type(budget.max_n) is int
+    assert budget == OracleBudget(8)
+    assert require_within_budget(np.int64(8), budget) == 8
+    with pytest.raises(InvalidConfigurationError):
+        OracleBudget(np.int64(1))
+    with pytest.raises(InvalidConfigurationError):
+        OracleBudget(np.bool_(True))

@@ -1,9 +1,10 @@
 """Sector-blocked oracle MQC engine on a time grid.
 
 ``mqc_phase_cycled_grid`` is checked against the literal single-time
-protocol ``mqc_phase_cycled`` (its reference), the bit-built
-``build_hamiltonian`` against a Kronecker-product sum written out here,
-and ``conserved_sectors`` against the block structure of H.
+protocol ``mqc_phase_cycled`` (its reference); the signed-permutation operators
+of ``spinwire.oracle`` (``build_hamiltonian``, ``pauli_string_to_dense``,
+``deviation_to_dense``, ``staggered_z``) against Kronecker products
+written out here; and ``conserved_sectors`` against the block structure of H.
 """
 
 import functools
@@ -24,7 +25,15 @@ from spinwire.errors import (
     OracleSizeError,
 )
 from spinwire.mqc import PREPARED_KINDS, mqc_phase_cycled, mqc_phase_cycled_grid, prepare_state
-from spinwire.oracle import OracleBudget, build_hamiltonian, conserved_sectors
+from spinwire.oracle import (
+    OracleBudget,
+    build_hamiltonian,
+    conserved_sectors,
+    deviation_to_dense,
+    pauli_string_to_dense,
+    staggered_z,
+)
+from spinwire.pauli import DeviationState, parse_string_label
 
 MODELS = ("xx", "dq", "dipolar")
 PAULI = {
@@ -44,10 +53,15 @@ def random_spec(n: int, model: str, seed: int) -> ChainSpec:
     return ChainSpec(n, model, tuple(rng.uniform(-1.5, 1.5, n_couplings(n, model))))
 
 
+def kron_string(n: int, sparse) -> np.ndarray:
+    """Kronecker product of a sparse Pauli string's (site, letter) pairs, identity elsewhere."""
+    letters = dict(sparse)
+    return functools.reduce(np.kron, (PAULI[letters.get(site, "I")] for site in range(1, n + 1)))
+
+
 def kron_pair(n: int, a: int, b: int, letter: str) -> np.ndarray:
     """Pauli ``letter`` on sites a and b (1-based), identity elsewhere."""
-    letters = [letter if site in (a, b) else "I" for site in range(1, n + 1)]
-    return functools.reduce(np.kron, (PAULI[x] for x in letters))
+    return kron_string(n, ((a, letter), (b, letter)))
 
 
 def kron_hamiltonian(spec: ChainSpec) -> np.ndarray:
@@ -82,6 +96,30 @@ def test_bit_built_hamiltonian_equals_kron_sum(n, model, data):
     )
     spec = ChainSpec(n, model, tuple(couplings))
     assert np.array_equal(build_hamiltonian(spec), kron_hamiltonian(spec))
+
+
+WEIGHTS = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+
+
+@given(st.integers(1, 8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_signed_permutations_equal_kron_products(n, data):
+    labels = st.text("IXYZ", min_size=n, max_size=n)
+    label = data.draw(labels, label="label")
+    sparse = parse_string_label(label)
+    ref = kron_string(n, sparse)
+    assert np.array_equal(pauli_string_to_dense(n, label), ref)
+    assert np.array_equal(pauli_string_to_dense(n, sparse), ref)
+    strings = data.draw(st.lists(labels, max_size=4, unique=True), label="strings")
+    terms = tuple((data.draw(WEIGHTS, label="weight"), parse_string_label(x)) for x in strings)
+    ref = np.zeros((2**n, 2**n), dtype=complex)
+    for weight, string in terms:
+        ref += weight * kron_string(n, string)
+    assert np.array_equal(deviation_to_dense(DeviationState(n, terms)), ref)
+    ref = np.zeros((2**n, 2**n), dtype=complex)
+    for j in range(1, n + 1):
+        ref += (-1) ** (j + 1) * kron_string(n, ((j, "Z"),))
+    assert np.array_equal(staggered_z(n), ref)
 
 
 @pytest.mark.parametrize("model", MODELS)
