@@ -64,7 +64,7 @@ from .propagator import (
     SpectralDecomposition,
     chain_propagator,
     end_autocorrelation,
-    engineered_amplitude,
+    end_autocorrelation_grid,
     engineered_frequencies,
     homogeneous_amplitude,
     mixed_state_overlap,
@@ -99,13 +99,13 @@ __all__ = [
     "propagate_grid",
     "chain_propagator",
     "homogeneous_amplitude",
-    "engineered_amplitude",
     "engineered_frequencies",
     "slater_amplitude",
     "mixed_state_overlap",
     "polarization_correlation",
     "polarization_from_propagator",
     "end_autocorrelation",
+    "end_autocorrelation_grid",
     # logical
     "CHANNELS",
     "LogicalBasis",

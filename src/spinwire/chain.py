@@ -72,6 +72,30 @@ def _check_scale(d: float) -> float:
     return d
 
 
+def _check_times(times) -> np.ndarray:
+    """A one-dimensional grid of finite real times, as a float array."""
+    try:
+        grid = np.asarray(times, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"times must be real numbers: {exc}") from None
+    if grid.ndim != 1:
+        raise InvalidParameterError(f"times must be one-dimensional, got shape {grid.shape}")
+    if not np.all(np.isfinite(grid)):
+        raise InvalidParameterError(f"times must be finite, got {grid[~np.isfinite(grid)][0]}")
+    return grid
+
+
+def _check_time(t: float) -> float:
+    """One finite real time, through ``_check_times``."""
+    return float(_check_times([t])[0])
+
+
+def _check_seed(seed: int) -> int:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Immutable chain description.
@@ -271,9 +295,7 @@ def perturb_couplings(spec: ChainSpec, sigma: float, seed: int) -> ChainSpec:
     sigma = float(sigma)
     if not math.isfinite(sigma) or sigma < 0:
         raise InvalidParameterError(f"sigma must be >= 0, got {sigma}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     g = rng.standard_normal(len(spec.couplings))
     vals = np.asarray(spec.couplings) * (1.0 + sigma * g)
     return ChainSpec(spec.n, spec.model, tuple(float(v) for v in vals))

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .chain import ChainSpec, _check_scale, normalized_time
+from .chain import ChainSpec, _check_scale, _check_time, normalized_time
 from .errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
@@ -222,6 +222,7 @@ def logical_transport_homogeneous(n: int, d: float, alpha: str, t: float) -> flo
     if n < 4:
         raise InvalidDimensionError("logical transport needs n >= 4")
     d = _check_scale(d)
+    t = _check_time(t)
     if alpha in ("x", "y"):
         k = np.arange(1, n + 1)
         kappa = np.pi * k / (n + 1)
@@ -265,7 +266,7 @@ def logical_transport_engineered(n: int, d: float, alpha: str, t: float) -> floa
     _check_channel(alpha)
     if n < 4:
         raise InvalidDimensionError("logical transport needs n >= 4")
-    tau = normalized_time(n, d, t)
+    tau = normalized_time(n, d, _check_time(t))
     s2 = math.sin(tau) ** 2
     c2 = math.cos(tau) ** 2
     if alpha == "x":

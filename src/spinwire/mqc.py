@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _check_scale
+from .chain import ChainSpec, _check_scale, _check_time, _check_times
 from .errors import (
     AliasingError,
     InvalidConfigurationError,
@@ -33,7 +33,6 @@ from .errors import (
     InvalidParameterError,
 )
 from .oracle import (
-    OracleBudget,
     build_hamiltonian,
     collective_rotation_diag,
     conserved_sectors,
@@ -137,10 +136,11 @@ def mqc_z_analytic(n: int, d: float, t: float) -> MqcSpectrum:
     if n < 2:
         raise InvalidDimensionError("z_ends needs n >= 2")
     kappa, w = _homogeneous_modes(n, d)
+    t = _check_time(t)
     s2 = np.sin(kappa) ** 2
     j0 = 2.0 / (n + 1) * float(np.sum(s2 * np.cos(2 * w * t) ** 2))
     j2 = 1.0 / (n + 1) * float(np.sum(s2 * np.sin(2 * w * t) ** 2))
-    return MqcSpectrum(float(t), (-2, 0, 2), (j2, j0, j2))
+    return MqcSpectrum(t, (-2, 0, 2), (j2, j0, j2))
 
 
 def mqc_y_analytic(n: int, d: float, t: float) -> MqcSpectrum:
@@ -155,10 +155,11 @@ def mqc_y_analytic(n: int, d: float, t: float) -> MqcSpectrum:
     if n < 4:
         raise InvalidDimensionError("y_logical needs n >= 4")
     kappa, w = _homogeneous_modes(n, d)
+    t = _check_time(t)
     weight = np.sin(kappa) * np.sin(2 * kappa)
     j0 = 2.0 / (n + 1) * float(np.sum(weight * np.sin(4 * w * t)))
     j2 = 1.0 / (n + 1) * float(np.sum(weight * np.sin(4 * w * t + np.pi)))
-    return MqcSpectrum(float(t), (-2, 0, 2), (j2, j0, j2))
+    return MqcSpectrum(t, (-2, 0, 2), (j2, j0, j2))
 
 
 def mqc_x_analytic(n: int, d: float, t: float) -> MqcSpectrum:
@@ -166,7 +167,7 @@ def mqc_x_analytic(n: int, d: float, t: float) -> MqcSpectrum:
     if n < 4:
         raise InvalidDimensionError("x_logical needs n >= 4")
     _check_scale(d)
-    return MqcSpectrum(float(t), (-2, 0, 2), (0.0, 0.0, 0.0))
+    return MqcSpectrum(_check_time(t), (-2, 0, 2), (0.0, 0.0, 0.0))
 
 
 _ANALYTIC = {
@@ -191,7 +192,6 @@ def mqc_phase_cycled(
     t: float,
     phase_steps: int = 8,
     max_order: int = 2,
-    budget: OracleBudget | None = None,
 ) -> MqcSpectrum:
     """Full phase-cycling protocol on dense operators.
 
@@ -204,18 +204,18 @@ def mqc_phase_cycled(
             f"state on {initial.n} sites does not match chain n={spec.n}"
         )
     _check_cycle(phase_steps, max_order)
-    t = float(_check_times([t])[0])
-    h = build_hamiltonian(spec, budget)
-    rho0 = deviation_to_dense(initial, budget)
-    z = total_z(spec.n, budget)
+    t = _check_time(t)
+    h = build_hamiltonian(spec)
+    rho0 = deviation_to_dense(initial)
+    z = total_z(spec.n)
     energies, vectors = np.linalg.eigh(h)
-    u = (vectors * np.exp(-1j * energies * float(t))) @ vectors.conj().T
+    u = (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
     rho_t = u @ rho0 @ u.conj().T
     z_t = u @ z @ u.conj().T
     signals = np.empty(phase_steps, dtype=complex)
     for m in range(phase_steps):
         phi = 2.0 * np.pi * m / phase_steps
-        r = collective_rotation_diag(spec.n, phi, budget)
+        r = collective_rotation_diag(spec.n, phi)
         rotated = (r[:, None] * rho_t) * np.conj(r)[None, :]
         signals[m] = trace_overlap(rotated, z_t)
     phis = 2.0 * np.pi * np.arange(phase_steps) / phase_steps
@@ -223,7 +223,7 @@ def mqc_phase_cycled(
     intensities = tuple(
         float((np.exp(1j * q * phis) @ signals).real / phase_steps) for q in orders
     )
-    return MqcSpectrum(float(t), orders, intensities)
+    return MqcSpectrum(t, orders, intensities)
 
 
 def _check_cycle(phase_steps: int, max_order: int) -> None:
@@ -239,29 +239,17 @@ def _check_cycle(phase_steps: int, max_order: int) -> None:
         )
 
 
-def _check_times(times) -> np.ndarray:
-    try:
-        grid = np.asarray(times, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"times must be real numbers: {exc}") from None
-    if grid.ndim != 1:
-        raise InvalidParameterError(f"times must be one-dimensional, got shape {grid.shape}")
-    if not np.all(np.isfinite(grid)):
-        raise InvalidParameterError("times must be finite")
-    return grid
-
-
-def _sector_blocks(spec: ChainSpec, initial: DeviationState, budget: OracleBudget | None):
+def _sector_blocks(spec: ChainSpec, initial: DeviationState):
     """Per conserved sector: eigenpairs of H, the block of rho(0), Z and order bins.
 
     Order bins index pop(a) - pop(b) + n over the block's (a, b) entries.
     """
     n = spec.n
-    sectors = conserved_sectors(spec, budget)
-    h = build_hamiltonian(spec, budget)
+    sectors = conserved_sectors(spec)
+    h = build_hamiltonian(spec)
     eigen = [np.linalg.eigh(h[np.ix_(labels, labels)]) for labels in sectors]
     del h  # keep one dense 2^n x 2^n matrix alive at a time
-    rho0 = deviation_to_dense(initial, budget)
+    rho0 = deviation_to_dense(initial)
     blocks = []
     for labels, (energies, vectors) in zip(sectors, eigen):
         pop = popcount(labels, n)
@@ -276,7 +264,6 @@ def mqc_phase_cycled_grid(
     times,
     phase_steps: int = 8,
     max_order: int = 2,
-    budget: OracleBudget | None = None,
 ) -> tuple[MqcSpectrum, ...]:
     """``mqc_phase_cycled`` at every time of ``times``, one spectrum each.
 
@@ -291,7 +278,7 @@ def mqc_phase_cycled_grid(
 
     Every argument is checked before any work, also for an empty grid.
     """
-    n = require_within_budget(spec.n, budget)
+    n = require_within_budget(spec.n)
     if initial.n != n:
         raise InvalidDimensionError(
             f"state on {initial.n} sites does not match chain n={n}"
@@ -302,7 +289,7 @@ def mqc_phase_cycled_grid(
         return ()
     width = 2 * n + 1
     moments = np.zeros((grid.size, width), dtype=complex)
-    for energies, vectors, rho_k, z_k, bins in _sector_blocks(spec, initial, budget):
+    for energies, vectors, rho_k, z_k, bins in _sector_blocks(spec, initial):
         for i, t in enumerate(grid):
             u = (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
             rho_t = u @ rho_k @ u.conj().T

@@ -18,7 +18,6 @@ references it is checked against live in the tests.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,11 +30,10 @@ from .errors import (
     OracleSizeError,
     UnsupportedModelError,
 )
-from .pauli import DeviationState, PauliString, parse_string_label
+from .pauli import DeviationState, PauliString, _validate_string, parse_string_label
 
 __all__ = [
     "HARD_CAP",
-    "OracleBudget",
     "oracle_budget",
     "require_within_budget",
     "pauli_string_to_dense",
@@ -60,33 +58,11 @@ _DEFAULT_MAX_N = 10
 _ENV_VAR = "SPINWIRE_ORACLE_MAX_N"
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Size limit for dense computations."""
-
-    max_n: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.max_n, (int, np.integer)) or isinstance(self.max_n, bool):
-            raise InvalidConfigurationError(
-                f"budget max_n must be int, got {self.max_n!r}"
-            )
-        object.__setattr__(self, "max_n", int(self.max_n))
-        if self.max_n < 2:
-            raise InvalidConfigurationError(
-                f"budget max_n must be >= 2, got {self.max_n}"
-            )
-
-    @property
-    def effective_max_n(self) -> int:
-        return min(self.max_n, HARD_CAP)
-
-
-def oracle_budget() -> OracleBudget:
-    """Budget from the environment (SPINWIRE_ORACLE_MAX_N), default 10."""
+def oracle_budget() -> int:
+    """Largest dense n allowed: SPINWIRE_ORACLE_MAX_N (default 10), clamped to HARD_CAP."""
     raw = os.environ.get(_ENV_VAR)
     if raw is None:
-        return OracleBudget(_DEFAULT_MAX_N)
+        return _DEFAULT_MAX_N
     try:
         value = int(raw)
     except ValueError as exc:
@@ -95,16 +71,16 @@ def oracle_budget() -> OracleBudget:
         ) from exc
     if value < 2:
         raise InvalidConfigurationError(f"{_ENV_VAR} must be >= 2, got {value}")
-    return OracleBudget(value)
+    return min(value, HARD_CAP)
 
 
-def require_within_budget(n: int, budget: OracleBudget | None = None) -> int:
+def require_within_budget(n: int) -> int:
     """Validate a dense request of n sites against the budget."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise InvalidDimensionError(f"chain length must be int, got {n!r}")
     if n < 1:
         raise InvalidDimensionError(f"chain length must be >= 1, got {n}")
-    limit = (budget or oracle_budget()).effective_max_n
+    limit = oracle_budget()
     if n > limit:
         raise OracleSizeError(
             f"dense oracle limited to n <= {limit} (requested n={n}); "
@@ -129,19 +105,12 @@ def _signed_permutation(n: int, string: PauliString) -> tuple[np.ndarray, np.nda
 
     P|x> = i^#Y (-1)^popcount(x & zy) |x ^ xy>, with xy the basis-label
     bits of the X and Y sites and zy those of the Y and Z sites, so
-    P[rows[x], x] = phases[x] and every other entry is zero. A repeated
-    site keeps its last letter.
+    P[rows[x], x] = phases[x] and every other entry is zero. ``string``
+    must be valid for n (see ``pauli._validate_string``).
     """
-    letters = {}
-    for site, letter in string:
-        if not 1 <= site <= n:
-            raise IndexOutOfRangeError(f"site {site} outside 1..{n}")
-        if letter not in ("I", "X", "Y", "Z"):
-            raise InvalidConfigurationError(f"unknown Pauli letter {letter!r}")
-        letters[site] = letter
-    xy = sum(1 << (n - site) for site, letter in letters.items() if letter in ("X", "Y"))
-    zy = sum(1 << (n - site) for site, letter in letters.items() if letter in ("Y", "Z"))
-    n_y = sum(letter == "Y" for letter in letters.values())
+    xy = sum(1 << (n - site) for site, letter in string if letter in ("X", "Y"))
+    zy = sum(1 << (n - site) for site, letter in string if letter in ("Y", "Z"))
+    n_y = sum(letter == "Y" for _, letter in string)
     labels = np.arange(2**n)
     signs = 1 - 2 * (popcount(labels & zy, n) & 1)
     return labels ^ xy, (1, 1j, -1, -1j)[n_y % 4] * signs
@@ -157,29 +126,25 @@ def _dense_sum(n: int, terms) -> np.ndarray:
     return out
 
 
-def pauli_string_to_dense(
-    n: int, string: str | PauliString, budget: OracleBudget | None = None
-) -> np.ndarray:
+def pauli_string_to_dense(n: int, string: str | PauliString) -> np.ndarray:
     """Dense matrix of a Pauli string.
 
     ``string`` is either a length-n label like ``"XIZ"`` or a sparse
-    tuple of (site, letter) pairs with 1-based sites.
+    tuple of (site, letter) pairs with strictly increasing 1-based sites.
     """
-    require_within_budget(n, budget)
+    require_within_budget(n)
     if isinstance(string, str):
         if len(string) != n:
             raise InvalidConfigurationError(
                 f"label length {len(string)} does not match n={n}"
             )
         string = parse_string_label(string)
-    return _dense_sum(n, ((1, tuple(string)),))
+    return _dense_sum(n, ((1, _validate_string(n, tuple(string))),))
 
 
-def deviation_to_dense(
-    state: DeviationState, budget: OracleBudget | None = None
-) -> np.ndarray:
+def deviation_to_dense(state: DeviationState) -> np.ndarray:
     """Dense matrix of a symbolic deviation state."""
-    return _dense_sum(require_within_budget(state.n, budget), state.terms)
+    return _dense_sum(require_within_budget(state.n), state.terms)
 
 
 def basis_index(n: int, sites: Sequence[int]) -> int:
@@ -198,17 +163,16 @@ def basis_index(n: int, sites: Sequence[int]) -> int:
 def excitation_operator(
     n: int,
     blocks: Mapping[tuple[tuple[int, ...], tuple[int, ...]], complex],
-    budget: OracleBudget | None = None,
 ) -> np.ndarray:
     """Dense sum of |ket><bra| blocks given as site tuples."""
-    require_within_budget(n, budget)
+    require_within_budget(n)
     out = np.zeros((2**n, 2**n), dtype=complex)
     for (ket, bra), weight in blocks.items():
         out[basis_index(n, ket), basis_index(n, bra)] += weight
     return out
 
 
-def build_hamiltonian(spec: ChainSpec, budget: OracleBudget | None = None) -> np.ndarray:
+def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Dense Hamiltonian of a chain spec.
 
     xx:      sum_j d_j (X_j X_{j+1} + Y_j Y_{j+1}) / 2
@@ -219,7 +183,7 @@ def build_hamiltonian(spec: ChainSpec, budget: OracleBudget | None = None) -> np
     added before the coupling multiplies them, as grouped above, so every
     entry equals the Kronecker-product sum exactly, subnormal d included.
     """
-    n = require_within_budget(spec.n, budget)
+    n = require_within_budget(spec.n)
     if spec.model in ("xx", "dq"):
         bonds = [(j, j + 1, d) for j, d in enumerate(spec.couplings, start=1)]
     elif spec.model == "dipolar":
@@ -240,7 +204,7 @@ def build_hamiltonian(spec: ChainSpec, budget: OracleBudget | None = None) -> np
     return h
 
 
-def conserved_sectors(spec: ChainSpec, budget: OracleBudget | None = None) -> tuple[np.ndarray, ...]:
+def conserved_sectors(spec: ChainSpec) -> tuple[np.ndarray, ...]:
     """Basis labels of each block of ``build_hamiltonian(spec)``, by charge.
 
     xx and dipolar conserve the excitation number popcount(x); dq
@@ -248,7 +212,7 @@ def conserved_sectors(spec: ChainSpec, budget: OracleBudget | None = None) -> tu
     ``similarity_transform``. Entry k holds the sorted labels of charge
     k = 0..n (C(n, k) of them); H has no entry between two blocks.
     """
-    n = require_within_budget(spec.n, budget)
+    n = require_within_budget(spec.n)
     labels = np.arange(2**n)
     # basis-label bits of the odd sites 1, 3, 5, ...
     gauge = sum(1 << (n - j) for j in range(1, n + 1, 2)) if spec.model == "dq" else 0
@@ -283,40 +247,39 @@ def _total_z_diag(n: int) -> np.ndarray:
     return n - 2 * popcount(np.arange(2**n), n)
 
 
-def total_z(n: int, budget: OracleBudget | None = None) -> np.ndarray:
+def total_z(n: int) -> np.ndarray:
     """Diagonal matrix of sum_j Z_j."""
-    require_within_budget(n, budget)
+    require_within_budget(n)
     return np.diag(_total_z_diag(n).astype(complex))
 
 
-def staggered_z(n: int, budget: OracleBudget | None = None) -> np.ndarray:
+def staggered_z(n: int) -> np.ndarray:
     """Diagonal matrix of sum_j (-1)^(j+1) Z_j."""
-    n = require_within_budget(n, budget)
+    n = require_within_budget(n)
     return _dense_sum(n, [((-1) ** (j + 1), ((j, "Z"),)) for j in range(1, n + 1)])
 
 
-def collective_rotation_diag(n: int, phi: float, budget: OracleBudget | None = None) -> np.ndarray:
+def collective_rotation_diag(n: int, phi: float) -> np.ndarray:
     """Diagonal of exp(-i phi sum_j Z_j / 2) as a vector."""
-    require_within_budget(n, budget)
+    require_within_budget(n)
     return np.exp(-0.5j * phi * _total_z_diag(n))
 
 
 # -- model equivalence ---------------------------------------------------------
 
 
-def similarity_transform(n: int, budget: OracleBudget | None = None) -> np.ndarray:
+def similarity_transform(n: int) -> np.ndarray:
     """Product of X on odd sites, the gauge linking the two models.
 
     Every bond (j, j+1) has exactly one odd endpoint, so conjugation
     leaves X_j X_{j+1} alone and flips the sign of Y_j Y_{j+1}, mapping
     H_xx onto H_dq with identical couplings.
     """
-    require_within_budget(n, budget)
     sparse = tuple((j, "X") for j in range(1, n + 1, 2))
-    return pauli_string_to_dense(n, sparse, budget)
+    return pauli_string_to_dense(n, sparse)
 
 
-def similarity_residual(n: int, couplings: Sequence[float], budget: OracleBudget | None = None) -> float:
+def similarity_residual(n: int, couplings: Sequence[float]) -> float:
     """Max-norm residual of the staggered-gauge equivalence.
 
     Conjugating H_xx by X on every odd site flips the sign of each
@@ -326,7 +289,7 @@ def similarity_residual(n: int, couplings: Sequence[float], budget: OracleBudget
     """
     spec_xx = ChainSpec(n, "xx", tuple(couplings))
     spec_dq = ChainSpec(n, "dq", tuple(couplings))
-    u = similarity_transform(n, budget)
-    hx = build_hamiltonian(spec_xx, budget)
-    hd = build_hamiltonian(spec_dq, budget)
+    u = similarity_transform(n)
+    hx = build_hamiltonian(spec_xx)
+    hd = build_hamiltonian(spec_dq)
     return float(np.max(np.abs(u @ hx @ u - hd)))

@@ -90,16 +90,6 @@ class DeviationState:
 
     # -- queries ---------------------------------------------------------
 
-    @property
-    def is_traceless(self) -> bool:
-        """True when no identity term is present."""
-        return all(sites for _, sites in self.terms)
-
-    @property
-    def is_hermitian(self) -> bool:
-        """True when all weights are real (Pauli strings are Hermitian)."""
-        return all(abs(w.imag) <= 1e-12 * max(1.0, abs(w)) for w, _ in self.terms)
-
     def weight(self, sites: PauliString) -> complex:
         """Weight of one string (0 when absent)."""
         sites = _validate_string(self.n, tuple(sites))
@@ -107,18 +97,6 @@ class DeviationState:
             if s == sites:
                 return w
         return 0j
-
-    def coherence_orders(self) -> tuple[int, ...]:
-        """Possible z-quantum orders contributed by the stored strings.
-
-        A string with k transverse (X or Y) factors connects Zeeman
-        sectors differing by -k..k in steps of 2.
-        """
-        orders: set[int] = set()
-        for _, sites in self.terms:
-            k = sum(1 for _, letter in sites if letter in ("X", "Y"))
-            orders.update(range(-k, k + 1, 2))
-        return tuple(sorted(orders))
 
     # -- algebra ----------------------------------------------------------
 
@@ -190,46 +168,8 @@ class DeviationState:
         return DeviationState.from_terms(self.n, out)
 
 
-def pauli_phase(letter_a: str, letter_b: str) -> tuple[complex, str]:
-    """Single-site product table: a . b = phase * letter ('' = identity)."""
-    if letter_a == letter_b:
-        return 1.0 + 0j, ""
-    order = {"X": 0, "Y": 1, "Z": 2}
-    ia, ib = order[letter_a], order[letter_b]
-    letter_c = _LETTERS[3 - ia - ib]
-    sign = 1j if (ib - ia) % 3 == 1 else -1j
-    return sign, letter_c
-
-
-def multiply_strings(
-    a: PauliString, b: PauliString
-) -> tuple[complex, PauliString]:
-    """Product of two sparse Pauli strings as (phase, string)."""
-    table = dict(a)
-    phase: complex = 1.0 + 0j
-    for site, letter in b:
-        if site in table:
-            p, combined = pauli_phase(table[site], letter)
-            phase *= p
-            if combined:
-                table[site] = combined
-            else:
-                del table[site]
-        else:
-            table[site] = letter
-    return phase, tuple(sorted(table.items()))
-
-
-def string_label(n: int, sites: PauliString) -> str:
-    """Dense label like 'XIIZ' for a sparse string."""
-    chars = ["I"] * n
-    for site, letter in sites:
-        chars[site - 1] = letter
-    return "".join(chars)
-
-
 def parse_string_label(label: str) -> PauliString:
-    """Inverse of :func:`string_label`; raises on unknown characters."""
+    """Sparse string of a dense label like 'XIIZ'; raises on unknown characters."""
     sites = []
     for pos, ch in enumerate(label, start=1):
         if ch in _LETTERS:

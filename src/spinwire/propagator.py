@@ -13,21 +13,18 @@ convention that site 1 is the most significant bit of a basis label.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .chain import ChainSpec, _check_scale, engineered_couplings
+from .chain import ChainSpec, _check_scale, _check_time, _check_times
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     InvalidConfigurationError,
     InvalidDimensionError,
-    InvalidParameterError,
     UnsupportedModelError,
 )
 
@@ -39,13 +36,13 @@ __all__ = [
     "propagate_grid",
     "chain_propagator",
     "homogeneous_amplitude",
-    "engineered_amplitude",
     "engineered_frequencies",
     "slater_amplitude",
     "mixed_state_overlap",
     "polarization_from_propagator",
     "polarization_correlation",
     "end_autocorrelation",
+    "end_autocorrelation_grid",
 ]
 
 
@@ -132,14 +129,7 @@ def propagate_grid(
     default to the whole chain. A is evaluated as
     I + V (e^{-i w t} - 1) V^T, which is exact at t = 0.
     """
-    try:
-        times = np.asarray(times, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"times must be real numbers, got {times!r}") from None
-    if times.ndim != 1:
-        raise InvalidParameterError(f"times must be one-dimensional, got shape {times.shape}")
-    if not np.all(np.isfinite(times)):
-        raise InvalidParameterError(f"time must be finite, got {times[~np.isfinite(times)][0]}")
+    times = _check_times(times)
     n = decomposition.n
     r = _site_indices(n, rows)
     c = _site_indices(n, cols)
@@ -173,13 +163,6 @@ def chain_propagator(spec: ChainSpec, t: float) -> Propagator:
     return propagate(spectral_decompose(spec), t)
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t):
-        raise InvalidParameterError(f"time must be finite, got {t}")
-    return t
-
-
 # -- closed forms ---------------------------------------------------------
 
 
@@ -210,21 +193,6 @@ def engineered_frequencies(n: int, d: float) -> np.ndarray:
         raise InvalidDimensionError(f"chain length must be >= 1, got {n}")
     k = np.arange(1, n + 1)
     return 2.0 * d / n * (2.0 * k - (n + 1))
-
-
-@functools.lru_cache(maxsize=32)
-def _engineered_decomposition(n: int, d: float) -> SpectralDecomposition:
-    return spectral_decompose(engineered_couplings(n, d))
-
-
-def engineered_amplitude(n: int, d: float, j: int, l: int, t: float) -> complex:
-    """A_{jl}(t) for the parabolic-profile chain (decomposition cached).
-
-    End-to-end: |A_{1n}|^2 = sin(tau)^(2(n-1)) with tau = 2 d t / n, and
-    more generally |A_{1l}|^2 follows a binomial profile in sin/cos(tau).
-    """
-    prop = propagate(_engineered_decomposition(n, float(d)), t)
-    return prop.amplitude(j, l)
 
 
 # -- many-body amplitudes ---------------------------------------------------
@@ -323,20 +291,23 @@ def polarization_correlation(spec: ChainSpec, j: int, l: int, t: float) -> float
     return polarization_from_propagator(chain_propagator(spec, t), j, l, spec.model)
 
 
-def _current_correlation(amp: np.ndarray, a: int, b: int, c: int, d: int) -> float:
-    """<K_ab(t) K_cd> with K_ab = -i(c^dag_a c_b - c^dag_b c_a), 1-based."""
+def _current_correlation(amp: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
+    """<K_ab(t) K_cd> with K_ab = -i(c^dag_a c_b - c^dag_b c_a), 1-based.
+
+    ``amp`` indexes sites on its last two axes; leading axes broadcast.
+    """
     A = amp
     a, b, c, d = a - 1, b - 1, c - 1, d - 1
     return -0.5 * (
-        (A[a, d] * np.conj(A[b, c])).real - (A[b, d] * np.conj(A[a, c])).real
+        (A[..., a, d] * np.conj(A[..., b, c])).real - (A[..., b, d] * np.conj(A[..., a, c])).real
     )
 
 
-def _pair_creation_correlation(amp: np.ndarray, a: int, b: int, c: int, d: int) -> float:
-    """<G_ab(t) G_cd> with G_ab = -i(c^dag_a c^dag_b - c_b c_a), 1-based."""
+def _pair_creation_correlation(amp: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
+    """<G_ab(t) G_cd> with G_ab = -i(c^dag_a c^dag_b - c_b c_a), 1-based, broadcast likewise."""
     A = amp
     a, b, c, d = a - 1, b - 1, c - 1, d - 1
-    return 0.5 * (A[a, c] * A[b, d] - A[a, d] * A[b, c]).real
+    return 0.5 * (A[..., a, c] * A[..., b, d] - A[..., a, d] * A[..., b, c]).real
 
 
 INITIAL_KINDS = ("z_ends", "y_logical")
@@ -348,7 +319,18 @@ def end_autocorrelation(spec: ChainSpec, initial: str, t: float) -> float:
     ``z_ends`` is Z_1 + Z_n; ``y_logical`` places (Y X + X Y)/2 on the
     first and last site pairs. The chain model is taken from ``spec.model``.
     C(0) = 1 and, for engineered couplings, the mirror revives C back to
-    1 at t*.
+    1 at t*. One time of ``end_autocorrelation_grid``.
+    """
+    return float(end_autocorrelation_grid(spec, initial, [t])[0])
+
+
+def end_autocorrelation_grid(spec: ChainSpec, initial: str, times) -> np.ndarray:
+    """``end_autocorrelation`` at every time of ``times``, from one decomposition.
+
+    Reads the end block of A(t), sites (1, n) for ``z_ends`` and
+    (1, 2, n-1, n) for ``y_logical``, from ``propagate_grid`` and
+    symmetrises it as ``propagate`` does. Every argument is checked
+    before any work.
     """
     if initial not in INITIAL_KINDS:
         raise InvalidConfigurationError(
@@ -357,30 +339,33 @@ def end_autocorrelation(spec: ChainSpec, initial: str, t: float) -> float:
     if spec.model not in ("xx", "dq"):
         raise UnsupportedModelError("end autocorrelation needs model xx or dq")
     n = spec.n
-    amp = chain_propagator(spec, t).amplitudes
-    if initial == "z_ends":
-        if n < 2:
-            raise InvalidDimensionError("z_ends needs n >= 2")
-        sign = 1.0 if spec.model == "xx" else float((-1) ** (n - 1))
-        p11 = abs(amp[0, 0]) ** 2
-        pnn = abs(amp[n - 1, n - 1]) ** 2
-        p1n = abs(amp[0, n - 1]) ** 2
-        return 0.5 * (p11 + pnn + 2.0 * sign * p1n)
-    if n < 4:
+    if initial == "z_ends" and n < 2:
+        raise InvalidDimensionError("z_ends needs n >= 2")
+    if initial == "y_logical" and n < 4:
         raise InvalidDimensionError("y_logical needs n >= 4")
-    m = n - 1
+    times = _check_times(times)
+    sites = (1, n) if initial == "z_ends" else (1, 2, n - 1, n)
+    amp = propagate_grid(spectral_decompose(spec), times, sites, sites)
+    amp = 0.5 * (amp + np.swapaxes(amp, 1, 2))
+    if initial == "z_ends":
+        sign = 1.0 if spec.model == "xx" else float((-1) ** (n - 1))
+        p11 = abs(amp[:, 0, 0]) ** 2
+        pnn = abs(amp[:, 1, 1]) ** 2
+        p1n = abs(amp[:, 0, 1]) ** 2
+        return 0.5 * (p11 + pnn + 2.0 * sign * p1n)
+    # block positions 1, 2 are the sites 1, 2 and 3, 4 the sites n-1, n
     if spec.model == "dq":
         # the flip-flop image of the state is a sum of two bond currents
         # whose relative sign alternates with chain parity
         s = 1.0 if n % 2 == 0 else -1.0
         return (
             _current_correlation(amp, 1, 2, 1, 2)
-            + _current_correlation(amp, m, n, m, n)
-            + s * (_current_correlation(amp, 1, 2, m, n) + _current_correlation(amp, m, n, 1, 2))
+            + _current_correlation(amp, 3, 4, 3, 4)
+            + s * (_current_correlation(amp, 1, 2, 3, 4) + _current_correlation(amp, 3, 4, 1, 2))
         )
     return (
         _pair_creation_correlation(amp, 1, 2, 1, 2)
-        + _pair_creation_correlation(amp, m, n, m, n)
-        + _pair_creation_correlation(amp, 1, 2, m, n)
-        + _pair_creation_correlation(amp, m, n, 1, 2)
+        + _pair_creation_correlation(amp, 3, 4, 3, 4)
+        + _pair_creation_correlation(amp, 1, 2, 3, 4)
+        + _pair_creation_correlation(amp, 3, 4, 1, 2)
     )

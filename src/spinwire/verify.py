@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from . import mqc as mqc_mod
 from . import oracle as oracle_mod
 from . import propagator as prop_mod
 from .chain import ChainSpec
-from .errors import InvalidDimensionError
+from .errors import InvalidDimensionError, InvalidParameterError
 
 __all__ = ["CHECKS", "CheckResult", "VerificationReport", "run_verification"]
 
@@ -514,12 +515,16 @@ def run_verification(
     dense oracle comparisons run at min(max_n, oracle budget, 7). The
     checks draw from one generator seeded with ``seed``, in registry
     order. When ``tolerance`` is given it overrides every check's own
-    tolerance.
+    tolerance; it must be finite and >= 0.
     """
-    if not 4 <= max_n <= 12:
-        raise InvalidDimensionError(f"max_n must be in 4..12, got {max_n}")
-    rng = np.random.default_rng(seed)
-    oracle_n = min(max_n, oracle_mod.oracle_budget().effective_max_n, 7)
+    if not isinstance(max_n, (int, np.integer)) or isinstance(max_n, bool) or not 4 <= max_n <= 12:
+        raise InvalidDimensionError(f"max_n must be in 4..12, got {max_n!r}")
+    if tolerance is not None and not (
+        isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance >= 0
+    ):
+        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    rng = np.random.default_rng(chain_mod._check_seed(seed))
+    oracle_n = min(max_n, oracle_mod.oracle_budget(), 7)
     results = []
     for check in CHECKS:
         for name, deviation, tol, inputs in check(rng, max_n, oracle_n):

@@ -14,7 +14,11 @@ from click.testing import CliRunner
 from spinwire.chain import engineered_couplings, transfer_timing
 from spinwire.cli import main as cli_main
 from spinwire.logical import entanglement_fidelity
-from spinwire.propagator import end_autocorrelation, polarization_correlation, spectral_decompose
+from spinwire.propagator import (
+    end_autocorrelation_grid,
+    polarization_correlation,
+    spectral_decompose,
+)
 
 from conftest import record_acceptance
 from support import mode_matrix, registry_summary
@@ -142,10 +146,7 @@ def test_mirror_time_autocorrelation():
     spec = engineered_couplings(n, d, model="dq")
     t_star = transfer_timing(engineered_couplings(n, d)).t_star
     grid = np.linspace(0.0, 1.25 * t_star, 600)
-    curves = {
-        kind: np.array([end_autocorrelation(spec, kind, float(t)) for t in grid])
-        for kind in ("z_ends", "y_logical")
-    }
+    curves = {kind: end_autocorrelation_grid(spec, kind, grid) for kind in ("z_ends", "y_logical")}
     ok = True
     details = []
     for kind, curve in curves.items():

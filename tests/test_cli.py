@@ -243,3 +243,11 @@ def test_bad_sites_are_domain_errors(runner):
         result = runner.invoke(main, ["transfer", "--n", "8", "--grid", "0:1:2"] + extra)
         assert_clean_domain_error(result)
     assert_clean_domain_error(runner.invoke(main, ["logical", "--n", "3", "--grid", "0:1:2"]))
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--seed", "-1"], ["--tolerance", "nan"], ["--tolerance", "-1"], ["--tolerance", "inf"]],
+)
+def test_verify_rejects_bad_seed_and_tolerance(runner, extra):
+    assert_clean_domain_error(runner.invoke(main, ["verify", "--max-n", "4"] + extra))

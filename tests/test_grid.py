@@ -15,14 +15,30 @@ from scipy.linalg import expm
 
 from spinwire.chain import ChainSpec, engineered_couplings, homogeneous_couplings, random_couplings
 from spinwire.cli import _csv_blocks
-from spinwire.errors import SpinwireError
+from spinwire.errors import InvalidParameterError, SpinwireError
 from spinwire.logical import (
     CHANNELS,
     channel_correlations,
     logical_transport_engineered,
     logical_transport_homogeneous,
 )
-from spinwire.propagator import propagate, propagate_grid, spectral_decompose
+from spinwire.mqc import (
+    mqc_phase_cycled,
+    mqc_phase_cycled_grid,
+    mqc_x_analytic,
+    mqc_y_analytic,
+    mqc_z_analytic,
+    prepare_state,
+)
+from spinwire.propagator import (
+    chain_propagator,
+    end_autocorrelation,
+    end_autocorrelation_grid,
+    homogeneous_amplitude,
+    propagate,
+    propagate_grid,
+    spectral_decompose,
+)
 
 TIMES = st.lists(st.floats(-50, 50, allow_nan=False), max_size=4)
 
@@ -121,3 +137,51 @@ def test_block_writer_matches_per_cell_format(width, values, block_rows):
     rows = np.array(values[: len(values) // width * width]).reshape(-1, width)
     text = "".join(_csv_blocks(header, rows, block_rows))
     assert text == _per_cell_csv(header, rows)
+
+
+@given(
+    st.sampled_from(("z_ends", "y_logical")),
+    st.sampled_from(("xx", "dq")),
+    st.integers(0, 2**32 - 1),
+    TIMES,
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_autocorrelation_grid_equals_single_time_calls(kind, model, seed, times, data):
+    n = data.draw(st.integers(2 if kind == "z_ends" else 4, 30), label="n")
+    couplings = tuple(np.random.default_rng(seed).uniform(-1.5, 1.5, n - 1))
+    spec = ChainSpec(n, model, couplings)
+    curve = end_autocorrelation_grid(spec, kind, times)
+    single = [end_autocorrelation(spec, kind, t) for t in times]
+    assert curve.shape == (len(times),)
+    assert np.array_equal(curve, single)
+
+
+BAD_TIMES = ("a", None, float("nan"), float("inf"))
+TIME_ENTRY_POINTS = {
+    "chain_propagator": lambda t: chain_propagator(homogeneous_couplings(4), t),
+    "propagate_grid": lambda t: propagate_grid(spectral_decompose(homogeneous_couplings(4)), [t]),
+    "end_autocorrelation": lambda t: end_autocorrelation(homogeneous_couplings(4), "z_ends", t),
+    "end_autocorrelation_grid": lambda t: end_autocorrelation_grid(
+        homogeneous_couplings(4), "z_ends", [0.0, t]
+    ),
+    "homogeneous_amplitude": lambda t: homogeneous_amplitude(4, 1.0, 1, 4, t),
+    "mqc_z_analytic": lambda t: mqc_z_analytic(4, 1.0, t),
+    "mqc_y_analytic": lambda t: mqc_y_analytic(4, 1.0, t),
+    "mqc_x_analytic": lambda t: mqc_x_analytic(4, 1.0, t),
+    "mqc_phase_cycled": lambda t: mqc_phase_cycled(
+        homogeneous_couplings(4, model="dq"), prepare_state(4, "z_ends"), t
+    ),
+    "mqc_phase_cycled_grid": lambda t: mqc_phase_cycled_grid(
+        homogeneous_couplings(4, model="dq"), prepare_state(4, "z_ends"), [t]
+    ),
+    "logical_transport_homogeneous": lambda t: logical_transport_homogeneous(6, 1.0, "x", t),
+    "logical_transport_engineered": lambda t: logical_transport_engineered(6, 1.0, "x", t),
+}
+
+
+@pytest.mark.parametrize("t", BAD_TIMES, ids=repr)
+@pytest.mark.parametrize("entry", sorted(TIME_ENTRY_POINTS))
+def test_time_entry_points_reject_bad_times(entry, t):
+    with pytest.raises(InvalidParameterError):
+        TIME_ENTRY_POINTS[entry](t)

@@ -81,10 +81,8 @@ def test_basis_normalisation_and_trace():
             dense = deviation_to_dense(obs[name])
             norm = trace_overlap(dense, dense).real
             assert norm == pytest.approx(0.5, abs=1e-14)
-            if name == "1":
-                assert not obs[name].is_traceless
-            else:
-                assert obs[name].is_traceless
+            trace = np.trace(dense).real / len(dense)
+            assert trace == (0.5 if name == "1" else 0.0)
 
 
 def test_basis_validation():

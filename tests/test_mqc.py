@@ -28,7 +28,8 @@ def test_prepared_state_z_ends():
     assert state.weight(((1, "Z"),)) == 1.0
     assert state.weight(((5, "Z"),)) == 1.0
     assert len(state.terms) == 2
-    assert state.coherence_orders() == (0,)
+    # no transverse factor: only coherence order 0
+    assert all(letter == "Z" for _, string in state.terms for _, letter in string)
 
 
 def test_prepared_state_full_z():
@@ -49,7 +50,8 @@ def test_prepared_state_y_logical():
         ((n - 1, "X"), (n, "Y")),
     ):
         assert state.weight(sites) == 0.5
-    assert set(state.coherence_orders()) == {-2, 0, 2}
+    # two transverse factors per string: coherence orders -2, 0 and 2
+    assert {sum(letter in "XY" for _, letter in string) for _, string in state.terms} == {2}
 
 
 def test_prepared_state_x_logical_is_rotated_y():
@@ -65,7 +67,7 @@ def test_prepared_state_x_logical_is_rotated_y():
 
 def test_prepared_states_are_traceless():
     for kind in PREPARED_KINDS:
-        assert prepare_state(6, kind).is_traceless
+        assert all(string for _, string in prepare_state(6, kind).terms)
 
 
 def test_prepare_state_validation():

@@ -14,7 +14,6 @@ from spinwire.errors import (
 )
 from spinwire.oracle import (
     HARD_CAP,
-    OracleBudget,
     basis_index,
     build_hamiltonian,
     collective_rotation_diag,
@@ -61,6 +60,10 @@ def test_pauli_string_validation():
         pauli_string_to_dense(2, ((1, "Q"),))
     with pytest.raises(IndexOutOfRangeError):
         pauli_string_to_dense(2, ((3, "X"),))
+    # sparse strings go through the same validator as DeviationState
+    for bad in (((1, "X"), (1, "Z")), ((2, "Z"), (1, "X")), ((1, "I"),), ((1.0, "X"),)):
+        with pytest.raises(InvalidConfigurationError):
+            pauli_string_to_dense(2, bad)
 
 
 def test_basis_index_bit_layout():
@@ -208,7 +211,7 @@ def test_gauge_maps_end_polarisations_with_staggered_sign():
 
 def test_budget_default_and_env(monkeypatch):
     monkeypatch.delenv("SPINWIRE_ORACLE_MAX_N", raising=False)
-    assert oracle_budget().max_n == 10
+    assert oracle_budget() == 10
     assert require_within_budget(10) == 10
     with pytest.raises(OracleSizeError):
         require_within_budget(11)
@@ -218,7 +221,7 @@ def test_budget_default_and_env(monkeypatch):
         require_within_budget(13)
     # values above the hard cap are clamped, not honoured
     monkeypatch.setenv("SPINWIRE_ORACLE_MAX_N", "40")
-    assert oracle_budget().effective_max_n == HARD_CAP == 12
+    assert oracle_budget() == HARD_CAP == 12
     with pytest.raises(OracleSizeError):
         require_within_budget(13)
     monkeypatch.setenv("SPINWIRE_ORACLE_MAX_N", "6")
@@ -233,29 +236,19 @@ def test_budget_rejects_bad_values(monkeypatch):
     monkeypatch.setenv("SPINWIRE_ORACLE_MAX_N", "1")
     with pytest.raises(InvalidConfigurationError):
         oracle_budget()
+    monkeypatch.setenv("SPINWIRE_ORACLE_MAX_N", "8.0")
     with pytest.raises(InvalidConfigurationError):
-        OracleBudget(1)
-    with pytest.raises(InvalidConfigurationError):
-        OracleBudget(8.0)
-    with pytest.raises(InvalidDimensionError):
-        require_within_budget(0, OracleBudget(4))
-    assert OracleBudget(30).effective_max_n == 12
-
-
-def test_explicit_budget_overrides_env(monkeypatch):
+        oracle_budget()
     monkeypatch.setenv("SPINWIRE_ORACLE_MAX_N", "4")
-    assert require_within_budget(6, OracleBudget(8)) == 6
-    with pytest.raises(OracleSizeError):
-        require_within_budget(6, OracleBudget(5))
+    for bad in (0, 8.0, True):
+        with pytest.raises(InvalidDimensionError):
+            require_within_budget(bad)
 
 
 @pytest.mark.parametrize("value", [np.int64(8), np.int32(8), np.uint8(8)])
-def test_budget_accepts_numpy_integers(value):
-    budget = OracleBudget(value)
-    assert budget.max_n == 8 and type(budget.max_n) is int
-    assert budget == OracleBudget(8)
-    assert require_within_budget(np.int64(8), budget) == 8
-    with pytest.raises(InvalidConfigurationError):
-        OracleBudget(np.int64(1))
-    with pytest.raises(InvalidConfigurationError):
-        OracleBudget(np.bool_(True))
+def test_budget_accepts_numpy_integers(value, monkeypatch):
+    monkeypatch.setenv("SPINWIRE_ORACLE_MAX_N", "8")
+    n = require_within_budget(value)
+    assert n == 8 and type(n) is int
+    with pytest.raises(OracleSizeError):
+        require_within_budget(value + 1)

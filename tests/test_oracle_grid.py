@@ -26,7 +26,6 @@ from spinwire.errors import (
 )
 from spinwire.mqc import PREPARED_KINDS, mqc_phase_cycled, mqc_phase_cycled_grid, prepare_state
 from spinwire.oracle import (
-    OracleBudget,
     build_hamiltonian,
     conserved_sectors,
     deviation_to_dense,
@@ -95,6 +94,14 @@ def test_bit_built_hamiltonian_equals_kron_sum(n, model, data):
         label="couplings",
     )
     spec = ChainSpec(n, model, tuple(couplings))
+    assert np.array_equal(build_hamiltonian(spec), kron_hamiltonian(spec))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_bit_built_hamiltonian_equals_kron_sum_at_subnormal_coupling(model):
+    # the smallest subnormal loses X X + Y Y unless the phases are added first
+    n = 4
+    spec = ChainSpec(n, model, (5e-324,) * n_couplings(n, model))
     assert np.array_equal(build_hamiltonian(spec), kron_hamiltonian(spec))
 
 
@@ -188,11 +195,13 @@ def test_empty_grid_gives_empty_result():
 
 
 @pytest.mark.parametrize("times", [[], [0.5]])
-def test_grid_validates_before_any_work(times):
+def test_grid_validates_before_any_work(times, monkeypatch):
     spec = random_spec(5, "dq", seed=0)
     state = prepare_state(5, "z_ends")
-    with pytest.raises(OracleSizeError):
-        mqc_phase_cycled_grid(spec, state, times, budget=OracleBudget(4))
+    with monkeypatch.context() as env:
+        env.setenv("SPINWIRE_ORACLE_MAX_N", "4")
+        with pytest.raises(OracleSizeError):
+            mqc_phase_cycled_grid(spec, state, times)
     with pytest.raises(InvalidDimensionError):
         mqc_phase_cycled_grid(spec, prepare_state(4, "z_ends"), times)
     with pytest.raises(AliasingError):

@@ -26,7 +26,6 @@ from spinwire.oracle import build_hamiltonian, evolve_deviation, trace_overlap
 from spinwire.propagator import (
     chain_propagator,
     end_autocorrelation,
-    engineered_amplitude,
     homogeneous_amplitude,
     mixed_state_overlap,
     polarization_correlation,
@@ -92,7 +91,7 @@ def test_end_to_end_probability_law():
     n, d = 9, 1.3
     for t in (0.3, 1.1, 2.9):
         tau = 2 * d * t / n
-        p = abs(engineered_amplitude(n, d, 1, n, t)) ** 2
+        p = chain_propagator(engineered_couplings(n, d), t).probability(1, n)
         assert p == pytest.approx(math.sin(tau) ** (2 * (n - 1)), abs=1e-12)
 
 

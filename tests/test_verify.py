@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from spinwire.errors import InvalidDimensionError
+from spinwire.errors import InvalidDimensionError, InvalidParameterError
 from spinwire.verify import CHECKS, CheckResult, run_verification
 
 from support import GRID, check_results
@@ -44,10 +44,20 @@ def test_suite_passes_and_covers_everything():
 
 
 def test_max_n_bounds():
-    with pytest.raises(InvalidDimensionError):
-        run_verification(max_n=3)
-    with pytest.raises(InvalidDimensionError):
-        run_verification(max_n=13)
+    for bad in (3, 13, 5.5, "6", True):
+        with pytest.raises(InvalidDimensionError):
+            run_verification(max_n=bad)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"seed": -1}, {"seed": 1.5}, {"seed": True}, {"tolerance": float("nan")},
+     {"tolerance": -1.0}, {"tolerance": float("inf")}, {"tolerance": "0"}],
+    ids=repr,
+)
+def test_seed_and_tolerance_are_checked_before_any_check_runs(kwargs):
+    with pytest.raises(InvalidParameterError):
+        run_verification(max_n=4, **kwargs)
 
 
 def test_blanket_tolerance_override():
