@@ -53,6 +53,7 @@ from .mqc import (
     mqc_analytic,
     mqc_phase_cycled,
     mqc_phase_cycled_grid,
+    mqc_propagator_grid,
     mqc_x_analytic,
     mqc_y_analytic,
     mqc_z_analytic,
@@ -128,6 +129,7 @@ __all__ = [
     "mqc_x_analytic",
     "mqc_phase_cycled",
     "mqc_phase_cycled_grid",
+    "mqc_propagator_grid",
     # pauli
     "DeviationState",
     # verify

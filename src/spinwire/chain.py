@@ -328,7 +328,7 @@ def normalized_time(n: int, d: float, t) -> np.ndarray | float:
     """tau = 2 d t / n, the mirror phase of the engineered family."""
     _check_length(n)
     d = _check_scale(d)
-    return 2.0 * d * np.asarray(t, dtype=float) / n if np.ndim(t) else 2.0 * d * float(t) / n
+    return 2.0 * d * (_check_times(t) if np.ndim(t) else _check_time(t)) / n
 
 
 def transfer_timing(spec: ChainSpec) -> TransferTiming:

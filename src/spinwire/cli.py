@@ -39,7 +39,7 @@ from .chain import (
 )
 from .errors import SpinwireError
 from .logical import channel_correlations, channel_fidelity
-from .mqc import mqc_analytic, mqc_phase_cycled_grid, prepare_state
+from .mqc import mqc_phase_cycled_grid, mqc_propagator_grid, prepare_state
 from .propagator import propagate_grid, spectral_decompose
 from .verify import run_verification
 
@@ -57,8 +57,8 @@ def _parse_grid(_ctx, _param, value: str) -> np.ndarray:
         steps = int(parts[2])
     except ValueError:
         raise click.BadParameter(f"expected start:end:steps numbers, got {value!r}")
-    if not (math.isfinite(start) and math.isfinite(end)):
-        raise click.BadParameter(f"start and end must be finite, got {value!r}")
+    if not math.isfinite(end - start):
+        raise click.BadParameter(f"start, end and their span must be finite, got {value!r}")
     if steps < 0:
         raise click.BadParameter(f"steps must be >= 0, got {steps}")
     return np.linspace(start, end, steps)
@@ -114,13 +114,14 @@ def _write_table(out: Path | None, header: list[str], rows, command: str, parame
 
 
 def _domain_errors(f):
-    """Map domain errors to exit status 1 with a clean message."""
+    """Map domain errors and floating-point overflow to exit status 1 with a clean message."""
 
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
         try:
-            return f(*args, **kwargs)
-        except SpinwireError as exc:
+            with np.errstate(over="raise", invalid="raise"):
+                return f(*args, **kwargs)
+        except (SpinwireError, FloatingPointError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
@@ -225,7 +226,7 @@ def logical(n, d, family, model, corrected, grid, out) -> None:
 @click.option("--initial", type=click.Choice(tuple(_INITIALS)), default="z-ends",
               show_default=True, help="Prepared deviation state.")
 @click.option("--engine", type=click.Choice(("analytic", "oracle")), default="analytic",
-              show_default=True, help="Closed-form series or dense phase cycling.")
+              show_default=True, help="Single-excitation propagator or dense phase cycling.")
 @click.option("--phase-steps", type=int, default=8, show_default=True,
               help="Phase increments per cycle (oracle engine).")
 @click.option("--grid", callback=_parse_grid, required=True, metavar="START:END:STEPS")
@@ -234,24 +235,20 @@ def logical(n, d, family, model, corrected, grid, out) -> None:
 def mqc(n, d, initial, engine, phase_steps, grid, out) -> None:
     """Tabulate coherence-order intensities on the homogeneous dq chain.
 
-    Columns: t, j0, j2 (orders +-2 are equal). The z-ends intensities
-    are normalised so J0(0) = 1; logical initial states are reported
-    raw, their total being zero.
+    Columns: t, j0, j2 (orders +-2 are equal), read from the end block of
+    A(4t) (analytic) or by dense phase cycling (oracle). The z-ends
+    intensities are normalised so J0(0) = 1; logical initial states are
+    reported raw, their total being zero.
     """
     kind = _INITIALS[initial]
-    rows = []
+    spec = homogeneous_couplings(n, d, model="dq")
     if engine == "analytic":
-        for t in grid:
-            spectrum = mqc_analytic(n, d, kind, float(t))
-            rows.append((t, spectrum.intensity(0), spectrum.intensity(2)))
+        spectra = mqc_propagator_grid(spec, kind, grid)
     else:
-        spec = homogeneous_couplings(n, d, model="dq")
-        state = prepare_state(n, kind)
-        # conserved total Tr[rho Z]/2^n: 2 for z_ends, 0 for logical states
-        scale = 0.5 if kind == "z_ends" else 1.0
-        spectra = mqc_phase_cycled_grid(spec, state, grid, phase_steps=phase_steps)
-        for t, spectrum in zip(grid, spectra):
-            rows.append((t, scale * spectrum.intensity(0), scale * spectrum.intensity(2)))
+        spectra = mqc_phase_cycled_grid(spec, prepare_state(n, kind), grid, phase_steps=phase_steps)
+    # conserved total Tr[rho Z]/2^n: 2 for z_ends, 0 for logical states
+    scale = 0.5 if kind == "z_ends" else 1.0
+    rows = [(s.time, scale * s.intensity(0), scale * s.intensity(2)) for s in spectra]
     params = {
         "n": n, "d": d, "initial": initial, "engine": engine,
         "phase_steps": phase_steps, "grid": _grid_record(grid),

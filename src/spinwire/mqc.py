@@ -9,9 +9,10 @@ polarisation:
     S(phi) = Tr[R_phi rho(t) R_phi^dag Z(t)] / 2^n,
     J_q    = (1/N) sum_m exp(+i q phi_m) S(phi_m),  phi_m = 2 pi m / N.
 
-Closed forms exist for the homogeneous chain; the dense-oracle cycling
-path reproduces them exactly (up to the conserved total Tr[rho Z]/2^n,
-which the analytic z-state series normalises to 1 at t = 0).
+Closed forms exist for the homogeneous chain; ``mqc_propagator_grid``
+reads the intensities of any dq chain from the end block of A(4t), and
+the dense-oracle cycling path reproduces both exactly (up to the conserved
+total Tr[rho Z]/2^n, which the analytic z-state series normalises to 1).
 
 ``mqc_phase_cycled`` runs that protocol literally at one time and is the
 reference for ``mqc_phase_cycled_grid``, which evaluates the same
@@ -31,6 +32,7 @@ from .errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
     InvalidParameterError,
+    UnsupportedModelError,
 )
 from .oracle import (
     build_hamiltonian,
@@ -43,6 +45,7 @@ from .oracle import (
     trace_overlap,
 )
 from .pauli import DeviationState
+from .propagator import _end_block
 
 __all__ = [
     "PREPARED_KINDS",
@@ -52,6 +55,7 @@ __all__ = [
     "mqc_y_analytic",
     "mqc_x_analytic",
     "mqc_analytic",
+    "mqc_propagator_grid",
     "mqc_phase_cycled",
     "mqc_phase_cycled_grid",
 ]
@@ -184,6 +188,35 @@ def mqc_analytic(n: int, d: float, kind: str, t: float) -> MqcSpectrum:
             f"no closed form for kind {kind!r}; choose from {tuple(_ANALYTIC)}"
         )
     return _ANALYTIC[kind](n, d, t)
+
+
+def mqc_propagator_grid(spec: ChainSpec, kind: str, times) -> tuple[MqcSpectrum, ...]:
+    """Raw intensities of ``mqc_phase_cycled_grid`` from the end block of A(4t).
+
+    The odd-site X gauge maps a bipartite dq chain onto free fermions, so
+    for any nearest-neighbour dq chain, with A from ``_end_block`` (every
+    argument is checked before any work, also for an empty grid):
+
+        z_ends:    J_0 = sum_{j in 1, n} (1 + Re A_jj) / 2,  J_+-2 = sum (1 - Re A_jj) / 4
+        y_logical: J_0 = -(Im A_12 + Im A_{n-1,n}) / 2,      J_+-2 = -J_0 / 2
+        x_logical: every J_q is exactly 0 (checked as y_logical, on the same sites).
+    """
+    if spec.model != "dq":
+        raise UnsupportedModelError(f"coherence spectra need model dq, got {spec.model!r}")
+    if kind not in _ANALYTIC:
+        raise InvalidConfigurationError(f"kind must be one of {tuple(_ANALYTIC)}, got {kind!r}")
+    grid = _check_times(times)
+    amp = _end_block(spec, "z_ends" if kind == "z_ends" else "y_logical", 4.0 * grid)
+    if kind == "z_ends":
+        ends = amp[:, (0, 1), (0, 1)].real
+        j0, j2 = (1.0 + ends).sum(axis=1) / 2.0, (1.0 - ends).sum(axis=1) / 4.0
+    elif kind == "y_logical":
+        j0 = -(amp[:, 0, 1].imag + amp[:, 2, 3].imag) / 2.0
+        j2 = -j0 / 2.0
+    else:
+        j0 = j2 = np.zeros(grid.size)
+    rows = zip(grid.tolist(), j0.tolist(), j2.tolist())
+    return tuple(MqcSpectrum(t, (-2, 0, 2), (b, a, b)) for t, a, b in rows)
 
 
 def mqc_phase_cycled(

@@ -116,13 +116,16 @@ def spectral_decompose(spec: ChainSpec) -> SpectralDecomposition:
     return SpectralDecomposition(n, freqs, modes)
 
 
+_TIME_BLOCK = 128
+
+
 def propagate_grid(
     decomposition: SpectralDecomposition,
     times: Sequence[float],
     rows: Sequence[int] | None = None,
     cols: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Selected entries of A(t) at every time of a grid, in one matrix product.
+    """Selected entries of A(t) at every time of a grid, a block of times per product.
 
     Returns a complex array of shape (len(times), len(rows), len(cols))
     holding A[rows, cols](t); ``rows`` and ``cols`` are 1-based sites and
@@ -133,10 +136,12 @@ def propagate_grid(
     n = decomposition.n
     r = _site_indices(n, rows)
     c = _site_indices(n, cols)
-    v = decomposition.modes
-    shift = np.expm1(-1j * np.multiply.outer(times, decomposition.frequencies))
-    left = (v[r] * shift[:, None, :]).reshape(-1, n)
-    amp = (left @ v[c].T).reshape(len(times), len(r), len(c))
+    v, w = decomposition.modes, decomposition.frequencies
+    amp = np.empty((len(times), len(r), len(c)), dtype=complex)
+    for k in range(0, len(times), _TIME_BLOCK):
+        shift = np.expm1(-1j * np.multiply.outer(times[k:k + _TIME_BLOCK], w))
+        left = (v[r] * shift[:, None, :]).reshape(-1, n)
+        amp[k:k + _TIME_BLOCK] = (left @ v[c].T).reshape(len(shift), len(r), len(c))
     amp += r[:, None] == c[None, :]
     return amp
 
@@ -243,13 +248,9 @@ def mixed_state_overlap(prop: Propagator, a: MixedState, b: MixedState) -> compl
     strictly increasing site tuples. Cross terms whose excitation
     numbers disagree vanish identically and are skipped. Returns a
     complex number; it is real when both operators are Hermitian.
-    Supports n <= 14; the determinant bookkeeping is meant for sparse
-    few-excitation states, not full density matrices.
+    The cost is one m x m minor per term pair of m excitations,
+    whatever n; meant for sparse few-excitation states.
     """
-    if prop.n > 14:
-        raise InvalidDimensionError(
-            f"mixed-state overlap supports n <= 14, got n={prop.n}"
-        )
     av = [
         (_check_sites_tuple(prop.n, p, "ket"), _check_sites_tuple(prop.n, q, "bra"), complex(w))
         for (p, q), w in a.items()
@@ -324,31 +325,28 @@ def end_autocorrelation(spec: ChainSpec, initial: str, t: float) -> float:
     return float(end_autocorrelation_grid(spec, initial, [t])[0])
 
 
-def end_autocorrelation_grid(spec: ChainSpec, initial: str, times) -> np.ndarray:
-    """``end_autocorrelation`` at every time of ``times``, from one decomposition.
-
-    Reads the end block of A(t), sites (1, n) for ``z_ends`` and
-    (1, 2, n-1, n) for ``y_logical``, from ``propagate_grid`` and
-    symmetrises it as ``propagate`` does. Every argument is checked
-    before any work.
-    """
-    if initial not in INITIAL_KINDS:
+def _end_block(spec: ChainSpec, kind: str, times) -> np.ndarray:
+    """Symmetrised A(t) on sites (1, n) or (1, 2, n-1, n), every argument checked first."""
+    if kind not in INITIAL_KINDS:
         raise InvalidConfigurationError(
-            f"initial must be one of {INITIAL_KINDS}, got {initial!r}"
+            f"initial must be one of {INITIAL_KINDS}, got {kind!r}"
         )
     if spec.model not in ("xx", "dq"):
-        raise UnsupportedModelError("end autocorrelation needs model xx or dq")
+        raise UnsupportedModelError("end-state observables need model xx or dq")
     n = spec.n
-    if initial == "z_ends" and n < 2:
-        raise InvalidDimensionError("z_ends needs n >= 2")
-    if initial == "y_logical" and n < 4:
-        raise InvalidDimensionError("y_logical needs n >= 4")
+    sites = (1, n) if kind == "z_ends" else (1, 2, n - 1, n)
+    if n < len(sites):
+        raise InvalidDimensionError(f"the end sites need n >= {len(sites)}, got n={n}")
     times = _check_times(times)
-    sites = (1, n) if initial == "z_ends" else (1, 2, n - 1, n)
     amp = propagate_grid(spectral_decompose(spec), times, sites, sites)
-    amp = 0.5 * (amp + np.swapaxes(amp, 1, 2))
+    return 0.5 * (amp + np.swapaxes(amp, 1, 2))
+
+
+def end_autocorrelation_grid(spec: ChainSpec, initial: str, times) -> np.ndarray:
+    """``end_autocorrelation`` at every time of ``times``, from one ``_end_block``."""
+    amp = _end_block(spec, initial, times)
     if initial == "z_ends":
-        sign = 1.0 if spec.model == "xx" else float((-1) ** (n - 1))
+        sign = 1.0 if spec.model == "xx" else float((-1) ** (spec.n - 1))
         p11 = abs(amp[:, 0, 0]) ** 2
         pnn = abs(amp[:, 1, 1]) ** 2
         p1n = abs(amp[:, 0, 1]) ** 2
@@ -357,7 +355,7 @@ def end_autocorrelation_grid(spec: ChainSpec, initial: str, times) -> np.ndarray
     if spec.model == "dq":
         # the flip-flop image of the state is a sum of two bond currents
         # whose relative sign alternates with chain parity
-        s = 1.0 if n % 2 == 0 else -1.0
+        s = 1.0 if spec.n % 2 == 0 else -1.0
         return (
             _current_correlation(amp, 1, 2, 1, 2)
             + _current_correlation(amp, 3, 4, 3, 4)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinwire.cli import main
 
@@ -141,6 +143,18 @@ def test_mqc_x_logical_is_dark(runner):
         assert float(row[2]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mqc", "--n", "3", "--initial", "y-logical", "--grid", "0:1:0"],
+        ["mqc", "--n", "1", "--grid", "0:1:0"],
+        ["mqc", "--n", "8", "--d", "-1", "--grid", "0:1:0"],
+    ],
+)
+def test_mqc_validates_an_empty_grid(runner, args):
+    assert_clean_domain_error(runner.invoke(main, args))
+
+
 def test_mqc_oracle_respects_budget(runner):
     result = runner.invoke(
         main, ["mqc", "--n", "21", "--engine", "oracle", "--grid", "0:1:2"]
@@ -251,3 +265,50 @@ def test_bad_sites_are_domain_errors(runner):
 )
 def test_verify_rejects_bad_seed_and_tolerance(runner, extra):
     assert_clean_domain_error(runner.invoke(main, ["verify", "--max-n", "4"] + extra))
+
+
+GRID_ENDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["nan", "inf", "-inf"]),
+)
+
+
+@given(
+    n=st.integers(0, 12),
+    d=st.sampled_from(["1", "0.5", "0", "-1", "nan", "inf"]),
+    initial=st.sampled_from(["z-ends", "y-logical", "x-logical"]),
+    engine=st.sampled_from(["analytic", "oracle"]),
+    phase_steps=st.integers(-1, 20),
+    start=GRID_ENDS,
+    end=GRID_ENDS,
+    steps=st.integers(0, 4),
+)
+@example(n=6, d="1", initial="z-ends", engine="analytic", phase_steps=8,
+         start=0.0, end=1e308, steps=2)  # the phase w t overflows
+@example(n=6, d="1", initial="y-logical", engine="oracle", phase_steps=8,
+         start=0.0, end=1.7e308, steps=2)
+@example(n=6, d="1", initial="z-ends", engine="analytic", phase_steps=8,
+         start=-1e308, end=1e308, steps=3)  # the grid span overflows
+@settings(max_examples=80, deadline=None)
+def test_mqc_argv_gives_a_finite_table_or_one_error_line(
+    n, d, initial, engine, phase_steps, start, end, steps
+):
+    args = [
+        "mqc", "--n", str(n), "--d", d, "--initial", initial, "--engine", engine,
+        "--phase-steps", str(phase_steps), "--grid", f"{start}:{end}:{steps}",
+    ]
+    result = CliRunner().invoke(main, args)
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        lines = result.stdout.splitlines()
+        assert lines[0] == "t,j0,j2" and len(lines) == 1 + steps
+        assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
+        return
+    assert isinstance(result.exception, SystemExit) and result.stdout == ""
+    if result.exit_code == 1:
+        assert_clean_domain_error(result)
+        return
+    # usage errors: Click's usage and hint lines, then one error line
+    assert result.exit_code == 2
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1 and result.stderr.endswith(errors[0] + "\n")

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from spinwire.chain import ChainSpec, engineered_couplings, homogeneous_couplings, random_couplings
+from spinwire.chain import (
+    ChainSpec,
+    engineered_couplings,
+    homogeneous_couplings,
+    normalized_time,
+    random_couplings,
+)
 from spinwire.cli import _csv_blocks
 from spinwire.errors import InvalidParameterError, SpinwireError
 from spinwire.logical import (
@@ -25,12 +31,14 @@ from spinwire.logical import (
 from spinwire.mqc import (
     mqc_phase_cycled,
     mqc_phase_cycled_grid,
+    mqc_propagator_grid,
     mqc_x_analytic,
     mqc_y_analytic,
     mqc_z_analytic,
     prepare_state,
 )
 from spinwire.propagator import (
+    _TIME_BLOCK,
     chain_propagator,
     end_autocorrelation,
     end_autocorrelation_grid,
@@ -67,6 +75,14 @@ def test_empty_grid_has_zero_leading_axis(rows):
     block = propagate_grid(dec, [], rows)
     width = 5 if rows is None else len(rows)
     assert block.shape == (0, width, 5)
+
+
+def test_grid_longer_than_one_time_block_matches_single_times():
+    dec = spectral_decompose(ChainSpec(9, "xx", random_couplings(np.random.default_rng(5), 9)))
+    times = np.linspace(-40.0, 40.0, 2 * _TIME_BLOCK + 3)
+    block = propagate_grid(dec, times, (1, 9), (2, 9))
+    single = [propagate_grid(dec, [t], (1, 9), (2, 9))[0] for t in times]
+    assert np.array_equal(block, single)
 
 
 def test_grid_is_exact_at_time_zero():
@@ -175,6 +191,11 @@ TIME_ENTRY_POINTS = {
     "mqc_phase_cycled_grid": lambda t: mqc_phase_cycled_grid(
         homogeneous_couplings(4, model="dq"), prepare_state(4, "z_ends"), [t]
     ),
+    "mqc_propagator_grid": lambda t: mqc_propagator_grid(
+        homogeneous_couplings(4, model="dq"), "z_ends", [0.0, t]
+    ),
+    "normalized_time": lambda t: normalized_time(4, 1.0, t),
+    "normalized_time[grid]": lambda t: normalized_time(4, 1.0, [0.0, t]),
     "logical_transport_homogeneous": lambda t: logical_transport_homogeneous(6, 1.0, "x", t),
     "logical_transport_engineered": lambda t: logical_transport_engineered(6, 1.0, "x", t),
 }

@@ -2,20 +2,26 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinwire.chain import homogeneous_couplings
+from spinwire.chain import ChainSpec, dipolar_couplings, homogeneous_couplings
 from spinwire.errors import (
     AliasingError,
     InvalidConfigurationError,
     InvalidDimensionError,
     InvalidParameterError,
+    UnsupportedModelError,
 )
 from spinwire.mqc import (
     PREPARED_KINDS,
     MqcSpectrum,
     mqc_analytic,
     mqc_phase_cycled,
+    mqc_phase_cycled_grid,
+    mqc_propagator_grid,
     mqc_x_analytic,
     mqc_y_analytic,
     mqc_z_analytic,
@@ -216,3 +222,63 @@ def test_long_chain_zero_order_revives_near_mirror_time():
 def test_analytic_series_reject_bad_coupling_scale(series, d):
     with pytest.raises(InvalidParameterError):
         series(8, d, 0.7)
+
+
+ORDERS = (-2, 0, 2)
+
+
+@given(
+    st.sampled_from(("z_ends", "y_logical", "x_logical")),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(-12.5, 12.5, allow_nan=False), max_size=3),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_propagator_engine_matches_phase_cycling(kind, seed, times, data):
+    # 4|t| <= 50 stays inside the validated range of propagate_grid
+    n = data.draw(st.integers(2 if kind == "z_ends" else 4, 8), label="n")
+    couplings = np.random.default_rng(seed).uniform(-1.5, 1.5, n - 1)
+    zeros = data.draw(st.lists(st.integers(0, n - 2), max_size=2), label="zero bonds")
+    couplings[zeros] = 0.0
+    spec = ChainSpec(n, "dq", tuple(couplings))
+    got = mqc_propagator_grid(spec, kind, times)
+    want = mqc_phase_cycled_grid(spec, prepare_state(n, kind), times)
+    assert len(got) == len(want) == len(times)
+    for g, w in zip(got, want):
+        assert g.time == w.time and g.orders == ORDERS
+        assert max(abs(g.intensity(q) - w.intensity(q)) for q in ORDERS) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [12, 21, 200])
+@pytest.mark.parametrize("kind", ["z_ends", "y_logical", "x_logical"])
+def test_propagator_engine_matches_closed_forms(n, kind):
+    times = np.linspace(-2.0, 16.0, 37)
+    # the closed z_ends series is normalised to the conserved total 2
+    scale = 0.5 if kind == "z_ends" else 1.0
+    spectra = mqc_propagator_grid(homogeneous_couplings(n, 0.8, "dq"), kind, times)
+    for t, spectrum in zip(times, spectra):
+        want = mqc_analytic(n, 0.8, kind, t)
+        assert spectrum.time == t
+        assert np.max(np.abs(scale * np.array(spectrum.intensities) - want.intensities)) <= 1e-12
+
+
+def test_propagator_engine_exact_values():
+    spec = homogeneous_couplings(9, 1.3, "dq")
+    (start,) = mqc_propagator_grid(spec, "z_ends", [0.0])
+    assert start.intensities == (0.0, 2.0, 0.0)
+    for spectrum in mqc_propagator_grid(spec, "x_logical", np.linspace(-3.0, 7.0, 11)):
+        assert spectrum.intensities == (0.0, 0.0, 0.0)
+
+
+def test_propagator_engine_validation():
+    dq = homogeneous_couplings(6, 1.0, "dq")
+    for spec in (homogeneous_couplings(6, 1.0, "xx"), dipolar_couplings(np.arange(6.0))):
+        with pytest.raises(UnsupportedModelError):
+            mqc_propagator_grid(spec, "z_ends", [])
+    for kind in ("full_z", "z-ends", None):
+        with pytest.raises(InvalidConfigurationError):
+            mqc_propagator_grid(dq, kind, [])
+    for n, kind in ((1, "z_ends"), (3, "y_logical"), (3, "x_logical")):
+        with pytest.raises(InvalidDimensionError):
+            mqc_propagator_grid(homogeneous_couplings(n, 1.0, "dq"), kind, [])
+    assert mqc_propagator_grid(dq, "y_logical", []) == ()

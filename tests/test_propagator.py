@@ -149,10 +149,17 @@ def test_mixed_state_overlap_reductions():
     assert mixed_state_overlap(at0, mixed, mixed).real == pytest.approx(self_overlap, abs=1e-12)
 
 
-def test_mixed_state_overlap_size_cap():
-    prop = chain_propagator(homogeneous_couplings(15, 1.0), 0.1)
-    with pytest.raises(InvalidDimensionError):
-        mixed_state_overlap(prop, {((1,), (1,)): 1.0}, {((1,), (1,)): 1.0})
+def test_mixed_state_overlap_on_a_long_chain():
+    n = 20
+    couplings = random_couplings(np.random.default_rng(20), n)
+    prop = chain_propagator(ChainSpec(n, "xx", couplings), 2.3)
+    for j, l in ((1, n), (3, 3), (7, 12)):
+        got = mixed_state_overlap(prop, {((j,), (j,)): 1.0}, {((l,), (l,)): 1.0})
+        assert got.real == pytest.approx(prop.probability(j, l), abs=1e-12)
+        assert abs(got.imag) <= 1e-12
+    pair, image = (1, 2), (n - 1, n)
+    got = mixed_state_overlap(prop, {(pair, pair): 1.0}, {(image, image): 1.0})
+    assert got.real == pytest.approx(abs(slater_amplitude(prop, pair, image)) ** 2, abs=1e-12)
 
 
 def test_polarization_correlation_values():
