@@ -90,6 +90,23 @@ def _check_time(t: float) -> float:
     return float(_check_times([t])[0])
 
 
+# a float phase above 2^52 rad keeps no fractional bit, so exp(-i w t) is noise
+_MAX_PHASE = 2.0**52
+
+
+def _check_phase(times, rate: float) -> None:
+    """Reject checked ``times`` whose phase rate * |t| exceeds ``_MAX_PHASE`` or overflows.
+
+    ``rate`` bounds every |w| that a caller multiplies a time by, so the
+    check runs before any phase is formed and nothing warns.
+    """
+    peak = float(np.max(np.abs(times), initial=0.0))
+    if not peak * float(rate) <= _MAX_PHASE:
+        raise InvalidParameterError(
+            f"phase {float(rate):g} * {peak:g} exceeds {_MAX_PHASE:g} rad: time out of range"
+        )
+
+
 def _check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
@@ -328,7 +345,9 @@ def normalized_time(n: int, d: float, t) -> np.ndarray | float:
     """tau = 2 d t / n, the mirror phase of the engineered family."""
     _check_length(n)
     d = _check_scale(d)
-    return 2.0 * d * (_check_times(t) if np.ndim(t) else _check_time(t)) / n
+    times = _check_times(t) if np.ndim(t) else _check_time(t)
+    _check_phase(times, 2.0 * d)
+    return 2.0 * d * times / n
 
 
 def transfer_timing(spec: ChainSpec) -> TransferTiming:

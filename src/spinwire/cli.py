@@ -61,7 +61,9 @@ def _parse_grid(_ctx, _param, value: str) -> np.ndarray:
         raise click.BadParameter(f"start, end and their span must be finite, got {value!r}")
     if steps < 0:
         raise click.BadParameter(f"steps must be >= 0, got {steps}")
-    return np.linspace(start, end, steps)
+    # near the float range the last k * step may overflow; linspace then writes end there
+    with np.errstate(over="ignore"):
+        return np.linspace(start, end, steps)
 
 
 def _grid_record(grid: np.ndarray) -> list:

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .chain import ChainSpec, _check_scale, _check_time, normalized_time
+from .chain import ChainSpec, _check_phase, _check_scale, _check_time, normalized_time
 from .errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
@@ -223,6 +223,7 @@ def logical_transport_homogeneous(n: int, d: float, alpha: str, t: float) -> flo
         raise InvalidDimensionError("logical transport needs n >= 4")
     d = _check_scale(d)
     t = _check_time(t)
+    _check_phase(t, 4.0 * d)  # |w_h + w_k| <= 4 d
     if alpha in ("x", "y"):
         k = np.arange(1, n + 1)
         kappa = np.pi * k / (n + 1)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _check_scale, _check_time, _check_times
+from .chain import ChainSpec, _check_phase, _check_scale, _check_time, _check_times
 from .errors import (
     AliasingError,
     InvalidConfigurationError,
@@ -35,6 +35,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .oracle import (
+    _unitary,
     build_hamiltonian,
     collective_rotation_diag,
     conserved_sectors,
@@ -141,6 +142,7 @@ def mqc_z_analytic(n: int, d: float, t: float) -> MqcSpectrum:
         raise InvalidDimensionError("z_ends needs n >= 2")
     kappa, w = _homogeneous_modes(n, d)
     t = _check_time(t)
+    _check_phase(t, 4.0 * d)
     s2 = np.sin(kappa) ** 2
     j0 = 2.0 / (n + 1) * float(np.sum(s2 * np.cos(2 * w * t) ** 2))
     j2 = 1.0 / (n + 1) * float(np.sum(s2 * np.sin(2 * w * t) ** 2))
@@ -160,6 +162,7 @@ def mqc_y_analytic(n: int, d: float, t: float) -> MqcSpectrum:
         raise InvalidDimensionError("y_logical needs n >= 4")
     kappa, w = _homogeneous_modes(n, d)
     t = _check_time(t)
+    _check_phase(t, 8.0 * d)
     weight = np.sin(kappa) * np.sin(2 * kappa)
     j0 = 2.0 / (n + 1) * float(np.sum(weight * np.sin(4 * w * t)))
     j2 = 1.0 / (n + 1) * float(np.sum(weight * np.sin(4 * w * t + np.pi)))
@@ -170,8 +173,9 @@ def mqc_x_analytic(n: int, d: float, t: float) -> MqcSpectrum:
     """x_logical gives no signal: the protocol's readout is blind to it."""
     if n < 4:
         raise InvalidDimensionError("x_logical needs n >= 4")
-    _check_scale(d)
-    return MqcSpectrum(_check_time(t), (-2, 0, 2), (0.0, 0.0, 0.0))
+    t = _check_time(t)
+    _check_phase(t, 8.0 * _check_scale(d))  # the times mqc_y_analytic accepts
+    return MqcSpectrum(t, (-2, 0, 2), (0.0, 0.0, 0.0))
 
 
 _ANALYTIC = {
@@ -206,6 +210,7 @@ def mqc_propagator_grid(spec: ChainSpec, kind: str, times) -> tuple[MqcSpectrum,
     if kind not in _ANALYTIC:
         raise InvalidConfigurationError(f"kind must be one of {tuple(_ANALYTIC)}, got {kind!r}")
     grid = _check_times(times)
+    _check_phase(grid, 4.0)
     amp = _end_block(spec, "z_ends" if kind == "z_ends" else "y_logical", 4.0 * grid)
     if kind == "z_ends":
         ends = amp[:, (0, 1), (0, 1)].real
@@ -232,23 +237,24 @@ def mqc_phase_cycled(
     alias onto a reported one. Returns raw intensities; their sum over
     all orders equals the conserved overlap Tr[initial Z] / 2^n.
     """
-    if initial.n != spec.n:
-        raise InvalidDimensionError(
-            f"state on {initial.n} sites does not match chain n={spec.n}"
-        )
-    _check_cycle(phase_steps, max_order)
-    t = _check_time(t)
-    h = build_hamiltonian(spec)
+    t = float(_check_protocol(spec, initial, [t], phase_steps, max_order)[0])
+    u = _unitary(np.linalg.eigh(build_hamiltonian(spec)), t)
+    return _cycle(u, initial, t, phase_steps, max_order)
+
+
+def _cycle(
+    u: np.ndarray, initial: DeviationState, t: float, phase_steps: int, max_order: int
+) -> MqcSpectrum:
+    """The literal cycle of ``mqc_phase_cycled`` under a given U(t), arguments already checked."""
+    n = initial.n
     rho0 = deviation_to_dense(initial)
-    z = total_z(spec.n)
-    energies, vectors = np.linalg.eigh(h)
-    u = (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
+    z = total_z(n)
     rho_t = u @ rho0 @ u.conj().T
     z_t = u @ z @ u.conj().T
     signals = np.empty(phase_steps, dtype=complex)
     for m in range(phase_steps):
         phi = 2.0 * np.pi * m / phase_steps
-        r = collective_rotation_diag(spec.n, phi)
+        r = collective_rotation_diag(n, phi)
         rotated = (r[:, None] * rho_t) * np.conj(r)[None, :]
         signals[m] = trace_overlap(rotated, z_t)
     phis = 2.0 * np.pi * np.arange(phase_steps) / phase_steps
@@ -272,6 +278,22 @@ def _check_cycle(phase_steps: int, max_order: int) -> None:
         )
 
 
+def _check_protocol(
+    spec: ChainSpec, initial: DeviationState, times, phase_steps: int, max_order: int
+) -> np.ndarray:
+    """Every argument of the dense protocol, checked before any work; returns the time grid."""
+    n = require_within_budget(spec.n)
+    if initial.n != n:
+        raise InvalidDimensionError(
+            f"state on {initial.n} sites does not match chain n={n}"
+        )
+    _check_cycle(phase_steps, max_order)
+    grid = _check_times(times)
+    # every model has ||H|| <= 2 sum |d|, which bounds each phase E t
+    _check_phase(grid, 2.0 * float(np.sum(np.abs(spec.couplings))))
+    return grid
+
+
 def _sector_blocks(spec: ChainSpec, initial: DeviationState):
     """Per conserved sector: eigenpairs of H, the block of rho(0), Z and order bins.
 
@@ -284,10 +306,10 @@ def _sector_blocks(spec: ChainSpec, initial: DeviationState):
     del h  # keep one dense 2^n x 2^n matrix alive at a time
     rho0 = deviation_to_dense(initial)
     blocks = []
-    for labels, (energies, vectors) in zip(sectors, eigen):
+    for labels, eigen_k in zip(sectors, eigen):
         pop = popcount(labels, n)
         bins = (pop[:, None] - pop[None, :] + n).ravel()
-        blocks.append((energies, vectors, rho0[np.ix_(labels, labels)], n - 2.0 * pop, bins))
+        blocks.append((eigen_k, rho0[np.ix_(labels, labels)], n - 2.0 * pop, bins))
     return blocks
 
 
@@ -311,20 +333,15 @@ def mqc_phase_cycled_grid(
 
     Every argument is checked before any work, also for an empty grid.
     """
-    n = require_within_budget(spec.n)
-    if initial.n != n:
-        raise InvalidDimensionError(
-            f"state on {initial.n} sites does not match chain n={n}"
-        )
-    _check_cycle(phase_steps, max_order)
-    grid = _check_times(times)
+    grid = _check_protocol(spec, initial, times, phase_steps, max_order)
+    n = spec.n
     if not grid.size:
         return ()
     width = 2 * n + 1
     moments = np.zeros((grid.size, width), dtype=complex)
-    for energies, vectors, rho_k, z_k, bins in _sector_blocks(spec, initial):
+    for eigen, rho_k, z_k, bins in _sector_blocks(spec, initial):
         for i, t in enumerate(grid):
-            u = (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
+            u = _unitary(eigen, t)
             rho_t = u @ rho_k @ u.conj().T
             z_t = (u * z_k) @ u.conj().T
             overlap = (rho_t * z_t.T).ravel()

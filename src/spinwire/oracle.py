@@ -223,10 +223,15 @@ def conserved_sectors(spec: ChainSpec) -> tuple[np.ndarray, ...]:
 # -- evolution and traces -----------------------------------------------------
 
 
+def _unitary(eigen: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """exp(-i h t) from the eigenpairs ``eigen = np.linalg.eigh(h)``."""
+    energies, vectors = eigen
+    return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
+
+
 def evolve_unitary(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) by full diagonalisation."""
-    energies, vectors = np.linalg.eigh(h)
-    return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
+    return _unitary(np.linalg.eigh(h), t)
 
 
 def evolve_deviation(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
@@ -279,7 +284,7 @@ def similarity_transform(n: int) -> np.ndarray:
     return pauli_string_to_dense(n, sparse)
 
 
-def similarity_residual(n: int, couplings: Sequence[float]) -> float:
+def similarity_residual(h_xx: np.ndarray, h_dq: np.ndarray) -> float:
     """Max-norm residual of the staggered-gauge equivalence.
 
     Conjugating H_xx by X on every odd site flips the sign of each
@@ -287,9 +292,11 @@ def similarity_residual(n: int, couplings: Sequence[float]) -> float:
     the two models are gauge copies of each other and share all
     polarisation dynamics up to the staggered sign.
     """
-    spec_xx = ChainSpec(n, "xx", tuple(couplings))
-    spec_dq = ChainSpec(n, "dq", tuple(couplings))
-    u = similarity_transform(n)
-    hx = build_hamiltonian(spec_xx)
-    hd = build_hamiltonian(spec_dq)
-    return float(np.max(np.abs(u @ hx @ u - hd)))
+    shape = np.shape(h_xx)
+    dim = shape[0] if shape else 0
+    if shape != np.shape(h_dq) or shape != (dim, dim) or dim < 2 or dim & (dim - 1):
+        raise InvalidDimensionError(
+            f"need two equal square 2^n matrices, got {shape} and {np.shape(h_dq)}"
+        )
+    u = similarity_transform(dim.bit_length() - 1)
+    return float(np.max(np.abs(u @ h_xx @ u - h_dq)))

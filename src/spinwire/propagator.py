@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .chain import ChainSpec, _check_scale, _check_time, _check_times
+from .chain import ChainSpec, _check_phase, _check_scale, _check_time, _check_times
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -96,14 +96,22 @@ def _site(n: int, j: int) -> int:
     return int(j)
 
 
+# every eigenvector is kept: n^2 float64 modes, 800 MB at this cap
+_MAX_N = 10_000
+
+
 def spectral_decompose(spec: ChainSpec) -> SpectralDecomposition:
-    """Diagonalise the single-excitation matrix of a nearest-neighbour chain."""
+    """Diagonalise the single-excitation matrix of a nearest-neighbour chain (n <= 10 000)."""
     if not spec.is_nearest_neighbour:
         raise UnsupportedModelError(
             "single-excitation reduction needs a nearest-neighbour model; "
             "use the dense oracle for dipolar chains"
         )
     n = spec.n
+    if n > _MAX_N:
+        raise InvalidDimensionError(
+            f"single-excitation modes limited to n <= {_MAX_N} (requested n={n})"
+        )
     if n == 1:
         return SpectralDecomposition(1, np.zeros(1), np.ones((1, 1)))
     freqs, modes = eigh_tridiagonal(np.zeros(n), spec.nn_couplings())
@@ -130,13 +138,15 @@ def propagate_grid(
     Returns a complex array of shape (len(times), len(rows), len(cols))
     holding A[rows, cols](t); ``rows`` and ``cols`` are 1-based sites and
     default to the whole chain. A is evaluated as
-    I + V (e^{-i w t} - 1) V^T, which is exact at t = 0.
+    I + V (e^{-i w t} - 1) V^T, which is exact at t = 0. A time whose
+    phase |w t| exceeds 2^52 rad raises ``InvalidParameterError``.
     """
     times = _check_times(times)
     n = decomposition.n
     r = _site_indices(n, rows)
     c = _site_indices(n, cols)
     v, w = decomposition.modes, decomposition.frequencies
+    _check_phase(times, np.max(np.abs(w)))
     amp = np.empty((len(times), len(r), len(c)), dtype=complex)
     for k in range(0, len(times), _TIME_BLOCK):
         shift = np.expm1(-1j * np.multiply.outer(times[k:k + _TIME_BLOCK], w))
@@ -186,6 +196,7 @@ def homogeneous_amplitude(n: int, d: float, j: int, l: int, t: float) -> complex
     j = _site(n, j)
     l = _site(n, l)
     t = _check_time(t)
+    _check_phase(t, 2.0 * d)
     kappa = np.pi * np.arange(1, n + 1) / (n + 1)
     weights = np.sin(kappa * j) * np.sin(kappa * l)
     phases = np.exp(-2j * d * t * np.cos(kappa))

@@ -189,20 +189,27 @@ def engineered_mirror_profile(rng, max_n, oracle_n):
 # -- oracle comparisons ------------------------------------------------
 
 
-def polarization_vs_oracle(rng, max_n, oracle_n):
-    n = oracle_n
+def _draw(rng, n, models):
+    """Draw couplings, then t; per model, (spec, H, U(t)) from one build and one eigh."""
     cpl = chain_mod.random_couplings(rng, n)
     t = float(rng.uniform(0.3, 2.5))
-    dev = 0.0
-    for model in ("xx", "dq"):
+    dense = []
+    for model in models:
         spec = ChainSpec(n, model, cpl)
         h = oracle_mod.build_hamiltonian(spec)
+        dense.append((spec, h, oracle_mod._unitary(np.linalg.eigh(h), t)))
+    return cpl, t, dense
+
+
+def polarization_vs_oracle(rng, max_n, oracle_n):
+    n = oracle_n
+    cpl, t, dense = _draw(rng, n, ("xx", "dq"))
+    dev = 0.0
+    for spec, _, u in dense:
         for j, l in ((1, n), (2, n - 1), (1, 1)):
             zl = oracle_mod.pauli_string_to_dense(n, ((l, "Z"),))
             zj = oracle_mod.pauli_string_to_dense(n, ((j, "Z"),))
-            ref = oracle_mod.trace_overlap(
-                oracle_mod.evolve_deviation(h, zj, t), zl
-            ).real
+            ref = oracle_mod.trace_overlap(u @ zj @ u.conj().T, zl).real
             got = prop_mod.polarization_correlation(spec, j, l, t)
             dev = max(dev, abs(got - ref))
     yield (
@@ -212,10 +219,7 @@ def polarization_vs_oracle(rng, max_n, oracle_n):
 
 def slater_vs_oracle(rng, max_n, oracle_n):
     n = oracle_n
-    cpl = chain_mod.random_couplings(rng, n)
-    t = float(rng.uniform(0.3, 2.5))
-    spec = ChainSpec(n, "xx", cpl)
-    u = oracle_mod.evolve_unitary(oracle_mod.build_hamiltonian(spec), t)
+    cpl, t, [(spec, _, u)] = _draw(rng, n, ("xx",))
     prop = prop_mod.chain_propagator(spec, t)
     dev = 0.0
     configs = [((1, 2), (n - 1, n)), ((1, 3), (2, n)), ((1, 2, 3), (1, n - 1, n))]
@@ -230,9 +234,7 @@ def slater_vs_oracle(rng, max_n, oracle_n):
 
 def mixed_overlap_vs_oracle(rng, max_n, oracle_n):
     n = oracle_n
-    cpl = chain_mod.random_couplings(rng, n)
-    t = float(rng.uniform(0.3, 2.5))
-    spec = ChainSpec(n, "xx", cpl)
+    cpl, t, [(spec, _, u)] = _draw(rng, n, ("xx",))
     a = {
         ((1,), (1,)): 0.6,
         ((2,), (2,)): 0.4,
@@ -249,7 +251,6 @@ def mixed_overlap_vs_oracle(rng, max_n, oracle_n):
     }
     prop = prop_mod.chain_propagator(spec, t)
     got = prop_mod.mixed_state_overlap(prop, a, b)
-    u = oracle_mod.evolve_unitary(oracle_mod.build_hamiltonian(spec), t)
     ra = oracle_mod.excitation_operator(n, a)
     rb = oracle_mod.excitation_operator(n, b)
     ref = np.trace(u @ ra @ u.conj().T @ rb)
@@ -263,22 +264,17 @@ def mixed_overlap_vs_oracle(rng, max_n, oracle_n):
 
 def logical_channels_vs_oracle(rng, max_n, oracle_n):
     n = oracle_n
-    cpl = chain_mod.random_couplings(rng, n)
-    t = float(rng.uniform(0.3, 2.5))
+    cpl, t, dense = _draw(rng, n, ("xx", "dq"))
     dev = 0.0
-    for model in ("xx", "dq"):
-        spec = ChainSpec(n, model, cpl)
-        h = oracle_mod.build_hamiltonian(spec)
-        source = logical_mod.logical_basis(model, n, "source").observables
-        target = logical_mod.logical_basis(model, n, "target").observables
+    for spec, _, u in dense:
+        source = logical_mod.logical_basis(spec.model, n, "source").observables
+        target = logical_mod.logical_basis(spec.model, n, "target").observables
         prop = prop_mod.chain_propagator(spec, t)
-        got = logical_mod.logical_correlations(prop, model, corrected=False)
+        got = logical_mod.logical_correlations(prop, spec.model, corrected=False)
         for alpha in logical_mod.CHANNELS:
-            rho_t = oracle_mod.evolve_deviation(
-                h, oracle_mod.deviation_to_dense(source[alpha]), t
-            )
+            rho0 = oracle_mod.deviation_to_dense(source[alpha])
             ref = 2.0 * oracle_mod.trace_overlap(
-                rho_t, oracle_mod.deviation_to_dense(target[alpha])
+                u @ rho0 @ u.conj().T, oracle_mod.deviation_to_dense(target[alpha])
             ).real
             dev = max(dev, abs(got[alpha] - ref))
     yield (
@@ -291,22 +287,13 @@ def logical_channels_vs_oracle(rng, max_n, oracle_n):
 
 def autocorrelation_vs_oracle(rng, max_n, oracle_n):
     n = oracle_n
-    cpl = chain_mod.random_couplings(rng, n)
-    t = float(rng.uniform(0.3, 2.5))
+    cpl, t, dense = _draw(rng, n, ("xx", "dq"))
     dev = 0.0
-    for model in ("xx", "dq"):
-        spec = ChainSpec(n, model, cpl)
-        h = oracle_mod.build_hamiltonian(spec)
+    for spec, _, u in dense:
         for kind in prop_mod.INITIAL_KINDS:
-            state = mqc_mod.prepare_state(n, kind)
-            rho0 = oracle_mod.deviation_to_dense(state)
+            rho0 = oracle_mod.deviation_to_dense(mqc_mod.prepare_state(n, kind))
             norm = oracle_mod.trace_overlap(rho0, rho0).real
-            ref = (
-                oracle_mod.trace_overlap(
-                    oracle_mod.evolve_deviation(h, rho0, t), rho0
-                ).real
-                / norm
-            )
+            ref = oracle_mod.trace_overlap(u @ rho0 @ u.conj().T, rho0).real / norm
             got = prop_mod.end_autocorrelation(spec, kind, t)
             dev = max(dev, abs(got - ref))
     yield (
@@ -320,8 +307,7 @@ def autocorrelation_vs_oracle(rng, max_n, oracle_n):
 def dq_parity_rule(rng, max_n, oracle_n):
     dev = 0.0
     for n in (max_n, max_n + 1):
-        cpl = chain_mod.random_couplings(rng, n)
-        t = float(rng.uniform(0.3, 2.5))
+        cpl, t, _ = _draw(rng, n, ())
         prop = prop_mod.chain_propagator(ChainSpec(n, "xx", cpl), t)
         xx = logical_mod.logical_correlations(prop, "xx")
         raw = logical_mod.logical_correlations(prop, "dq", corrected=False)
@@ -342,18 +328,15 @@ def dq_parity_rule(rng, max_n, oracle_n):
 def engineered_fidelity_mirror(rng, max_n, oracle_n):
     dev = 0.0
     for n in range(4, 21):
-        timing = chain_mod.transfer_timing(chain_mod.engineered_couplings(n, 1.0))
-        f = logical_mod.entanglement_fidelity(n, 1.0, "engineered", timing.t_star)
+        spec = chain_mod.engineered_couplings(n, 1.0)
+        t_star = chain_mod.transfer_timing(spec).t_star
+        f = logical_mod.entanglement_fidelity(n, 1.0, "engineered", t_star)
         dev = max(dev, abs(f - 1.0))
         # closed forms agree with the propagator bilinears
-        prop = prop_mod.chain_propagator(
-            chain_mod.engineered_couplings(n, 1.0), 0.43 * timing.t_star
-        )
+        prop = prop_mod.chain_propagator(spec, 0.43 * t_star)
         vals = logical_mod.logical_correlations(prop, "xx")
         for alpha in logical_mod.CHANNELS:
-            closed = logical_mod.logical_transport_engineered(
-                n, 1.0, alpha, 0.43 * timing.t_star
-            )
+            closed = logical_mod.logical_transport_engineered(n, 1.0, alpha, 0.43 * t_star)
             dev = max(dev, abs(vals[alpha] - closed))
     yield ("engineered_fidelity_mirror", dev, 1e-9, {"n_range": [4, 20]})
 
@@ -384,19 +367,15 @@ def mqc_vs_analytic(rng, max_n, oracle_n):
     d = 1.0
     spec = chain_mod.homogeneous_couplings(n, d, model="dq")
     t = float(rng.uniform(0.2, 1.5))
+    u = oracle_mod._unitary(np.linalg.eigh(oracle_mod.build_hamiltonian(spec)), t)
     dev = 0.0
-    z_state = mqc_mod.prepare_state(n, "z_ends")
-    cycled = mqc_mod.mqc_phase_cycled(spec, z_state, t)
-    analytic = mqc_mod.mqc_z_analytic(n, d, t)
-    for q in (-2, 0, 2):
-        dev = max(dev, abs(cycled.intensity(q) - 2.0 * analytic.intensity(q)))
-    y_state = mqc_mod.prepare_state(n, "y_logical")
-    cycled_y = mqc_mod.mqc_phase_cycled(spec, y_state, t)
-    analytic_y = mqc_mod.mqc_y_analytic(n, d, t)
-    for q in (-2, 0, 2):
-        dev = max(dev, abs(cycled_y.intensity(q) - analytic_y.intensity(q)))
-    x_state = mqc_mod.prepare_state(n, "x_logical")
-    cycled_x = mqc_mod.mqc_phase_cycled(spec, x_state, t)
+    # the z_ends series is normalised to J_0(0) = 1, the cycle to Tr[rho Z]/2^n = 2
+    for kind, scale in (("z_ends", 2.0), ("y_logical", 1.0)):
+        cycled = mqc_mod._cycle(u, mqc_mod.prepare_state(n, kind), t, 8, 2)
+        analytic = mqc_mod.mqc_analytic(n, d, kind, t)
+        for q in (-2, 0, 2):
+            dev = max(dev, abs(cycled.intensity(q) - scale * analytic.intensity(q)))
+    cycled_x = mqc_mod._cycle(u, mqc_mod.prepare_state(n, "x_logical"), t, 8, 2)
     dev = max(dev, max(abs(v) for v in cycled_x.intensities))
     yield ("mqc_vs_analytic", dev, _TOL_ORACLE, {"n": n, "d": d, "t": t})
 
@@ -405,15 +384,13 @@ def mqc_support_and_conservation(rng, max_n, oracle_n):
     n = oracle_n
     spec = chain_mod.homogeneous_couplings(n, 1.0, model="dq")
     t = float(rng.uniform(0.2, 1.5))
+    eigen = np.linalg.eigh(oracle_mod.build_hamiltonian(spec))
+    u_t, u_0 = oracle_mod._unitary(eigen, t), oracle_mod._unitary(eigen, 0.0)
     dev = 0.0
     for kind in mqc_mod.PREPARED_KINDS:
         state = mqc_mod.prepare_state(n, kind)
-        full = mqc_mod.mqc_phase_cycled(
-            spec, state, t, phase_steps=2 * n + 3, max_order=n
-        )
-        at0 = mqc_mod.mqc_phase_cycled(
-            spec, state, 0.0, phase_steps=2 * n + 3, max_order=n
-        )
+        full = mqc_mod._cycle(u_t, state, t, 2 * n + 3, n)
+        at0 = mqc_mod._cycle(u_0, state, 0.0, 2 * n + 3, n)
         dev = max(dev, abs(full.total() - at0.total()))
         for q, j in zip(full.orders, full.intensities):
             if q not in (-2, 0, 2):
@@ -428,25 +405,21 @@ def mqc_support_and_conservation(rng, max_n, oracle_n):
 
 def purity_and_commutation(rng, max_n, oracle_n):
     n = oracle_n
-    cpl = chain_mod.random_couplings(rng, n)
-    t = float(rng.uniform(0.3, 2.5))
-    state = mqc_mod.prepare_state(n, "y_logical")
+    cpl, t, dense = _draw(rng, n, ("xx", "dq"))
+    rho0 = oracle_mod.deviation_to_dense(mqc_mod.prepare_state(n, "y_logical"))
     dev = 0.0
-    hams = {}
-    for model in ("xx", "dq"):
-        h = hams[model] = oracle_mod.build_hamiltonian(ChainSpec(n, model, cpl))
-        rho0 = oracle_mod.deviation_to_dense(state)
-        rho_t = oracle_mod.evolve_deviation(h, rho0, t)
+    for _, _, u in dense:
+        rho_t = u @ rho0 @ u.conj().T
         p0 = oracle_mod.trace_overlap(rho0, rho0).real
         pt = oracle_mod.trace_overlap(rho_t, rho_t).real
         dev = max(dev, abs(pt - p0))
-    hx, hd = hams["xx"], hams["dq"]
+    (_, hx, _), (_, hd, _) = dense
     zt = oracle_mod.total_z(n)
     zs = oracle_mod.staggered_z(n)
     dev_exact = max(
         np.abs(hx @ zt - zt @ hx).max(),
         np.abs(hd @ zs - zs @ hd).max(),
-        oracle_mod.similarity_residual(n, cpl),
+        oracle_mod.similarity_residual(hx, hd),
     )
     yield (
         "purity_preservation", dev, _TOL_LINALG, {"n": n, "couplings": cpl, "t": t}

@@ -267,15 +267,35 @@ def test_verify_rejects_bad_seed_and_tolerance(runner, extra):
     assert_clean_domain_error(runner.invoke(main, ["verify", "--max-n", "4"] + extra))
 
 
+def assert_table_or_one_error(result, header, rows):
+    """Exit 0 with a finite table of ``rows`` rows, or exit 1 or 2 with one error line."""
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        lines = result.stdout.splitlines()
+        assert lines[0] == header and len(lines) == 1 + rows
+        assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
+        return
+    assert isinstance(result.exception, SystemExit) and result.stdout == ""
+    if result.exit_code == 1:
+        assert_clean_domain_error(result)
+        return
+    # usage errors: Click's usage and hint lines, then one error line
+    assert result.exit_code == 2
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1 and result.stderr.endswith(errors[0] + "\n")
+
+
+# unbounded finite floats reach +-1.8e308, where every phase w t overflows
 GRID_ENDS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(["nan", "inf", "-inf"]),
 )
+SCALES = st.sampled_from(["1", "0.5", "0", "-1", "nan", "inf", "1e300"])
 
 
 @given(
     n=st.integers(0, 12),
-    d=st.sampled_from(["1", "0.5", "0", "-1", "nan", "inf"]),
+    d=SCALES,
     initial=st.sampled_from(["z-ends", "y-logical", "x-logical"]),
     engine=st.sampled_from(["analytic", "oracle"]),
     phase_steps=st.integers(-1, 20),
@@ -297,18 +317,66 @@ def test_mqc_argv_gives_a_finite_table_or_one_error_line(
         "mqc", "--n", str(n), "--d", d, "--initial", initial, "--engine", engine,
         "--phase-steps", str(phase_steps), "--grid", f"{start}:{end}:{steps}",
     ]
-    result = CliRunner().invoke(main, args)
-    assert "Traceback" not in result.output
-    if result.exit_code == 0:
-        lines = result.stdout.splitlines()
-        assert lines[0] == "t,j0,j2" and len(lines) == 1 + steps
-        assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
-        return
-    assert isinstance(result.exception, SystemExit) and result.stdout == ""
-    if result.exit_code == 1:
-        assert_clean_domain_error(result)
-        return
-    # usage errors: Click's usage and hint lines, then one error line
-    assert result.exit_code == 2
-    errors = [line for line in result.stderr.splitlines() if line.startswith("Error: ")]
-    assert len(errors) == 1 and result.stderr.endswith(errors[0] + "\n")
+    assert_table_or_one_error(CliRunner().invoke(main, args), "t,j0,j2", steps)
+
+
+@given(
+    n=st.integers(1, 40),
+    d=SCALES,
+    family=st.sampled_from(["homogeneous", "engineered", "dipolar"]),
+    model=st.sampled_from(["xx", "dq"]),
+    source=st.integers(0, 41),
+    target=st.none() | st.integers(0, 41),
+    sigma=st.sampled_from(["0", "0.05", "-0.1", "nan"]),
+    seed=st.integers(-1, 3),
+    start=GRID_ENDS,
+    end=GRID_ENDS,
+    steps=st.integers(0, 4),
+)
+@example(n=6, d="1", family="engineered", model="xx", source=1, target=None, sigma="0",
+         seed=0, start=0.0, end=1e308, steps=2)  # the phase w t overflows
+@example(n=6, d="1", family="homogeneous", model="dq", source=1, target=6, sigma="0",
+         seed=0, start=-1e308, end=0.0, steps=2)
+@settings(max_examples=80, deadline=None)
+def test_transfer_argv_gives_a_finite_table_or_one_error_line(
+    n, d, family, model, source, target, sigma, seed, start, end, steps
+):
+    args = [
+        "transfer", "--n", str(n), "--d", d, "--family", family, "--model", model,
+        "--j", str(source), "--sigma", sigma, "--seed", str(seed),
+        "--grid", f"{start}:{end}:{steps}",
+    ]
+    if target is not None:
+        args += ["--l", str(target)]
+    rows = steps * (n if target is None else 1)
+    assert_table_or_one_error(CliRunner().invoke(main, args), "t,tau,site,correlation", rows)
+
+
+@given(
+    n=st.integers(1, 40),
+    d=SCALES,
+    family=st.sampled_from(["homogeneous", "engineered"]),
+    model=st.sampled_from(["xx", "dq"]),
+    corrected=st.sampled_from(["--corrected", "--raw"]),
+    start=GRID_ENDS,
+    end=GRID_ENDS,
+    steps=st.integers(0, 4),
+)
+@example(n=8, d="1", family="homogeneous", model="xx", corrected="--corrected",
+         start=0.0, end=1e308, steps=2)  # the phase w t overflows
+@settings(max_examples=80, deadline=None)
+def test_logical_argv_gives_a_finite_table_or_one_error_line(
+    n, d, family, model, corrected, start, end, steps
+):
+    args = [
+        "logical", "--n", str(n), "--d", d, "--family", family, "--model", model,
+        corrected, "--grid", f"{start}:{end}:{steps}",
+    ]
+    header = "t,c_x,c_y,c_z,c_1,fidelity"
+    assert_table_or_one_error(CliRunner().invoke(main, args), header, steps)
+
+
+def test_decomposition_size_cap_is_a_domain_error(runner):
+    result = runner.invoke(main, ["transfer", "--n", "10001", "--grid", "0:1:2"])
+    assert_clean_domain_error(result)
+    assert "n <= 10000" in result.stderr

@@ -193,7 +193,20 @@ def test_similarity_transform_is_odd_site_flip():
 
 def test_similarity_residual_vanishes():
     for n in (2, 3, 6):
-        assert similarity_residual(n, random_couplings(RNG, n)) <= 1e-12
+        couplings = random_couplings(RNG, n)
+        h_xx, h_dq = (build_hamiltonian(ChainSpec(n, m, couplings)) for m in ("xx", "dq"))
+        assert similarity_residual(h_xx, h_dq) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "h_xx, h_dq",
+    [(np.eye(4), np.eye(8)), (np.eye(4), np.eye(4)[:2]), (np.eye(6), np.eye(6)),
+     (np.eye(1), np.eye(1)), (np.ones(4), np.ones(4)), (1.0, 1.0)],
+    ids=["unequal", "not-square", "not-2^n", "n=0", "vector", "scalar"],
+)
+def test_similarity_residual_rejects_mismatched_shapes(h_xx, h_dq):
+    with pytest.raises(InvalidDimensionError):
+        similarity_residual(h_xx, h_dq)
 
 
 def test_gauge_maps_end_polarisations_with_staggered_sign():

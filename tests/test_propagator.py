@@ -69,6 +69,15 @@ def test_dipolar_spec_rejected():
         spectral_decompose(spec)
 
 
+def test_decomposition_size_cap_raises_before_any_work(monkeypatch):
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("eigh_tridiagonal called above the cap")
+
+    monkeypatch.setattr("spinwire.propagator.eigh_tridiagonal", no_solve)
+    with pytest.raises(InvalidDimensionError, match="n <= 10000"):
+        spectral_decompose(homogeneous_couplings(10_001))
+
+
 def test_propagator_basics():
     spec = homogeneous_couplings(5, 1.0)
     dec = spectral_decompose(spec)

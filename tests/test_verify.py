@@ -2,7 +2,11 @@
 
 import re
 
+import numpy as np
 import pytest
+
+import spinwire.mqc
+import spinwire.oracle
 
 from spinwire.errors import InvalidDimensionError, InvalidParameterError
 from spinwire.verify import CHECKS, CheckResult, run_verification
@@ -84,3 +88,22 @@ def test_check_line_format():
 def test_check_on_grid(check, point):
     for name, deviation, bound in check_results(check, point):
         assert deviation <= bound, f"{name}: deviation {deviation:.3e} above {bound:.1e}"
+
+
+def test_each_dense_hamiltonian_is_built_and_diagonalised_once(monkeypatch):
+    calls = {"eigh": 0, "build_hamiltonian": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    build = counted("build_hamiltonian", spinwire.oracle.build_hamiltonian)
+    for module in (spinwire.oracle, spinwire.mqc):
+        monkeypatch.setattr(module, "build_hamiltonian", build)
+    assert run_verification(max_n=8, seed=0).passed
+    # xx and dq in four checks, xx alone in two, one homogeneous dq chain in two
+    assert calls == {"eigh": 12, "build_hamiltonian": 12}
