@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     DegenerateGeometryError,
+    IndexOutOfRangeError,
     InvalidConfigurationError,
     InvalidDimensionError,
     InvalidParameterError,
@@ -42,6 +43,7 @@ _JSON_SCHEMA = "spinwire.chain/1"
 
 
 def _check_length(n: int, minimum: int = 1) -> int:
+    """A chain length: an int or numpy integer, not a bool, at least ``minimum``."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise InvalidDimensionError(f"chain length must be int, got {n!r}")
     if n < minimum:
@@ -72,8 +74,34 @@ def _check_scale(d: float) -> float:
     return d
 
 
-def _check_times(times) -> np.ndarray:
-    """A one-dimensional grid of finite real times, as a float array."""
+def _check_site(n: int, j: int) -> int:
+    """One 1-based site of an n-site chain, as an int."""
+    if not isinstance(j, (int, np.integer)) or isinstance(j, bool):
+        raise InvalidConfigurationError(f"site index must be int, got {j!r}")
+    if j < 1 or j > n:
+        raise IndexOutOfRangeError(f"site {j} outside 1..{n}")
+    return int(j)
+
+
+def _check_sites(n: int, sites) -> tuple[int, ...]:
+    """Strictly increasing 1-based sites of an n-site chain, each through ``_check_site``."""
+    out = tuple(_check_site(n, j) for j in sites)
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise InvalidConfigurationError(f"sites must be strictly increasing, got {out!r}")
+    return out
+
+
+# a float phase above 2^52 rad keeps no fractional bit, so exp(-i w t) is noise
+_MAX_PHASE = 2.0**52
+
+
+def _check_times(times, rate: float) -> np.ndarray:
+    """A one-dimensional grid of finite real times, as a float array.
+
+    ``rate`` bounds every |w| that the caller multiplies a time by; a grid
+    whose phase rate * |t| exceeds ``_MAX_PHASE`` or overflows is rejected
+    before any phase is formed, so nothing warns.
+    """
     try:
         grid = np.asarray(times, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -82,29 +110,17 @@ def _check_times(times) -> np.ndarray:
         raise InvalidParameterError(f"times must be one-dimensional, got shape {grid.shape}")
     if not np.all(np.isfinite(grid)):
         raise InvalidParameterError(f"times must be finite, got {grid[~np.isfinite(grid)][0]}")
-    return grid
-
-
-def _check_time(t: float) -> float:
-    """One finite real time, through ``_check_times``."""
-    return float(_check_times([t])[0])
-
-
-# a float phase above 2^52 rad keeps no fractional bit, so exp(-i w t) is noise
-_MAX_PHASE = 2.0**52
-
-
-def _check_phase(times, rate: float) -> None:
-    """Reject checked ``times`` whose phase rate * |t| exceeds ``_MAX_PHASE`` or overflows.
-
-    ``rate`` bounds every |w| that a caller multiplies a time by, so the
-    check runs before any phase is formed and nothing warns.
-    """
-    peak = float(np.max(np.abs(times), initial=0.0))
+    peak = float(np.max(np.abs(grid), initial=0.0))
     if not peak * float(rate) <= _MAX_PHASE:
         raise InvalidParameterError(
             f"phase {float(rate):g} * {peak:g} exceeds {_MAX_PHASE:g} rad: time out of range"
         )
+    return grid
+
+
+def _check_time(t: float, rate: float) -> float:
+    """One finite real time, through ``_check_times``."""
+    return float(_check_times([t], rate)[0])
 
 
 def _check_seed(seed: int) -> int:
@@ -320,6 +336,7 @@ def perturb_couplings(spec: ChainSpec, sigma: float, seed: int) -> ChainSpec:
 
 def random_couplings(rng: np.random.Generator, n: int) -> tuple[float, ...]:
     """n-1 bond couplings drawn uniformly from [0.5, 1.5), for randomised checks."""
+    n = _check_length(n)
     return tuple(float(c) for c in rng.uniform(0.5, 1.5, n - 1))
 
 
@@ -345,8 +362,7 @@ def normalized_time(n: int, d: float, t) -> np.ndarray | float:
     """tau = 2 d t / n, the mirror phase of the engineered family."""
     _check_length(n)
     d = _check_scale(d)
-    times = _check_times(t) if np.ndim(t) else _check_time(t)
-    _check_phase(times, 2.0 * d)
+    times = _check_times(t, 2.0 * d) if np.ndim(t) else _check_time(t, 2.0 * d)
     return 2.0 * d * times / n
 
 
@@ -361,8 +377,7 @@ def transfer_timing(spec: ChainSpec) -> TransferTiming:
     """
     if not spec.is_nearest_neighbour:
         raise UnsupportedFamilyError("transfer timing needs a nearest-neighbour chain")
-    if spec.n < 2:
-        raise InvalidDimensionError("transfer timing needs n >= 2")
+    _check_length(spec.n, minimum=2)
     d = _engineered_scale(spec.nn_couplings())
     if d is None:
         raise UnsupportedFamilyError(

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .chain import ChainSpec, _check_phase, _check_scale, _check_time, normalized_time
+from .chain import ChainSpec, _check_length, _check_scale, _check_time, normalized_time
 from .errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
@@ -92,8 +92,7 @@ def logical_basis(model: str, n: int, pair: str = "source") -> LogicalBasis:
     at perfect mirror transfer every source observable maps onto its
     target partner with unit correlation.
     """
-    if n < 2:
-        raise InvalidDimensionError(f"logical encoding needs n >= 2, got {n}")
+    n = _check_length(n, minimum=2)
     if pair == "source":
         obs = _pair_observables(model, n, 1, 2)
         return LogicalBasis(model, n, (1, 2), obs)
@@ -112,9 +111,7 @@ def dq_parity_correction(n: int) -> bool:
     the target observables by X_{n-1} X_n undoes the flip. Odd chains
     need no correction.
     """
-    if n < 2:
-        raise InvalidDimensionError(f"chain length must be >= 2, got {n}")
-    return n % 2 == 0
+    return _check_length(n, minimum=2) % 2 == 0
 
 
 def apply_parity_correction(basis: LogicalBasis) -> LogicalBasis:
@@ -173,10 +170,11 @@ def channel_correlations(
     ``logical_correlations``.
     """
     amplitudes = np.asarray(amplitudes)
-    n = amplitudes.shape[-1]
-    if n < 4:
-        raise InvalidDimensionError("logical transport needs n >= 4")
-    return _readout(_bilinear_channels(amplitudes), n, model, corrected)
+    if amplitudes.ndim < 2 or amplitudes.shape[-2] < 2 or amplitudes.shape[-1] < 4:
+        raise InvalidDimensionError(
+            f"logical transport needs rows 1, 2 of A with n >= 4, got shape {amplitudes.shape}"
+        )
+    return _readout(_bilinear_channels(amplitudes), amplitudes.shape[-1], model, corrected)
 
 
 def channel_fidelity(vals: dict) -> float | np.ndarray:
@@ -219,11 +217,9 @@ def logical_transport_homogeneous(n: int, d: float, alpha: str, t: float) -> flo
     while z and the identity channel combine end transfer amplitudes.
     """
     _check_channel(alpha)
-    if n < 4:
-        raise InvalidDimensionError("logical transport needs n >= 4")
+    n = _check_length(n, minimum=4)
     d = _check_scale(d)
-    t = _check_time(t)
-    _check_phase(t, 4.0 * d)  # |w_h + w_k| <= 4 d
+    t = _check_time(t, 4.0 * d)  # |w_h + w_k| <= 4 d
     if alpha in ("x", "y"):
         k = np.arange(1, n + 1)
         kappa = np.pi * k / (n + 1)
@@ -265,9 +261,9 @@ def logical_transport_engineered(n: int, d: float, alpha: str, t: float) -> floa
     All four equal 1 at tau = pi/2, so F(t*) = 1.
     """
     _check_channel(alpha)
-    if n < 4:
-        raise InvalidDimensionError("logical transport needs n >= 4")
-    tau = normalized_time(n, d, _check_time(t))
+    n = _check_length(n, minimum=4)
+    d = _check_scale(d)
+    tau = normalized_time(n, d, _check_time(t, 2.0 * d))
     s2 = math.sin(tau) ** 2
     c2 = math.cos(tau) ** 2
     if alpha == "x":

@@ -22,11 +22,12 @@ intensities on a whole time grid from one sector-blocked decomposition.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _check_phase, _check_scale, _check_time, _check_times
+from .chain import ChainSpec, _check_length, _check_scale, _check_time, _check_times
 from .errors import (
     AliasingError,
     InvalidConfigurationError,
@@ -98,16 +99,13 @@ def prepare_state(n: int, kind: str) -> DeviationState:
         raise InvalidConfigurationError(
             f"kind must be one of {PREPARED_KINDS}, got {kind!r}"
         )
+    n = _check_length(n, minimum=2 if kind in ("z_ends", "full_z") else 4)
     if kind in ("z_ends", "full_z"):
-        if n < 2:
-            raise InvalidDimensionError(f"{kind} needs n >= 2")
         if kind == "full_z":
             return DeviationState(
                 n, tuple((1.0, ((j, "Z"),)) for j in range(1, n + 1))
             )
         return DeviationState(n, ((1.0, ((1, "Z"),)), (1.0, ((n, "Z"),))))
-    if n < 4:
-        raise InvalidDimensionError(f"{kind} needs n >= 4")
     m = n - 1
     y_state = DeviationState(
         n,
@@ -123,11 +121,14 @@ def prepare_state(n: int, kind: str) -> DeviationState:
     return y_state.rotated_z(math.pi / 4)
 
 
-def _homogeneous_modes(n: int, d: float) -> tuple[np.ndarray, np.ndarray]:
+def _homogeneous_modes(
+    n: int, d: float, minimum: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Checked d, sine modes kappa_k and frequencies 2 d cos(kappa_k) of the uniform n-chain."""
+    n = _check_length(n, minimum)
     d = _check_scale(d)
-    k = np.arange(1, n + 1)
-    kappa = np.pi * k / (n + 1)
-    return kappa, 2.0 * d * np.cos(kappa)
+    kappa = np.pi * np.arange(1, n + 1) / (n + 1)
+    return d, kappa, 2.0 * d * np.cos(kappa)
 
 
 def mqc_z_analytic(n: int, d: float, t: float) -> MqcSpectrum:
@@ -138,11 +139,8 @@ def mqc_z_analytic(n: int, d: float, t: float) -> MqcSpectrum:
 
     normalised so the total is 1 (J_0(0) = 1). No other order appears.
     """
-    if n < 2:
-        raise InvalidDimensionError("z_ends needs n >= 2")
-    kappa, w = _homogeneous_modes(n, d)
-    t = _check_time(t)
-    _check_phase(t, 4.0 * d)
+    d, kappa, w = _homogeneous_modes(n, d, minimum=2)
+    t = _check_time(t, 4.0 * d)
     s2 = np.sin(kappa) ** 2
     j0 = 2.0 / (n + 1) * float(np.sum(s2 * np.cos(2 * w * t) ** 2))
     j2 = 1.0 / (n + 1) * float(np.sum(s2 * np.sin(2 * w * t) ** 2))
@@ -158,11 +156,8 @@ def mqc_y_analytic(n: int, d: float, t: float) -> MqcSpectrum:
     in the raw (unnormalised) convention of the cycling protocol; the
     total vanishes because the prepared state is orthogonal to Z.
     """
-    if n < 4:
-        raise InvalidDimensionError("y_logical needs n >= 4")
-    kappa, w = _homogeneous_modes(n, d)
-    t = _check_time(t)
-    _check_phase(t, 8.0 * d)
+    d, kappa, w = _homogeneous_modes(n, d, minimum=4)
+    t = _check_time(t, 8.0 * d)
     weight = np.sin(kappa) * np.sin(2 * kappa)
     j0 = 2.0 / (n + 1) * float(np.sum(weight * np.sin(4 * w * t)))
     j2 = 1.0 / (n + 1) * float(np.sum(weight * np.sin(4 * w * t + np.pi)))
@@ -171,10 +166,8 @@ def mqc_y_analytic(n: int, d: float, t: float) -> MqcSpectrum:
 
 def mqc_x_analytic(n: int, d: float, t: float) -> MqcSpectrum:
     """x_logical gives no signal: the protocol's readout is blind to it."""
-    if n < 4:
-        raise InvalidDimensionError("x_logical needs n >= 4")
-    t = _check_time(t)
-    _check_phase(t, 8.0 * _check_scale(d))  # the times mqc_y_analytic accepts
+    d = _homogeneous_modes(n, d, minimum=4)[0]
+    t = _check_time(t, 8.0 * d)  # the times mqc_y_analytic accepts
     return MqcSpectrum(t, (-2, 0, 2), (0.0, 0.0, 0.0))
 
 
@@ -209,8 +202,7 @@ def mqc_propagator_grid(spec: ChainSpec, kind: str, times) -> tuple[MqcSpectrum,
         raise UnsupportedModelError(f"coherence spectra need model dq, got {spec.model!r}")
     if kind not in _ANALYTIC:
         raise InvalidConfigurationError(f"kind must be one of {tuple(_ANALYTIC)}, got {kind!r}")
-    grid = _check_times(times)
-    _check_phase(grid, 4.0)
+    grid = _check_times(times, 4.0)
     amp = _end_block(spec, "z_ends" if kind == "z_ends" else "y_logical", 4.0 * grid)
     if kind == "z_ends":
         ends = amp[:, (0, 1), (0, 1)].real
@@ -239,30 +231,34 @@ def mqc_phase_cycled(
     """
     t = float(_check_protocol(spec, initial, [t], phase_steps, max_order)[0])
     u = _unitary(np.linalg.eigh(build_hamiltonian(spec)), t)
-    return _cycle(u, initial, t, phase_steps, max_order)
+    return _cycle(u, (initial,), t, phase_steps, max_order)[0]
 
 
 def _cycle(
-    u: np.ndarray, initial: DeviationState, t: float, phase_steps: int, max_order: int
-) -> MqcSpectrum:
-    """The literal cycle of ``mqc_phase_cycled`` under a given U(t), arguments already checked."""
-    n = initial.n
-    rho0 = deviation_to_dense(initial)
-    z = total_z(n)
-    rho_t = u @ rho0 @ u.conj().T
-    z_t = u @ z @ u.conj().T
-    signals = np.empty(phase_steps, dtype=complex)
-    for m in range(phase_steps):
-        phi = 2.0 * np.pi * m / phase_steps
-        r = collective_rotation_diag(n, phi)
-        rotated = (r[:, None] * rho_t) * np.conj(r)[None, :]
-        signals[m] = trace_overlap(rotated, z_t)
+    u: np.ndarray, states: Sequence[DeviationState], t: float, phase_steps: int, max_order: int
+) -> tuple[MqcSpectrum, ...]:
+    """The literal cycle of ``mqc_phase_cycled`` for each of ``states`` under one U(t).
+
+    Z(t) = U Z U^dag is formed once and shared; the arguments are already checked.
+    """
+    n = states[0].n
+    z_t = u @ total_z(n) @ u.conj().T
     phis = 2.0 * np.pi * np.arange(phase_steps) / phase_steps
     orders = tuple(range(-max_order, max_order + 1))
-    intensities = tuple(
-        float((np.exp(1j * q * phis) @ signals).real / phase_steps) for q in orders
-    )
-    return MqcSpectrum(t, orders, intensities)
+    spectra = []
+    for state in states:
+        rho_t = u @ deviation_to_dense(state) @ u.conj().T
+        signals = np.empty(phase_steps, dtype=complex)
+        for m in range(phase_steps):
+            phi = 2.0 * np.pi * m / phase_steps
+            r = collective_rotation_diag(n, phi)
+            rotated = (r[:, None] * rho_t) * np.conj(r)[None, :]
+            signals[m] = trace_overlap(rotated, z_t)
+        intensities = tuple(
+            float((np.exp(1j * q * phis) @ signals).real / phase_steps) for q in orders
+        )
+        spectra.append(MqcSpectrum(t, orders, intensities))
+    return tuple(spectra)
 
 
 def _check_cycle(phase_steps: int, max_order: int) -> None:
@@ -288,10 +284,8 @@ def _check_protocol(
             f"state on {initial.n} sites does not match chain n={n}"
         )
     _check_cycle(phase_steps, max_order)
-    grid = _check_times(times)
     # every model has ||H|| <= 2 sum |d|, which bounds each phase E t
-    _check_phase(grid, 2.0 * float(np.sum(np.abs(spec.couplings))))
-    return grid
+    return _check_times(times, 2.0 * float(np.sum(np.abs(spec.couplings))))
 
 
 def _sector_blocks(spec: ChainSpec, initial: DeviationState):

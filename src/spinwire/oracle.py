@@ -22,9 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, _check_length, _check_sites
 from .errors import (
-    IndexOutOfRangeError,
     InvalidConfigurationError,
     InvalidDimensionError,
     OracleSizeError,
@@ -76,17 +75,14 @@ def oracle_budget() -> int:
 
 def require_within_budget(n: int) -> int:
     """Validate a dense request of n sites against the budget."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InvalidDimensionError(f"chain length must be int, got {n!r}")
-    if n < 1:
-        raise InvalidDimensionError(f"chain length must be >= 1, got {n}")
+    n = _check_length(n)
     limit = oracle_budget()
     if n > limit:
         raise OracleSizeError(
             f"dense oracle limited to n <= {limit} (requested n={n}); "
             f"raise {_ENV_VAR} up to {HARD_CAP} if you really need this"
         )
-    return int(n)
+    return n
 
 
 # -- operator construction ---------------------------------------------------
@@ -94,6 +90,7 @@ def require_within_budget(n: int) -> int:
 
 def popcount(labels: np.ndarray, n: int) -> np.ndarray:
     """Number of set bits among the low n bits of each label."""
+    n = _check_length(n, minimum=0)
     count = np.zeros(labels.shape, dtype=np.int64)
     for bit in range(n):
         count += (labels >> bit) & 1
@@ -148,23 +145,16 @@ def deviation_to_dense(state: DeviationState) -> np.ndarray:
 
 
 def basis_index(n: int, sites: Sequence[int]) -> int:
-    """Computational-basis label of excitations on ``sites`` (1-based)."""
-    idx = 0
-    for s in sites:
-        if not 1 <= s <= n:
-            raise IndexOutOfRangeError(f"site {s} outside 1..{n}")
-        bit = 1 << (n - int(s))
-        if idx & bit:
-            raise InvalidConfigurationError(f"duplicate site {s}")
-        idx |= bit
-    return idx
+    """Computational-basis label of excitations on strictly increasing 1-based ``sites``."""
+    n = _check_length(n)
+    return sum(1 << (n - s) for s in _check_sites(n, sites))
 
 
 def excitation_operator(
     n: int,
     blocks: Mapping[tuple[tuple[int, ...], tuple[int, ...]], complex],
 ) -> np.ndarray:
-    """Dense sum of |ket><bra| blocks given as site tuples."""
+    """Dense sum of |ket><bra| blocks given as strictly increasing site tuples."""
     require_within_budget(n)
     out = np.zeros((2**n, 2**n), dtype=complex)
     for (ket, bra), weight in blocks.items():
@@ -280,8 +270,8 @@ def similarity_transform(n: int) -> np.ndarray:
     leaves X_j X_{j+1} alone and flips the sign of Y_j Y_{j+1}, mapping
     H_xx onto H_dq with identical couplings.
     """
-    sparse = tuple((j, "X") for j in range(1, n + 1, 2))
-    return pauli_string_to_dense(n, sparse)
+    n = require_within_budget(n)
+    return pauli_string_to_dense(n, tuple((j, "X") for j in range(1, n + 1, 2)))
 
 
 def similarity_residual(h_xx: np.ndarray, h_dq: np.ndarray) -> float:

@@ -13,33 +13,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    IndexOutOfRangeError,
-    InvalidConfigurationError,
-    InvalidDimensionError,
-)
+from .chain import _check_length, _check_sites
+from .errors import InvalidConfigurationError, InvalidDimensionError
 
 _LETTERS = ("X", "Y", "Z")
 
 PauliString = tuple[tuple[int, str], ...]
 
 
-def _validate_string(n: int, sites: PauliString) -> PauliString:
-    """Check a sparse Pauli string against chain length n."""
-    prev = 0
-    for site, letter in sites:
-        if not isinstance(site, int) or isinstance(site, bool):
-            raise InvalidConfigurationError(f"site index must be int, got {site!r}")
-        if site < 1 or site > n:
-            raise IndexOutOfRangeError(f"site {site} outside 1..{n}")
-        if site <= prev:
-            raise InvalidConfigurationError(
-                f"sites must be strictly increasing, got {sites!r}"
-            )
+def _validate_string(n: int, string: PauliString) -> PauliString:
+    """Check a sparse Pauli string on n sites: its sites by ``_check_sites``, then its letters."""
+    sites = _check_sites(n, [site for site, _ in string])
+    for _, letter in string:
         if letter not in _LETTERS:
             raise InvalidConfigurationError(f"unknown Pauli letter {letter!r}")
-        prev = site
-    return tuple((int(site), str(letter)) for site, letter in sites)
+    return tuple(zip(sites, (str(letter) for _, letter in string)))
 
 
 @dataclass(frozen=True)
@@ -59,8 +47,7 @@ class DeviationState:
     terms: tuple[tuple[complex, PauliString], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidDimensionError(f"chain length must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _check_length(self.n))
         seen: dict[PauliString, complex] = {}
         norm = []
         for weight, sites in self.terms:

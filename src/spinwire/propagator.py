@@ -19,10 +19,17 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .chain import ChainSpec, _check_phase, _check_scale, _check_time, _check_times
+from .chain import (
+    ChainSpec,
+    _check_length,
+    _check_scale,
+    _check_site,
+    _check_sites,
+    _check_time,
+    _check_times,
+)
 from .errors import (
     DimensionMismatchError,
-    IndexOutOfRangeError,
     InvalidConfigurationError,
     InvalidDimensionError,
     UnsupportedModelError,
@@ -81,19 +88,11 @@ class Propagator:
 
     def amplitude(self, j: int, l: int) -> complex:
         """A_{jl} with 1-based site indices."""
-        return complex(self.amplitudes[_site(self.n, j) - 1, _site(self.n, l) - 1])
+        return complex(self.amplitudes[_check_site(self.n, j) - 1, _check_site(self.n, l) - 1])
 
     def probability(self, j: int, l: int) -> float:
         """Transfer probability |A_{jl}|^2."""
         return abs(self.amplitude(j, l)) ** 2
-
-
-def _site(n: int, j: int) -> int:
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool):
-        raise InvalidConfigurationError(f"site index must be int, got {j!r}")
-    if j < 1 or j > n:
-        raise IndexOutOfRangeError(f"site {j} outside 1..{n}")
-    return int(j)
 
 
 # every eigenvector is kept: n^2 float64 modes, 800 MB at this cap
@@ -141,12 +140,11 @@ def propagate_grid(
     I + V (e^{-i w t} - 1) V^T, which is exact at t = 0. A time whose
     phase |w t| exceeds 2^52 rad raises ``InvalidParameterError``.
     """
-    times = _check_times(times)
     n = decomposition.n
+    v, w = decomposition.modes, decomposition.frequencies
+    times = _check_times(times, np.max(np.abs(w)))
     r = _site_indices(n, rows)
     c = _site_indices(n, cols)
-    v, w = decomposition.modes, decomposition.frequencies
-    _check_phase(times, np.max(np.abs(w)))
     amp = np.empty((len(times), len(r), len(c)), dtype=complex)
     for k in range(0, len(times), _TIME_BLOCK):
         shift = np.expm1(-1j * np.multiply.outer(times[k:k + _TIME_BLOCK], w))
@@ -159,7 +157,7 @@ def propagate_grid(
 def _site_indices(n: int, sites: Sequence[int] | None) -> np.ndarray:
     if sites is None:
         return np.arange(n)
-    return np.array([_site(n, s) - 1 for s in sites], dtype=int)
+    return np.array([_check_site(n, s) - 1 for s in sites], dtype=int)
 
 
 def propagate(decomposition: SpectralDecomposition, t: float) -> Propagator:
@@ -168,7 +166,7 @@ def propagate(decomposition: SpectralDecomposition, t: float) -> Propagator:
     The product is symmetrised to remove the tiny asymmetry left by
     floating-point evaluation of V e^{-i w t} V^T.
     """
-    t = _check_time(t)
+    t = _check_time(t, np.max(np.abs(decomposition.frequencies)))
     amp = propagate_grid(decomposition, (t,))[0]
     return Propagator(decomposition.n, t, 0.5 * (amp + amp.T))
 
@@ -190,13 +188,11 @@ def homogeneous_amplitude(n: int, d: float, j: int, l: int, t: float) -> complex
     Independent of the generic eigensolver path, so the two can be used
     to cross-check each other.
     """
-    if n < 1:
-        raise InvalidDimensionError(f"chain length must be >= 1, got {n}")
+    n = _check_length(n)
     d = _check_scale(d)
-    j = _site(n, j)
-    l = _site(n, l)
-    t = _check_time(t)
-    _check_phase(t, 2.0 * d)
+    j = _check_site(n, j)
+    l = _check_site(n, l)
+    t = _check_time(t, 2.0 * d)
     kappa = np.pi * np.arange(1, n + 1) / (n + 1)
     weights = np.sin(kappa * j) * np.sin(kappa * l)
     phases = np.exp(-2j * d * t * np.cos(kappa))
@@ -205,22 +201,13 @@ def homogeneous_amplitude(n: int, d: float, j: int, l: int, t: float) -> complex
 
 def engineered_frequencies(n: int, d: float) -> np.ndarray:
     """Exactly linear spectrum w_k = (2 d / n)(2 k - (n + 1)), k = 1..n."""
-    if n < 1:
-        raise InvalidDimensionError(f"chain length must be >= 1, got {n}")
+    n = _check_length(n)
+    d = _check_scale(d)
     k = np.arange(1, n + 1)
     return 2.0 * d / n * (2.0 * k - (n + 1))
 
 
 # -- many-body amplitudes ---------------------------------------------------
-
-
-def _check_sites_tuple(n: int, sites: Sequence[int], what: str) -> tuple[int, ...]:
-    out = tuple(_site(n, s) for s in sites)
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise InvalidConfigurationError(
-            f"{what} sites must be strictly increasing, got {tuple(sites)!r}"
-        )
-    return out
 
 
 def slater_amplitude(
@@ -233,8 +220,8 @@ def slater_amplitude(
     amplitude is det A[sources, targets]. The empty configuration has
     amplitude 1.
     """
-    src = _check_sites_tuple(prop.n, sources, "source")
-    tgt = _check_sites_tuple(prop.n, targets, "target")
+    src = _check_sites(prop.n, sources)
+    tgt = _check_sites(prop.n, targets)
     if len(src) != len(tgt):
         raise DimensionMismatchError(
             f"source and target excitation numbers differ: {len(src)} != {len(tgt)}"
@@ -262,14 +249,9 @@ def mixed_state_overlap(prop: Propagator, a: MixedState, b: MixedState) -> compl
     The cost is one m x m minor per term pair of m excitations,
     whatever n; meant for sparse few-excitation states.
     """
-    av = [
-        (_check_sites_tuple(prop.n, p, "ket"), _check_sites_tuple(prop.n, q, "bra"), complex(w))
-        for (p, q), w in a.items()
-    ]
-    bv = [
-        (_check_sites_tuple(prop.n, r, "ket"), _check_sites_tuple(prop.n, s, "bra"), complex(w))
-        for (r, s), w in b.items()
-    ]
+    n = prop.n
+    av = [(_check_sites(n, p), _check_sites(n, q), complex(w)) for (p, q), w in a.items()]
+    bv = [(_check_sites(n, r), _check_sites(n, s), complex(w)) for (r, s), w in b.items()]
     amp = prop.amplitudes
     total = 0j
     for p, q, wa in av:
@@ -348,7 +330,8 @@ def _end_block(spec: ChainSpec, kind: str, times) -> np.ndarray:
     sites = (1, n) if kind == "z_ends" else (1, 2, n - 1, n)
     if n < len(sites):
         raise InvalidDimensionError(f"the end sites need n >= {len(sites)}, got n={n}")
-    times = _check_times(times)
+    # every mode frequency of the chain lies within 2 max|d|
+    times = _check_times(times, 2.0 * np.max(np.abs(spec.nn_couplings())))
     amp = propagate_grid(spectral_decompose(spec), times, sites, sites)
     return 0.5 * (amp + np.swapaxes(amp, 1, 2))
 

@@ -368,14 +368,16 @@ def mqc_vs_analytic(rng, max_n, oracle_n):
     spec = chain_mod.homogeneous_couplings(n, d, model="dq")
     t = float(rng.uniform(0.2, 1.5))
     u = oracle_mod._unitary(np.linalg.eigh(oracle_mod.build_hamiltonian(spec)), t)
+    kinds = ("z_ends", "y_logical", "x_logical")
+    *cycled, cycled_x = mqc_mod._cycle(
+        u, [mqc_mod.prepare_state(n, kind) for kind in kinds], t, 8, 2
+    )
     dev = 0.0
     # the z_ends series is normalised to J_0(0) = 1, the cycle to Tr[rho Z]/2^n = 2
-    for kind, scale in (("z_ends", 2.0), ("y_logical", 1.0)):
-        cycled = mqc_mod._cycle(u, mqc_mod.prepare_state(n, kind), t, 8, 2)
+    for kind, scale, spectrum in zip(kinds, (2.0, 1.0), cycled):
         analytic = mqc_mod.mqc_analytic(n, d, kind, t)
         for q in (-2, 0, 2):
-            dev = max(dev, abs(cycled.intensity(q) - scale * analytic.intensity(q)))
-    cycled_x = mqc_mod._cycle(u, mqc_mod.prepare_state(n, "x_logical"), t, 8, 2)
+            dev = max(dev, abs(spectrum.intensity(q) - scale * analytic.intensity(q)))
     dev = max(dev, max(abs(v) for v in cycled_x.intensities))
     yield ("mqc_vs_analytic", dev, _TOL_ORACLE, {"n": n, "d": d, "t": t})
 
@@ -386,11 +388,12 @@ def mqc_support_and_conservation(rng, max_n, oracle_n):
     t = float(rng.uniform(0.2, 1.5))
     eigen = np.linalg.eigh(oracle_mod.build_hamiltonian(spec))
     u_t, u_0 = oracle_mod._unitary(eigen, t), oracle_mod._unitary(eigen, 0.0)
+    states = [mqc_mod.prepare_state(n, kind) for kind in mqc_mod.PREPARED_KINDS]
     dev = 0.0
-    for kind in mqc_mod.PREPARED_KINDS:
-        state = mqc_mod.prepare_state(n, kind)
-        full = mqc_mod._cycle(u_t, state, t, 2 * n + 3, n)
-        at0 = mqc_mod._cycle(u_0, state, 0.0, 2 * n + 3, n)
+    for full, at0 in zip(
+        mqc_mod._cycle(u_t, states, t, 2 * n + 3, n),
+        mqc_mod._cycle(u_0, states, 0.0, 2 * n + 3, n),
+    ):
         dev = max(dev, abs(full.total() - at0.total()))
         for q, j in zip(full.orders, full.intensities):
             if q not in (-2, 0, 2):
@@ -490,7 +493,8 @@ def run_verification(
     order. When ``tolerance`` is given it overrides every check's own
     tolerance; it must be finite and >= 0.
     """
-    if not isinstance(max_n, (int, np.integer)) or isinstance(max_n, bool) or not 4 <= max_n <= 12:
+    max_n = chain_mod._check_length(max_n)
+    if not 4 <= max_n <= 12:
         raise InvalidDimensionError(f"max_n must be in 4..12, got {max_n!r}")
     if tolerance is not None and not (
         isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance >= 0

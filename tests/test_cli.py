@@ -275,6 +275,11 @@ def assert_table_or_one_error(result, header, rows):
         assert lines[0] == header and len(lines) == 1 + rows
         assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
         return
+    assert_one_error(result)
+
+
+def assert_one_error(result):
+    """Exit 1 with one ``error:`` line, or exit 2 with Click's usage and one ``Error:`` line."""
     assert isinstance(result.exception, SystemExit) and result.stdout == ""
     if result.exit_code == 1:
         assert_clean_domain_error(result)
@@ -374,6 +379,39 @@ def test_logical_argv_gives_a_finite_table_or_one_error_line(
     ]
     header = "t,c_x,c_y,c_z,c_1,fidelity"
     assert_table_or_one_error(CliRunner().invoke(main, args), header, steps)
+
+
+@given(
+    max_n=st.integers(-2, 15),
+    seed=st.integers(-2, 3),
+    tolerance=st.none() | st.sampled_from(["0", "1e-8", "nan", "inf", "-1", "x"]),
+)
+@example(max_n=4, seed=0, tolerance=None)  # every check passes
+@example(max_n=4, seed=0, tolerance="0")  # the report with its failing checks
+@example(max_n=3, seed=0, tolerance=None)  # a domain error
+@example(max_n=4, seed=0, tolerance="x")  # a usage error
+@settings(max_examples=30, deadline=None)
+def test_verify_argv_gives_the_report_or_one_error_line(max_n, seed, tolerance):
+    args = ["verify", "--max-n", str(max_n), "--seed", str(seed)]
+    if tolerance is not None:
+        args += ["--tolerance", tolerance]
+    result = CliRunner().invoke(main, args)
+    assert "Traceback" not in result.output
+    if not result.stdout:
+        assert_one_error(result)
+        return
+    *lines, summary = result.stdout.splitlines()
+    assert len(lines) == 20 and all(line[:5] in ("ok   ", "FAIL ") for line in lines)
+    failing = [line[5:].split(":")[0] for line in lines if line.startswith("FAIL")]
+    assert summary == f"{20 - len(failing)}/20 checks passed"
+    if result.exit_code == 0:
+        assert not failing and result.stderr == ""
+        return
+    # exit 1 with the full report: the failing checks and their inputs go to stderr
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit) and failing
+    header, *inputs = result.stderr.splitlines()
+    assert header == "failing inputs:"
+    assert [line.split(":")[0].strip() for line in inputs] == failing
 
 
 def test_decomposition_size_cap_is_a_domain_error(runner):

@@ -1,10 +1,14 @@
-"""Batched time-grid engine and block CSV writer.
+"""Batched time-grid engine, block CSV writer and the input contract.
 
 ``propagate_grid`` is the one evaluation path behind every CLI table, so
 its validated range (n = 2..60, |t| <= 50, random couplings and row
 subsets) is pinned here against the single-time ``propagate`` and
 against ``scipy.linalg.expm``. The closed forms stay as independent
 references for the channel correlations it feeds.
+
+The entry-point tables at the end hold every public function that takes
+a chain length, a site or a time to the one validator of that input kind
+in ``spinwire.chain``.
 """
 
 import numpy as np
@@ -17,18 +21,30 @@ from spinwire.chain import (
     ChainSpec,
     engineered_couplings,
     homogeneous_couplings,
+    implant_spacings,
     normalized_time,
     random_couplings,
 )
 from spinwire.cli import _csv_blocks
-from spinwire.errors import InvalidParameterError, SpinwireError
+from spinwire.errors import (
+    IndexOutOfRangeError,
+    InvalidConfigurationError,
+    InvalidDimensionError,
+    InvalidParameterError,
+    SpinwireError,
+)
 from spinwire.logical import (
     CHANNELS,
     channel_correlations,
+    dq_parity_correction,
+    entanglement_fidelity,
+    logical_basis,
+    logical_correlation_from_spec,
     logical_transport_engineered,
     logical_transport_homogeneous,
 )
 from spinwire.mqc import (
+    mqc_analytic,
     mqc_phase_cycled,
     mqc_phase_cycled_grid,
     mqc_propagator_grid,
@@ -37,16 +53,33 @@ from spinwire.mqc import (
     mqc_z_analytic,
     prepare_state,
 )
+from spinwire.oracle import (
+    basis_index,
+    collective_rotation_diag,
+    excitation_operator,
+    pauli_string_to_dense,
+    popcount,
+    require_within_budget,
+    similarity_transform,
+    staggered_z,
+    total_z,
+)
+from spinwire.pauli import DeviationState
 from spinwire.propagator import (
     _TIME_BLOCK,
     chain_propagator,
     end_autocorrelation,
     end_autocorrelation_grid,
+    engineered_frequencies,
     homogeneous_amplitude,
+    mixed_state_overlap,
+    polarization_correlation,
     propagate,
     propagate_grid,
+    slater_amplitude,
     spectral_decompose,
 )
+from spinwire.verify import run_verification
 
 TIMES = st.lists(st.floats(-50, 50, allow_nan=False), max_size=4)
 
@@ -178,6 +211,14 @@ def test_autocorrelation_grid_equals_single_time_calls(kind, model, seed, times,
 BAD_TIMES = ("a", None, float("nan"), float("inf"), 1e308)
 TIME_ENTRY_POINTS = {
     "chain_propagator": lambda t: chain_propagator(homogeneous_couplings(4), t),
+    "propagate": lambda t: propagate(spectral_decompose(homogeneous_couplings(4)), t),
+    "polarization_correlation": lambda t: polarization_correlation(
+        homogeneous_couplings(4), 1, 4, t
+    ),
+    "logical_correlation_from_spec": lambda t: logical_correlation_from_spec(
+        homogeneous_couplings(6), "x", t
+    ),
+    "entanglement_fidelity": lambda t: entanglement_fidelity(6, 1.0, "homogeneous", t),
     "propagate_grid": lambda t: propagate_grid(spectral_decompose(homogeneous_couplings(4)), [t]),
     "end_autocorrelation": lambda t: end_autocorrelation(homogeneous_couplings(4), "z_ends", t),
     "end_autocorrelation_grid": lambda t: end_autocorrelation_grid(
@@ -209,3 +250,84 @@ def test_time_entry_points_reject_bad_times(entry, t):
     # warnings are errors (pyproject.toml), so a phase that warns fails here too
     with pytest.raises(InvalidParameterError):
         TIME_ENTRY_POINTS[entry](t)
+
+
+# a float, a bool, a missing value, a string, and a numpy float of a valid size
+BAD_LENGTHS = (2.5, 4.5, True, None, "a", np.float64(6.0))
+LENGTH_ENTRY_POINTS = {
+    "ChainSpec": lambda n: ChainSpec(n, "xx", ()),
+    "homogeneous_couplings": homogeneous_couplings,
+    "engineered_couplings": engineered_couplings,
+    "implant_spacings": implant_spacings,
+    "random_couplings": lambda n: random_couplings(np.random.default_rng(0), n),
+    "normalized_time": lambda n: normalized_time(n, 1.0, 0.5),
+    "homogeneous_amplitude": lambda n: homogeneous_amplitude(n, 1.0, 1, 1, 0.5),
+    "engineered_frequencies": lambda n: engineered_frequencies(n, 1.0),
+    "logical_basis": lambda n: logical_basis("xx", n),
+    "dq_parity_correction": dq_parity_correction,
+    "logical_transport_homogeneous": lambda n: logical_transport_homogeneous(n, 1.0, "x", 0.5),
+    "logical_transport_engineered": lambda n: logical_transport_engineered(n, 1.0, "x", 0.5),
+    "entanglement_fidelity": lambda n: entanglement_fidelity(n, 1.0, "engineered", 0.5),
+    "prepare_state": lambda n: prepare_state(n, "z_ends"),
+    "mqc_z_analytic": lambda n: mqc_z_analytic(n, 1.0, 0.5),
+    "mqc_y_analytic": lambda n: mqc_y_analytic(n, 1.0, 0.5),
+    "mqc_x_analytic": lambda n: mqc_x_analytic(n, 1.0, 0.5),
+    "mqc_analytic": lambda n: mqc_analytic(n, 1.0, "z_ends", 0.5),
+    "require_within_budget": require_within_budget,
+    "pauli_string_to_dense": lambda n: pauli_string_to_dense(n, ()),
+    "excitation_operator": lambda n: excitation_operator(n, {}),
+    "basis_index": lambda n: basis_index(n, ()),
+    "total_z": total_z,
+    "staggered_z": staggered_z,
+    "collective_rotation_diag": lambda n: collective_rotation_diag(n, 0.5),
+    "similarity_transform": similarity_transform,
+    "popcount": lambda n: popcount(np.arange(8), n),
+    "DeviationState": lambda n: DeviationState(n, ()),
+    "DeviationState.from_terms": lambda n: DeviationState.from_terms(n, ()),
+    "run_verification": lambda n: run_verification(max_n=n),
+}
+
+
+@pytest.mark.parametrize("n", BAD_LENGTHS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(LENGTH_ENTRY_POINTS))
+def test_length_entry_points_reject_non_integer_lengths(entry, n):
+    with pytest.raises(InvalidDimensionError):
+        LENGTH_ENTRY_POINTS[entry](n)
+
+
+SITE_N = 4
+SITE_DEC = spectral_decompose(homogeneous_couplings(SITE_N))
+SITE_PROP = propagate(SITE_DEC, 0.7)
+SITE_ENTRY_POINTS = {
+    "Propagator.amplitude[j]": lambda j: SITE_PROP.amplitude(j, 1),
+    "Propagator.amplitude[l]": lambda j: SITE_PROP.amplitude(1, j),
+    "homogeneous_amplitude": lambda j: homogeneous_amplitude(SITE_N, 1.0, 1, j, 0.7),
+    "propagate_grid[rows]": lambda j: propagate_grid(SITE_DEC, [0.7], (j,)),
+    "propagate_grid[cols]": lambda j: propagate_grid(SITE_DEC, [0.7], None, (1, j)),
+    "slater_amplitude": lambda j: slater_amplitude(SITE_PROP, (1,), (j,)),
+    "mixed_state_overlap": lambda j: mixed_state_overlap(SITE_PROP, {((j,), (1,)): 1.0}, {}),
+    "basis_index": lambda j: basis_index(SITE_N, (j,)),
+    "excitation_operator": lambda j: excitation_operator(SITE_N, {((1,), (j,)): 1.0}),
+    "DeviationState": lambda j: DeviationState(SITE_N, ((1.0, ((j, "Z"),)),)),
+    "pauli_string_to_dense": lambda j: pauli_string_to_dense(SITE_N, ((j, "X"),)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SITE_ENTRY_POINTS))
+def test_site_entry_points_accept_numpy_integers(entry):
+    got, want = SITE_ENTRY_POINTS[entry](np.int64(2)), SITE_ENTRY_POINTS[entry](2)
+    assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+@pytest.mark.parametrize("j", (1.5, True, "a"), ids=repr)
+@pytest.mark.parametrize("entry", sorted(SITE_ENTRY_POINTS))
+def test_site_entry_points_reject_non_integer_sites(entry, j):
+    with pytest.raises(InvalidConfigurationError):
+        SITE_ENTRY_POINTS[entry](j)
+
+
+@pytest.mark.parametrize("j", (0, SITE_N + 1))
+@pytest.mark.parametrize("entry", sorted(SITE_ENTRY_POINTS))
+def test_site_entry_points_reject_sites_outside_the_chain(entry, j):
+    with pytest.raises(IndexOutOfRangeError):
+        SITE_ENTRY_POINTS[entry](j)

@@ -263,3 +263,9 @@ def test_channel_correlations_broadcast_over_time():
     assert channel_fidelity(vals).shape == (3,)
     with pytest.raises(InvalidDimensionError):
         channel_correlations(block[..., :3])
+
+
+@pytest.mark.parametrize("shape", [(6,), (1, 6), (), (3, 1, 6), (2, 3)], ids=repr)
+def test_channel_correlations_reject_blocks_without_two_rows_of_four_sites(shape):
+    with pytest.raises(InvalidDimensionError):
+        channel_correlations(np.zeros(shape, dtype=complex))

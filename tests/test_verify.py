@@ -107,3 +107,19 @@ def test_each_dense_hamiltonian_is_built_and_diagonalised_once(monkeypatch):
     assert run_verification(max_n=8, seed=0).passed
     # xx and dq in four checks, xx alone in two, one homogeneous dq chain in two
     assert calls == {"eigh": 12, "build_hamiltonian": 12}
+
+
+def test_each_dense_evolution_forms_z_t_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return total_z(n)
+
+    total_z = spinwire.oracle.total_z
+    for module in (spinwire.mqc, spinwire.oracle):
+        monkeypatch.setattr(module, "total_z", counted)
+    assert run_verification(max_n=8, seed=0).passed
+    # one Z(t) per U(t): one U in mqc_vs_analytic, two in mqc_support_and_conservation,
+    # and the commutator check of purity_and_commutation
+    assert len(calls) == 4
