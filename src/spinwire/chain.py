@@ -68,7 +68,13 @@ def _check_couplings(values) -> tuple[float, ...]:
 
 
 def _check_scale(d: float) -> float:
-    d = float(d)
+    """A coupling scale: a real number (numpy reals too), not a bool, finite and positive."""
+    if not isinstance(d, numbers.Real) or isinstance(d, bool):
+        raise InvalidParameterError(f"coupling scale must be a real number, got {d!r}")
+    try:
+        d = float(d)
+    except OverflowError:
+        raise InvalidParameterError("coupling scale must be finite") from None
     if not math.isfinite(d) or d <= 0:
         raise InvalidParameterError(f"coupling scale must be positive, got {d}")
     return d
@@ -83,10 +89,13 @@ def _check_site(n: int, j: int) -> int:
     return int(j)
 
 
-def _check_sites(n: int, sites) -> tuple[int, ...]:
-    """Strictly increasing 1-based sites of an n-site chain, each through ``_check_site``."""
+def _check_sites(n: int, sites, increasing: bool = True) -> tuple[int, ...]:
+    """1-based sites of an n-site chain, each through ``_check_site``; strictly
+    increasing unless ``increasing`` is false."""
+    if not isinstance(sites, Iterable):
+        raise InvalidConfigurationError(f"sites must be a sequence of ints, got {sites!r}")
     out = tuple(_check_site(n, j) for j in sites)
-    if any(b <= a for a, b in zip(out, out[1:])):
+    if increasing and any(b <= a for a, b in zip(out, out[1:])):
         raise InvalidConfigurationError(f"sites must be strictly increasing, got {out!r}")
     return out
 

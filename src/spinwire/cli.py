@@ -76,28 +76,46 @@ def _grid_record(grid: np.ndarray) -> list:
 _BLOCK_ROWS = 2048
 
 
-def _csv_blocks(header: list[str], rows: np.ndarray, block_rows: int = _BLOCK_ROWS):
-    """CSV text in chunks of at most ``block_rows`` rows, header first."""
+def _cells(values, line: str = "%.15g") -> list[str]:
+    """One ``line`` per row of ``values``; +0.0 folds negative zero into plain 0."""
+    return [line % tuple(row) for row in (np.asarray(values, dtype=float) + 0.0).tolist()]
+
+
+def _csv_blocks(header: list[str], keys, values, sites=None, block_rows: int = _BLOCK_ROWS):
+    """CSV text of a time-keyed table in chunks of about ``block_rows`` rows, header first.
+
+    ``keys`` (shape (T, K)) holds the key cells of each time. Without
+    ``sites`` time k gives one row: keys[k], then values[k] (shape (T, V)).
+    With ``sites`` (shape (S,)) it gives S rows: keys[k], sites[s] and
+    values[k, s] (shape (T, S)). Key and site cells are formatted once
+    each; only the value cells are formatted per row.
+    """
     yield ",".join(header) + "\n"
-    line = ",".join(["%.15g"] * len(header)) + "\n"
-    for start in range(0, len(rows), block_rows):
-        # +0.0 folds negative zero into plain 0
-        block = rows[start:start + block_rows] + 0.0
-        yield (line * len(block)) % tuple(block.ravel().tolist())
+    keys, values = np.asarray(keys, dtype=float), np.asarray(values, dtype=float)
+    prefixes = _cells(keys, ",".join(["%.15g"] * keys.shape[1]))
+    if sites is None:
+        tails = [",%.15g" * values.shape[1]]
+    else:
+        tails = ["," + site + ",%.15g" for site in _cells(np.asarray(sites)[:, None])]
+    step = max(1, block_rows // len(tails))
+    for start in range(0, len(prefixes), step):
+        template = "".join(
+            key + ("\n" + key).join(tails) + "\n" for key in prefixes[start:start + step]
+        )
+        yield template % tuple((values[start:start + step] + 0.0).ravel().tolist())
 
 
-def _write_table(out: Path | None, header: list[str], rows, command: str, parameters: dict) -> None:
-    """Write ``rows`` (one value per header column) as CSV, block by block."""
-    rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
+def _write_table(out: Path | None, chunks, command: str, parameters: dict) -> None:
+    """Write the CSV ``chunks`` of ``_csv_blocks`` to ``out`` with a manifest, or to stdout."""
     if out is None:
-        for chunk in _csv_blocks(header, rows):
+        for chunk in chunks:
             click.echo(chunk, nl=False)
         return
     out = Path(out)
     digest = hashlib.sha256()
     size = 0
     with out.open("wb") as fh:
-        for chunk in _csv_blocks(header, rows):
+        for chunk in chunks:
             data = chunk.encode()
             fh.write(data)
             digest.update(data)
@@ -177,17 +195,13 @@ def transfer(n, d, family, model, grid, source, target, sigma, seed, out) -> Non
     corr = np.abs(amp) ** 2
     if model == "dq":
         corr = np.where((source - sites) % 2, -corr, corr)
-    rows = np.column_stack([
-        np.repeat(grid, len(sites)),
-        np.repeat(normalized_time(n, d, grid), len(sites)),
-        np.tile(sites, len(grid)),
-        corr.ravel(),
-    ])
+    keys = np.column_stack([grid, normalized_time(n, d, grid)])
     params = {
         "n": n, "d": d, "family": family, "model": model, "grid": _grid_record(grid),
         "j": source, "l": target, "sigma": sigma, "seed": seed,
     }
-    _write_table(out, ["t", "tau", "site", "correlation"], rows, "transfer", params)
+    header = ["t", "tau", "site", "correlation"]
+    _write_table(out, _csv_blocks(header, keys, corr, sites), "transfer", params)
 
 
 @main.command()
@@ -210,16 +224,13 @@ def logical(n, d, family, model, corrected, grid, out) -> None:
     spec = _build_chain(family, n, d, model)
     amp = propagate_grid(spectral_decompose(spec), grid, (1, 2))
     vals = channel_correlations(amp, model, corrected)
-    rows = np.column_stack(
-        [grid, vals["x"], vals["y"], vals["z"], vals["1"], channel_fidelity(vals)]
-    )
+    cols = np.column_stack([vals["x"], vals["y"], vals["z"], vals["1"], channel_fidelity(vals)])
     params = {
         "n": n, "d": d, "family": family, "model": model, "corrected": corrected,
         "grid": _grid_record(grid),
     }
-    _write_table(
-        out, ["t", "c_x", "c_y", "c_z", "c_1", "fidelity"], rows, "logical", params
-    )
+    header = ["t", "c_x", "c_y", "c_z", "c_1", "fidelity"]
+    _write_table(out, _csv_blocks(header, grid[:, None], cols), "logical", params)
 
 
 @main.command()
@@ -250,12 +261,12 @@ def mqc(n, d, initial, engine, phase_steps, grid, out) -> None:
         spectra = mqc_phase_cycled_grid(spec, prepare_state(n, kind), grid, phase_steps=phase_steps)
     # conserved total Tr[rho Z]/2^n: 2 for z_ends, 0 for logical states
     scale = 0.5 if kind == "z_ends" else 1.0
-    rows = [(s.time, scale * s.intensity(0), scale * s.intensity(2)) for s in spectra]
+    cols = np.reshape([(scale * s.intensity(0), scale * s.intensity(2)) for s in spectra], (-1, 2))
     params = {
         "n": n, "d": d, "initial": initial, "engine": engine,
         "phase_steps": phase_steps, "grid": _grid_record(grid),
     }
-    _write_table(out, ["t", "j0", "j2"], rows, "mqc", params)
+    _write_table(out, _csv_blocks(["t", "j0", "j2"], grid[:, None], cols), "mqc", params)
 
 
 @main.command()

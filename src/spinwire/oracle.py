@@ -136,7 +136,7 @@ def pauli_string_to_dense(n: int, string: str | PauliString) -> np.ndarray:
                 f"label length {len(string)} does not match n={n}"
             )
         string = parse_string_label(string)
-    return _dense_sum(n, ((1, _validate_string(n, tuple(string))),))
+    return _dense_sum(n, ((1, _validate_string(n, string)),))
 
 
 def deviation_to_dense(state: DeviationState) -> np.ndarray:

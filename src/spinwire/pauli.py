@@ -22,7 +22,14 @@ PauliString = tuple[tuple[int, str], ...]
 
 
 def _validate_string(n: int, string: PauliString) -> PauliString:
-    """Check a sparse Pauli string on n sites: its sites by ``_check_sites``, then its letters."""
+    """Check a sparse Pauli string on n sites: (site, letter) pairs, sites by
+    ``_check_sites``, then letters."""
+    try:
+        string = [(site, letter) for site, letter in string]
+    except (TypeError, ValueError):
+        raise InvalidConfigurationError(
+            f"a Pauli string is a sequence of (site, letter) pairs, got {string!r}"
+        ) from None
     sites = _check_sites(n, [site for site, _ in string])
     for _, letter in string:
         if letter not in _LETTERS:
@@ -54,7 +61,7 @@ class DeviationState:
             weight = complex(weight)
             if not (math.isfinite(weight.real) and math.isfinite(weight.imag)):
                 raise InvalidConfigurationError("weights must be finite")
-            sites = _validate_string(self.n, tuple(sites))
+            sites = _validate_string(self.n, sites)
             if sites in seen:
                 raise InvalidConfigurationError(f"duplicate string {sites!r}")
             seen[sites] = weight
@@ -79,7 +86,7 @@ class DeviationState:
 
     def weight(self, sites: PauliString) -> complex:
         """Weight of one string (0 when absent)."""
-        sites = _validate_string(self.n, tuple(sites))
+        sites = _validate_string(self.n, sites)
         for w, s in self.terms:
             if s == sites:
                 return w

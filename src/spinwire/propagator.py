@@ -114,12 +114,11 @@ def spectral_decompose(spec: ChainSpec) -> SpectralDecomposition:
     if n == 1:
         return SpectralDecomposition(1, np.zeros(1), np.ones((1, 1)))
     freqs, modes = eigh_tridiagonal(np.zeros(n), spec.nn_couplings())
-    # fix each column's sign so results are deterministic across LAPACK builds
-    for k in range(n):
-        col = modes[:, k]
-        lead = col[np.argmax(np.abs(col) > 1e-12 * np.max(np.abs(col)))]
-        if lead < 0:
-            modes[:, k] = -col
+    # make each column's first entry above 1e-12 of its largest positive, so
+    # results are deterministic across LAPACK builds
+    mag = np.abs(modes)
+    lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    modes[:, modes[lead, np.arange(n)] < 0] *= -1
     return SpectralDecomposition(n, freqs, modes)
 
 
@@ -157,7 +156,7 @@ def propagate_grid(
 def _site_indices(n: int, sites: Sequence[int] | None) -> np.ndarray:
     if sites is None:
         return np.arange(n)
-    return np.array([_check_site(n, s) - 1 for s in sites], dtype=int)
+    return np.array(_check_sites(n, sites, increasing=False), dtype=int) - 1
 
 
 def propagate(decomposition: SpectralDecomposition, t: float) -> Propagator:

@@ -418,3 +418,25 @@ def test_decomposition_size_cap_is_a_domain_error(runner):
     result = runner.invoke(main, ["transfer", "--n", "10001", "--grid", "0:1:2"])
     assert_clean_domain_error(result)
     assert "n <= 10000" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["transfer", "--n", "30", "--grid", "-2:5:41"],
+        ["transfer", "--n", "7", "--model", "dq", "--l", "4", "--grid", "-0:1:3"],
+        ["logical", "--n", "6", "--model", "dq", "--raw", "--grid", "-1:3:17"],
+        ["mqc", "--n", "6", "--initial", "y-logical", "--grid", "-1:3:17"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_stdout_and_out_file_hold_the_same_bytes(runner, tmp_path, args):
+    printed = runner.invoke(main, args)
+    assert printed.exit_code == 0
+    out = tmp_path / "table.csv"
+    assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
+    data = out.read_bytes()
+    assert printed.stdout_bytes == data
+    (entry,) = json.loads((tmp_path / "table.csv.manifest.json").read_text())["output-files"]
+    assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+    assert entry["bytes"] == len(data)

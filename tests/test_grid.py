@@ -184,7 +184,27 @@ FINITE = st.one_of(
 def test_block_writer_matches_per_cell_format(width, values, block_rows):
     header = [f"c{k}" for k in range(width)]
     rows = np.array(values[: len(values) // width * width]).reshape(-1, width)
-    text = "".join(_csv_blocks(header, rows, block_rows))
+    text = "".join(_csv_blocks(header, rows[:, :1], rows[:, 1:], block_rows=block_rows))
+    assert text == _per_cell_csv(header, rows)
+
+
+@given(st.integers(0, 5), st.integers(1, 5), st.integers(1, 12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_site_keyed_writer_matches_per_cell_format(steps, width, block_rows, data):
+    def draw(size, label):
+        return np.array(data.draw(st.lists(FINITE, min_size=size, max_size=size), label=label))
+
+    keys = draw(2 * steps, "t, tau").reshape(steps, 2)
+    sites = draw(width, "sites")
+    values = draw(steps * width, "values").reshape(steps, width)
+    header = ["t", "tau", "site", "correlation"]
+    rows = np.column_stack([
+        np.repeat(keys[:, 0], width),
+        np.repeat(keys[:, 1], width),
+        np.tile(sites, steps),
+        values.ravel(),
+    ])
+    text = "".join(_csv_blocks(header, keys, values, sites, block_rows))
     assert text == _per_cell_csv(header, rows)
 
 
@@ -295,6 +315,39 @@ def test_length_entry_points_reject_non_integer_lengths(entry, n):
         LENGTH_ENTRY_POINTS[entry](n)
 
 
+# strings, bools, complex, missing, non-finite, non-positive and past the float range
+BAD_SCALES = ("1", "abc", True, np.True_, None, 1 + 0j, float("nan"), float("inf"), 0.0, -1.0,
+              10**400)
+SCALE_ENTRY_POINTS = {
+    "homogeneous_couplings": lambda d: homogeneous_couplings(4, d),
+    "engineered_couplings": lambda d: engineered_couplings(4, d),
+    "normalized_time": lambda d: normalized_time(4, d, 0.5),
+    "homogeneous_amplitude": lambda d: homogeneous_amplitude(4, d, 1, 4, 0.5),
+    "engineered_frequencies": lambda d: engineered_frequencies(4, d),
+    "logical_transport_homogeneous": lambda d: logical_transport_homogeneous(6, d, "x", 0.5),
+    "logical_transport_engineered": lambda d: logical_transport_engineered(6, d, "x", 0.5),
+    "entanglement_fidelity": lambda d: entanglement_fidelity(6, d, "engineered", 0.5),
+    "mqc_z_analytic": lambda d: mqc_z_analytic(4, d, 0.5),
+    "mqc_y_analytic": lambda d: mqc_y_analytic(4, d, 0.5),
+    "mqc_x_analytic": lambda d: mqc_x_analytic(4, d, 0.5),
+    "mqc_analytic": lambda d: mqc_analytic(4, d, "z_ends", 0.5),
+}
+
+
+@pytest.mark.parametrize("d", BAD_SCALES, ids=repr)
+@pytest.mark.parametrize("entry", sorted(SCALE_ENTRY_POINTS))
+def test_scale_entry_points_reject_non_real_scales(entry, d):
+    with pytest.raises(InvalidParameterError):
+        SCALE_ENTRY_POINTS[entry](d)
+
+
+@pytest.mark.parametrize("d", (np.float64(0.8), np.float32(0.5), np.int64(2), 2), ids=repr)
+@pytest.mark.parametrize("entry", sorted(SCALE_ENTRY_POINTS))
+def test_scale_entry_points_accept_real_numbers(entry, d):
+    got, want = SCALE_ENTRY_POINTS[entry](d), SCALE_ENTRY_POINTS[entry](float(d))
+    assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
 SITE_N = 4
 SITE_DEC = spectral_decompose(homogeneous_couplings(SITE_N))
 SITE_PROP = propagate(SITE_DEC, 0.7)
@@ -331,3 +384,22 @@ def test_site_entry_points_reject_non_integer_sites(entry, j):
 def test_site_entry_points_reject_sites_outside_the_chain(entry, j):
     with pytest.raises(IndexOutOfRangeError):
         SITE_ENTRY_POINTS[entry](j)
+
+
+# sites that are not a sequence at all
+SITE_TUPLE_ENTRY_POINTS = {
+    "slater_amplitude[sources]": lambda sites: slater_amplitude(SITE_PROP, sites, (1,)),
+    "slater_amplitude[targets]": lambda sites: slater_amplitude(SITE_PROP, (1,), sites),
+    "mixed_state_overlap": lambda sites: mixed_state_overlap(SITE_PROP, {(sites, (1,)): 1.0}, {}),
+    "basis_index": lambda sites: basis_index(SITE_N, sites),
+    "excitation_operator": lambda sites: excitation_operator(SITE_N, {((1,), sites): 1.0}),
+    "propagate_grid[rows]": lambda sites: propagate_grid(SITE_DEC, [0.7], sites),
+    "propagate_grid[cols]": lambda sites: propagate_grid(SITE_DEC, [0.7], None, sites),
+}
+
+
+@pytest.mark.parametrize("sites", (1, np.int64(2), 1.5), ids=repr)
+@pytest.mark.parametrize("entry", sorted(SITE_TUPLE_ENTRY_POINTS))
+def test_site_tuple_entry_points_reject_non_sequences(entry, sites):
+    with pytest.raises(InvalidConfigurationError):
+        SITE_TUPLE_ENTRY_POINTS[entry](sites)

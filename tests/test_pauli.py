@@ -36,6 +36,22 @@ def test_validation_rejects_bad_strings():
         DeviationState(3, ((1.0, ((1, "Z"),)), (2.0, ((1, "Z"),))))
 
 
+# a bare factor, a non-iterable string, a factor of three, a factor of one
+NOT_PAIRS = ((1, "X"), 5, ((1, "X", "Y"),), ((1,),))
+
+
+@pytest.mark.parametrize("string", NOT_PAIRS, ids=repr)
+def test_factors_must_be_site_letter_pairs(string):
+    from spinwire.oracle import pauli_string_to_dense
+
+    with pytest.raises(InvalidConfigurationError):
+        DeviationState(2, ((1.0, string),))
+    with pytest.raises(InvalidConfigurationError):
+        DeviationState(2, ()).weight(string)
+    with pytest.raises(InvalidConfigurationError):
+        pauli_string_to_dense(2, string)
+
+
 def test_from_terms_merges_and_prunes():
     state = DeviationState.from_terms(
         2, [(0.5, ((1, "Z"),)), (0.5, ((1, "Z"),)), (1e-16, ((2, "Z"),))]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from spinwire.chain import (
     ChainSpec,
@@ -35,6 +36,40 @@ from spinwire.propagator import (
 )
 
 RNG = np.random.default_rng(20260814)
+
+
+def _looped_sign_fix(modes):
+    """The per-column sign fix the vectorised one replaced."""
+    modes = modes.copy()
+    for k in range(modes.shape[1]):
+        col = modes[:, k]
+        lead = col[np.argmax(np.abs(col) > 1e-12 * np.max(np.abs(col)))]
+        if lead < 0:
+            modes[:, k] = -col
+    return modes
+
+
+# ordinary bonds, exact zeros (decoupled blocks) and tiny bonds whose modes
+# put lead entries near the 1e-12 cut
+BONDS = st.one_of(
+    st.floats(-1.5, 1.5, allow_nan=False),
+    st.just(0.0),
+    st.sampled_from([1e-13, -1e-12, 1e-11, 5e-324]),
+    st.floats(1e-14, 1e-10),
+)
+
+
+@given(st.integers(1, 80).flatmap(lambda n: st.lists(BONDS, min_size=n - 1, max_size=n - 1)))
+@settings(max_examples=150, deadline=None)
+def test_sign_fix_equals_the_per_column_loop(bonds):
+    n = len(bonds) + 1
+    modes = spectral_decompose(ChainSpec(n, "xx", bonds)).modes
+    if n > 1:
+        raw = eigh_tridiagonal(np.zeros(n), np.array(bonds))[1]
+        assert np.array_equal(modes, _looped_sign_fix(raw))
+    for col in modes.T:
+        significant = np.flatnonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))
+        assert col[significant[0]] > 0
 
 
 def test_spectral_decomposition_reconstructs_matrix():
