@@ -42,51 +42,91 @@ FAMILIES = ("homogeneous", "engineered", "dipolar")
 _JSON_SCHEMA = "spinwire.chain/1"
 
 
+def _check_int(value, name: str, error: type, minimum: int | None = None) -> int:
+    """An int or NumPy integer, not a bool, at least ``minimum``; else ``error``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _check_real(value, name: str, error: type) -> float:
+    """A real number or NumPy real, not a bool, finite, as a float; else ``error``."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _check_reals(values, name: str, error: type) -> np.ndarray:
+    """A one-dimensional sequence of reals, each by ``_check_real``, as a float array.
+
+    An ndarray of integer or float dtype is checked whole, without a loop.
+    """
+    if isinstance(values, np.ndarray) and values.ndim != 1:
+        raise error(f"{name} must be one-dimensional, got shape {values.shape}")
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        grid = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(grid)):
+            raise error(f"{name} must be finite, got {grid[~np.isfinite(grid)][0]}")
+        return grid
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise error(f"{name} must be a sequence of real numbers, got {values!r}")
+    return np.array([_check_real(v, name, error) for v in values], dtype=float)
+
+
+def _check_number(value, name: str, error: type) -> complex:
+    """A complex number or NumPy number, not a bool, with each part by ``_check_real``."""
+    if not isinstance(value, numbers.Complex) or isinstance(value, bool):
+        raise error(f"{name} must be a number, got {value!r}")
+    return complex(_check_real(value.real, name, error), _check_real(value.imag, name, error))
+
+
+def _check_pairs(values, name: str, error: type) -> list[tuple]:
+    """A sequence of pairs, as a list of 2-tuples; else ``error``."""
+    try:
+        return [(a, b) for a, b in values]
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a sequence of pairs, got {values!r}") from None
+
+
+def _check_choice(value, name: str, choices: tuple[str, ...], error: type) -> str:
+    """A str among ``choices``; else ``error``."""
+    if not isinstance(value, str) or value not in choices:
+        raise error(f"{name} must be one of {choices}, got {value!r}")
+    return value
+
+
 def _check_length(n: int, minimum: int = 1) -> int:
-    """A chain length: an int or numpy integer, not a bool, at least ``minimum``."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InvalidDimensionError(f"chain length must be int, got {n!r}")
-    if n < minimum:
-        raise InvalidDimensionError(f"chain length must be >= {minimum}, got {n}")
-    return int(n)
+    """A chain length: an integer of at least ``minimum``."""
+    return _check_int(n, "chain length", InvalidDimensionError, minimum)
 
 
 def _check_couplings(values) -> tuple[float, ...]:
-    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
-        raise InvalidParameterError(f"couplings must be a sequence of numbers, got {values!r}")
-    vals = tuple(values)
-    for c in vals:
-        if not isinstance(c, numbers.Real) or isinstance(c, bool):
-            raise InvalidParameterError(f"couplings must be real numbers, got {c!r}")
-    try:
-        vals = tuple(float(c) for c in vals)
-    except OverflowError:
-        raise InvalidParameterError("couplings must be finite") from None
-    if not all(math.isfinite(c) for c in vals):
-        raise InvalidParameterError("couplings must be finite")
-    return vals
+    """Coupling values: finite reals, as a tuple of floats."""
+    return tuple(_check_reals(values, "couplings", InvalidParameterError).tolist())
 
 
 def _check_scale(d: float) -> float:
-    """A coupling scale: a real number (numpy reals too), not a bool, finite and positive."""
-    if not isinstance(d, numbers.Real) or isinstance(d, bool):
-        raise InvalidParameterError(f"coupling scale must be a real number, got {d!r}")
-    try:
-        d = float(d)
-    except OverflowError:
-        raise InvalidParameterError("coupling scale must be finite") from None
-    if not math.isfinite(d) or d <= 0:
+    """A coupling scale: a finite real, positive."""
+    d = _check_real(d, "coupling scale", InvalidParameterError)
+    if d <= 0:
         raise InvalidParameterError(f"coupling scale must be positive, got {d}")
     return d
 
 
 def _check_site(n: int, j: int) -> int:
     """One 1-based site of an n-site chain, as an int."""
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool):
-        raise InvalidConfigurationError(f"site index must be int, got {j!r}")
+    j = _check_int(j, "site index", InvalidConfigurationError)
     if j < 1 or j > n:
         raise IndexOutOfRangeError(f"site {j} outside 1..{n}")
-    return int(j)
+    return j
 
 
 def _check_sites(n: int, sites, increasing: bool = True) -> tuple[int, ...]:
@@ -111,14 +151,7 @@ def _check_times(times, rate: float) -> np.ndarray:
     whose phase rate * |t| exceeds ``_MAX_PHASE`` or overflows is rejected
     before any phase is formed, so nothing warns.
     """
-    try:
-        grid = np.asarray(times, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"times must be real numbers: {exc}") from None
-    if grid.ndim != 1:
-        raise InvalidParameterError(f"times must be one-dimensional, got shape {grid.shape}")
-    if not np.all(np.isfinite(grid)):
-        raise InvalidParameterError(f"times must be finite, got {grid[~np.isfinite(grid)][0]}")
+    grid = _check_reals(times, "times", InvalidParameterError)
     peak = float(np.max(np.abs(grid), initial=0.0))
     if not peak * float(rate) <= _MAX_PHASE:
         raise InvalidParameterError(
@@ -133,9 +166,8 @@ def _check_time(t: float, rate: float) -> float:
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+    """A random seed: a non-negative integer."""
+    return _check_int(seed, "seed", InvalidParameterError, minimum=0)
 
 
 @dataclass(frozen=True)
@@ -161,10 +193,7 @@ class ChainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_length(self.n))
-        if self.model not in MODELS:
-            raise UnsupportedModelError(
-                f"model must be one of {MODELS}, got {self.model!r}"
-            )
+        _check_choice(self.model, "model", MODELS, UnsupportedModelError)
         vals = _check_couplings(self.couplings)
         expected = (
             self.n * (self.n - 1) // 2 if self.model == "dipolar" else self.n - 1
@@ -178,22 +207,15 @@ class ChainSpec:
 
     # -- views -------------------------------------------------------------
 
-    @property
-    def is_nearest_neighbour(self) -> bool:
-        return self.model in ("xx", "dq")
-
     def nn_couplings(self) -> np.ndarray:
         """Bond couplings d_1..d_{n-1} as an array."""
-        if not self.is_nearest_neighbour:
-            raise UnsupportedModelError(
-                "dipolar chains carry a full matrix; use coupling_matrix()"
-            )
+        _check_choice(self.model, "model", ("xx", "dq"), UnsupportedModelError)
         return np.asarray(self.couplings, dtype=float)
 
     def coupling_matrix(self) -> np.ndarray:
         """Symmetric n x n coupling matrix (zero diagonal)."""
         mat = np.zeros((self.n, self.n))
-        if self.is_nearest_neighbour:
+        if self.model != "dipolar":
             for j, c in enumerate(self.couplings):
                 mat[j, j + 1] = mat[j + 1, j] = c
         else:
@@ -265,8 +287,7 @@ def engineered_couplings(n: int, d: float = 1.0, model: str = "xx") -> ChainSpec
     _check_length(n, minimum=2)
     d = _check_scale(d)
     j = np.arange(1, n)
-    vals = 2.0 * d * np.sqrt(j * (n - j)) / n
-    return ChainSpec(n, model, tuple(float(v) for v in vals))
+    return ChainSpec(n, model, 2.0 * d * np.sqrt(j * (n - j)) / n)
 
 
 def implant_spacings(n: int, r_min: float = 1.0) -> np.ndarray:
@@ -279,8 +300,8 @@ def implant_spacings(n: int, r_min: float = 1.0) -> np.ndarray:
     centre for even n). Returns n absolute positions starting at 0.
     """
     _check_length(n, minimum=2)
-    r_min = float(r_min)
-    if not math.isfinite(r_min) or r_min <= 0:
+    r_min = _check_real(r_min, "r_min", InvalidParameterError)
+    if r_min <= 0:
         raise InvalidParameterError(f"r_min must be positive, got {r_min}")
     j = np.arange(1, n)
     gaps = r_min * (n / 2.0) ** (1.0 / 3.0) / (j * (n - j)) ** (1.0 / 6.0)
@@ -301,31 +322,27 @@ def dipolar_couplings(
     is baked in.
 
     With model ``xx`` or ``dq`` the matrix is truncated to nearest
-    neighbours; ``dipolar`` keeps every pair.
+    neighbours; ``dipolar`` keeps every pair. Gaps so small that a
+    coupling overflows raise ``InvalidParameterError`` through
+    ``ChainSpec``, without a warning.
     """
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 1:
-        raise InvalidConfigurationError("positions must be a 1-d sequence")
-    n = _check_length(int(pos.size), minimum=2)
-    if not np.all(np.isfinite(pos)):
-        raise InvalidParameterError("positions must be finite")
+    pos = _check_reals(positions, "positions", InvalidParameterError)
+    n = _check_length(pos.size, minimum=2)
     if np.any(np.diff(pos) <= 0):
         raise DegenerateGeometryError("positions must be strictly increasing")
-    prefactor = float(prefactor)
-    if not math.isfinite(prefactor) or prefactor == 0:
-        raise InvalidParameterError(f"prefactor must be finite and nonzero")
-    if model in ("xx", "dq"):
-        gaps = np.diff(pos)
-        vals = -2.0 * prefactor / gaps**3
-        return ChainSpec(n, model, tuple(float(v) for v in vals))
-    if model != "dipolar":
-        raise UnsupportedModelError(f"unknown model {model!r}")
-    vals = []
-    for j in range(n):
-        for l in range(j + 1, n):
-            r = pos[l] - pos[j]
-            vals.append(-2.0 * prefactor / r**3)
-    return ChainSpec(n, "dipolar", tuple(vals))
+    prefactor = _check_real(prefactor, "prefactor", InvalidParameterError)
+    if prefactor == 0:
+        raise InvalidParameterError("prefactor must be nonzero")
+    _check_choice(model, "model", MODELS, UnsupportedModelError)
+    with np.errstate(divide="ignore", over="ignore"):
+        if model != "dipolar":
+            return ChainSpec(n, model, -2.0 * prefactor / np.diff(pos) ** 3)
+        vals = []
+        for j in range(n):
+            for l in range(j + 1, n):
+                r = pos[l] - pos[j]
+                vals.append(-2.0 * prefactor / r**3)
+    return ChainSpec(n, "dipolar", vals)
 
 
 def perturb_couplings(spec: ChainSpec, sigma: float, seed: int) -> ChainSpec:
@@ -334,13 +351,15 @@ def perturb_couplings(spec: ChainSpec, sigma: float, seed: int) -> ChainSpec:
     Deterministic for a fixed seed, a non-negative integer. sigma = 0
     returns an equal spec.
     """
-    sigma = float(sigma)
-    if not math.isfinite(sigma) or sigma < 0:
+    sigma = _check_real(sigma, "sigma", InvalidParameterError)
+    if sigma < 0:
         raise InvalidParameterError(f"sigma must be >= 0, got {sigma}")
     rng = np.random.default_rng(_check_seed(seed))
     g = rng.standard_normal(len(spec.couplings))
-    vals = np.asarray(spec.couplings) * (1.0 + sigma * g)
-    return ChainSpec(spec.n, spec.model, tuple(float(v) for v in vals))
+    # an overflowing coupling is rejected by ChainSpec, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(spec.couplings) * (1.0 + sigma * g)
+    return ChainSpec(spec.n, spec.model, vals)
 
 
 def random_couplings(rng: np.random.Generator, n: int) -> tuple[float, ...]:
@@ -371,7 +390,7 @@ def normalized_time(n: int, d: float, t) -> np.ndarray | float:
     """tau = 2 d t / n, the mirror phase of the engineered family."""
     _check_length(n)
     d = _check_scale(d)
-    times = _check_times(t, 2.0 * d) if np.ndim(t) else _check_time(t, 2.0 * d)
+    times = _check_time(t, 2.0 * d) if np.isscalar(t) else _check_times(t, 2.0 * d)
     return 2.0 * d * times / n
 
 
@@ -384,8 +403,7 @@ def transfer_timing(spec: ChainSpec) -> TransferTiming:
     The product t* v equals n: the fastest excitation crosses the chain
     exactly once by the mirror time.
     """
-    if not spec.is_nearest_neighbour:
-        raise UnsupportedFamilyError("transfer timing needs a nearest-neighbour chain")
+    _check_choice(spec.model, "model", ("xx", "dq"), UnsupportedFamilyError)
     _check_length(spec.n, minimum=2)
     d = _engineered_scale(spec.nn_couplings())
     if d is None:

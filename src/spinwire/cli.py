@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .chain import (
+    FAMILIES,
     ChainSpec,
     dipolar_couplings,
     engineered_couplings,
@@ -43,7 +44,6 @@ from .mqc import mqc_phase_cycled_grid, mqc_propagator_grid, prepare_state
 from .propagator import propagate_grid, spectral_decompose
 from .verify import run_verification
 
-_FAMILIES = ("homogeneous", "engineered", "dipolar")
 _INITIALS = {"z-ends": "z_ends", "y-logical": "y_logical", "x-logical": "x_logical"}
 
 
@@ -169,7 +169,7 @@ def main() -> None:
 @main.command()
 @click.option("--n", type=int, required=True, help="Chain length.")
 @click.option("--d", type=float, default=1.0, show_default=True, help="Coupling scale.")
-@click.option("--family", type=click.Choice(_FAMILIES), default="engineered", show_default=True)
+@click.option("--family", type=click.Choice(FAMILIES), default="engineered", show_default=True)
 @click.option("--model", type=click.Choice(("xx", "dq")), default="xx", show_default=True)
 @click.option("--grid", callback=_parse_grid, required=True, metavar="START:END:STEPS",
               help="Time grid as start:end:steps.")

@@ -25,7 +25,14 @@ import math
 
 import numpy as np
 
-from .chain import ChainSpec, _check_length, _check_scale, _check_time, normalized_time
+from .chain import (
+    ChainSpec,
+    _check_choice,
+    _check_length,
+    _check_scale,
+    _check_time,
+    normalized_time,
+)
 from .errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
@@ -66,23 +73,16 @@ class LogicalBasis:
 
 
 def _pair_observables(model: str, n: int, a: int, b: int) -> dict[str, DeviationState]:
-    if model == "xx":
-        # zero-quantum encoding on {|01>, |10>}
-        return {
-            "x": DeviationState(n, ((0.5, ((a, "X"), (b, "X"))), (0.5, ((a, "Y"), (b, "Y"))))),
-            "y": DeviationState(n, ((0.5, ((a, "Y"), (b, "X"))), (-0.5, ((a, "X"), (b, "Y"))))),
-            "z": DeviationState(n, ((0.5, ((a, "Z"),)), (-0.5, ((b, "Z"),)))),
-            "1": DeviationState(n, ((0.5, ()), (-0.5, ((a, "Z"), (b, "Z"))))),
-        }
-    if model == "dq":
-        # double-quantum encoding on {|00>, |11>}
-        return {
-            "x": DeviationState(n, ((0.5, ((a, "X"), (b, "X"))), (-0.5, ((a, "Y"), (b, "Y"))))),
-            "y": DeviationState(n, ((0.5, ((a, "Y"), (b, "X"))), (0.5, ((a, "X"), (b, "Y"))))),
-            "z": DeviationState(n, ((0.5, ((a, "Z"),)), (0.5, ((b, "Z"),)))),
-            "1": DeviationState(n, ((0.5, ()), (0.5, ((a, "Z"), (b, "Z"))))),
-        }
-    raise UnsupportedModelError(f"logical basis needs model xx or dq, got {model!r}")
+    """The zero-quantum encoding on {|01>, |10>} (xx) or the double-quantum
+    encoding on {|00>, |11>} (dq) on sites a, b."""
+    model = _check_choice(model, "model", ("xx", "dq"), UnsupportedModelError)
+    h = -0.5 if model == "xx" else 0.5
+    return {
+        "x": DeviationState(n, ((0.5, ((a, "X"), (b, "X"))), (-h, ((a, "Y"), (b, "Y"))))),
+        "y": DeviationState(n, ((0.5, ((a, "Y"), (b, "X"))), (h, ((a, "X"), (b, "Y"))))),
+        "z": DeviationState(n, ((0.5, ((a, "Z"),)), (h, ((b, "Z"),)))),
+        "1": DeviationState(n, ((0.5, ()), (h, ((a, "Z"), (b, "Z"))))),
+    }
 
 
 def logical_basis(model: str, n: int, pair: str = "source") -> LogicalBasis:
@@ -93,14 +93,12 @@ def logical_basis(model: str, n: int, pair: str = "source") -> LogicalBasis:
     target partner with unit correlation.
     """
     n = _check_length(n, minimum=2)
+    pair = _check_choice(pair, "pair", ("source", "target"), InvalidConfigurationError)
+    obs = _pair_observables(model, n, 1, 2)
     if pair == "source":
-        obs = _pair_observables(model, n, 1, 2)
         return LogicalBasis(model, n, (1, 2), obs)
-    if pair == "target":
-        source = _pair_observables(model, n, 1, 2)
-        obs = {name: state.reflected() for name, state in source.items()}
-        return LogicalBasis(model, n, (n - 1, n), obs)
-    raise InvalidConfigurationError(f"pair must be 'source' or 'target', got {pair!r}")
+    obs = {name: state.reflected() for name, state in obs.items()}
+    return LogicalBasis(model, n, (n - 1, n), obs)
 
 
 def dq_parity_correction(n: int) -> bool:
@@ -120,8 +118,7 @@ def apply_parity_correction(basis: LogicalBasis) -> LogicalBasis:
     X factors are invariant while Y and Z flip sign, so the x and
     identity observables are unchanged and y, z are negated.
     """
-    if basis.model != "dq":
-        raise UnsupportedModelError("parity correction applies to the dq model")
+    _check_choice(basis.model, "model", ("dq",), UnsupportedModelError)
     obs = dict(basis.observables)
     obs["y"] = obs["y"].scaled(-1.0)
     obs["z"] = obs["z"].scaled(-1.0)
@@ -149,12 +146,10 @@ def _bilinear_channels(amp: np.ndarray) -> dict[str, np.ndarray]:
 
 def _readout(vals: dict, n: int, model: str, corrected: bool) -> dict:
     """Channels as read out under ``model``: raw dq on even n flips y and z."""
-    if model == "dq":
-        if not corrected and dq_parity_correction(n):
-            vals["y"] = -vals["y"]
-            vals["z"] = -vals["z"]
-    elif model != "xx":
-        raise UnsupportedModelError(f"model must be xx or dq, got {model!r}")
+    model = _check_choice(model, "model", ("xx", "dq"), UnsupportedModelError)
+    if model == "dq" and not corrected and dq_parity_correction(n):
+        vals["y"] = -vals["y"]
+        vals["z"] = -vals["z"]
     return vals
 
 
@@ -199,12 +194,6 @@ def logical_correlations(
     return {alpha: float(v) for alpha, v in vals.items()}
 
 
-def _check_channel(alpha: str) -> str:
-    if alpha not in CHANNELS:
-        raise InvalidConfigurationError(f"channel must be one of {CHANNELS}, got {alpha!r}")
-    return alpha
-
-
 def logical_transport_homogeneous(n: int, d: float, alpha: str, t: float) -> float:
     """Closed-form channel correlation for the uniform chain.
 
@@ -216,7 +205,7 @@ def logical_transport_homogeneous(n: int, d: float, alpha: str, t: float) -> flo
     with B_{kh} = [sin(2 kappa_h) sin(kappa_k) + sin(kappa_h) sin(2 kappa_k)]^2,
     while z and the identity channel combine end transfer amplitudes.
     """
-    _check_channel(alpha)
+    _check_choice(alpha, "channel", CHANNELS, InvalidConfigurationError)
     n = _check_length(n, minimum=4)
     d = _check_scale(d)
     t = _check_time(t, 4.0 * d)  # |w_h + w_k| <= 4 d
@@ -260,7 +249,7 @@ def logical_transport_engineered(n: int, d: float, alpha: str, t: float) -> floa
 
     All four equal 1 at tau = pi/2, so F(t*) = 1.
     """
-    _check_channel(alpha)
+    _check_choice(alpha, "channel", CHANNELS, InvalidConfigurationError)
     n = _check_length(n, minimum=4)
     d = _check_scale(d)
     tau = normalized_time(n, d, _check_time(t, 2.0 * d))
@@ -295,14 +284,11 @@ def entanglement_fidelity(
     uncorrected readout loses the y and z channels at the mirror time,
     pinning F near zero there; the parity correction restores it.
     """
+    family = _check_choice(family, "family", ("homogeneous", "engineered"), UnsupportedFamilyError)
     if family == "homogeneous":
         vals = {a: logical_transport_homogeneous(n, d, a, t) for a in CHANNELS}
-    elif family == "engineered":
-        vals = {a: logical_transport_engineered(n, d, a, t) for a in CHANNELS}
     else:
-        raise UnsupportedFamilyError(
-            f"family must be homogeneous or engineered, got {family!r}"
-        )
+        vals = {a: logical_transport_engineered(n, d, a, t) for a in CHANNELS}
     return channel_fidelity(_readout(vals, n, model, corrected))
 
 
@@ -310,6 +296,6 @@ def logical_correlation_from_spec(
     spec: ChainSpec, alpha: str, t: float, corrected: bool = True
 ) -> float:
     """Channel correlation for an arbitrary nearest-neighbour chain spec."""
-    _check_channel(alpha)
+    _check_choice(alpha, "channel", CHANNELS, InvalidConfigurationError)
     prop = chain_propagator(spec, t)
     return logical_correlations(prop, spec.model, corrected=corrected)[alpha]

@@ -27,7 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _check_length, _check_scale, _check_time, _check_times
+from .chain import (
+    ChainSpec,
+    _check_choice,
+    _check_int,
+    _check_length,
+    _check_scale,
+    _check_time,
+    _check_times,
+)
 from .errors import (
     AliasingError,
     InvalidConfigurationError,
@@ -95,10 +103,7 @@ def prepare_state(n: int, kind: str) -> DeviationState:
     ``x_logical`` is its collective pi/4 z rotation, i.e. -(X X - Y Y)/2
     on both end pairs, which the double-quantum filter cannot see.
     """
-    if kind not in PREPARED_KINDS:
-        raise InvalidConfigurationError(
-            f"kind must be one of {PREPARED_KINDS}, got {kind!r}"
-        )
+    _check_choice(kind, "kind", PREPARED_KINDS, InvalidConfigurationError)
     n = _check_length(n, minimum=2 if kind in ("z_ends", "full_z") else 4)
     if kind in ("z_ends", "full_z"):
         if kind == "full_z":
@@ -180,10 +185,7 @@ _ANALYTIC = {
 
 def mqc_analytic(n: int, d: float, kind: str, t: float) -> MqcSpectrum:
     """Dispatch to the closed-form series for one prepared kind."""
-    if kind not in _ANALYTIC:
-        raise InvalidConfigurationError(
-            f"no closed form for kind {kind!r}; choose from {tuple(_ANALYTIC)}"
-        )
+    kind = _check_choice(kind, "kind", tuple(_ANALYTIC), InvalidConfigurationError)
     return _ANALYTIC[kind](n, d, t)
 
 
@@ -198,10 +200,8 @@ def mqc_propagator_grid(spec: ChainSpec, kind: str, times) -> tuple[MqcSpectrum,
         y_logical: J_0 = -(Im A_12 + Im A_{n-1,n}) / 2,      J_+-2 = -J_0 / 2
         x_logical: every J_q is exactly 0 (checked as y_logical, on the same sites).
     """
-    if spec.model != "dq":
-        raise UnsupportedModelError(f"coherence spectra need model dq, got {spec.model!r}")
-    if kind not in _ANALYTIC:
-        raise InvalidConfigurationError(f"kind must be one of {tuple(_ANALYTIC)}, got {kind!r}")
+    _check_choice(spec.model, "model", ("dq",), UnsupportedModelError)
+    _check_choice(kind, "kind", tuple(_ANALYTIC), InvalidConfigurationError)
     grid = _check_times(times, 4.0)
     amp = _end_block(spec, "z_ends" if kind == "z_ends" else "y_logical", 4.0 * grid)
     if kind == "z_ends":
@@ -229,7 +229,8 @@ def mqc_phase_cycled(
     alias onto a reported one. Returns raw intensities; their sum over
     all orders equals the conserved overlap Tr[initial Z] / 2^n.
     """
-    t = float(_check_protocol(spec, initial, [t], phase_steps, max_order)[0])
+    grid, phase_steps, max_order = _check_protocol(spec, initial, [t], phase_steps, max_order)
+    t = float(grid[0])
     u = _unitary(np.linalg.eigh(build_hamiltonian(spec)), t)
     return _cycle(u, (initial,), t, phase_steps, max_order)[0]
 
@@ -261,31 +262,25 @@ def _cycle(
     return tuple(spectra)
 
 
-def _check_cycle(phase_steps: int, max_order: int) -> None:
-    for name, value in (("phase_steps", phase_steps), ("max_order", max_order)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise InvalidParameterError(f"{name} must be int, got {value!r}")
-    if max_order < 0:
-        raise InvalidParameterError(f"max_order must be >= 0, got {max_order}")
-    if phase_steps <= 2 * max_order:
-        raise AliasingError(
-            f"phase_steps={phase_steps} cannot resolve orders up to "
-            f"{max_order}; need phase_steps > {2 * max_order}"
-        )
-
-
 def _check_protocol(
     spec: ChainSpec, initial: DeviationState, times, phase_steps: int, max_order: int
-) -> np.ndarray:
-    """Every argument of the dense protocol, checked before any work; returns the time grid."""
+) -> tuple[np.ndarray, int, int]:
+    """Every argument of the dense protocol, checked first: (grid, phase_steps, max_order)."""
     n = require_within_budget(spec.n)
     if initial.n != n:
         raise InvalidDimensionError(
             f"state on {initial.n} sites does not match chain n={n}"
         )
-    _check_cycle(phase_steps, max_order)
+    phase_steps = _check_int(phase_steps, "phase_steps", InvalidParameterError)
+    max_order = _check_int(max_order, "max_order", InvalidParameterError, minimum=0)
+    if phase_steps <= 2 * max_order:
+        raise AliasingError(
+            f"phase_steps={phase_steps} cannot resolve orders up to "
+            f"{max_order}; need phase_steps > {2 * max_order}"
+        )
     # every model has ||H|| <= 2 sum |d|, which bounds each phase E t
-    return _check_times(times, 2.0 * float(np.sum(np.abs(spec.couplings))))
+    grid = _check_times(times, 2.0 * float(np.sum(np.abs(spec.couplings))))
+    return grid, phase_steps, max_order
 
 
 def _sector_blocks(spec: ChainSpec, initial: DeviationState):
@@ -327,7 +322,7 @@ def mqc_phase_cycled_grid(
 
     Every argument is checked before any work, also for an empty grid.
     """
-    grid = _check_protocol(spec, initial, times, phase_steps, max_order)
+    grid, phase_steps, max_order = _check_protocol(spec, initial, times, phase_steps, max_order)
     n = spec.n
     if not grid.size:
         return ()

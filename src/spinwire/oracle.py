@@ -18,7 +18,7 @@ references it is checked against live in the tests.
 from __future__ import annotations
 
 import os
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,9 +27,9 @@ from .errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
     OracleSizeError,
-    UnsupportedModelError,
 )
 from .pauli import DeviationState, PauliString, _validate_string, parse_string_label
+from .propagator import MixedState, _check_blocks
 
 __all__ = [
     "HARD_CAP",
@@ -150,14 +150,11 @@ def basis_index(n: int, sites: Sequence[int]) -> int:
     return sum(1 << (n - s) for s in _check_sites(n, sites))
 
 
-def excitation_operator(
-    n: int,
-    blocks: Mapping[tuple[tuple[int, ...], tuple[int, ...]], complex],
-) -> np.ndarray:
+def excitation_operator(n: int, blocks: MixedState) -> np.ndarray:
     """Dense sum of |ket><bra| blocks given as strictly increasing site tuples."""
-    require_within_budget(n)
+    n = require_within_budget(n)
     out = np.zeros((2**n, 2**n), dtype=complex)
-    for (ket, bra), weight in blocks.items():
+    for ket, bra, weight in _check_blocks(n, blocks):
         out[basis_index(n, ket), basis_index(n, bra)] += weight
     return out
 
@@ -174,13 +171,11 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     entry equals the Kronecker-product sum exactly, subnormal d included.
     """
     n = require_within_budget(spec.n)
-    if spec.model in ("xx", "dq"):
-        bonds = [(j, j + 1, d) for j, d in enumerate(spec.couplings, start=1)]
-    elif spec.model == "dipolar":
+    if spec.model == "dipolar":
         mat = spec.coupling_matrix()
         bonds = [(j + 1, l + 1, mat[j, l]) for j, l in zip(*np.nonzero(np.triu(mat, 1)))]
     else:
-        raise UnsupportedModelError(f"unknown model {spec.model!r}")
+        bonds = [(j, j + 1, d) for j, d in enumerate(spec.couplings, start=1)]
     labels = np.arange(2**n)
     h = np.zeros((2**n, 2**n), dtype=complex)
     for j, l, d in bonds:

@@ -13,8 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import _check_length, _check_sites
-from .errors import InvalidConfigurationError, InvalidDimensionError
+from .chain import (
+    _check_choice,
+    _check_length,
+    _check_number,
+    _check_pairs,
+    _check_real,
+    _check_sites,
+)
+from .errors import InvalidConfigurationError, InvalidDimensionError, InvalidParameterError
 
 _LETTERS = ("X", "Y", "Z")
 
@@ -24,17 +31,21 @@ PauliString = tuple[tuple[int, str], ...]
 def _validate_string(n: int, string: PauliString) -> PauliString:
     """Check a sparse Pauli string on n sites: (site, letter) pairs, sites by
     ``_check_sites``, then letters."""
-    try:
-        string = [(site, letter) for site, letter in string]
-    except (TypeError, ValueError):
-        raise InvalidConfigurationError(
-            f"a Pauli string is a sequence of (site, letter) pairs, got {string!r}"
-        ) from None
+    string = _check_pairs(string, "a Pauli string", InvalidConfigurationError)
     sites = _check_sites(n, [site for site, _ in string])
-    for _, letter in string:
-        if letter not in _LETTERS:
-            raise InvalidConfigurationError(f"unknown Pauli letter {letter!r}")
-    return tuple(zip(sites, (str(letter) for _, letter in string)))
+    letters = [
+        _check_choice(letter, "Pauli letter", _LETTERS, InvalidConfigurationError)
+        for _, letter in string
+    ]
+    return tuple(zip(sites, letters))
+
+
+def _check_terms(n: int, terms) -> list[tuple[complex, PauliString]]:
+    """(weight, string) pairs on n sites, each string by ``_validate_string``."""
+    return [
+        (_check_number(w, "weight", InvalidConfigurationError), _validate_string(n, s))
+        for w, s in _check_pairs(terms, "terms", InvalidConfigurationError)
+    ]
 
 
 @dataclass(frozen=True)
@@ -55,18 +66,10 @@ class DeviationState:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_length(self.n))
-        seen: dict[PauliString, complex] = {}
-        norm = []
-        for weight, sites in self.terms:
-            weight = complex(weight)
-            if not (math.isfinite(weight.real) and math.isfinite(weight.imag)):
-                raise InvalidConfigurationError("weights must be finite")
-            sites = _validate_string(self.n, sites)
-            if sites in seen:
-                raise InvalidConfigurationError(f"duplicate string {sites!r}")
-            seen[sites] = weight
-            norm.append((weight, sites))
-        object.__setattr__(self, "terms", tuple(norm))
+        terms = _check_terms(self.n, self.terms)
+        if len({sites for _, sites in terms}) < len(terms):
+            raise InvalidConfigurationError(f"duplicate string in {terms!r}")
+        object.__setattr__(self, "terms", tuple(terms))
 
     # -- constructors ----------------------------------------------------
 
@@ -74,9 +77,8 @@ class DeviationState:
     def from_terms(cls, n: int, terms) -> "DeviationState":
         """Build from an iterable of (weight, string), merging repeats."""
         acc: dict[PauliString, complex] = {}
-        for weight, sites in terms:
-            sites = tuple(sites)
-            acc[sites] = acc.get(sites, 0j) + complex(weight)
+        for weight, sites in _check_terms(_check_length(n), terms):
+            acc[sites] = acc.get(sites, 0j) + weight
         kept = tuple(
             (w, s) for s, w in sorted(acc.items()) if abs(w) > 1e-15
         )
@@ -96,6 +98,7 @@ class DeviationState:
 
     def scaled(self, factor: complex) -> "DeviationState":
         """Return factor * self."""
+        factor = _check_number(factor, "factor", InvalidParameterError)
         return DeviationState.from_terms(
             self.n, ((factor * w, s) for w, s in self.terms)
         )
@@ -124,6 +127,7 @@ class DeviationState:
         X and Y mix pairwise per site; Z factors are invariant. Each
         string maps to a sum over its transverse factors.
         """
+        phi = _check_real(phi, "phi", InvalidParameterError)
         c, s = math.cos(phi), math.sin(phi)
         out: list[tuple[complex, PauliString]] = []
         for weight, sites in self.terms:
@@ -164,10 +168,8 @@ class DeviationState:
 
 def parse_string_label(label: str) -> PauliString:
     """Sparse string of a dense label like 'XIIZ'; raises on unknown characters."""
-    sites = []
-    for pos, ch in enumerate(label, start=1):
-        if ch in _LETTERS:
-            sites.append((pos, ch))
-        elif ch not in ("I", "1"):
-            raise InvalidConfigurationError(f"unknown character {ch!r} in {label!r}")
-    return tuple(sites)
+    chars = [
+        _check_choice(ch, "label character", ("I", "1", *_LETTERS), InvalidConfigurationError)
+        for ch in label
+    ]
+    return tuple((pos, ch) for pos, ch in enumerate(chars, start=1) if ch in _LETTERS)

@@ -21,7 +21,10 @@ from scipy.linalg import eigh_tridiagonal
 
 from .chain import (
     ChainSpec,
+    _check_choice,
     _check_length,
+    _check_number,
+    _check_pairs,
     _check_scale,
     _check_site,
     _check_sites,
@@ -101,11 +104,7 @@ _MAX_N = 10_000
 
 def spectral_decompose(spec: ChainSpec) -> SpectralDecomposition:
     """Diagonalise the single-excitation matrix of a nearest-neighbour chain (n <= 10 000)."""
-    if not spec.is_nearest_neighbour:
-        raise UnsupportedModelError(
-            "single-excitation reduction needs a nearest-neighbour model; "
-            "use the dense oracle for dipolar chains"
-        )
+    _check_choice(spec.model, "model", ("xx", "dq"), UnsupportedModelError)
     n = spec.n
     if n > _MAX_N:
         raise InvalidDimensionError(
@@ -238,6 +237,18 @@ def _minor(amp: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> com
 MixedState = Mapping[tuple[tuple[int, ...], tuple[int, ...]], complex]
 
 
+def _check_blocks(n: int, state: MixedState) -> list[tuple[tuple, tuple, complex]]:
+    """(kets, bras, weight) of each entry of an excitation-basis map on n sites."""
+    if not isinstance(state, Mapping):
+        raise InvalidConfigurationError(f"a mixed state must be a mapping, got {state!r}")
+    keys = _check_pairs(state, "mixed-state keys", InvalidConfigurationError)
+    return [
+        (_check_sites(n, ket), _check_sites(n, bra),
+         _check_number(w, "weight", InvalidConfigurationError))
+        for (ket, bra), w in zip(keys, state.values())
+    ]
+
+
 def mixed_state_overlap(prop: Propagator, a: MixedState, b: MixedState) -> complex:
     """Tr[U rho_a U^dag rho_b] for excitation-basis mixed states.
 
@@ -248,9 +259,7 @@ def mixed_state_overlap(prop: Propagator, a: MixedState, b: MixedState) -> compl
     The cost is one m x m minor per term pair of m excitations,
     whatever n; meant for sparse few-excitation states.
     """
-    n = prop.n
-    av = [(_check_sites(n, p), _check_sites(n, q), complex(w)) for (p, q), w in a.items()]
-    bv = [(_check_sites(n, r), _check_sites(n, s), complex(w)) for (r, s), w in b.items()]
+    av, bv = _check_blocks(prop.n, a), _check_blocks(prop.n, b)
     amp = prop.amplitudes
     total = 0j
     for p, q, wa in av:
@@ -272,11 +281,9 @@ def polarization_from_propagator(prop: Propagator, j: int, l: int, model: str = 
     the staggering sign (-1)^(j-l).
     """
     p = prop.probability(j, l)
-    if model == "xx":
+    if _check_choice(model, "model", ("xx", "dq"), UnsupportedModelError) == "xx":
         return p
-    if model == "dq":
-        return float((-1) ** ((j - l) % 2) * p)
-    raise UnsupportedModelError(f"polarisation correlation needs xx or dq, got {model!r}")
+    return float((-1) ** ((j - l) % 2) * p)
 
 
 def polarization_correlation(spec: ChainSpec, j: int, l: int, t: float) -> float:
@@ -319,12 +326,8 @@ def end_autocorrelation(spec: ChainSpec, initial: str, t: float) -> float:
 
 def _end_block(spec: ChainSpec, kind: str, times) -> np.ndarray:
     """Symmetrised A(t) on sites (1, n) or (1, 2, n-1, n), every argument checked first."""
-    if kind not in INITIAL_KINDS:
-        raise InvalidConfigurationError(
-            f"initial must be one of {INITIAL_KINDS}, got {kind!r}"
-        )
-    if spec.model not in ("xx", "dq"):
-        raise UnsupportedModelError("end-state observables need model xx or dq")
+    _check_choice(kind, "initial", INITIAL_KINDS, InvalidConfigurationError)
+    _check_choice(spec.model, "model", ("xx", "dq"), UnsupportedModelError)
     n = spec.n
     sites = (1, n) if kind == "z_ends" else (1, 2, n - 1, n)
     if n < len(sites):

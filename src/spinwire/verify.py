@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -496,18 +495,19 @@ def run_verification(
     max_n = chain_mod._check_length(max_n)
     if not 4 <= max_n <= 12:
         raise InvalidDimensionError(f"max_n must be in 4..12, got {max_n!r}")
-    if tolerance is not None and not (
-        isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance >= 0
-    ):
-        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    rng = np.random.default_rng(chain_mod._check_seed(seed))
+    if tolerance is not None:
+        tolerance = chain_mod._check_real(tolerance, "tolerance", InvalidParameterError)
+        if tolerance < 0:
+            raise InvalidParameterError(f"tolerance must be >= 0, got {tolerance!r}")
+    seed = chain_mod._check_seed(seed)
+    rng = np.random.default_rng(seed)
     oracle_n = min(max_n, oracle_mod.oracle_budget(), 7)
     results = []
     for check in CHECKS:
         for name, deviation, tol, inputs in check(rng, max_n, oracle_n):
             tol = tolerance if tolerance is not None else tol
             results.append(
-                CheckResult(name, float(deviation), float(tol), bool(deviation <= tol), inputs)
+                CheckResult(name, float(deviation), tol, bool(deviation <= tol), inputs)
             )
     params = {"max_n": max_n, "seed": seed, "tolerance": tolerance, "oracle_n": oracle_n}
     return VerificationReport(parameters=params, checks=tuple(results))

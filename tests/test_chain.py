@@ -110,6 +110,21 @@ def test_dipolar_couplings_inverse_cube():
         dipolar_couplings([0.0, 1.0], prefactor=0.0)
 
 
+# a gap whose cube is 0, and a coupling past the float range
+@pytest.mark.parametrize("positions, prefactor", [([0.0, 1e-200, 2.0], 1.0),
+                                                  ([0.0, 1e-10, 1.0], 1e300)])
+@pytest.mark.parametrize("model", ["xx", "dq", "dipolar"])
+def test_dipolar_couplings_past_the_float_range_raise_without_warning(positions, prefactor, model):
+    # warnings are errors (pyproject.toml), so a RuntimeWarning fails here
+    with pytest.raises(InvalidParameterError):
+        dipolar_couplings(positions, prefactor, model)
+
+
+def test_disorder_past_the_float_range_raises_without_warning():
+    with pytest.raises(InvalidParameterError):
+        perturb_couplings(ChainSpec(3, "xx", (1e308, 1e308)), 10.0, seed=0)
+
+
 @pytest.mark.parametrize("n", [2, 5, 10, 21])
 def test_implanted_geometry_reproduces_engineered_profile(n):
     pos = implant_spacings(n, r_min=2.0)

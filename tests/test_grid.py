@@ -7,9 +7,13 @@ against ``scipy.linalg.expm``. The closed forms stay as independent
 references for the channel correlations it feeds.
 
 The entry-point tables at the end hold every public function that takes
-a chain length, a site or a time to the one validator of that input kind
-in ``spinwire.chain``.
+a chain length, a site, a time, a real, an integer or a named choice to
+the one rule of that input kind in ``spinwire.chain``; a last test reads
+the signatures in ``spinwire.__all__`` and fails if a function is missing
+from the table of one of its arguments.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -17,12 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import spinwire
 from spinwire.chain import (
     ChainSpec,
+    dipolar_couplings,
     engineered_couplings,
     homogeneous_couplings,
     implant_spacings,
     normalized_time,
+    perturb_couplings,
     random_couplings,
 )
 from spinwire.cli import _csv_blocks
@@ -32,6 +39,8 @@ from spinwire.errors import (
     InvalidDimensionError,
     InvalidParameterError,
     SpinwireError,
+    UnsupportedFamilyError,
+    UnsupportedModelError,
 )
 from spinwire.logical import (
     CHANNELS,
@@ -40,6 +49,7 @@ from spinwire.logical import (
     entanglement_fidelity,
     logical_basis,
     logical_correlation_from_spec,
+    logical_correlations,
     logical_transport_engineered,
     logical_transport_homogeneous,
 )
@@ -74,6 +84,7 @@ from spinwire.propagator import (
     homogeneous_amplitude,
     mixed_state_overlap,
     polarization_correlation,
+    polarization_from_propagator,
     propagate,
     propagate_grid,
     slater_amplitude,
@@ -135,6 +146,8 @@ def test_grid_is_exact_at_time_zero():
         ([1.0], (1, 7)),
         ([1.0], (1.5,)),
         ([], (9,)),
+        (np.zeros((1, 2)), None),
+        (np.array(0.5), None),
     ],
 )
 def test_grid_rejects_bad_times_and_rows(times, rows):
@@ -228,7 +241,8 @@ def test_autocorrelation_grid_equals_single_time_calls(kind, model, seed, times,
 
 # 1e308 is finite, but its phases w t lie far past 2^52 rad or overflow;
 # mqc_x_analytic forms no phase, and holds times to mqc_y_analytic's range
-BAD_TIMES = ("a", None, float("nan"), float("inf"), 1e308)
+BAD_TIMES = ("a", None, float("nan"), float("inf"), 1e308, "0.5", True, 10**400,
+             np.complex128(1 + 1j))
 TIME_ENTRY_POINTS = {
     "chain_propagator": lambda t: chain_propagator(homogeneous_couplings(4), t),
     "propagate": lambda t: propagate(spectral_decompose(homogeneous_couplings(4)), t),
@@ -248,6 +262,7 @@ TIME_ENTRY_POINTS = {
     "mqc_z_analytic": lambda t: mqc_z_analytic(4, 1.0, t),
     "mqc_y_analytic": lambda t: mqc_y_analytic(4, 1.0, t),
     "mqc_x_analytic": lambda t: mqc_x_analytic(4, 1.0, t),
+    "mqc_analytic": lambda t: mqc_analytic(4, 1.0, "z_ends", t),
     "mqc_phase_cycled": lambda t: mqc_phase_cycled(
         homogeneous_couplings(4, model="dq"), prepare_state(4, "z_ends"), t
     ),
@@ -355,6 +370,10 @@ SITE_ENTRY_POINTS = {
     "Propagator.amplitude[j]": lambda j: SITE_PROP.amplitude(j, 1),
     "Propagator.amplitude[l]": lambda j: SITE_PROP.amplitude(1, j),
     "homogeneous_amplitude": lambda j: homogeneous_amplitude(SITE_N, 1.0, 1, j, 0.7),
+    "polarization_correlation": lambda j: polarization_correlation(
+        homogeneous_couplings(SITE_N), j, 1, 0.7
+    ),
+    "polarization_from_propagator": lambda j: polarization_from_propagator(SITE_PROP, 1, j, "dq"),
     "propagate_grid[rows]": lambda j: propagate_grid(SITE_DEC, [0.7], (j,)),
     "propagate_grid[cols]": lambda j: propagate_grid(SITE_DEC, [0.7], None, (1, j)),
     "slater_amplitude": lambda j: slater_amplitude(SITE_PROP, (1,), (j,)),
@@ -391,6 +410,8 @@ SITE_TUPLE_ENTRY_POINTS = {
     "slater_amplitude[sources]": lambda sites: slater_amplitude(SITE_PROP, sites, (1,)),
     "slater_amplitude[targets]": lambda sites: slater_amplitude(SITE_PROP, (1,), sites),
     "mixed_state_overlap": lambda sites: mixed_state_overlap(SITE_PROP, {(sites, (1,)): 1.0}, {}),
+    "mixed_state_overlap[key]": lambda sites: mixed_state_overlap(SITE_PROP, {}, {sites: 1.0}),
+    "DeviationState.from_terms": lambda sites: DeviationState.from_terms(SITE_N, [(1.0, sites)]),
     "basis_index": lambda sites: basis_index(SITE_N, sites),
     "excitation_operator": lambda sites: excitation_operator(SITE_N, {((1,), sites): 1.0}),
     "propagate_grid[rows]": lambda sites: propagate_grid(SITE_DEC, [0.7], sites),
@@ -403,3 +424,162 @@ SITE_TUPLE_ENTRY_POINTS = {
 def test_site_tuple_entry_points_reject_non_sequences(entry, sites):
     with pytest.raises(InvalidConfigurationError):
         SITE_TUPLE_ENTRY_POINTS[entry](sites)
+
+
+# strings, bools, missing, complex, non-finite and past the float range
+BAD_REALS = ("1", True, np.True_, None, 1 + 0j, float("nan"), float("inf"), 10**400)
+REAL_SPEC = homogeneous_couplings(4)
+REAL_ENTRY_POINTS = {
+    "ChainSpec": lambda x: ChainSpec(3, "xx", (1.0, x)),
+    "dipolar_couplings[positions]": lambda x: dipolar_couplings([0.0, 1.0, x]),
+    "dipolar_couplings[prefactor]": lambda x: dipolar_couplings([0.0, 1.0, 3.0], prefactor=x),
+    "implant_spacings": lambda x: implant_spacings(4, x),
+    "perturb_couplings": lambda x: perturb_couplings(REAL_SPEC, x, 0),
+    "run_verification": lambda x: run_verification(4, tolerance=x),
+}
+
+
+# tolerance=None is run_verification's default, no override
+@pytest.mark.parametrize(
+    "entry, x",
+    [(e, x) for e in sorted(REAL_ENTRY_POINTS) for x in BAD_REALS
+     if not (e == "run_verification" and x is None)],
+    ids=repr,
+)
+def test_real_entry_points_reject_non_reals(entry, x):
+    with pytest.raises(InvalidParameterError):
+        REAL_ENTRY_POINTS[entry](x)
+
+
+@pytest.mark.parametrize("x", (2, np.int64(2), np.float64(2.5), np.float32(2.5)), ids=repr)
+@pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+def test_real_entry_points_accept_real_numbers(entry, x):
+    got, want = REAL_ENTRY_POINTS[entry](x), REAL_ENTRY_POINTS[entry](float(x))
+    assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+# a float, bools, missing, a string, a numpy float of a valid size, and below the minimum
+BAD_INTS = (1.5, True, np.True_, None, "7", np.float64(7.0), -1)
+INT_SPEC = homogeneous_couplings(4, model="dq")
+INT_STATE = prepare_state(4, "z_ends")
+INT_ENTRY_POINTS = {
+    "perturb_couplings": lambda k: perturb_couplings(REAL_SPEC, 0.1, k),
+    "run_verification": lambda k: run_verification(4, seed=k),
+    "mqc_phase_cycled[phase_steps]": lambda k: mqc_phase_cycled(INT_SPEC, INT_STATE, 0.5, k),
+    "mqc_phase_cycled[max_order]": lambda k: mqc_phase_cycled(INT_SPEC, INT_STATE, 0.5, 16, k),
+    "mqc_phase_cycled_grid[phase_steps]": lambda k: mqc_phase_cycled_grid(
+        INT_SPEC, INT_STATE, [0.5], k
+    ),
+    "mqc_phase_cycled_grid[max_order]": lambda k: mqc_phase_cycled_grid(
+        INT_SPEC, INT_STATE, [0.5], 16, k
+    ),
+}
+
+
+@pytest.mark.parametrize("k", BAD_INTS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(INT_ENTRY_POINTS))
+def test_int_entry_points_reject_non_integers(entry, k):
+    # a negative phase_steps cannot resolve order 0: AliasingError, an InvalidParameterError
+    with pytest.raises(InvalidParameterError):
+        INT_ENTRY_POINTS[entry](k)
+
+
+@pytest.mark.parametrize("k", (np.int64(7), np.int32(7), np.uint8(7)), ids=repr)
+@pytest.mark.parametrize("entry", sorted(INT_ENTRY_POINTS))
+def test_int_entry_points_accept_numpy_integers(entry, k):
+    assert INT_ENTRY_POINTS[entry](k) == INT_ENTRY_POINTS[entry](7)
+
+
+BAD_CHOICES = ("bogus", "", None, 1, ["xx"], b"xx")
+CHOICE_PROP = propagate(SITE_DEC, 0.7)
+CHOICE_ENTRY_POINTS = {
+    "ChainSpec": (lambda c: ChainSpec(3, c, (1.0, 1.0)), UnsupportedModelError),
+    "homogeneous_couplings": (lambda c: homogeneous_couplings(4, 1.0, c), UnsupportedModelError),
+    "engineered_couplings": (lambda c: engineered_couplings(4, 1.0, c), UnsupportedModelError),
+    "dipolar_couplings": (lambda c: dipolar_couplings([0.0, 1.0, 2.0], model=c),
+                          UnsupportedModelError),
+    "polarization_from_propagator": (
+        lambda c: polarization_from_propagator(CHOICE_PROP, 1, 2, c), UnsupportedModelError
+    ),
+    "logical_basis[model]": (lambda c: logical_basis(c, 4), UnsupportedModelError),
+    "logical_basis[pair]": (lambda c: logical_basis("xx", 4, c), InvalidConfigurationError),
+    "logical_correlations": (lambda c: logical_correlations(CHOICE_PROP, c), UnsupportedModelError),
+    "channel_correlations": (
+        lambda c: channel_correlations(CHOICE_PROP.amplitudes, c), UnsupportedModelError
+    ),
+    "entanglement_fidelity[family]": (
+        lambda c: entanglement_fidelity(6, 1.0, c, 0.5), UnsupportedFamilyError
+    ),
+    "entanglement_fidelity[model]": (
+        lambda c: entanglement_fidelity(6, 1.0, "engineered", 0.5, c), UnsupportedModelError
+    ),
+    "logical_correlation_from_spec": (
+        lambda c: logical_correlation_from_spec(homogeneous_couplings(6), c, 0.5),
+        InvalidConfigurationError,
+    ),
+    "logical_transport_homogeneous": (
+        lambda c: logical_transport_homogeneous(6, 1.0, c, 0.5), InvalidConfigurationError
+    ),
+    "logical_transport_engineered": (
+        lambda c: logical_transport_engineered(6, 1.0, c, 0.5), InvalidConfigurationError
+    ),
+    "end_autocorrelation": (
+        lambda c: end_autocorrelation(homogeneous_couplings(4), c, 0.5), InvalidConfigurationError
+    ),
+    "end_autocorrelation_grid": (
+        lambda c: end_autocorrelation_grid(homogeneous_couplings(4), c, [0.5]),
+        InvalidConfigurationError,
+    ),
+    "prepare_state": (lambda c: prepare_state(4, c), InvalidConfigurationError),
+    "mqc_analytic": (lambda c: mqc_analytic(4, 1.0, c, 0.5), InvalidConfigurationError),
+    "mqc_propagator_grid": (
+        lambda c: mqc_propagator_grid(INT_SPEC, c, [0.5]), InvalidConfigurationError
+    ),
+}
+
+
+@pytest.mark.parametrize("c", BAD_CHOICES, ids=repr)
+@pytest.mark.parametrize("entry", sorted(CHOICE_ENTRY_POINTS))
+def test_choice_entry_points_reject_unknown_names(entry, c):
+    call, error = CHOICE_ENTRY_POINTS[entry]
+    with pytest.raises(error):
+        call(c)
+
+
+# the table that holds each public argument, by parameter name
+ROLE_TABLES = {
+    **dict.fromkeys(("n", "max_n"), LENGTH_ENTRY_POINTS),
+    "d": SCALE_ENTRY_POINTS,
+    **dict.fromkeys(("t", "times"), TIME_ENTRY_POINTS),
+    **dict.fromkeys(("j", "l", "terms"), SITE_ENTRY_POINTS),
+    **dict.fromkeys(("sources", "targets", "rows", "cols", "a", "b"), SITE_TUPLE_ENTRY_POINTS),
+    **dict.fromkeys(
+        ("couplings", "positions", "prefactor", "r_min", "sigma", "tolerance"), REAL_ENTRY_POINTS
+    ),
+    **dict.fromkeys(("seed", "phase_steps", "max_order"), INT_ENTRY_POINTS),
+    **dict.fromkeys(("model", "kind", "initial", "family", "alpha", "pair"), CHOICE_ENTRY_POINTS),
+}
+# objects and flags, outside the value rules (object arguments are not checked by type)
+OBJECT_ARGUMENTS = ("spec", "decomposition", "prop", "basis", "amplitudes", "vals", "corrected")
+RESULT_TYPES = (
+    "TransferTiming", "SpectralDecomposition", "Propagator", "LogicalBasis", "MqcSpectrum",
+    "CheckResult", "VerificationReport",
+)
+
+
+def test_every_public_argument_is_in_the_table_of_its_role():
+    missing = []
+    for name in spinwire.__all__:
+        obj = getattr(spinwire, name)
+        if not callable(obj) or name in RESULT_TYPES or (
+            isinstance(obj, type) and issubclass(obj, Exception)
+        ):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            # the dense protocols take a prepared DeviationState as ``initial``
+            if param.name in OBJECT_ARGUMENTS or param.annotation == "DeviationState":
+                continue
+            assert param.name in ROLE_TABLES, f"{name}: no role for argument {param.name!r}"
+            if not any(key.split("[")[0] == name for key in ROLE_TABLES[param.name]):
+                missing.append(f"{name}({param.name})")
+    assert not missing

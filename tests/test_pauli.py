@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinwire.chain import homogeneous_couplings
 from spinwire.errors import (
     IndexOutOfRangeError,
     InvalidConfigurationError,
     InvalidDimensionError,
+    InvalidParameterError,
 )
+from spinwire.oracle import excitation_operator
 from spinwire.pauli import DeviationState, parse_string_label
+from spinwire.propagator import chain_propagator, mixed_state_overlap
 
 
 def dense_label(n, sparse):
@@ -47,9 +51,72 @@ def test_factors_must_be_site_letter_pairs(string):
     with pytest.raises(InvalidConfigurationError):
         DeviationState(2, ((1.0, string),))
     with pytest.raises(InvalidConfigurationError):
+        DeviationState.from_terms(2, [(1.0, string)])
+    with pytest.raises(InvalidConfigurationError):
         DeviationState(2, ()).weight(string)
     with pytest.raises(InvalidConfigurationError):
         pauli_string_to_dense(2, string)
+
+
+@pytest.mark.parametrize("terms", (5, (1.0,), ((1.0, ((1, "X"),), 2),), [((1, "X"),)]), ids=repr)
+def test_terms_must_be_weight_string_pairs(terms):
+    with pytest.raises(InvalidConfigurationError):
+        DeviationState(2, terms)
+    with pytest.raises(InvalidConfigurationError):
+        DeviationState.from_terms(2, terms)
+
+
+def test_from_terms_checks_strings_before_it_sorts_them():
+    # a letter that is not a str cannot be sorted against one that is
+    with pytest.raises(InvalidConfigurationError):
+        DeviationState.from_terms(2, [(1.0, ((1, "X"),)), (1.0, ((1, 2),))])
+
+
+# strings, bools, missing, a list, non-finite and past the float range
+BAD_WEIGHTS = ("a", "1", True, np.True_, None, [1.0], float("nan"), complex(0, math.inf),
+               10**400)
+
+
+PROP = chain_propagator(homogeneous_couplings(3), 0.4)
+WEIGHT_ENTRY_POINTS = {
+    "DeviationState": lambda w: DeviationState(2, ((w, ((1, "X"),)),)),
+    "DeviationState.from_terms": lambda w: DeviationState.from_terms(2, [(w, ((1, "X"),))]),
+    "mixed_state_overlap[a]": lambda w: mixed_state_overlap(PROP, {((1,), (1,)): w}, {}),
+    "mixed_state_overlap[b]": lambda w: mixed_state_overlap(PROP, {}, {((1,), (2,)): w}),
+    "excitation_operator": lambda w: excitation_operator(3, {((1,), (2,)): w}),
+}
+
+
+@pytest.mark.parametrize("w", BAD_WEIGHTS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
+def test_weights_must_be_finite_numbers(entry, w):
+    with pytest.raises(InvalidConfigurationError):
+        WEIGHT_ENTRY_POINTS[entry](w)
+
+
+@pytest.mark.parametrize("state", ({(1,): 1.0}, {((1,), (1,), (1,)): 1.0}, {1: 1.0},
+                                   [(((1,), (1,)), 1.0)]), ids=repr)
+def test_mixed_states_map_site_tuple_pairs_to_weights(state):
+    with pytest.raises(InvalidConfigurationError):
+        mixed_state_overlap(PROP, state, {})
+    with pytest.raises(InvalidConfigurationError):
+        excitation_operator(3, state)
+
+
+@pytest.mark.parametrize("w", (2, np.int64(2), np.float32(0.5), np.complex64(1 + 2j)), ids=repr)
+@pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
+def test_weights_accept_numpy_numbers(entry, w):
+    got, want = WEIGHT_ENTRY_POINTS[entry](w), WEIGHT_ENTRY_POINTS[entry](complex(w))
+    assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+@pytest.mark.parametrize("x", ("a", True, None, float("nan"), 10**400), ids=repr)
+def test_scaling_and_rotation_reject_non_numbers(x):
+    state = DeviationState(2, ((1.0, ((1, "X"),)),))
+    with pytest.raises(InvalidParameterError):
+        state.scaled(x)
+    with pytest.raises(InvalidParameterError):
+        state.rotated_z(x)
 
 
 def test_from_terms_merges_and_prunes():
