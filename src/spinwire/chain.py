@@ -36,6 +36,18 @@ from .errors import (
     UnsupportedModelError,
 )
 
+__all__ = [
+    "ChainSpec",
+    "TransferTiming",
+    "homogeneous_couplings",
+    "engineered_couplings",
+    "dipolar_couplings",
+    "implant_spacings",
+    "perturb_couplings",
+    "transfer_timing",
+    "normalized_time",
+]
+
 MODELS = ("xx", "dq", "dipolar")
 FAMILIES = ("homogeneous", "engineered", "dipolar")
 
@@ -304,8 +316,12 @@ def implant_spacings(n: int, r_min: float = 1.0) -> np.ndarray:
     if r_min <= 0:
         raise InvalidParameterError(f"r_min must be positive, got {r_min}")
     j = np.arange(1, n)
-    gaps = r_min * (n / 2.0) ** (1.0 / 3.0) / (j * (n - j)) ** (1.0 / 6.0)
-    return np.concatenate(([0.0], np.cumsum(gaps)))
+    with np.errstate(over="ignore"):
+        gaps = r_min * (n / 2.0) ** (1.0 / 3.0) / (j * (n - j)) ** (1.0 / 6.0)
+        positions = np.concatenate(([0.0], np.cumsum(gaps)))
+    if not math.isfinite(positions[-1]):
+        raise InvalidParameterError(f"r_min {r_min:g} puts the chain end past the float range")
+    return positions
 
 
 def dipolar_couplings(

@@ -66,13 +66,6 @@ def _parse_grid(_ctx, _param, value: str) -> np.ndarray:
         return np.linspace(start, end, steps)
 
 
-def _grid_record(grid: np.ndarray) -> list:
-    """The grid as the manifest records it: [start, end, steps]."""
-    if not len(grid):
-        return [0.0, 0.0, 0]
-    return [float(grid[0]), float(grid[-1]), len(grid)]
-
-
 _BLOCK_ROWS = 2048
 
 
@@ -105,8 +98,12 @@ def _csv_blocks(header: list[str], keys, values, sites=None, block_rows: int = _
         yield template % tuple((values[start:start + step] + 0.0).ravel().tolist())
 
 
-def _write_table(out: Path | None, chunks, command: str, parameters: dict) -> None:
-    """Write the CSV ``chunks`` of ``_csv_blocks`` to ``out`` with a manifest, or to stdout."""
+def _write_table(out: Path | None, chunks) -> None:
+    """Write the CSV ``chunks`` of ``_csv_blocks`` to ``out`` with a manifest, or to stdout.
+
+    The manifest records the current command's options, every one but
+    ``--out``, with the grid as [start, end, steps].
+    """
     if out is None:
         for chunk in chunks:
             click.echo(chunk, nl=False)
@@ -120,9 +117,14 @@ def _write_table(out: Path | None, chunks, command: str, parameters: dict) -> No
             fh.write(data)
             digest.update(data)
             size += len(data)
+    ctx = click.get_current_context()
+    parameters = {key: value for key, value in ctx.params.items() if key != "out"}
+    grid = parameters["grid"]
+    start, end = (float(grid[0]), float(grid[-1])) if len(grid) else (0.0, 0.0)
+    parameters["grid"] = [start, end, len(grid)]
     manifest = {
         "schema": "spinwire.manifest/1",
-        "command": command,
+        "command": ctx.command.name,
         "parameters": parameters,
         "artifact-version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -166,22 +168,32 @@ def main() -> None:
     coherence distributions, and a self-verification suite."""
 
 
+# options shared by the table commands, each declared once
+_n = click.option("--n", type=int, required=True, help="Chain length.")
+_d = click.option("--d", type=float, default=1.0, show_default=True, help="Coupling scale.")
+_model = click.option("--model", type=click.Choice(("xx", "dq")), default="xx",
+                      show_default=True)
+_grid = click.option("--grid", callback=_parse_grid, required=True, metavar="START:END:STEPS",
+                     help="Time grid as start:end:steps.")
+_out = click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None,
+                    help="CSV table path, with a manifest beside it (stdout if omitted); "
+                         "for verify, the JSON report path.")
+
+
 @main.command()
-@click.option("--n", type=int, required=True, help="Chain length.")
-@click.option("--d", type=float, default=1.0, show_default=True, help="Coupling scale.")
+@_n
+@_d
 @click.option("--family", type=click.Choice(FAMILIES), default="engineered", show_default=True)
-@click.option("--model", type=click.Choice(("xx", "dq")), default="xx", show_default=True)
-@click.option("--grid", callback=_parse_grid, required=True, metavar="START:END:STEPS",
-              help="Time grid as start:end:steps.")
-@click.option("--j", "source", type=int, default=1, show_default=True, help="Source site.")
-@click.option("--l", "target", type=int, default=None, help="Target site (default: all).")
+@_model
+@_grid
+@click.option("--j", type=int, default=1, show_default=True, help="Source site.")
+@click.option("--l", type=int, default=None, help="Target site (default: all).")
 @click.option("--sigma", type=float, default=0.0, show_default=True,
               help="Relative coupling disorder.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Disorder seed.")
-@click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None,
-              help="CSV output path (stdout if omitted).")
+@_out
 @_domain_errors
-def transfer(n, d, family, model, grid, source, target, sigma, seed, out) -> None:
+def transfer(n, d, family, model, grid, j, l, sigma, seed, out) -> None:
     """Tabulate polarisation correlations Tr[Z_j(t) Z_l]/2^n.
 
     Columns: t, tau (= 2 d t / n), site l, correlation. Under the dq
@@ -190,30 +202,26 @@ def transfer(n, d, family, model, grid, source, target, sigma, seed, out) -> Non
     spec = _build_chain(family, n, d, model)
     if sigma:
         spec = perturb_couplings(spec, sigma, seed)
-    sites = np.arange(1, n + 1) if target is None else np.array([target])
-    amp = propagate_grid(spectral_decompose(spec), grid, (source,), sites)[:, 0, :]
+    sites = np.arange(1, n + 1) if l is None else np.array([l])
+    amp = propagate_grid(spectral_decompose(spec), grid, (j,), sites)[:, 0, :]
     corr = np.abs(amp) ** 2
     if model == "dq":
-        corr = np.where((source - sites) % 2, -corr, corr)
+        corr = np.where((j - sites) % 2, -corr, corr)
     keys = np.column_stack([grid, normalized_time(n, d, grid)])
-    params = {
-        "n": n, "d": d, "family": family, "model": model, "grid": _grid_record(grid),
-        "j": source, "l": target, "sigma": sigma, "seed": seed,
-    }
     header = ["t", "tau", "site", "correlation"]
-    _write_table(out, _csv_blocks(header, keys, corr, sites), "transfer", params)
+    _write_table(out, _csv_blocks(header, keys, corr, sites))
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="Chain length (>= 4).")
-@click.option("--d", type=float, default=1.0, show_default=True, help="Coupling scale.")
+@_n
+@_d
 @click.option("--family", type=click.Choice(("homogeneous", "engineered")),
               default="engineered", show_default=True)
-@click.option("--model", type=click.Choice(("xx", "dq")), default="xx", show_default=True)
+@_model
 @click.option("--corrected/--raw", default=True, show_default=True,
               help="Apply the pi-x parity correction to dq readout.")
-@click.option("--grid", callback=_parse_grid, required=True, metavar="START:END:STEPS")
-@click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)
+@_grid
+@_out
 @_domain_errors
 def logical(n, d, family, model, corrected, grid, out) -> None:
     """Tabulate logical channel correlations and entanglement fidelity.
@@ -225,25 +233,21 @@ def logical(n, d, family, model, corrected, grid, out) -> None:
     amp = propagate_grid(spectral_decompose(spec), grid, (1, 2))
     vals = channel_correlations(amp, model, corrected)
     cols = np.column_stack([vals["x"], vals["y"], vals["z"], vals["1"], channel_fidelity(vals)])
-    params = {
-        "n": n, "d": d, "family": family, "model": model, "corrected": corrected,
-        "grid": _grid_record(grid),
-    }
     header = ["t", "c_x", "c_y", "c_z", "c_1", "fidelity"]
-    _write_table(out, _csv_blocks(header, grid[:, None], cols), "logical", params)
+    _write_table(out, _csv_blocks(header, grid[:, None], cols))
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="Chain length.")
-@click.option("--d", type=float, default=1.0, show_default=True, help="Coupling scale.")
+@_n
+@_d
 @click.option("--initial", type=click.Choice(tuple(_INITIALS)), default="z-ends",
               show_default=True, help="Prepared deviation state.")
 @click.option("--engine", type=click.Choice(("analytic", "oracle")), default="analytic",
               show_default=True, help="Single-excitation propagator or dense phase cycling.")
 @click.option("--phase-steps", type=int, default=8, show_default=True,
               help="Phase increments per cycle (oracle engine).")
-@click.option("--grid", callback=_parse_grid, required=True, metavar="START:END:STEPS")
-@click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)
+@_grid
+@_out
 @_domain_errors
 def mqc(n, d, initial, engine, phase_steps, grid, out) -> None:
     """Tabulate coherence-order intensities on the homogeneous dq chain.
@@ -262,11 +266,7 @@ def mqc(n, d, initial, engine, phase_steps, grid, out) -> None:
     # conserved total Tr[rho Z]/2^n: 2 for z_ends, 0 for logical states
     scale = 0.5 if kind == "z_ends" else 1.0
     cols = np.reshape([(scale * s.intensity(0), scale * s.intensity(2)) for s in spectra], (-1, 2))
-    params = {
-        "n": n, "d": d, "initial": initial, "engine": engine,
-        "phase_steps": phase_steps, "grid": _grid_record(grid),
-    }
-    _write_table(out, _csv_blocks(["t", "j0", "j2"], grid[:, None], cols), "mqc", params)
+    _write_table(out, _csv_blocks(["t", "j0", "j2"], grid[:, None], cols))
 
 
 @main.command()
@@ -275,8 +275,7 @@ def mqc(n, d, initial, engine, phase_steps, grid, out) -> None:
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--tolerance", type=float, default=None,
               help="Override every check's own tolerance.")
-@click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None,
-              help="JSON report path.")
+@_out
 @_domain_errors
 def verify(max_n, seed, tolerance, out) -> None:
     """Run the cross-module invariant suite.

@@ -5,6 +5,20 @@ distinguish validation failures from genuine bugs. Most subclasses also
 derive from ValueError to stay friendly to generic error handling.
 """
 
+__all__ = [
+    "SpinwireError",
+    "InvalidDimensionError",
+    "InvalidParameterError",
+    "DegenerateGeometryError",
+    "UnsupportedFamilyError",
+    "UnsupportedModelError",
+    "IndexOutOfRangeError",
+    "InvalidConfigurationError",
+    "DimensionMismatchError",
+    "AliasingError",
+    "OracleSizeError",
+]
+
 
 class SpinwireError(Exception):
     """Base class for all spinwire domain errors."""

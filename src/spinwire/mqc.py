@@ -278,8 +278,11 @@ def _check_protocol(
             f"phase_steps={phase_steps} cannot resolve orders up to "
             f"{max_order}; need phase_steps > {2 * max_order}"
         )
-    # every model has ||H|| <= 2 sum |d|, which bounds each phase E t
-    grid = _check_times(times, 2.0 * float(np.sum(np.abs(spec.couplings))))
+    # every model has ||H|| <= 2 sum |d|, which bounds each phase E t; a bound
+    # past the float range is inf, and every grid then fails the phase check
+    with np.errstate(over="ignore"):
+        rate = 2.0 * float(np.sum(np.abs(spec.couplings)))
+    grid = _check_times(times, rate)
     return grid, phase_steps, max_order
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, _check_length, _check_sites
+from .chain import ChainSpec, _check_length, _check_sites, _check_time
 from .errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
@@ -215,8 +215,9 @@ def _unitary(eigen: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
 
 
 def evolve_unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) by full diagonalisation."""
-    return _unitary(np.linalg.eigh(h), t)
+    """exp(-i h t) by full diagonalisation; t is held to the phase bound of h's spectrum."""
+    eigen = np.linalg.eigh(h)
+    return _unitary(eigen, _check_time(t, np.max(np.abs(eigen[0]), initial=0.0)))
 
 
 def evolve_deviation(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
@@ -250,9 +251,9 @@ def staggered_z(n: int) -> np.ndarray:
 
 
 def collective_rotation_diag(n: int, phi: float) -> np.ndarray:
-    """Diagonal of exp(-i phi sum_j Z_j / 2) as a vector."""
-    require_within_budget(n)
-    return np.exp(-0.5j * phi * _total_z_diag(n))
+    """Diagonal of exp(-i phi sum_j Z_j / 2) as a vector; phi is a time of rate n / 2."""
+    n = require_within_budget(n)
+    return np.exp(-0.5j * _check_time(phi, n / 2.0) * _total_z_diag(n))
 
 
 # -- model equivalence ---------------------------------------------------------

@@ -23,6 +23,8 @@ from .chain import (
 )
 from .errors import InvalidConfigurationError, InvalidDimensionError, InvalidParameterError
 
+__all__ = ["DeviationState"]
+
 _LETTERS = ("X", "Y", "Z")
 
 PauliString = tuple[tuple[int, str], ...]

@@ -125,6 +125,13 @@ def test_disorder_past_the_float_range_raises_without_warning():
         perturb_couplings(ChainSpec(3, "xx", (1e308, 1e308)), 10.0, seed=0)
 
 
+@pytest.mark.parametrize("n", [10, 1000])
+def test_implanted_chain_past_the_float_range_raises_without_warning(n):
+    # n = 10 overflows in the running sum of the gaps, n = 1000 in the gaps themselves
+    with pytest.raises(InvalidParameterError):
+        implant_spacings(n, 1e308)
+
+
 @pytest.mark.parametrize("n", [2, 5, 10, 21])
 def test_implanted_geometry_reproduces_engineered_profile(n):
     pos = implant_spacings(n, r_min=2.0)

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spinwire
 from spinwire.cli import main
 
 T_STAR_21 = 21 * math.pi / 4
@@ -31,6 +32,13 @@ def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert result.stdout.startswith("spinwire, version ")
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == spinwire.__version__
 
 
 def test_transfer_perfect_mirror_row(runner):
@@ -184,6 +192,48 @@ def test_manifest_round_trip(runner, tmp_path):
     out2 = tmp_path / "again.csv"
     assert runner.invoke(main, args[:-1] + [str(out2)]).exit_code == 0
     assert out2.read_text() == text
+
+
+DEFAULT_PARAMETERS = {
+    "transfer": {"n": 6, "d": 1.0, "family": "engineered", "model": "xx",
+                 "grid": [0.0, 2.0, 5], "j": 1, "l": None, "sigma": 0.0, "seed": 0},
+    "logical": {"n": 6, "d": 1.0, "family": "engineered", "model": "xx", "corrected": True,
+                "grid": [0.0, 2.0, 5]},
+    "mqc": {"n": 6, "d": 1.0, "initial": "z-ends", "engine": "analytic", "phase_steps": 8,
+            "grid": [0.0, 2.0, 5]},
+}
+SET_PARAMETERS = {
+    "transfer": (["--d", "0.5", "--family", "homogeneous", "--model", "dq", "--j", "2",
+                  "--l", "5", "--sigma", "0.1", "--seed", "3"],
+                 {"d": 0.5, "family": "homogeneous", "model": "dq", "j": 2, "l": 5,
+                  "sigma": 0.1, "seed": 3}),
+    "logical": (["--d", "2", "--family", "homogeneous", "--model", "dq", "--raw"],
+                {"d": 2.0, "family": "homogeneous", "model": "dq", "corrected": False}),
+    "mqc": (["--d", "0.5", "--initial", "y-logical", "--engine", "oracle",
+             "--phase-steps", "6"],
+            {"d": 0.5, "initial": "y-logical", "engine": "oracle", "phase_steps": 6}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_PARAMETERS))
+@pytest.mark.parametrize("options", ["defaults", "set", "empty grid"])
+def test_manifest_records_every_resolved_option_but_out(runner, tmp_path, command, options):
+    out = tmp_path / "table.csv"
+    grid = "0:1:0" if options == "empty grid" else "0:2:5"
+    args = [command, "--n", "6", "--grid", grid, "--out", str(out)]
+    want = dict(DEFAULT_PARAMETERS[command])
+    if options == "set":
+        args += SET_PARAMETERS[command][0]
+        want.update(SET_PARAMETERS[command][1])
+    if options == "empty grid":
+        want["grid"] = [0.0, 0.0, 0]
+    assert runner.invoke(main, args).exit_code == 0
+    manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["parameters"] == want
+    # bool, int and float values keep their JSON types
+    got = manifest["parameters"]
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
 
 
 def test_verify_command_passes(runner):

@@ -9,8 +9,9 @@ references for the channel correlations it feeds.
 The entry-point tables at the end hold every public function that takes
 a chain length, a site, a time, a real, an integer or a named choice to
 the one rule of that input kind in ``spinwire.chain``; a last test reads
-the signatures in ``spinwire.__all__`` and fails if a function is missing
-from the table of one of its arguments.
+the signatures in every module's ``__all__``, ``spinwire.oracle``
+included, and fails if a function is missing from the table of one of
+its arguments.
 """
 
 import inspect
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import spinwire
+from spinwire import chain, errors, logical, mqc, oracle, pauli, propagator, verify
 from spinwire.chain import (
     ChainSpec,
     dipolar_couplings,
@@ -66,6 +68,8 @@ from spinwire.mqc import (
 from spinwire.oracle import (
     basis_index,
     collective_rotation_diag,
+    evolve_deviation,
+    evolve_unitary,
     excitation_operator,
     pauli_string_to_dense,
     popcount,
@@ -276,6 +280,8 @@ TIME_ENTRY_POINTS = {
     "normalized_time[grid]": lambda t: normalized_time(4, 1.0, [0.0, t]),
     "logical_transport_homogeneous": lambda t: logical_transport_homogeneous(6, 1.0, "x", t),
     "logical_transport_engineered": lambda t: logical_transport_engineered(6, 1.0, "x", t),
+    "evolve_unitary": lambda t: evolve_unitary(np.eye(2), t),
+    "evolve_deviation": lambda t: evolve_deviation(np.eye(2), np.eye(2), t),
 }
 
 
@@ -416,6 +422,7 @@ SITE_TUPLE_ENTRY_POINTS = {
     "excitation_operator": lambda sites: excitation_operator(SITE_N, {((1,), sites): 1.0}),
     "propagate_grid[rows]": lambda sites: propagate_grid(SITE_DEC, [0.7], sites),
     "propagate_grid[cols]": lambda sites: propagate_grid(SITE_DEC, [0.7], None, sites),
+    "pauli_string_to_dense": lambda sites: pauli_string_to_dense(SITE_N, sites),
 }
 
 
@@ -436,6 +443,7 @@ REAL_ENTRY_POINTS = {
     "implant_spacings": lambda x: implant_spacings(4, x),
     "perturb_couplings": lambda x: perturb_couplings(REAL_SPEC, x, 0),
     "run_verification": lambda x: run_verification(4, tolerance=x),
+    "collective_rotation_diag": lambda x: collective_rotation_diag(4, x),
 }
 
 
@@ -552,15 +560,22 @@ ROLE_TABLES = {
     "d": SCALE_ENTRY_POINTS,
     **dict.fromkeys(("t", "times"), TIME_ENTRY_POINTS),
     **dict.fromkeys(("j", "l", "terms"), SITE_ENTRY_POINTS),
-    **dict.fromkeys(("sources", "targets", "rows", "cols", "a", "b"), SITE_TUPLE_ENTRY_POINTS),
     **dict.fromkeys(
-        ("couplings", "positions", "prefactor", "r_min", "sigma", "tolerance"), REAL_ENTRY_POINTS
+        ("sources", "targets", "rows", "cols", "a", "b", "string", "blocks", "sites"),
+        SITE_TUPLE_ENTRY_POINTS,
+    ),
+    **dict.fromkeys(
+        ("couplings", "positions", "prefactor", "r_min", "sigma", "tolerance", "phi"),
+        REAL_ENTRY_POINTS,
     ),
     **dict.fromkeys(("seed", "phase_steps", "max_order"), INT_ENTRY_POINTS),
     **dict.fromkeys(("model", "kind", "initial", "family", "alpha", "pair"), CHOICE_ENTRY_POINTS),
 }
-# objects and flags, outside the value rules (object arguments are not checked by type)
+# objects and flags, outside the value rules (object arguments are not checked by type);
+# so is any argument annotated as an ndarray operand or a prepared DeviationState
 OBJECT_ARGUMENTS = ("spec", "decomposition", "prop", "basis", "amplitudes", "vals", "corrected")
+OBJECT_ANNOTATIONS = ("np.ndarray", "DeviationState")
+MODULES = (chain, errors, pauli, propagator, logical, mqc, verify, oracle)
 RESULT_TYPES = (
     "TransferTiming", "SpectralDecomposition", "Propagator", "LogicalBasis", "MqcSpectrum",
     "CheckResult", "VerificationReport",
@@ -569,17 +584,26 @@ RESULT_TYPES = (
 
 def test_every_public_argument_is_in_the_table_of_its_role():
     missing = []
-    for name in spinwire.__all__:
-        obj = getattr(spinwire, name)
+    for name, obj in ((name, getattr(m, name)) for m in MODULES for name in m.__all__):
         if not callable(obj) or name in RESULT_TYPES or (
             isinstance(obj, type) and issubclass(obj, Exception)
         ):
             continue
         for param in inspect.signature(obj).parameters.values():
-            # the dense protocols take a prepared DeviationState as ``initial``
-            if param.name in OBJECT_ARGUMENTS or param.annotation == "DeviationState":
+            if param.name in OBJECT_ARGUMENTS or param.annotation in OBJECT_ANNOTATIONS:
                 continue
             assert param.name in ROLE_TABLES, f"{name}: no role for argument {param.name!r}"
             if not any(key.split("[")[0] == name for key in ROLE_TABLES[param.name]):
                 missing.append(f"{name}({param.name})")
     assert not missing
+
+
+def test_package_exports_each_module_list_once():
+    reexported = [m for m in MODULES if m is not oracle]
+    assert spinwire.__all__ == ["__version__", *(name for m in reexported for name in m.__all__)]
+    assert len(set(spinwire.__all__)) == len(spinwire.__all__)
+    for m in reexported:
+        for name in m.__all__:
+            assert getattr(spinwire, name) is getattr(m, name), name
+    # the dense oracle keeps its own namespace
+    assert not set(oracle.__all__) & set(spinwire.__all__)

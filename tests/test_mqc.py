@@ -13,6 +13,7 @@ from spinwire.errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
     InvalidParameterError,
+    SpinwireError,
     UnsupportedModelError,
 )
 from spinwire.mqc import (
@@ -197,6 +198,21 @@ def test_cycled_parameter_validation():
             mqc_phase_cycled(spec, state, 0.5, phase_steps=bad)
     with pytest.raises(InvalidParameterError):
         mqc_phase_cycled(spec, state, 0.5, max_order=1.5)
+
+
+OVERFLOWING_RATE_CALLS = {
+    "single t=0": lambda spec, state: mqc_phase_cycled(spec, state, 0.0),
+    "single t=0.5": lambda spec, state: mqc_phase_cycled(spec, state, 0.5),
+    "grid": lambda spec, state: mqc_phase_cycled_grid(spec, state, [0.0, 0.5]),
+    "empty grid": lambda spec, state: mqc_phase_cycled_grid(spec, state, []),
+}
+
+
+@pytest.mark.parametrize("call", sorted(OVERFLOWING_RATE_CALLS))
+def test_dense_protocols_reject_a_rate_past_the_float_range_without_warning(call):
+    # 2 sum |d| overflows; warnings are errors (pyproject.toml), so an overflow warning fails
+    with pytest.raises(SpinwireError):
+        OVERFLOWING_RATE_CALLS[call](ChainSpec(4, "dq", (1e308,) * 3), prepare_state(4, "z_ends"))
 
 
 def test_spectrum_accessors():
