@@ -287,22 +287,25 @@ def _check_protocol(
 
 
 def _sector_blocks(spec: ChainSpec, initial: DeviationState):
-    """Per conserved sector: eigenpairs of H, the block of rho(0), Z and order bins.
+    """Per conserved sector, one at a time: real eigenpairs of its H block,
+    its rho(0) block, Z on its labels and order bins.
 
-    Order bins index pop(a) - pop(b) + n over the block's (a, b) entries.
+    Both blocks are built on the sector's labels alone, so no 2^n x 2^n
+    array is ever formed and only the sector being yielded is held. H is
+    real in this basis for every model (checked exactly), so its block is
+    diagonalised in real arithmetic. Order bins index pop(a) - pop(b) + n
+    over the block's (a, b) entries.
     """
     n = spec.n
-    sectors = conserved_sectors(spec)
-    h = build_hamiltonian(spec)
-    eigen = [np.linalg.eigh(h[np.ix_(labels, labels)]) for labels in sectors]
-    del h  # keep one dense 2^n x 2^n matrix alive at a time
-    rho0 = deviation_to_dense(initial)
-    blocks = []
-    for labels, eigen_k in zip(sectors, eigen):
+    for labels in conserved_sectors(spec):
+        h_k = build_hamiltonian(spec, labels)
+        if np.any(h_k.imag):
+            raise UnsupportedModelError(f"{spec.model} Hamiltonian block is not real")
+        eigen = np.linalg.eigh(h_k.real)
+        del h_k  # only the eigenpairs outlive the build
         pop = popcount(labels, n)
         bins = (pop[:, None] - pop[None, :] + n).ravel()
-        blocks.append((eigen_k, rho0[np.ix_(labels, labels)], n - 2.0 * pop, bins))
-    return blocks
+        yield eigen, deviation_to_dense(initial, labels), n - 2.0 * pop, bins
 
 
 def mqc_phase_cycled_grid(
@@ -318,10 +321,11 @@ def mqc_phase_cycled_grid(
     and so are U(t) and Z(t); R_phi is diagonal. Tr[R rho(t) R^dag Z(t)]
     therefore reads only the diagonal blocks of rho(t), and the rotation
     multiplies entry (a, b) by exp(i q phi) with q = pop(a) - pop(b).
-    Each block is diagonalised once; at each time the entries of
-    rho_k(t) * Z_k(t)^T are summed by q into moments M_q, and
-    S(phi_m) = sum_q M_q exp(i q phi_m) goes through the literal cycle's
-    N phases and J_q sums, so any aliasing of the N-step cycle is kept.
+    Each block is built and diagonalised once, one sector at a time
+    (``_sector_blocks``); at each time the entries of rho_k(t) * Z_k(t)^T
+    are summed by q into moments M_q, and S(phi_m) = sum_q M_q
+    exp(i q phi_m) goes through the literal cycle's N phases and J_q
+    sums, so any aliasing of the N-step cycle is kept.
 
     Every argument is checked before any work, also for an empty grid.
     """

@@ -1,6 +1,8 @@
 """Dense brute-force reference implementations.
 
-Everything here works on full 2^n x 2^n matrices, so results are
+Operators are dense 2^n x 2^n matrices, or the dense block of one on a
+sorted set of basis labels (a conserved sector of ``conserved_sectors``),
+which is built on those labels alone, with no full matrix. Results are
 trustworthy but exponentially expensive. The module exists to
 cross-check the analytic paths; a size budget (default n <= 10, hard cap
 12, overridable through SPINWIRE_ORACLE_MAX_N within the cap) keeps
@@ -10,9 +12,9 @@ Basis convention: site 1 is the most significant bit of the basis
 label, bit value 1 marks an excitation (spin down), so Z_1 on two sites
 is diag(1, 1, -1, -1).
 
-Every operator is built from one primitive that writes a Pauli string
-as a signed permutation of basis labels; the Kronecker-product
-references it is checked against live in the tests.
+Every operator and every block is built from one primitive that writes
+a Pauli string as a signed permutation of basis labels; the
+Kronecker-product references it is checked against live in the tests.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from .chain import ChainSpec, _check_length, _check_sites, _check_time
 from .errors import (
+    IndexOutOfRangeError,
     InvalidConfigurationError,
     InvalidDimensionError,
     OracleSizeError,
@@ -88,38 +91,77 @@ def require_within_budget(n: int) -> int:
 # -- operator construction ---------------------------------------------------
 
 
+# popcount reads the labels as 64-bit two's-complement integers
+_LABEL_BITS = 64
+
+
+def _check_labels(labels) -> np.ndarray:
+    """Basis labels: an integer array or a (nested) sequence of ints, as int64."""
+    try:
+        array = np.asarray(labels)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or (array.dtype.kind not in "iu" and array.size):
+        raise InvalidConfigurationError(f"labels must be integers, got {labels!r}")
+    return array.astype(np.int64)
+
+
+def _check_block(n: int, labels) -> np.ndarray:
+    """The sorted labels of a block of an n-site operator; all 2^n labels for None."""
+    if labels is None:
+        return np.arange(2**n)
+    block = _check_labels(labels)
+    if block.ndim != 1 or np.any(block[1:] <= block[:-1]):
+        raise InvalidConfigurationError(
+            f"block labels must be strictly increasing and one-dimensional, got {labels!r}"
+        )
+    if block.size and (block[0] < 0 or block[-1] >= 2**n):
+        raise IndexOutOfRangeError(f"block labels outside 0..{2**n - 1}")
+    return block
+
+
 def popcount(labels: np.ndarray, n: int) -> np.ndarray:
-    """Number of set bits among the low n bits of each label."""
+    """Number of set bits among the low n <= 64 bits of each label, as int64.
+
+    Negative labels count in two's complement.
+    """
     n = _check_length(n, minimum=0)
-    count = np.zeros(labels.shape, dtype=np.int64)
-    for bit in range(n):
-        count += (labels >> bit) & 1
-    return count
+    if n > _LABEL_BITS:
+        raise InvalidDimensionError(f"labels hold {_LABEL_BITS} bits, got n={n}")
+    low = _check_labels(labels).view(np.uint64) & np.uint64((1 << n) - 1)
+    return np.bitwise_count(low).astype(np.int64)
 
 
-def _signed_permutation(n: int, string: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and phases of a sparse Pauli string as a signed permutation.
+def _signed_permutation(
+    n: int, string: PauliString, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and phases of a sparse Pauli string on the block of sorted ``labels``.
 
     P|x> = i^#Y (-1)^popcount(x & zy) |x ^ xy>, with xy the basis-label
-    bits of the X and Y sites and zy those of the Y and Z sites, so
-    P[rows[x], x] = phases[x] and every other entry is zero. ``string``
-    must be valid for n (see ``pauli._validate_string``).
+    bits of the X and Y sites and zy those of the Y and Z sites. Column
+    c (label x) of the block holds phases at row r, the position of
+    x ^ xy in ``labels`` (by ``searchsorted``); a column whose target is
+    not among ``labels`` is left out, so P[np.ix_(labels, labels)][r, c]
+    = phases and every other entry is zero. ``string`` must be valid for
+    n (see ``pauli._validate_string``).
     """
     xy = sum(1 << (n - site) for site, letter in string if letter in ("X", "Y"))
     zy = sum(1 << (n - site) for site, letter in string if letter in ("Y", "Z"))
     n_y = sum(letter == "Y" for _, letter in string)
-    labels = np.arange(2**n)
-    signs = 1 - 2 * (popcount(labels & zy, n) & 1)
-    return labels ^ xy, (1, 1j, -1, -1j)[n_y % 4] * signs
+    targets = labels ^ xy
+    rows = np.searchsorted(labels, targets)
+    cols = np.flatnonzero(labels.take(rows, mode="clip") == targets)
+    signs = 1 - 2 * (popcount(labels[cols] & zy, n) & 1)
+    return rows[cols], cols, (1, 1j, -1, -1j)[n_y % 4] * signs
 
 
-def _dense_sum(n: int, terms) -> np.ndarray:
-    """Dense sum of weighted sparse Pauli strings, one signed permutation each."""
-    labels = np.arange(2**n)
-    out = np.zeros((2**n, 2**n), dtype=complex)
+def _dense_sum(n: int, terms, labels=None) -> np.ndarray:
+    """Dense sum of weighted sparse Pauli strings, or its block on sorted ``labels``."""
+    labels = _check_block(n, labels)
+    out = np.zeros((labels.size, labels.size), dtype=complex)
     for weight, string in terms:
-        rows, phases = _signed_permutation(n, string)
-        out[rows, labels] += weight * phases
+        rows, cols, phases = _signed_permutation(n, string, labels)
+        out[rows, cols] += weight * phases
     return out
 
 
@@ -139,9 +181,9 @@ def pauli_string_to_dense(n: int, string: str | PauliString) -> np.ndarray:
     return _dense_sum(n, ((1, _validate_string(n, string)),))
 
 
-def deviation_to_dense(state: DeviationState) -> np.ndarray:
-    """Dense matrix of a symbolic deviation state."""
-    return _dense_sum(require_within_budget(state.n), state.terms)
+def deviation_to_dense(state: DeviationState, labels: np.ndarray | None = None) -> np.ndarray:
+    """Dense matrix of a symbolic deviation state, or its block on sorted basis ``labels``."""
+    return _dense_sum(require_within_budget(state.n), state.terms, labels)
 
 
 def basis_index(n: int, sites: Sequence[int]) -> int:
@@ -159,8 +201,8 @@ def excitation_operator(n: int, blocks: MixedState) -> np.ndarray:
     return out
 
 
-def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Dense Hamiltonian of a chain spec.
+def build_hamiltonian(spec: ChainSpec, labels: np.ndarray | None = None) -> np.ndarray:
+    """Dense Hamiltonian of a chain spec, or its block on sorted basis ``labels``.
 
     xx:      sum_j d_j (X_j X_{j+1} + Y_j Y_{j+1}) / 2
     dq:      sum_j d_j (X_j X_{j+1} - Y_j Y_{j+1}) / 2
@@ -169,23 +211,26 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     X_j X_l and Y_j Y_l share one signed permutation; their phases are
     added before the coupling multiplies them, as grouped above, so every
     entry equals the Kronecker-product sum exactly, subnormal d included.
+    A block is built on its labels alone, in the same bond and term order,
+    so it equals the slice H[np.ix_(labels, labels)] bit for bit.
     """
     n = require_within_budget(spec.n)
+    labels = _check_block(n, labels)
     if spec.model == "dipolar":
         mat = spec.coupling_matrix()
         bonds = [(j + 1, l + 1, mat[j, l]) for j, l in zip(*np.nonzero(np.triu(mat, 1)))]
     else:
         bonds = [(j, j + 1, d) for j, d in enumerate(spec.couplings, start=1)]
-    labels = np.arange(2**n)
-    h = np.zeros((2**n, 2**n), dtype=complex)
+    h = np.zeros((labels.size, labels.size), dtype=complex)
     for j, l, d in bonds:
-        rows, xx = _signed_permutation(n, ((j, "X"), (l, "X")))
-        yy = _signed_permutation(n, ((j, "Y"), (l, "Y")))[1]
+        rows, cols, xx = _signed_permutation(n, ((j, "X"), (l, "X")), labels)
+        yy = _signed_permutation(n, ((j, "Y"), (l, "Y")), labels)[2]
         if spec.model == "dipolar":
-            h[labels, labels] += d * _signed_permutation(n, ((j, "Z"), (l, "Z")))[1]
-            h[rows, labels] -= d * ((xx + yy) / 2.0)
+            diag, _, zz = _signed_permutation(n, ((j, "Z"), (l, "Z")), labels)
+            h[diag, diag] += d * zz
+            h[rows, cols] -= d * ((xx + yy) / 2.0)
         else:
-            h[rows, labels] += d / 2.0 * (xx + yy if spec.model == "xx" else xx - yy)
+            h[rows, cols] += d / 2.0 * (xx + yy if spec.model == "xx" else xx - yy)
     return h
 
 
@@ -214,23 +259,35 @@ def _unitary(eigen: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
     return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
 
 
+def _check_square(*operands: np.ndarray) -> int:
+    """Operands that are non-empty square 2-d ndarrays of one shape: their dimension."""
+    shapes = [op.shape if isinstance(op, np.ndarray) else None for op in operands]
+    dim = shapes[0][0] if shapes[0] else 0
+    if dim < 1 or any(shape != (dim, dim) for shape in shapes):
+        raise InvalidDimensionError(
+            f"operands must be equal non-empty square ndarrays, got shapes {shapes}"
+        )
+    return dim
+
+
 def evolve_unitary(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) by full diagonalisation; t is held to the phase bound of h's spectrum."""
+    _check_square(h)
     eigen = np.linalg.eigh(h)
     return _unitary(eigen, _check_time(t, np.max(np.abs(eigen[0]), initial=0.0)))
 
 
 def evolve_deviation(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
     """Heisenberg-picture free evolution U rho U^dag."""
+    _check_square(h, rho)
     u = evolve_unitary(h, t)
     return u @ rho @ u.conj().T
 
 
 def trace_overlap(a: np.ndarray, b: np.ndarray) -> complex:
     """Normalised trace Tr[a b] / dim."""
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise InvalidDimensionError("operands must be equal square matrices")
-    return complex(np.trace(a @ b) / a.shape[0])
+    dim = _check_square(a, b)
+    return complex(np.trace(a @ b) / dim)
 
 
 def _total_z_diag(n: int) -> np.ndarray:
@@ -278,11 +335,8 @@ def similarity_residual(h_xx: np.ndarray, h_dq: np.ndarray) -> float:
     the two models are gauge copies of each other and share all
     polarisation dynamics up to the staggered sign.
     """
-    shape = np.shape(h_xx)
-    dim = shape[0] if shape else 0
-    if shape != np.shape(h_dq) or shape != (dim, dim) or dim < 2 or dim & (dim - 1):
-        raise InvalidDimensionError(
-            f"need two equal square 2^n matrices, got {shape} and {np.shape(h_dq)}"
-        )
+    dim = _check_square(h_xx, h_dq)
+    if dim < 2 or dim & (dim - 1):
+        raise InvalidDimensionError(f"need two 2^n x 2^n matrices with n >= 1, got dim={dim}")
     u = similarity_transform(dim.bit_length() - 1)
     return float(np.max(np.abs(u @ h_xx @ u - h_dq)))

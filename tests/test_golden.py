@@ -6,9 +6,11 @@ propagator and the closed-form sums in the CLI. The analytic ``mqc_z_ends``
 and ``mqc_y_logical`` tables come from the per-time closed-form series
 that the end block of A(4t) (``mqc_propagator_grid``) later replaced; the
 ``mqc_oracle_*`` tables were printed by the per-time dense phase cycle
-before the sector-blocked grid engine replaced it. The files are fixed
-references, not snapshots to refresh: a change that moves a value by
-more than ``TOL`` is a regression. Header, row count and the exact
+before the sector-blocked grid engine replaced it, except
+``mqc_oracle_n10_y_logical``, printed by that engine while it still
+sliced its sector blocks out of the dense 2^n x 2^n operators. The
+files are fixed references, not snapshots to refresh: a change that
+moves a value by more than ``TOL`` is a regression. Header, row count and the exact
 ``t``/``tau``/``site`` columns must be identical; every other value may
 move in its last digits only.
 """
@@ -52,6 +54,8 @@ CASES = {
     "mqc_oracle_x_logical_odd": ["mqc", "--n", "7", "--engine", "oracle",
                                  "--initial", "x-logical", "--grid", "-1:2:7"],
     "mqc_oracle_n10": ["mqc", "--n", "10", "--engine", "oracle", "--grid", "1.5:1.5:1"],
+    "mqc_oracle_n10_y_logical": ["mqc", "--n", "10", "--engine", "oracle", "--initial",
+                                 "y-logical", "--phase-steps", "16", "--grid", "0:3:4"],
 }
 
 

@@ -67,16 +67,20 @@ from spinwire.mqc import (
 )
 from spinwire.oracle import (
     basis_index,
+    build_hamiltonian,
     collective_rotation_diag,
+    deviation_to_dense,
     evolve_deviation,
     evolve_unitary,
     excitation_operator,
     pauli_string_to_dense,
     popcount,
     require_within_budget,
+    similarity_residual,
     similarity_transform,
     staggered_z,
     total_z,
+    trace_overlap,
 )
 from spinwire.pauli import DeviationState
 from spinwire.propagator import (
@@ -554,6 +558,90 @@ def test_choice_entry_points_reject_unknown_names(entry, c):
         call(c)
 
 
+# floats, bools, strings, missing, ragged, mixed and too wide for 64 bits
+BAD_LABELS = ([1.5], np.array([1.5]), np.array([True]), "a", None, [[1], [1, 2]], [1, "a"],
+              [2**64])
+LABEL_N = 3
+LABEL_SPEC = homogeneous_couplings(LABEL_N)
+LABEL_STATE = prepare_state(LABEL_N, "z_ends")
+LABEL_ENTRY_POINTS = {
+    "popcount": lambda labels: popcount(labels, LABEL_N),
+    "build_hamiltonian": lambda labels: build_hamiltonian(LABEL_SPEC, labels),
+    "deviation_to_dense": lambda labels: deviation_to_dense(LABEL_STATE, labels),
+}
+BLOCK_ENTRY_POINTS = ("build_hamiltonian", "deviation_to_dense")
+
+
+# labels=None is the block builders' default, the whole operator
+@pytest.mark.parametrize(
+    "entry, labels",
+    [(e, x) for e in sorted(LABEL_ENTRY_POINTS) for x in BAD_LABELS
+     if not (e in BLOCK_ENTRY_POINTS and x is None)],
+    ids=repr,
+)
+def test_label_entry_points_reject_non_integer_labels(entry, labels):
+    with pytest.raises(InvalidConfigurationError):
+        LABEL_ENTRY_POINTS[entry](labels)
+
+
+@pytest.mark.parametrize("entry", sorted(LABEL_ENTRY_POINTS))
+def test_label_entry_points_accept_integer_sequences(entry):
+    want = LABEL_ENTRY_POINTS[entry](np.array([1, 4], dtype=np.int64))
+    for labels in ([1, 4], (1, 4), np.array([1, 4], dtype=np.uint8)):
+        assert np.array_equal(LABEL_ENTRY_POINTS[entry](labels), want)
+
+
+# unsorted, repeated and not one-dimensional block labels
+@pytest.mark.parametrize("labels", ([2, 1], [1, 1], [[0, 1]], np.array(0)), ids=repr)
+@pytest.mark.parametrize("entry", BLOCK_ENTRY_POINTS)
+def test_block_entry_points_reject_unsorted_labels(entry, labels):
+    with pytest.raises(InvalidConfigurationError):
+        LABEL_ENTRY_POINTS[entry](labels)
+
+
+@pytest.mark.parametrize("labels", ([-1, 0], [0, 2**LABEL_N]), ids=repr)
+@pytest.mark.parametrize("entry", BLOCK_ENTRY_POINTS)
+def test_block_entry_points_reject_labels_outside_the_basis(entry, labels):
+    with pytest.raises(IndexOutOfRangeError):
+        LABEL_ENTRY_POINTS[entry](labels)
+
+
+@pytest.mark.parametrize("n", (65, 70))
+def test_popcount_rejects_more_bits_than_a_label_holds(n):
+    with pytest.raises(InvalidDimensionError):
+        popcount(np.array([-1]), n)
+
+
+# operands that are lists, vectors, scalars, missing, empty, not square or three-dimensional;
+# these ndarray arguments sit outside the completeness test below, so each is listed here
+BAD_OPERANDS = ([[1.0]], np.ones(3), 1.0, None, np.ones((0, 0)), np.ones((2, 3)),
+                np.ones((2, 2, 2)))
+OPERAND_ENTRY_POINTS = {
+    "trace_overlap[a]": lambda op: trace_overlap(op, np.eye(2)),
+    "trace_overlap[b]": lambda op: trace_overlap(np.eye(2), op),
+    "trace_overlap": lambda op: trace_overlap(op, op),
+    "evolve_unitary": lambda op: evolve_unitary(op, 0.1),
+    "evolve_deviation[h]": lambda op: evolve_deviation(op, np.eye(2), 0.1),
+    "evolve_deviation[rho]": lambda op: evolve_deviation(np.eye(2), op, 0.1),
+    "similarity_residual[h_xx]": lambda op: similarity_residual(op, np.eye(2)),
+    "similarity_residual[h_dq]": lambda op: similarity_residual(np.eye(2), op),
+}
+
+
+@pytest.mark.parametrize("op", BAD_OPERANDS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(OPERAND_ENTRY_POINTS))
+def test_operand_entry_points_reject_non_matrices(entry, op):
+    with pytest.raises(InvalidDimensionError):
+        OPERAND_ENTRY_POINTS[entry](op)
+
+
+@pytest.mark.parametrize("entry", sorted(e for e in OPERAND_ENTRY_POINTS if "[" in e))
+def test_operand_entry_points_reject_unequal_shapes(entry):
+    # np.eye(3) against the table's np.eye(2), as in evolve_deviation(np.eye(2), np.eye(3), t)
+    with pytest.raises(InvalidDimensionError):
+        OPERAND_ENTRY_POINTS[entry](np.eye(3))
+
+
 # the table that holds each public argument, by parameter name
 ROLE_TABLES = {
     **dict.fromkeys(("n", "max_n"), LENGTH_ENTRY_POINTS),
@@ -570,6 +658,7 @@ ROLE_TABLES = {
     ),
     **dict.fromkeys(("seed", "phase_steps", "max_order"), INT_ENTRY_POINTS),
     **dict.fromkeys(("model", "kind", "initial", "family", "alpha", "pair"), CHOICE_ENTRY_POINTS),
+    "labels": LABEL_ENTRY_POINTS,
 }
 # objects and flags, outside the value rules (object arguments are not checked by type);
 # so is any argument annotated as an ndarray operand or a prepared DeviationState

@@ -4,25 +4,30 @@
 protocol ``mqc_phase_cycled`` (its reference); the signed-permutation operators
 of ``spinwire.oracle`` (``build_hamiltonian``, ``pauli_string_to_dense``,
 ``deviation_to_dense``, ``staggered_z``) against Kronecker products
-written out here; and ``conserved_sectors`` against the block structure of H.
+written out here; their blocks on sorted labels against slices of the
+dense operators; ``popcount`` against the per-bit loop it replaced; and
+``conserved_sectors`` against the block structure of H.
 """
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spinwire.chain import ChainSpec
+from spinwire import mqc
+from spinwire.chain import ChainSpec, homogeneous_couplings
 from spinwire.cli import main
 from spinwire.errors import (
     AliasingError,
     InvalidDimensionError,
     InvalidParameterError,
     OracleSizeError,
+    UnsupportedModelError,
 )
 from spinwire.mqc import PREPARED_KINDS, mqc_phase_cycled, mqc_phase_cycled_grid, prepare_state
 from spinwire.oracle import (
@@ -30,6 +35,7 @@ from spinwire.oracle import (
     conserved_sectors,
     deviation_to_dense,
     pauli_string_to_dense,
+    popcount,
     staggered_z,
 )
 from spinwire.pauli import DeviationState, parse_string_label
@@ -141,6 +147,82 @@ def test_hamiltonian_vanishes_outside_sectors(n, model):
     for labels in sectors:
         outside[np.ix_(labels, labels)] = 0.0
     assert not np.any(outside)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sector_blocks_equal_slices_of_the_dense_operators(n, model):
+    spec = random_spec(n, model, seed=100 + n)
+    h = build_hamiltonian(spec)
+    states = [prepare_state(n, kind) for kind in PREPARED_KINDS
+              if n >= (2 if kind in ("z_ends", "full_z") else 4)]
+    rhos = [deviation_to_dense(state) for state in states]
+    for labels in conserved_sectors(spec):
+        block = build_hamiltonian(spec, labels)
+        assert np.array_equal(block, h[np.ix_(labels, labels)])
+        assert not np.any(block.imag)
+        for state, rho in zip(states, rhos):
+            assert np.array_equal(deviation_to_dense(state, labels), rho[np.ix_(labels, labels)])
+
+
+@given(st.integers(1, 6), st.sampled_from(MODELS), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_blocks_on_any_sorted_labels_equal_slices(n, model, seed, data):
+    # labels that are not a sector: every entry whose target leaves the block is dropped
+    labels = np.array(sorted(data.draw(st.sets(st.integers(0, 2**n - 1)), label="labels")),
+                      dtype=np.int64)
+    spec = random_spec(n, model, seed)
+    assert np.array_equal(build_hamiltonian(spec, labels),
+                          build_hamiltonian(spec)[np.ix_(labels, labels)])
+    strings = data.draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), max_size=4,
+                                 unique=True), label="strings")
+    terms = tuple((data.draw(WEIGHTS, label="weight"), parse_string_label(x)) for x in strings)
+    state = DeviationState(n, terms)
+    assert np.array_equal(deviation_to_dense(state, labels),
+                          deviation_to_dense(state)[np.ix_(labels, labels)])
+
+
+def test_grid_engine_refuses_a_hamiltonian_block_that_is_not_real(monkeypatch):
+    # the real eigh would drop an imaginary part, however small, without a word
+    def complex_block(spec, labels):
+        return build_hamiltonian(spec, labels) + 5e-324j
+
+    monkeypatch.setattr(mqc, "build_hamiltonian", complex_block)
+    with pytest.raises(UnsupportedModelError):
+        mqc_phase_cycled_grid(random_spec(4, "dq", seed=0), prepare_state(4, "z_ends"), [0.5])
+
+
+def loop_popcount(labels: np.ndarray, n: int) -> np.ndarray:
+    """The per-bit loop that ``popcount`` replaced."""
+    count = np.zeros(labels.shape, dtype=np.int64)
+    for bit in range(n):
+        count += (labels >> bit) & 1
+    return count
+
+
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=20), st.integers(0, 64))
+@example([-1, -(2**63), 2**63 - 1], 64)  # every bit, the sign bit alone, all but the sign bit
+@example([-1, -(2**63), 2**63 - 1], 63)
+@settings(max_examples=200, deadline=None)
+def test_popcount_equals_the_per_bit_loop(labels, n):
+    labels = np.array(labels, dtype=np.int64)
+    got = popcount(labels, n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, loop_popcount(labels, n))
+
+
+def test_grid_engine_holds_no_dense_operator():
+    # one 2^10 x 2^10 complex matrix is 16 MiB; the sectors of n = 10 are at most 252 wide
+    n, dense_bytes = 10, 16 * 4**10
+    spec = homogeneous_couplings(n, model="dq")
+    state = prepare_state(n, "z_ends")
+    tracemalloc.start()
+    try:
+        mqc_phase_cycled_grid(spec, state, np.linspace(0.0, 5.0, 11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
 
 
 TIMES = st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=3)
