@@ -41,7 +41,7 @@ from .chain import (
 from .errors import SpinwireError
 from .logical import channel_correlations, channel_fidelity
 from .mqc import mqc_phase_cycled_grid, mqc_propagator_grid, prepare_state
-from .propagator import propagate_grid, spectral_decompose
+from .propagator import _check_mode_count, _gauge_sign, propagate_grid, spectral_decompose
 from .verify import run_verification
 
 _INITIALS = {"z-ends": "z_ends", "y-logical": "y_logical", "x-logical": "x_logical"}
@@ -151,6 +151,8 @@ def _domain_errors(f):
 
 
 def _build_chain(family: str, n: int, d: float, model: str) -> ChainSpec:
+    # a length past the propagator's cap fails here, before its couplings are allocated
+    _check_mode_count(n)
     if family == "homogeneous":
         return homogeneous_couplings(n, d, model)
     if family == "engineered":
@@ -204,9 +206,7 @@ def transfer(n, d, family, model, grid, j, l, sigma, seed, out) -> None:
         spec = perturb_couplings(spec, sigma, seed)
     sites = np.arange(1, n + 1) if l is None else np.array([l])
     amp = propagate_grid(spectral_decompose(spec), grid, (j,), sites)[:, 0, :]
-    corr = np.abs(amp) ** 2
-    if model == "dq":
-        corr = np.where((j - sites) % 2, -corr, corr)
+    corr = _gauge_sign(model, j, sites) * np.abs(amp) ** 2
     keys = np.column_stack([grid, normalized_time(n, d, grid)])
     header = ["t", "tau", "site", "correlation"]
     _write_table(out, _csv_blocks(header, keys, corr, sites))
@@ -258,7 +258,7 @@ def mqc(n, d, initial, engine, phase_steps, grid, out) -> None:
     reported raw, their total being zero.
     """
     kind = _INITIALS[initial]
-    spec = homogeneous_couplings(n, d, model="dq")
+    spec = _build_chain("homogeneous", n, d, "dq")
     if engine == "analytic":
         spectra = mqc_propagator_grid(spec, kind, grid)
     else:

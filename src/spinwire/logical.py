@@ -40,15 +40,11 @@ from .errors import (
     UnsupportedModelError,
 )
 from .pauli import DeviationState
-from .propagator import Propagator, chain_propagator, homogeneous_amplitude
-
-from dataclasses import dataclass
+from .propagator import Propagator, _sine_modes, chain_propagator, homogeneous_amplitude
 
 __all__ = [
     "CHANNELS",
-    "LogicalBasis",
     "logical_basis",
-    "apply_parity_correction",
     "dq_parity_correction",
     "logical_correlations",
     "channel_correlations",
@@ -60,16 +56,6 @@ __all__ = [
 ]
 
 CHANNELS = ("x", "y", "z", "1")
-
-
-@dataclass(frozen=True)
-class LogicalBasis:
-    """Four logical observables living on one site pair of an n-chain."""
-
-    model: str
-    n: int
-    sites: tuple[int, int]
-    observables: dict[str, DeviationState]
 
 
 def _pair_observables(model: str, n: int, a: int, b: int) -> dict[str, DeviationState]:
@@ -85,8 +71,8 @@ def _pair_observables(model: str, n: int, a: int, b: int) -> dict[str, Deviation
     }
 
 
-def logical_basis(model: str, n: int, pair: str = "source") -> LogicalBasis:
-    """Logical observables on the source pair (1, 2) or target pair (n-1, n).
+def logical_basis(model: str, n: int, pair: str = "source") -> dict[str, DeviationState]:
+    """Logical observables on the source pair (1, 2) or target pair (n-1, n), by channel.
 
     Target observables are the site reflections of the source ones, so
     at perfect mirror transfer every source observable maps onto its
@@ -96,9 +82,8 @@ def logical_basis(model: str, n: int, pair: str = "source") -> LogicalBasis:
     pair = _check_choice(pair, "pair", ("source", "target"), InvalidConfigurationError)
     obs = _pair_observables(model, n, 1, 2)
     if pair == "source":
-        return LogicalBasis(model, n, (1, 2), obs)
-    obs = {name: state.reflected() for name, state in obs.items()}
-    return LogicalBasis(model, n, (n - 1, n), obs)
+        return obs
+    return {name: state.reflected() for name, state in obs.items()}
 
 
 def dq_parity_correction(n: int) -> bool:
@@ -110,19 +95,6 @@ def dq_parity_correction(n: int) -> bool:
     need no correction.
     """
     return _check_length(n, minimum=2) % 2 == 0
-
-
-def apply_parity_correction(basis: LogicalBasis) -> LogicalBasis:
-    """Conjugate a dq basis by a pi x-rotation of its site pair.
-
-    X factors are invariant while Y and Z flip sign, so the x and
-    identity observables are unchanged and y, z are negated.
-    """
-    _check_choice(basis.model, "model", ("dq",), UnsupportedModelError)
-    obs = dict(basis.observables)
-    obs["y"] = obs["y"].scaled(-1.0)
-    obs["z"] = obs["z"].scaled(-1.0)
-    return LogicalBasis(basis.model, basis.n, basis.sites, obs)
 
 
 # -- correlations from amplitudes ---------------------------------------------
@@ -206,13 +178,10 @@ def logical_transport_homogeneous(n: int, d: float, alpha: str, t: float) -> flo
     while z and the identity channel combine end transfer amplitudes.
     """
     _check_choice(alpha, "channel", CHANNELS, InvalidConfigurationError)
-    n = _check_length(n, minimum=4)
-    d = _check_scale(d)
+    n, d, kappa, w = _sine_modes(n, d, minimum=4)
     t = _check_time(t, 4.0 * d)  # |w_h + w_k| <= 4 d
     if alpha in ("x", "y"):
         k = np.arange(1, n + 1)
-        kappa = np.pi * k / (n + 1)
-        w = 2.0 * d * np.cos(kappa)
         bracket = (
             np.sin(2 * kappa)[None, :] * np.sin(kappa)[:, None]
             + np.sin(kappa)[None, :] * np.sin(2 * kappa)[:, None]

@@ -32,7 +32,6 @@ from .chain import (
     _check_choice,
     _check_int,
     _check_length,
-    _check_scale,
     _check_time,
     _check_times,
 )
@@ -55,15 +54,12 @@ from .oracle import (
     trace_overlap,
 )
 from .pauli import DeviationState
-from .propagator import _end_block
+from .propagator import _end_block, _sine_modes
 
 __all__ = [
     "PREPARED_KINDS",
     "MqcSpectrum",
     "prepare_state",
-    "mqc_z_analytic",
-    "mqc_y_analytic",
-    "mqc_x_analytic",
     "mqc_analytic",
     "mqc_propagator_grid",
     "mqc_phase_cycled",
@@ -71,6 +67,8 @@ __all__ = [
 ]
 
 PREPARED_KINDS = ("z_ends", "y_logical", "x_logical", "full_z")
+# the kinds read from the single-excitation propagator: every one but full_z
+_SERIES_KINDS = PREPARED_KINDS[:3]
 
 
 @dataclass(frozen=True)
@@ -126,67 +124,38 @@ def prepare_state(n: int, kind: str) -> DeviationState:
     return y_state.rotated_z(math.pi / 4)
 
 
-def _homogeneous_modes(
-    n: int, d: float, minimum: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Checked d, sine modes kappa_k and frequencies 2 d cos(kappa_k) of the uniform n-chain."""
-    n = _check_length(n, minimum)
-    d = _check_scale(d)
-    kappa = np.pi * np.arange(1, n + 1) / (n + 1)
-    return d, kappa, 2.0 * d * np.cos(kappa)
+def mqc_analytic(n: int, d: float, kind: str, t: float) -> MqcSpectrum:
+    """Closed-form coherence intensities of one prepared kind on the homogeneous dq chain.
 
+    Over the sine modes kappa_k = pi k / (n + 1), with w_k = 2 d cos(kappa_k):
 
-def mqc_z_analytic(n: int, d: float, t: float) -> MqcSpectrum:
-    """Coherence intensities for z_ends on the homogeneous dq chain.
+        z_ends:    J_0 = 2/(n+1) sum_k sin^2(kappa_k) cos^2(2 w_k t)
+                   J_+-2 = 1/(n+1) sum_k sin^2(kappa_k) sin^2(2 w_k t)
+        y_logical: J_0 = 2/(n+1) sum_k sin(kappa_k) sin(2 kappa_k) sin(4 w_k t)
+                   J_+-2 = -J_0 / 2
+        x_logical: no signal, the protocol's readout is blind to it.
 
-    J_0    = 2/(n+1) sum_k sin^2(kappa_k) cos^2(2 w_k t)
-    J_{+-2} = 1/(n+1) sum_k sin^2(kappa_k) sin^2(2 w_k t)
-
-    normalised so the total is 1 (J_0(0) = 1). No other order appears.
+    The z_ends series is normalised so the total is 1 (J_0(0) = 1), and
+    no other order appears. The logical series are in the raw
+    convention of the cycling protocol; their total vanishes because the
+    prepared states are orthogonal to Z. x_logical holds times to the
+    range of y_logical.
     """
-    d, kappa, w = _homogeneous_modes(n, d, minimum=2)
-    t = _check_time(t, 4.0 * d)
-    s2 = np.sin(kappa) ** 2
-    j0 = 2.0 / (n + 1) * float(np.sum(s2 * np.cos(2 * w * t) ** 2))
-    j2 = 1.0 / (n + 1) * float(np.sum(s2 * np.sin(2 * w * t) ** 2))
-    return MqcSpectrum(t, (-2, 0, 2), (j2, j0, j2))
-
-
-def mqc_y_analytic(n: int, d: float, t: float) -> MqcSpectrum:
-    """Coherence intensities for y_logical on the homogeneous dq chain.
-
-    J_0    =  2/(n+1) sum_k sin(kappa_k) sin(2 kappa_k) sin(4 w_k t)
-    J_{+-2} = -J_0 / 2
-
-    in the raw (unnormalised) convention of the cycling protocol; the
-    total vanishes because the prepared state is orthogonal to Z.
-    """
-    d, kappa, w = _homogeneous_modes(n, d, minimum=4)
+    kind = _check_choice(kind, "kind", _SERIES_KINDS, InvalidConfigurationError)
+    n, d, kappa, w = _sine_modes(n, d, minimum=2 if kind == "z_ends" else 4)
+    if kind == "z_ends":
+        t = _check_time(t, 4.0 * d)
+        s2 = np.sin(kappa) ** 2
+        j0 = 2.0 / (n + 1) * float(np.sum(s2 * np.cos(2 * w * t) ** 2))
+        j2 = 1.0 / (n + 1) * float(np.sum(s2 * np.sin(2 * w * t) ** 2))
+        return MqcSpectrum(t, (-2, 0, 2), (j2, j0, j2))
     t = _check_time(t, 8.0 * d)
+    if kind == "x_logical":
+        return MqcSpectrum(t, (-2, 0, 2), (0.0, 0.0, 0.0))
     weight = np.sin(kappa) * np.sin(2 * kappa)
     j0 = 2.0 / (n + 1) * float(np.sum(weight * np.sin(4 * w * t)))
     j2 = 1.0 / (n + 1) * float(np.sum(weight * np.sin(4 * w * t + np.pi)))
     return MqcSpectrum(t, (-2, 0, 2), (j2, j0, j2))
-
-
-def mqc_x_analytic(n: int, d: float, t: float) -> MqcSpectrum:
-    """x_logical gives no signal: the protocol's readout is blind to it."""
-    d = _homogeneous_modes(n, d, minimum=4)[0]
-    t = _check_time(t, 8.0 * d)  # the times mqc_y_analytic accepts
-    return MqcSpectrum(t, (-2, 0, 2), (0.0, 0.0, 0.0))
-
-
-_ANALYTIC = {
-    "z_ends": mqc_z_analytic,
-    "y_logical": mqc_y_analytic,
-    "x_logical": mqc_x_analytic,
-}
-
-
-def mqc_analytic(n: int, d: float, kind: str, t: float) -> MqcSpectrum:
-    """Dispatch to the closed-form series for one prepared kind."""
-    kind = _check_choice(kind, "kind", tuple(_ANALYTIC), InvalidConfigurationError)
-    return _ANALYTIC[kind](n, d, t)
 
 
 def mqc_propagator_grid(spec: ChainSpec, kind: str, times) -> tuple[MqcSpectrum, ...]:
@@ -201,7 +170,7 @@ def mqc_propagator_grid(spec: ChainSpec, kind: str, times) -> tuple[MqcSpectrum,
         x_logical: every J_q is exactly 0 (checked as y_logical, on the same sites).
     """
     _check_choice(spec.model, "model", ("dq",), UnsupportedModelError)
-    _check_choice(kind, "kind", tuple(_ANALYTIC), InvalidConfigurationError)
+    _check_choice(kind, "kind", _SERIES_KINDS, InvalidConfigurationError)
     grid = _check_times(times, 4.0)
     amp = _end_block(spec, "z_ends" if kind == "z_ends" else "y_logical", 4.0 * grid)
     if kind == "z_ends":

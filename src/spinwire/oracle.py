@@ -29,10 +29,11 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidConfigurationError,
     InvalidDimensionError,
+    InvalidParameterError,
     OracleSizeError,
 )
 from .pauli import DeviationState, PauliString, _validate_string, parse_string_label
-from .propagator import MixedState, _check_blocks
+from .propagator import MixedState, _check_blocks, _gauge_sign
 
 __all__ = [
     "HARD_CAP",
@@ -260,13 +261,19 @@ def _unitary(eigen: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
 
 
 def _check_square(*operands: np.ndarray) -> int:
-    """Operands that are non-empty square 2-d ndarrays of one shape: their dimension."""
+    """Operands that are non-empty square 2-d ndarrays of one shape, of integer, real
+    or complex dtype and with finite entries: their dimension."""
     shapes = [op.shape if isinstance(op, np.ndarray) else None for op in operands]
     dim = shapes[0][0] if shapes[0] else 0
     if dim < 1 or any(shape != (dim, dim) for shape in shapes):
         raise InvalidDimensionError(
             f"operands must be equal non-empty square ndarrays, got shapes {shapes}"
         )
+    for op in operands:
+        if op.dtype.kind not in "iufc":
+            raise InvalidParameterError(f"operands must be numeric, got dtype {op.dtype}")
+        if not np.all(np.isfinite(op)):
+            raise InvalidParameterError("operands must have finite entries")
     return dim
 
 
@@ -302,9 +309,9 @@ def total_z(n: int) -> np.ndarray:
 
 
 def staggered_z(n: int) -> np.ndarray:
-    """Diagonal matrix of sum_j (-1)^(j+1) Z_j."""
+    """Diagonal matrix of sum_j (-1)^(j+1) Z_j, each Z_j with its dq gauge sign against Z_1."""
     n = require_within_budget(n)
-    return _dense_sum(n, [((-1) ** (j + 1), ((j, "Z"),)) for j in range(1, n + 1)])
+    return _dense_sum(n, [(_gauge_sign("dq", j, 1), ((j, "Z"),)) for j in range(1, n + 1)])
 
 
 def collective_rotation_diag(n: int, phi: float) -> np.ndarray:

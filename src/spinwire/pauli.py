@@ -77,14 +77,20 @@ class DeviationState:
 
     @classmethod
     def from_terms(cls, n: int, terms) -> "DeviationState":
-        """Build from an iterable of (weight, string), merging repeats."""
+        """Build from an iterable of (weight, string), merging repeats.
+
+        A merged weight at most 1e-15 of the largest one (rounding residue,
+        exact zeros included) is dropped, so the bound follows the scale
+        of the state. Sizes are max(|Re w|, |Im w|), which cannot overflow;
+        a weight that overflowed to infinity is kept, and rejected.
+        """
         acc: dict[PauliString, complex] = {}
         for weight, sites in _check_terms(_check_length(n), terms):
             acc[sites] = acc.get(sites, 0j) + weight
-        kept = tuple(
-            (w, s) for s, w in sorted(acc.items()) if abs(w) > 1e-15
-        )
-        return cls(n, kept)
+        size = {s: max(abs(w.real), abs(w.imag)) for s, w in acc.items()}
+        largest = max(size.values(), default=0.0)
+        floor = 1e-15 * largest if math.isfinite(largest) else 0.0
+        return cls(n, tuple((w, s) for s, w in sorted(acc.items()) if size[s] > floor))
 
     # -- queries ---------------------------------------------------------
 

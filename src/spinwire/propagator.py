@@ -102,14 +102,19 @@ class Propagator:
 _MAX_N = 10_000
 
 
-def spectral_decompose(spec: ChainSpec) -> SpectralDecomposition:
-    """Diagonalise the single-excitation matrix of a nearest-neighbour chain (n <= 10 000)."""
-    _check_choice(spec.model, "model", ("xx", "dq"), UnsupportedModelError)
-    n = spec.n
+def _check_mode_count(n: int) -> int:
+    """A chain length within the single-excitation cap, checked before any chain is built."""
     if n > _MAX_N:
         raise InvalidDimensionError(
             f"single-excitation modes limited to n <= {_MAX_N} (requested n={n})"
         )
+    return n
+
+
+def spectral_decompose(spec: ChainSpec) -> SpectralDecomposition:
+    """Diagonalise the single-excitation matrix of a nearest-neighbour chain (n <= 10 000)."""
+    _check_choice(spec.model, "model", ("xx", "dq"), UnsupportedModelError)
+    n = _check_mode_count(spec.n)
     if n == 1:
         return SpectralDecomposition(1, np.zeros(1), np.ones((1, 1)))
     freqs, modes = eigh_tridiagonal(np.zeros(n), spec.nn_couplings())
@@ -177,6 +182,15 @@ def chain_propagator(spec: ChainSpec, t: float) -> Propagator:
 # -- closed forms ---------------------------------------------------------
 
 
+def _sine_modes(n: int, d: float, minimum: int = 1) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """Checked n and d, then the uniform chain's sine modes kappa_k = pi k / (n + 1)
+    and frequencies w_k = 2 d cos(kappa_k), k = 1..n."""
+    n = _check_length(n, minimum)
+    d = _check_scale(d)
+    kappa = np.pi * np.arange(1, n + 1) / (n + 1)
+    return n, d, kappa, 2.0 * d * np.cos(kappa)
+
+
 def homogeneous_amplitude(n: int, d: float, j: int, l: int, t: float) -> complex:
     """A_{jl}(t) for the uniform chain via the sine-mode sum.
 
@@ -186,12 +200,10 @@ def homogeneous_amplitude(n: int, d: float, j: int, l: int, t: float) -> complex
     Independent of the generic eigensolver path, so the two can be used
     to cross-check each other.
     """
-    n = _check_length(n)
-    d = _check_scale(d)
+    n, d, kappa, _ = _sine_modes(n, d)
     j = _check_site(n, j)
     l = _check_site(n, l)
     t = _check_time(t, 2.0 * d)
-    kappa = np.pi * np.arange(1, n + 1) / (n + 1)
     weights = np.sin(kappa * j) * np.sin(kappa * l)
     phases = np.exp(-2j * d * t * np.cos(kappa))
     return complex(2.0 / (n + 1) * np.sum(weights * phases))
@@ -273,6 +285,16 @@ def mixed_state_overlap(prop: Propagator, a: MixedState, b: MixedState) -> compl
 # -- two-point observables ---------------------------------------------------
 
 
+def _gauge_sign(model: str, j, l):
+    """1 under xx, (-1)^(j-l) under dq; ``j`` or ``l`` may be an array of sites.
+
+    X on every odd site maps the xx chain onto the dq chain and negates
+    Z on the odd sites, so a correlation between sites j and l changes
+    sign when exactly one of them is odd.
+    """
+    return 1 if model == "xx" else (-1) ** ((np.asarray(j) - l) % 2)
+
+
 def polarization_from_propagator(prop: Propagator, j: int, l: int, model: str = "xx") -> float:
     """Normalised polarisation correlation Tr[Z_j(t) Z_l] / 2^n.
 
@@ -281,9 +303,8 @@ def polarization_from_propagator(prop: Propagator, j: int, l: int, model: str = 
     the staggering sign (-1)^(j-l).
     """
     p = prop.probability(j, l)
-    if _check_choice(model, "model", ("xx", "dq"), UnsupportedModelError) == "xx":
-        return p
-    return float((-1) ** ((j - l) % 2) * p)
+    model = _check_choice(model, "model", ("xx", "dq"), UnsupportedModelError)
+    return float(_gauge_sign(model, j, l) * p)
 
 
 def polarization_correlation(spec: ChainSpec, j: int, l: int, t: float) -> float:
@@ -342,16 +363,16 @@ def end_autocorrelation_grid(spec: ChainSpec, initial: str, times) -> np.ndarray
     """``end_autocorrelation`` at every time of ``times``, from one ``_end_block``."""
     amp = _end_block(spec, initial, times)
     if initial == "z_ends":
-        sign = 1.0 if spec.model == "xx" else float((-1) ** (spec.n - 1))
+        sign = _gauge_sign(spec.model, 1, spec.n)
         p11 = abs(amp[:, 0, 0]) ** 2
         pnn = abs(amp[:, 1, 1]) ** 2
         p1n = abs(amp[:, 0, 1]) ** 2
         return 0.5 * (p11 + pnn + 2.0 * sign * p1n)
     # block positions 1, 2 are the sites 1, 2 and 3, 4 the sites n-1, n
     if spec.model == "dq":
-        # the flip-flop image of the state is a sum of two bond currents
-        # whose relative sign alternates with chain parity
-        s = 1.0 if spec.n % 2 == 0 else -1.0
+        # the flip-flop image of the state is a sum of two bond currents, with
+        # the gauge sign between their first sites 1 and n-1
+        s = _gauge_sign(spec.model, 1, spec.n - 1)
         return (
             _current_correlation(amp, 1, 2, 1, 2)
             + _current_correlation(amp, 3, 4, 3, 4)

@@ -266,8 +266,8 @@ def logical_channels_vs_oracle(rng, max_n, oracle_n):
     cpl, t, dense = _draw(rng, n, ("xx", "dq"))
     dev = 0.0
     for spec, _, u in dense:
-        source = logical_mod.logical_basis(spec.model, n, "source").observables
-        target = logical_mod.logical_basis(spec.model, n, "target").observables
+        source = logical_mod.logical_basis(spec.model, n, "source")
+        target = logical_mod.logical_basis(spec.model, n, "target")
         prop = prop_mod.chain_propagator(spec, t)
         got = logical_mod.logical_correlations(prop, spec.model, corrected=False)
         for alpha in logical_mod.CHANNELS:

@@ -100,3 +100,10 @@ def registry_summary(names) -> tuple[bool, str]:
     worst = {name: max(dev for other, dev, _ in results if other == name) for name in names}
     detail = ", ".join(f"{name} {dev:.1e}" for name, dev in worst.items())
     return all(dev <= bound for _, dev, bound in results), detail
+
+
+# the z_ends, y_logical and x_logical series of mqc_analytic, under the labels by which
+# the entry-point tables and the parametrised tests name them
+MQC_SERIES = {
+    "mqc_z_analytic": "z_ends", "mqc_y_analytic": "y_logical", "mqc_x_analytic": "x_logical"
+}

@@ -473,6 +473,25 @@ def test_decomposition_size_cap_is_a_domain_error(runner):
 @pytest.mark.parametrize(
     "args",
     [
+        ["transfer", "--grid", "0:1:2"],
+        ["transfer", "--family", "homogeneous", "--grid", "0:1:2"],
+        ["transfer", "--family", "dipolar", "--grid", "0:1:2"],
+        ["logical", "--grid", "0:1:2"],
+        ["mqc", "--grid", "0:1:2"],
+        ["mqc", "--engine", "oracle", "--grid", "0:1:2"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_huge_length_fails_before_any_chain_is_built(runner, args):
+    # 10^12 couplings would need 8 TB; the length cap is checked first
+    result = runner.invoke(main, args + ["--n", "1000000000000"])
+    assert_clean_domain_error(result)
+    assert "n <= 10000" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ["transfer", "--n", "30", "--grid", "-2:5:41"],
         ["transfer", "--n", "7", "--model", "dq", "--l", "4", "--grid", "-0:1:3"],
         ["logical", "--n", "6", "--model", "dq", "--raw", "--grid", "-1:3:17"],

@@ -14,7 +14,10 @@ included, and fails if a function is missing from the table of one of
 its arguments.
 """
 
+import ast
 import inspect
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,9 +63,6 @@ from spinwire.mqc import (
     mqc_phase_cycled,
     mqc_phase_cycled_grid,
     mqc_propagator_grid,
-    mqc_x_analytic,
-    mqc_y_analytic,
-    mqc_z_analytic,
     prepare_state,
 )
 from spinwire.oracle import (
@@ -99,6 +99,7 @@ from spinwire.propagator import (
     spectral_decompose,
 )
 from spinwire.verify import run_verification
+from support import MQC_SERIES
 
 TIMES = st.lists(st.floats(-50, 50, allow_nan=False), max_size=4)
 
@@ -248,7 +249,7 @@ def test_autocorrelation_grid_equals_single_time_calls(kind, model, seed, times,
 
 
 # 1e308 is finite, but its phases w t lie far past 2^52 rad or overflow;
-# mqc_x_analytic forms no phase, and holds times to mqc_y_analytic's range
+# the x_logical series forms no phase, and holds times to the y_logical range
 BAD_TIMES = ("a", None, float("nan"), float("inf"), 1e308, "0.5", True, 10**400,
              np.complex128(1 + 1j))
 TIME_ENTRY_POINTS = {
@@ -267,9 +268,8 @@ TIME_ENTRY_POINTS = {
         homogeneous_couplings(4), "z_ends", [0.0, t]
     ),
     "homogeneous_amplitude": lambda t: homogeneous_amplitude(4, 1.0, 1, 4, t),
-    "mqc_z_analytic": lambda t: mqc_z_analytic(4, 1.0, t),
-    "mqc_y_analytic": lambda t: mqc_y_analytic(4, 1.0, t),
-    "mqc_x_analytic": lambda t: mqc_x_analytic(4, 1.0, t),
+    **{label: lambda t, kind=kind: mqc_analytic(4, 1.0, kind, t)
+       for label, kind in MQC_SERIES.items()},
     "mqc_analytic": lambda t: mqc_analytic(4, 1.0, "z_ends", t),
     "mqc_phase_cycled": lambda t: mqc_phase_cycled(
         homogeneous_couplings(4, model="dq"), prepare_state(4, "z_ends"), t
@@ -314,9 +314,8 @@ LENGTH_ENTRY_POINTS = {
     "logical_transport_engineered": lambda n: logical_transport_engineered(n, 1.0, "x", 0.5),
     "entanglement_fidelity": lambda n: entanglement_fidelity(n, 1.0, "engineered", 0.5),
     "prepare_state": lambda n: prepare_state(n, "z_ends"),
-    "mqc_z_analytic": lambda n: mqc_z_analytic(n, 1.0, 0.5),
-    "mqc_y_analytic": lambda n: mqc_y_analytic(n, 1.0, 0.5),
-    "mqc_x_analytic": lambda n: mqc_x_analytic(n, 1.0, 0.5),
+    **{label: lambda n, kind=kind: mqc_analytic(n, 1.0, kind, 0.5)
+       for label, kind in MQC_SERIES.items()},
     "mqc_analytic": lambda n: mqc_analytic(n, 1.0, "z_ends", 0.5),
     "require_within_budget": require_within_budget,
     "pauli_string_to_dense": lambda n: pauli_string_to_dense(n, ()),
@@ -352,9 +351,8 @@ SCALE_ENTRY_POINTS = {
     "logical_transport_homogeneous": lambda d: logical_transport_homogeneous(6, d, "x", 0.5),
     "logical_transport_engineered": lambda d: logical_transport_engineered(6, d, "x", 0.5),
     "entanglement_fidelity": lambda d: entanglement_fidelity(6, d, "engineered", 0.5),
-    "mqc_z_analytic": lambda d: mqc_z_analytic(4, d, 0.5),
-    "mqc_y_analytic": lambda d: mqc_y_analytic(4, d, 0.5),
-    "mqc_x_analytic": lambda d: mqc_x_analytic(4, d, 0.5),
+    **{label: lambda d, kind=kind: mqc_analytic(4, d, kind, 0.5)
+       for label, kind in MQC_SERIES.items()},
     "mqc_analytic": lambda d: mqc_analytic(4, d, "z_ends", 0.5),
 }
 
@@ -612,10 +610,17 @@ def test_popcount_rejects_more_bits_than_a_label_holds(n):
         popcount(np.array([-1]), n)
 
 
-# operands that are lists, vectors, scalars, missing, empty, not square or three-dimensional;
-# these ndarray arguments sit outside the completeness test below, so each is listed here
-BAD_OPERANDS = ([[1.0]], np.ones(3), 1.0, None, np.ones((0, 0)), np.ones((2, 3)),
-                np.ones((2, 2, 2)))
+# operands that are lists, vectors, scalars, missing, empty, not square or three-dimensional,
+# then 2 x 2 ones of strings, with an infinite entry and of NaN; these ndarray arguments sit
+# outside the completeness test below, so each is listed here with the error it raises
+BAD_OPERANDS = (
+    *((op, InvalidDimensionError) for op in (
+        [[1.0]], np.ones(3), 1.0, None, np.ones((0, 0)), np.ones((2, 3)), np.ones((2, 2, 2))
+    )),
+    *((op, InvalidParameterError) for op in (
+        np.full((2, 2), "a"), np.diag([np.inf, 0.0]), np.full((2, 2), np.nan)
+    )),
+)
 OPERAND_ENTRY_POINTS = {
     "trace_overlap[a]": lambda op: trace_overlap(op, np.eye(2)),
     "trace_overlap[b]": lambda op: trace_overlap(np.eye(2), op),
@@ -628,10 +633,10 @@ OPERAND_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("op", BAD_OPERANDS, ids=repr)
+@pytest.mark.parametrize("op, error", BAD_OPERANDS, ids=[repr(op) for op, _ in BAD_OPERANDS])
 @pytest.mark.parametrize("entry", sorted(OPERAND_ENTRY_POINTS))
-def test_operand_entry_points_reject_non_matrices(entry, op):
-    with pytest.raises(InvalidDimensionError):
+def test_operand_entry_points_reject_non_matrices(entry, op, error):
+    with pytest.raises(error):
         OPERAND_ENTRY_POINTS[entry](op)
 
 
@@ -662,12 +667,12 @@ ROLE_TABLES = {
 }
 # objects and flags, outside the value rules (object arguments are not checked by type);
 # so is any argument annotated as an ndarray operand or a prepared DeviationState
-OBJECT_ARGUMENTS = ("spec", "decomposition", "prop", "basis", "amplitudes", "vals", "corrected")
+OBJECT_ARGUMENTS = ("spec", "decomposition", "prop", "amplitudes", "vals", "corrected")
 OBJECT_ANNOTATIONS = ("np.ndarray", "DeviationState")
 MODULES = (chain, errors, pauli, propagator, logical, mqc, verify, oracle)
 RESULT_TYPES = (
-    "TransferTiming", "SpectralDecomposition", "Propagator", "LogicalBasis", "MqcSpectrum",
-    "CheckResult", "VerificationReport",
+    "TransferTiming", "SpectralDecomposition", "Propagator", "MqcSpectrum", "CheckResult",
+    "VerificationReport",
 )
 
 
@@ -696,3 +701,37 @@ def test_package_exports_each_module_list_once():
             assert getattr(spinwire, name) is getattr(m, name), name
     # the dense oracle keeps its own namespace
     assert not set(oracle.__all__) & set(spinwire.__all__)
+
+
+# public names whose only callers are the tests: dense references for the grid engines
+TEST_REFERENCES = ("evolve_deviation", "mqc_phase_cycled")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_public_name_has_a_program_caller():
+    # each name in a module's __all__ must be read under src/ or perfbench/ outside its own
+    # definition; neither the __all__ string nor the def statement counts as a read
+    trees = {
+        path: ast.parse(path.read_text())
+        for folder in ("src", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    reads = defaultdict(list)  # name -> (path, node id) of each read
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads[node.id].append((path, id(node)))
+            elif isinstance(node, ast.Attribute):
+                reads[node.attr].append((path, id(node)))
+    unused = []
+    for module in MODULES:
+        path = Path(module.__file__).resolve()
+        own = {
+            node.name: {(path, id(inner)) for inner in ast.walk(node)}
+            for node in trees[path].body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        unused += [
+            f"{module.__name__}.{name}" for name in module.__all__
+            if name not in TEST_REFERENCES and set(reads[name]) <= own.get(name, set())
+        ]
+    assert not unused

@@ -21,7 +21,6 @@ from spinwire.errors import (
 )
 from spinwire.logical import (
     CHANNELS,
-    apply_parity_correction,
     channel_correlations,
     channel_fidelity,
     dq_parity_correction,
@@ -36,6 +35,7 @@ from spinwire.oracle import (
     build_hamiltonian,
     deviation_to_dense,
     evolve_deviation,
+    pauli_string_to_dense,
     similarity_transform,
     trace_overlap,
 )
@@ -43,7 +43,7 @@ from spinwire.propagator import chain_propagator
 
 
 def test_source_basis_terms_xx():
-    obs = logical_basis("xx", 6, "source").observables
+    obs = logical_basis("xx", 6, "source")
     assert obs["x"].weight(((1, "X"), (2, "X"))) == 0.5
     assert obs["x"].weight(((1, "Y"), (2, "Y"))) == 0.5
     assert obs["y"].weight(((1, "Y"), (2, "X"))) == 0.5
@@ -55,7 +55,7 @@ def test_source_basis_terms_xx():
 
 
 def test_source_basis_terms_dq():
-    obs = logical_basis("dq", 6, "source").observables
+    obs = logical_basis("dq", 6, "source")
     assert obs["x"].weight(((1, "Y"), (2, "Y"))) == -0.5
     assert obs["y"].weight(((1, "X"), (2, "Y"))) == 0.5
     assert obs["z"].weight(((2, "Z"),)) == 0.5
@@ -64,19 +64,17 @@ def test_source_basis_terms_dq():
 
 def test_target_basis_is_reflection():
     n = 6
-    basis = logical_basis("xx", n, "target")
-    assert basis.sites == (n - 1, n)
-    obs = basis.observables
+    obs = logical_basis("xx", n, "target")
     assert obs["z"].weight(((n, "Z"),)) == 0.5
     assert obs["z"].weight(((n - 1, "Z"),)) == -0.5
     assert obs["x"].weight(((n - 1, "X"), (n, "X"))) == 0.5
-    for name, state in logical_basis("xx", n, "source").observables.items():
+    for name, state in logical_basis("xx", n, "source").items():
         assert state.reflected() == obs[name]
 
 
 def test_basis_normalisation_and_trace():
     for model in ("xx", "dq"):
-        obs = logical_basis(model, 4, "source").observables
+        obs = logical_basis(model, 4, "source")
         for name in CHANNELS:
             dense = deviation_to_dense(obs[name])
             norm = trace_overlap(dense, dense).real
@@ -99,8 +97,8 @@ def test_gauge_links_the_two_encodings():
     n = 4
     v = similarity_transform(n)
     for pair in ("source", "target"):
-        xx = logical_basis("xx", n, pair).observables
-        dq = logical_basis("dq", n, pair).observables
+        xx = logical_basis("xx", n, pair)
+        dq = logical_basis("dq", n, pair)
         for name in CHANNELS:
             conj = v @ deviation_to_dense(xx[name]) @ v
             target = deviation_to_dense(dq[name])
@@ -117,17 +115,6 @@ def test_parity_correction_predicate():
         dq_parity_correction(1)
 
 
-def test_apply_parity_correction():
-    basis = logical_basis("dq", 6, "target")
-    fixed = apply_parity_correction(basis)
-    assert fixed.observables["y"] == basis.observables["y"].scaled(-1.0)
-    assert fixed.observables["z"] == basis.observables["z"].scaled(-1.0)
-    assert fixed.observables["x"] == basis.observables["x"]
-    assert fixed.observables["1"] == basis.observables["1"]
-    with pytest.raises(UnsupportedModelError):
-        apply_parity_correction(logical_basis("xx", 6, "target"))
-
-
 @pytest.mark.parametrize("n", range(4, 8))
 def test_corrected_dq_channels_match_dense_dq_dynamics(n):
     # the dq chain evolved densely and read through the target basis, pi-x
@@ -135,15 +122,17 @@ def test_corrected_dq_channels_match_dense_dq_dynamics(n):
     rng = np.random.default_rng(n)
     spec = ChainSpec(n, "dq", random_couplings(rng, n))
     h = build_hamiltonian(spec)
-    source = logical_basis("dq", n, "source").observables
-    target = logical_basis("dq", n, "target")
+    source = logical_basis("dq", n, "source")
+    target = {a: deviation_to_dense(op) for a, op in logical_basis("dq", n, "target").items()}
     if n % 2 == 0:
-        target = apply_parity_correction(target)
+        # the pi-x correction: conjugate every target observable by X_{n-1} X_n
+        flip = pauli_string_to_dense(n, ((n - 1, "X"), (n, "X")))
+        target = {alpha: flip @ op @ flip for alpha, op in target.items()}
     for t in rng.uniform(0.3, 2.5, 3):
         got = logical_correlations(chain_propagator(spec, t), "dq", corrected=True)
         for alpha in CHANNELS:
             rho_t = evolve_deviation(h, deviation_to_dense(source[alpha]), t)
-            ref = 2.0 * trace_overlap(rho_t, deviation_to_dense(target.observables[alpha]))
+            ref = 2.0 * trace_overlap(rho_t, target[alpha])
             assert abs(got[alpha] - ref.real) <= 1e-12
 
 

@@ -23,11 +23,9 @@ from spinwire.mqc import (
     mqc_phase_cycled,
     mqc_phase_cycled_grid,
     mqc_propagator_grid,
-    mqc_x_analytic,
-    mqc_y_analytic,
-    mqc_z_analytic,
     prepare_state,
 )
+from support import MQC_SERIES
 
 
 def test_prepared_state_z_ends():
@@ -70,6 +68,8 @@ def test_prepared_state_x_logical_is_rotated_y():
     assert state.weight(((1, "X"), (2, "X"))) == pytest.approx(-0.5, abs=1e-15)
     assert state.weight(((1, "Y"), (2, "Y"))) == pytest.approx(0.5, abs=1e-15)
     assert state.weight(((1, "Y"), (2, "X"))) == pytest.approx(0.0, abs=1e-15)
+    # the rotation leaves residues of about 1e-16 on the other strings, all pruned
+    assert len(state.terms) == 4
 
 
 def test_prepared_states_are_traceless():
@@ -87,41 +87,44 @@ def test_prepare_state_validation():
 
 
 def test_frozen_analytic_samples():
-    z = mqc_z_analytic(5, 1.0, 0.8)
+    z = mqc_analytic(5, 1.0, "z_ends", 0.8)
     assert z.intensity(0) == pytest.approx(0.478597016135475, abs=1e-12)
     assert z.intensity(2) == pytest.approx(0.260701491932262, abs=1e-12)
-    y = mqc_y_analytic(5, 1.0, 0.8)
+    y = mqc_analytic(5, 1.0, "y_logical", 0.8)
     assert y.intensity(0) == pytest.approx(-0.223969938139247, abs=1e-12)
     assert y.intensity(2) == pytest.approx(0.111984969069623, abs=1e-12)
 
 
 def test_analytic_initial_values_and_symmetry():
     for n in (4, 7):
-        z0 = mqc_z_analytic(n, 1.3, 0.0)
+        z0 = mqc_analytic(n, 1.3, "z_ends", 0.0)
         assert z0.intensity(0) == pytest.approx(1.0, abs=1e-12)
         assert z0.intensity(2) == pytest.approx(0.0, abs=1e-14)
-        y0 = mqc_y_analytic(n, 1.3, 0.0)
+        y0 = mqc_analytic(n, 1.3, "y_logical", 0.0)
         assert y0.intensity(0) == pytest.approx(0.0, abs=1e-14)
         for t in (0.3, 1.7):
-            for series in (mqc_z_analytic, mqc_y_analytic):
-                spect = series(n, 1.3, t)
+            for kind in ("z_ends", "y_logical"):
+                spect = mqc_analytic(n, 1.3, kind, t)
                 assert spect.intensity(2) == spect.intensity(-2)
-            x = mqc_x_analytic(n, 1.3, t)
+            x = mqc_analytic(n, 1.3, "x_logical", t)
             assert x.intensities == (0.0, 0.0, 0.0)
 
 
 def test_analytic_z_total_is_conserved():
     for t in (0.0, 0.4, 1.1, 2.9):
-        spect = mqc_z_analytic(6, 1.0, t)
+        spect = mqc_analytic(6, 1.0, "z_ends", t)
         assert spect.total() == pytest.approx(1.0, abs=1e-12)
     # y-series intensities sum to zero instead: the state is orthogonal to Z
     for t in (0.4, 1.1):
-        assert mqc_y_analytic(6, 1.0, t).total() == pytest.approx(0.0, abs=1e-14)
+        assert mqc_analytic(6, 1.0, "y_logical", t).total() == pytest.approx(0.0, abs=1e-14)
 
 
 def test_analytic_dispatch():
-    spect = mqc_analytic(5, 1.0, "z_ends", 0.8)
-    assert spect.intensity(0) == mqc_z_analytic(5, 1.0, 0.8).intensity(0)
+    # z_ends needs one end pair of sites, the logical kinds two
+    assert mqc_analytic(2, 1.0, "z_ends", 0.8).orders == (-2, 0, 2)
+    for kind in ("y_logical", "x_logical"):
+        with pytest.raises(InvalidDimensionError):
+            mqc_analytic(3, 1.0, kind, 0.8)
     with pytest.raises(InvalidConfigurationError):
         mqc_analytic(5, 1.0, "full_z", 0.8)
 
@@ -130,7 +133,7 @@ def test_cycled_matches_analytic_z_up_to_conserved_total():
     n, d, t = 5, 1.0, 0.8
     spec = homogeneous_couplings(n, d, model="dq")
     cycled = mqc_phase_cycled(spec, prepare_state(n, "z_ends"), t)
-    analytic = mqc_z_analytic(n, d, t)
+    analytic = mqc_analytic(n, d, "z_ends", t)
     # raw conserved total Tr[rho Z]/2^n = 2, analytic series normalises to 1
     assert cycled.total() == pytest.approx(2.0, abs=1e-10)
     for q in (-2, 0, 2):
@@ -228,16 +231,16 @@ def test_long_chain_zero_order_revives_near_mirror_time():
     n, d = 21, 1.0
     t_peak, j_peak = 11.341013, 0.816657633
     assert abs(t_peak - n / (2 * d)) <= 0.1 * (n / (2 * d))
-    assert mqc_z_analytic(n, d, t_peak).intensity(0) == pytest.approx(j_peak, abs=1e-9)
+    assert mqc_analytic(n, d, "z_ends", t_peak).intensity(0) == pytest.approx(j_peak, abs=1e-9)
     for dt in (-0.05, 0.05):
-        assert mqc_z_analytic(n, d, t_peak + dt).intensity(0) < j_peak
+        assert mqc_analytic(n, d, "z_ends", t_peak + dt).intensity(0) < j_peak
 
 
 @pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
-@pytest.mark.parametrize("series", [mqc_z_analytic, mqc_y_analytic, mqc_x_analytic])
+@pytest.mark.parametrize("series", list(MQC_SERIES))
 def test_analytic_series_reject_bad_coupling_scale(series, d):
     with pytest.raises(InvalidParameterError):
-        series(8, d, 0.7)
+        mqc_analytic(8, d, MQC_SERIES[series], 0.7)
 
 
 ORDERS = (-2, 0, 2)

@@ -124,6 +124,36 @@ def test_from_terms_merges_and_prunes():
         2, [(0.5, ((1, "Z"),)), (0.5, ((1, "Z"),)), (1e-16, ((2, "Z"),))]
     )
     assert state.terms == ((1.0 + 0j, ((1, "Z"),)),)
+    # a merged weight past the float range is kept for the finiteness check, not pruned
+    with pytest.raises(InvalidConfigurationError):
+        DeviationState.from_terms(1, [(1e308, ((1, "X"),)), (1e308, ((1, "X"),))])
+
+
+# distinct sparse strings on sites 1..3 of a 4-site chain; site 4 is left for a residue
+STRINGS = st.lists(
+    st.tuples(st.integers(1, 3), st.sampled_from("XYZ")), max_size=3, unique_by=lambda f: f[0]
+).map(lambda factors: tuple(sorted(factors)))
+
+
+@given(
+    st.dictionaries(STRINGS, st.floats(0.1, 10) | st.floats(-10, -0.1), min_size=1, max_size=6),
+    st.integers(-300, 300),
+)
+@settings(max_examples=100, deadline=None)
+def test_pruning_follows_the_scale_of_the_state(weights, exponent):
+    scale = 10.0**exponent
+    terms = [(w * scale, string) for string, w in weights.items()]
+    state = DeviationState.from_terms(4, terms)
+    # weights within a factor 100 of each other: nothing is pruned, at any scale
+    assert len(state.terms) == len(weights)
+    for same in (state.scaled(1.0), state.reflected().reflected(), state.rotated_z(0.0),
+                 state + DeviationState(4, ())):
+        assert same == state
+    largest = max(abs(w) for w in weights.values()) * scale
+    residue = DeviationState.from_terms(4, [*terms, (1e-17 * largest, ((4, "X"),))])
+    assert residue == state
+    kept = DeviationState.from_terms(4, [*terms, (1e-14 * largest, ((4, "X"),))])
+    assert kept.weight(((4, "X"),)) == 1e-14 * largest
 
 
 def test_weight_lookup_and_overlap():
