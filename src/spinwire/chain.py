@@ -100,6 +100,16 @@ def _check_number(value, name: str, error: type) -> complex:
     return complex(_check_real(value.real, name, error), _check_real(value.imag, name, error))
 
 
+def _check_finite_result(compute, name: str):
+    """``compute()`` run with float overflow silenced; a result with a non-finite
+    entry raises ``InvalidParameterError``, so finite operands that overflow never warn."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = compute()
+    if not np.all(np.isfinite(value)):
+        raise InvalidParameterError(f"{name} overflows the float range")
+    return value
+
+
 def _check_pairs(values, name: str, error: type) -> list[tuple]:
     """A sequence of pairs, as a list of 2-tuples; else ``error``."""
     try:

@@ -16,11 +16,14 @@ with status 2.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import datetime
 import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -135,13 +138,68 @@ def _write_table(out: Path | None, chunks) -> None:
     )
 
 
+@functools.cache
+def _numpy_blas():
+    """The (get, set) thread-count functions of numpy's vendored OpenBLAS, or None.
+
+    Resolved on the first command, not at import. Only a library that
+    numpy has already loaded is opened (RTLD_NOLOAD); other BLAS builds
+    (MKL, Accelerate, a system OpenBLAS) give None. scipy's own OpenBLAS
+    is a separate library and is left alone.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
+            get, set_threads = (lib.scipy_openblas_get_num_threads64_,
+                                lib.scipy_openblas_set_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get, set_threads
+    return None
+
+
+def _blas_threads() -> int | None:
+    """numpy's BLAS thread count now, or None when it cannot be read."""
+    api = _numpy_blas()
+    return None if api is None else api[0]()
+
+
+@contextlib.contextmanager
+def _blas_thread_limit(count: int):
+    """Run the block with numpy's BLAS on ``count`` threads, then restore the count before it.
+
+    Yields that earlier count. Does nothing, and yields None, when the
+    count cannot be set. The count is process-global.
+    """
+    api = _numpy_blas()
+    if api is None:
+        yield None
+        return
+    get, set_threads = api
+    previous = get()
+    set_threads(count)
+    try:
+        yield previous
+    finally:
+        set_threads(previous)
+
+
 def _domain_errors(f):
-    """Map domain errors and floating-point overflow to exit status 1 with a clean message."""
+    """Map domain errors and floating-point overflow to exit status 1 with a clean message.
+
+    The command runs on one BLAS thread: its products are too small to
+    share, and waking a second thread slows the Python code after them.
+    ``ctx.meta["blas_threads"]`` keeps the count in force before it.
+    """
 
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
         try:
-            with np.errstate(over="raise", invalid="raise"):
+            with np.errstate(over="raise", invalid="raise"), _blas_thread_limit(1) as before:
+                click.get_current_context().meta["blas_threads"] = before
                 return f(*args, **kwargs)
         except (SpinwireError, FloatingPointError) as exc:
             click.echo(f"error: {exc}", err=True)
@@ -262,7 +320,10 @@ def mqc(n, d, initial, engine, phase_steps, grid, out) -> None:
     if engine == "analytic":
         spectra = mqc_propagator_grid(spec, kind, grid)
     else:
-        spectra = mqc_phase_cycled_grid(spec, prepare_state(n, kind), grid, phase_steps=phase_steps)
+        # four products per time on sector blocks up to C(n, n/2) wide: these do use more threads
+        with _blas_thread_limit(click.get_current_context().meta["blas_threads"]):
+            spectra = mqc_phase_cycled_grid(spec, prepare_state(n, kind), grid,
+                                            phase_steps=phase_steps)
     # conserved total Tr[rho Z]/2^n: 2 for z_ends, 0 for logical states
     scale = 0.5 if kind == "z_ends" else 1.0
     cols = np.reshape([(scale * s.intensity(0), scale * s.intensity(2)) for s in spectra], (-1, 2))

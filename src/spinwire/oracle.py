@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, _check_length, _check_sites, _check_time
+from .chain import ChainSpec, _check_finite_result, _check_length, _check_sites, _check_time
 from .errors import (
     IndexOutOfRangeError,
     InvalidConfigurationError,
@@ -288,13 +288,13 @@ def evolve_deviation(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
     """Heisenberg-picture free evolution U rho U^dag."""
     _check_square(h, rho)
     u = evolve_unitary(h, t)
-    return u @ rho @ u.conj().T
+    return _check_finite_result(lambda: u @ rho @ u.conj().T, "evolved operator")
 
 
 def trace_overlap(a: np.ndarray, b: np.ndarray) -> complex:
     """Normalised trace Tr[a b] / dim."""
     dim = _check_square(a, b)
-    return complex(np.trace(a @ b) / dim)
+    return complex(_check_finite_result(lambda: np.trace(a @ b) / dim, "trace overlap"))
 
 
 def _total_z_diag(n: int) -> np.ndarray:
@@ -346,4 +346,5 @@ def similarity_residual(h_xx: np.ndarray, h_dq: np.ndarray) -> float:
     if dim < 2 or dim & (dim - 1):
         raise InvalidDimensionError(f"need two 2^n x 2^n matrices with n >= 1, got dim={dim}")
     u = similarity_transform(dim.bit_length() - 1)
-    return float(np.max(np.abs(u @ h_xx @ u - h_dq)))
+    return float(_check_finite_result(lambda: np.max(np.abs(u @ h_xx @ u - h_dq)),
+                                      "similarity residual"))

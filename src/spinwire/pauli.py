@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .chain import (
     _check_choice,
+    _check_finite_result,
     _check_length,
     _check_number,
     _check_pairs,
@@ -127,7 +128,9 @@ class DeviationState:
         if other.n != self.n:
             raise InvalidDimensionError("cannot overlap states of different length")
         table = {s: w for w, s in other.terms}
-        return sum(w * table.get(s, 0j) for w, s in self.terms)
+        return _check_finite_result(
+            lambda: sum(w * table.get(s, 0j) for w, s in self.terms), "state overlap"
+        )
 
     def rotated_z(self, phi: float) -> "DeviationState":
         """Conjugate by the collective z rotation exp(-i phi Sum_j Z_j / 2).

@@ -22,6 +22,7 @@ from scipy.linalg import eigh_tridiagonal
 from .chain import (
     ChainSpec,
     _check_choice,
+    _check_finite_result,
     _check_length,
     _check_number,
     _check_pairs,
@@ -273,13 +274,11 @@ def mixed_state_overlap(prop: Propagator, a: MixedState, b: MixedState) -> compl
     """
     av, bv = _check_blocks(prop.n, a), _check_blocks(prop.n, b)
     amp = prop.amplitudes
-    total = 0j
-    for p, q, wa in av:
-        for r, s, wb in bv:
-            if len(p) != len(s) or len(q) != len(r):
-                continue
-            total += wa * wb * _minor(amp, p, s) * np.conj(_minor(amp, q, r))
-    return total
+    terms = (
+        wa * wb * _minor(amp, p, s) * np.conj(_minor(amp, q, r))
+        for p, q, wa in av for r, s, wb in bv if len(p) == len(s) and len(q) == len(r)
+    )
+    return _check_finite_result(lambda: sum(terms, 0j), "mixed-state overlap")
 
 
 # -- two-point observables ---------------------------------------------------

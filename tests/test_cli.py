@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinwire
+from spinwire import cli
 from spinwire.cli import main
 
 T_STAR_21 = 21 * math.pi / 4
@@ -509,3 +512,78 @@ def test_stdout_and_out_file_hold_the_same_bytes(runner, tmp_path, args):
     (entry,) = json.loads((tmp_path / "table.csv.manifest.json").read_text())["output-files"]
     assert entry["sha256"] == hashlib.sha256(data).hexdigest()
     assert entry["bytes"] == len(data)
+
+
+# -- BLAS thread policy ----------------------------------------------------------
+
+requires_blas_threads = pytest.mark.skipif(
+    cli._blas_threads() is None, reason="numpy's BLAS thread count cannot be read on this build"
+)
+
+
+@requires_blas_threads
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["transfer", "--n", "12", "--grid", "0:2:5"], 0),
+        (["logical", "--n", "8", "--grid", "0:2:5"], 0),
+        (["mqc", "--n", "6", "--grid", "0:2:5"], 0),
+        (["mqc", "--n", "6", "--engine", "oracle", "--grid", "0:2:3"], 0),
+        (["verify", "--max-n", "4"], 0),
+        (["verify", "--max-n", "4", "--tolerance", "0"], 1),
+        (["transfer", "--n", "6", "--d", "-1", "--grid", "0:1:2"], 1),
+        (["mqc", "--n", "6", "--engine", "oracle", "--phase-steps", "2", "--grid", "0:1:2"], 1),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_each_command_restores_the_blas_thread_count(runner, args, code):
+    # a count other than the command's own 1, so a missed restore shows
+    with cli._blas_thread_limit(2):
+        before = cli._blas_threads()
+        assert runner.invoke(main, args).exit_code == code
+        assert cli._blas_threads() == before
+
+
+def _recording(monkeypatch, name):
+    """Wrap ``cli.<name>`` so each call records numpy's BLAS thread count; return the record."""
+    seen, inner = [], getattr(cli, name)
+
+    def recorder(*args, **kwargs):
+        seen.append(cli._blas_threads())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recorder)
+    return seen
+
+
+@requires_blas_threads
+def test_transport_products_run_on_one_blas_thread(runner, monkeypatch):
+    seen = _recording(monkeypatch, "propagate_grid")
+    with cli._blas_thread_limit(2):
+        assert runner.invoke(main, ["transfer", "--n", "12", "--grid", "0:2:5"]).exit_code == 0
+    assert seen == [1]
+
+
+@requires_blas_threads
+def test_oracle_sector_loop_runs_on_the_count_before_the_command(runner, monkeypatch):
+    seen = _recording(monkeypatch, "mqc_phase_cycled_grid")
+    args = ["mqc", "--n", "6", "--engine", "oracle", "--grid", "0:2:3"]
+    with cli._blas_thread_limit(2):
+        before = cli._blas_threads()
+        assert runner.invoke(main, args).exit_code == 0
+    assert seen == [before]
+
+
+@requires_blas_threads
+def test_import_resolves_nothing_and_keeps_the_blas_thread_count():
+    # a fresh interpreter with this one's environment starts at this one's count
+    code = (
+        "import spinwire.cli as cli; "
+        "assert cli._numpy_blas.cache_info().currsize == 0; "
+        "print(cli._blas_threads())"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=src, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == cli._blas_threads()

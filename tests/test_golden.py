@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from spinwire import cli
 from spinwire.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -80,3 +81,13 @@ def test_cli_matches_golden(name):
         else:
             err = np.max(np.abs(np.array(got_col, float) - np.array(want_col, float)), initial=0.0)
             assert err <= TOL, f"{label}: max error {err:.3e}"
+
+
+@pytest.mark.parametrize("name", ["transfer_disordered_target", "mqc_oracle_n10_y_logical"])
+def test_tables_keep_their_bytes_where_the_blas_thread_count_cannot_be_set(monkeypatch, name):
+    # as on an MKL, Accelerate or system-BLAS numpy: the thread policy is then a no-op
+    expected = CliRunner().invoke(main, CASES[name])
+    monkeypatch.setattr(cli, "_numpy_blas", lambda: None)
+    result = CliRunner().invoke(main, CASES[name])
+    assert expected.exit_code == result.exit_code == 0, result.output
+    assert result.stdout_bytes == expected.stdout_bytes

@@ -647,6 +647,28 @@ def test_operand_entry_points_reject_unequal_shapes(entry):
         OPERAND_ENTRY_POINTS[entry](np.eye(3))
 
 
+# finite operands whose result overflows, one row per entry point; the finite-result rule
+# turns each into an InvalidParameterError, and the suite's warnings-as-errors filter fails a
+# row that warns on the way
+HUGE = np.full((2, 2), 1e308)
+HUGE_STATE = DeviationState.from_terms(SITE_N, [(1e308, ((1, "Z"),))])
+HUGE_MIXED = {((1,), (1,)): 1e308}
+OVERFLOWING_OPERANDS = {
+    "trace_overlap": lambda: trace_overlap(np.array([[1e308]]), np.array([[1e308]])),
+    "similarity_residual": lambda: similarity_residual(HUGE, -HUGE),
+    # exp(-i Y pi/4) turns the all-ones rho onto |1><1| with twice its weight
+    "evolve_deviation": lambda: evolve_deviation(np.array([[0, -1j], [1j, 0]]), HUGE, np.pi / 4),
+    "mixed_state_overlap": lambda: mixed_state_overlap(SITE_PROP, HUGE_MIXED, HUGE_MIXED),
+    "DeviationState.overlap": lambda: HUGE_STATE.overlap(HUGE_STATE),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OVERFLOWING_OPERANDS))
+def test_overflowing_results_raise_without_warning(entry):
+    with pytest.raises(InvalidParameterError, match="overflows the float range"):
+        OVERFLOWING_OPERANDS[entry]()
+
+
 # the table that holds each public argument, by parameter name
 ROLE_TABLES = {
     **dict.fromkeys(("n", "max_n"), LENGTH_ENTRY_POINTS),
