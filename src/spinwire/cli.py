@@ -161,28 +161,21 @@ def _numpy_blas():
     return None
 
 
-def _blas_threads() -> int | None:
-    """numpy's BLAS thread count now, or None when it cannot be read."""
-    api = _numpy_blas()
-    return None if api is None else api[0]()
-
-
 @contextlib.contextmanager
 def _blas_thread_limit(count: int):
     """Run the block with numpy's BLAS on ``count`` threads, then restore the count before it.
 
-    Yields that earlier count. Does nothing, and yields None, when the
-    count cannot be set. The count is process-global.
+    Does nothing when the count cannot be set. The count is process-global.
     """
     api = _numpy_blas()
     if api is None:
-        yield None
+        yield
         return
     get, set_threads = api
     previous = get()
     set_threads(count)
     try:
-        yield previous
+        yield
     finally:
         set_threads(previous)
 
@@ -192,14 +185,12 @@ def _domain_errors(f):
 
     The command runs on one BLAS thread: its products are too small to
     share, and waking a second thread slows the Python code after them.
-    ``ctx.meta["blas_threads"]`` keeps the count in force before it.
     """
 
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
         try:
-            with np.errstate(over="raise", invalid="raise"), _blas_thread_limit(1) as before:
-                click.get_current_context().meta["blas_threads"] = before
+            with np.errstate(over="raise", invalid="raise"), _blas_thread_limit(1):
                 return f(*args, **kwargs)
         except (SpinwireError, FloatingPointError) as exc:
             click.echo(f"error: {exc}", err=True)
@@ -320,10 +311,7 @@ def mqc(n, d, initial, engine, phase_steps, grid, out) -> None:
     if engine == "analytic":
         spectra = mqc_propagator_grid(spec, kind, grid)
     else:
-        # four products per time on sector blocks up to C(n, n/2) wide: these do use more threads
-        with _blas_thread_limit(click.get_current_context().meta["blas_threads"]):
-            spectra = mqc_phase_cycled_grid(spec, prepare_state(n, kind), grid,
-                                            phase_steps=phase_steps)
+        spectra = mqc_phase_cycled_grid(spec, prepare_state(n, kind), grid, phase_steps=phase_steps)
     # conserved total Tr[rho Z]/2^n: 2 for z_ends, 0 for logical states
     scale = 0.5 if kind == "z_ends" else 1.0
     cols = np.reshape([(scale * s.intensity(0), scale * s.intensity(2)) for s in spectra], (-1, 2))

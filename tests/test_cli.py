@@ -516,8 +516,14 @@ def test_stdout_and_out_file_hold_the_same_bytes(runner, tmp_path, args):
 
 # -- BLAS thread policy ----------------------------------------------------------
 
+def _blas_threads():
+    """numpy's BLAS thread count now, or None when it cannot be read."""
+    api = cli._numpy_blas()
+    return None if api is None else api[0]()
+
+
 requires_blas_threads = pytest.mark.skipif(
-    cli._blas_threads() is None, reason="numpy's BLAS thread count cannot be read on this build"
+    _blas_threads() is None, reason="numpy's BLAS thread count cannot be read on this build"
 )
 
 
@@ -539,9 +545,9 @@ requires_blas_threads = pytest.mark.skipif(
 def test_each_command_restores_the_blas_thread_count(runner, args, code):
     # a count other than the command's own 1, so a missed restore shows
     with cli._blas_thread_limit(2):
-        before = cli._blas_threads()
+        before = _blas_threads()
         assert runner.invoke(main, args).exit_code == code
-        assert cli._blas_threads() == before
+        assert _blas_threads() == before
 
 
 def _recording(monkeypatch, name):
@@ -549,7 +555,7 @@ def _recording(monkeypatch, name):
     seen, inner = [], getattr(cli, name)
 
     def recorder(*args, **kwargs):
-        seen.append(cli._blas_threads())
+        seen.append(_blas_threads())
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(cli, name, recorder)
@@ -557,21 +563,19 @@ def _recording(monkeypatch, name):
 
 
 @requires_blas_threads
-def test_transport_products_run_on_one_blas_thread(runner, monkeypatch):
-    seen = _recording(monkeypatch, "propagate_grid")
+@pytest.mark.parametrize(
+    "engine, args",
+    [
+        ("propagate_grid", ["transfer", "--n", "12", "--grid", "0:2:5"]),
+        ("mqc_phase_cycled_grid", ["mqc", "--n", "6", "--engine", "oracle", "--grid", "0:2:3"]),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_engines_run_on_one_blas_thread(runner, monkeypatch, engine, args):
+    seen = _recording(monkeypatch, engine)
     with cli._blas_thread_limit(2):
-        assert runner.invoke(main, ["transfer", "--n", "12", "--grid", "0:2:5"]).exit_code == 0
-    assert seen == [1]
-
-
-@requires_blas_threads
-def test_oracle_sector_loop_runs_on_the_count_before_the_command(runner, monkeypatch):
-    seen = _recording(monkeypatch, "mqc_phase_cycled_grid")
-    args = ["mqc", "--n", "6", "--engine", "oracle", "--grid", "0:2:3"]
-    with cli._blas_thread_limit(2):
-        before = cli._blas_threads()
         assert runner.invoke(main, args).exit_code == 0
-    assert seen == [before]
+    assert seen == [1]
 
 
 @requires_blas_threads
@@ -580,10 +584,10 @@ def test_import_resolves_nothing_and_keeps_the_blas_thread_count():
     code = (
         "import spinwire.cli as cli; "
         "assert cli._numpy_blas.cache_info().currsize == 0; "
-        "print(cli._blas_threads())"
+        "print(cli._numpy_blas()[0]())"
     )
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=src, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == cli._blas_threads()
+    assert int(proc.stdout) == _blas_threads()
