@@ -8,8 +8,10 @@ that the end block of A(4t) (``mqc_propagator_grid``) later replaced; the
 ``mqc_oracle_*`` tables were printed by the per-time dense phase cycle
 before the sector-blocked grid engine replaced it, except
 ``mqc_oracle_n10_y_logical``, printed by that engine while it still
-sliced its sector blocks out of the dense 2^n x 2^n operators. The
-files are fixed references, not snapshots to refresh: a change that
+sliced its sector blocks out of the dense 2^n x 2^n operators.
+``transfer_dipolar_dq`` pins the implanted-geometry path of ``--family
+dipolar``; it was printed before the all-pairs ``dipolar`` chain model
+was removed. The files are fixed references, not snapshots to refresh: a change that
 moves a value by more than ``TOL`` is a regression. Header, row count and the exact
 ``t``/``tau``/``site`` columns must be identical; every other value may
 move in its last digits only.
@@ -33,6 +35,8 @@ CASES = {
     "transfer_engineered_dq": ["transfer", "--n", "12", "--model", "dq", "--grid", "0:10:31"],
     "transfer_homogeneous_xx": ["transfer", "--n", "9", "--family", "homogeneous",
                                 "--d", "0.7", "--j", "3", "--grid", "-2:6:17"],
+    "transfer_dipolar_dq": ["transfer", "--n", "10", "--family", "dipolar", "--model", "dq",
+                            "--grid", "0:10:21"],
     "transfer_disordered_target": ["transfer", "--n", "200", "--l", "200", "--sigma", "0.05",
                                    "--seed", "7", "--grid", "0:100:101"],
     "logical_homogeneous_xx": ["logical", "--n", "10", "--family", "homogeneous",
