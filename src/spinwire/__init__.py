@@ -1,13 +1,13 @@
 """Coherent state transfer through spin-1/2 chains at arbitrary polarisation.
 
 The package models nearest-neighbour flip-flop (xx) and double-quantum
-(dq) chains plus full secular dipolar couplings, reduces their dynamics
-to the single-excitation propagator, and builds from it the transport
-observables accessible without initialising the chain: polarisation
-correlations, logical-qubit channel correlations and entanglement
-fidelity, end-state autocorrelations, and multiple-quantum coherence
-distributions. A dense brute-force oracle cross-checks every analytic
-path, and a CLI exposes the main tables.
+(dq) chains, reduces their dynamics to the single-excitation
+propagator, and builds from it the transport observables accessible
+without initialising the chain: polarisation correlations,
+logical-qubit channel correlations and entanglement fidelity, end-state
+autocorrelations, and multiple-quantum coherence distributions. A dense
+brute-force oracle cross-checks every analytic path, and a CLI exposes
+the main tables.
 """
 
 from . import chain, errors, logical, mqc, pauli, propagator, verify

@@ -1,10 +1,10 @@
 """Chain geometry, coupling families, and transfer timing.
 
-A chain is n spins on a line with either nearest-neighbour couplings
-(models ``xx`` and ``dq``) or a full coupling matrix (model ``dipolar``).
-Couplings are angular frequencies; time is dimensionless against 1/d.
+A chain is n spins on a line with nearest-neighbour couplings, under the
+flip-flop model ``xx`` or the double-quantum model ``dq``. Couplings are
+angular frequencies; time is dimensionless against 1/d.
 
-The two nearest-neighbour families:
+The two closed-form families:
 
 * ``homogeneous``: d_j = d for all bonds.
 * ``engineered``:  d_j = 2 d sqrt(j (n - j)) / n, the parabolic profile
@@ -48,7 +48,7 @@ __all__ = [
     "normalized_time",
 ]
 
-MODELS = ("xx", "dq", "dipolar")
+MODELS = ("xx", "dq")
 FAMILIES = ("homogeneous", "engineered", "dipolar")
 
 _JSON_SCHEMA = "spinwire.chain/1"
@@ -201,12 +201,9 @@ class ChainSpec:
     n : int
         Number of sites.
     model : str
-        ``xx`` (flip-flop), ``dq`` (double quantum), or ``dipolar``
-        (secular dipolar with the full coupling matrix).
+        ``xx`` (flip-flop) or ``dq`` (double quantum).
     couplings : tuple of float
-        Bond couplings d_1..d_{n-1} for nearest-neighbour models, or the
-        strict upper triangle of the coupling matrix (row-major) for the
-        dipolar model.
+        Bond couplings d_1..d_{n-1}.
     """
 
     n: int
@@ -217,35 +214,19 @@ class ChainSpec:
         object.__setattr__(self, "n", _check_length(self.n))
         _check_choice(self.model, "model", MODELS, UnsupportedModelError)
         vals = _check_couplings(self.couplings)
-        expected = (
-            self.n * (self.n - 1) // 2 if self.model == "dipolar" else self.n - 1
-        )
-        if len(vals) != expected:
+        if len(vals) != self.n - 1:
             raise InvalidConfigurationError(
-                f"model {self.model!r} with n={self.n} needs {expected} "
-                f"couplings, got {len(vals)}"
+                f"a chain of n={self.n} needs {self.n - 1} couplings, got {len(vals)}"
             )
         object.__setattr__(self, "couplings", vals)
 
     # -- views -------------------------------------------------------------
 
-    def nn_couplings(self) -> np.ndarray:
-        """Bond couplings d_1..d_{n-1} as an array."""
-        _check_choice(self.model, "model", ("xx", "dq"), UnsupportedModelError)
-        return np.asarray(self.couplings, dtype=float)
-
     def coupling_matrix(self) -> np.ndarray:
-        """Symmetric n x n coupling matrix (zero diagonal)."""
+        """Symmetric tridiagonal n x n coupling matrix (zero diagonal)."""
         mat = np.zeros((self.n, self.n))
-        if self.model != "dipolar":
-            for j, c in enumerate(self.couplings):
-                mat[j, j + 1] = mat[j + 1, j] = c
-        else:
-            idx = 0
-            for j in range(self.n):
-                for l in range(j + 1, self.n):
-                    mat[j, l] = mat[l, j] = self.couplings[idx]
-                    idx += 1
+        for j, c in enumerate(self.couplings):
+            mat[j, j + 1] = mat[j + 1, j] = c
         return mat
 
     # -- serialisation -------------------------------------------------------
@@ -263,10 +244,15 @@ class ChainSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ChainSpec":
-        """Inverse of :meth:`to_json`; validates the payload."""
+        """Inverse of :meth:`to_json`; validates the payload.
+
+        Text that is not a JSON document (not a str or bytes, undecodable
+        bytes, bad syntax, nesting past the recursion limit) raises
+        ``InvalidConfigurationError``.
+        """
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, TypeError, RecursionError) as exc:
             raise InvalidConfigurationError(f"invalid chain JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise InvalidConfigurationError("chain JSON must be an object")
@@ -337,20 +323,20 @@ def implant_spacings(n: int, r_min: float = 1.0) -> np.ndarray:
 def dipolar_couplings(
     positions,
     prefactor: float = 1.0,
-    model: str = "dipolar",
+    model: str = "xx",
 ) -> ChainSpec:
-    """Secular dipolar couplings for collinear sites.
+    """Nearest-neighbour part of the secular dipolar couplings of collinear sites.
 
     For sites on the chain axis the angular factor 1 - 3 cos^2(theta)
-    is -2, so d_jl = -2 * prefactor / r_jl^3. The physical prefactor
+    is -2, so d_j = -2 * prefactor / r_{j,j+1}^3. The physical prefactor
     (mu0 gamma^2 hbar / 16 pi for like spins) is left to the caller;
     conventions in the literature differ by a factor of 2, so no value
     is baked in.
 
-    With model ``xx`` or ``dq`` the matrix is truncated to nearest
-    neighbours; ``dipolar`` keeps every pair. Gaps so small that a
-    coupling overflows raise ``InvalidParameterError`` through
-    ``ChainSpec``, without a warning.
+    The 1/r^3 tail beyond nearest neighbours is dropped, and the bonds
+    form an ``xx`` or ``dq`` chain. Gaps so small that a coupling
+    overflows raise ``InvalidParameterError`` through ``ChainSpec``,
+    without a warning.
     """
     pos = _check_reals(positions, "positions", InvalidParameterError)
     n = _check_length(pos.size, minimum=2)
@@ -361,14 +347,7 @@ def dipolar_couplings(
         raise InvalidParameterError("prefactor must be nonzero")
     _check_choice(model, "model", MODELS, UnsupportedModelError)
     with np.errstate(divide="ignore", over="ignore"):
-        if model != "dipolar":
-            return ChainSpec(n, model, -2.0 * prefactor / np.diff(pos) ** 3)
-        vals = []
-        for j in range(n):
-            for l in range(j + 1, n):
-                r = pos[l] - pos[j]
-                vals.append(-2.0 * prefactor / r**3)
-    return ChainSpec(n, "dipolar", vals)
+        return ChainSpec(n, model, -2.0 * prefactor / np.diff(pos) ** 3)
 
 
 def perturb_couplings(spec: ChainSpec, sigma: float, seed: int) -> ChainSpec:
@@ -429,9 +408,8 @@ def transfer_timing(spec: ChainSpec) -> TransferTiming:
     The product t* v equals n: the fastest excitation crosses the chain
     exactly once by the mirror time.
     """
-    _check_choice(spec.model, "model", ("xx", "dq"), UnsupportedFamilyError)
     _check_length(spec.n, minimum=2)
-    d = _engineered_scale(spec.nn_couplings())
+    d = _engineered_scale(np.asarray(spec.couplings))
     if d is None:
         raise UnsupportedFamilyError(
             "couplings do not follow the engineered profile 2 d sqrt(j(n-j))/n"

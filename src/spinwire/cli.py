@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__
 from .chain import (
     FAMILIES,
+    MODELS,
     ChainSpec,
     dipolar_couplings,
     engineered_couplings,
@@ -222,8 +223,7 @@ def main() -> None:
 # options shared by the table commands, each declared once
 _n = click.option("--n", type=int, required=True, help="Chain length.")
 _d = click.option("--d", type=float, default=1.0, show_default=True, help="Coupling scale.")
-_model = click.option("--model", type=click.Choice(("xx", "dq")), default="xx",
-                      show_default=True)
+_model = click.option("--model", type=click.Choice(MODELS), default="xx", show_default=True)
 _grid = click.option("--grid", callback=_parse_grid, required=True, metavar="START:END:STEPS",
                      help="Time grid as start:end:steps.")
 _out = click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None,

@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 from .chain import (
+    MODELS,
     ChainSpec,
     _check_choice,
     _check_length,
@@ -61,7 +62,7 @@ CHANNELS = ("x", "y", "z", "1")
 def _pair_observables(model: str, n: int, a: int, b: int) -> dict[str, DeviationState]:
     """The zero-quantum encoding on {|01>, |10>} (xx) or the double-quantum
     encoding on {|00>, |11>} (dq) on sites a, b."""
-    model = _check_choice(model, "model", ("xx", "dq"), UnsupportedModelError)
+    model = _check_choice(model, "model", MODELS, UnsupportedModelError)
     h = -0.5 if model == "xx" else 0.5
     return {
         "x": DeviationState(n, ((0.5, ((a, "X"), (b, "X"))), (-h, ((a, "Y"), (b, "Y"))))),
@@ -118,7 +119,7 @@ def _bilinear_channels(amp: np.ndarray) -> dict[str, np.ndarray]:
 
 def _readout(vals: dict, n: int, model: str, corrected: bool) -> dict:
     """Channels as read out under ``model``: raw dq on even n flips y and z."""
-    model = _check_choice(model, "model", ("xx", "dq"), UnsupportedModelError)
+    model = _check_choice(model, "model", MODELS, UnsupportedModelError)
     if model == "dq" and not corrected and dq_parity_correction(n):
         vals["y"] = -vals["y"]
         vals["z"] = -vals["z"]

@@ -261,9 +261,9 @@ def _sector_blocks(spec: ChainSpec, initial: DeviationState):
 
     Both blocks are built on the sector's labels alone, so no 2^n x 2^n
     array is ever formed and only the sector being yielded is held. H is
-    real in this basis for every model (checked exactly), so its block is
-    diagonalised in real arithmetic. Order bins index pop(a) - pop(b) + n
-    over the block's (a, b) entries.
+    real in this basis under both models, xx and dq (checked exactly), so
+    its block is diagonalised in real arithmetic. Order bins index
+    pop(a) - pop(b) + n over the block's (a, b) entries.
     """
     n = spec.n
     for labels in conserved_sectors(spec):

@@ -205,40 +205,29 @@ def excitation_operator(n: int, blocks: MixedState) -> np.ndarray:
 def build_hamiltonian(spec: ChainSpec, labels: np.ndarray | None = None) -> np.ndarray:
     """Dense Hamiltonian of a chain spec, or its block on sorted basis ``labels``.
 
-    xx:      sum_j d_j (X_j X_{j+1} + Y_j Y_{j+1}) / 2
-    dq:      sum_j d_j (X_j X_{j+1} - Y_j Y_{j+1}) / 2
-    dipolar: sum_{j<l} d_jl [Z_j Z_l - (X_j X_l + Y_j Y_l) / 2]
+    xx: sum_j d_j (X_j X_{j+1} + Y_j Y_{j+1}) / 2
+    dq: sum_j d_j (X_j X_{j+1} - Y_j Y_{j+1}) / 2
 
-    X_j X_l and Y_j Y_l share one signed permutation; their phases are
-    added before the coupling multiplies them, as grouped above, so every
+    X_j X_{j+1} and Y_j Y_{j+1} share one signed permutation; their phases
+    are added before the coupling multiplies them, as grouped above, so every
     entry equals the Kronecker-product sum exactly, subnormal d included.
     A block is built on its labels alone, in the same bond and term order,
     so it equals the slice H[np.ix_(labels, labels)] bit for bit.
     """
     n = require_within_budget(spec.n)
     labels = _check_block(n, labels)
-    if spec.model == "dipolar":
-        mat = spec.coupling_matrix()
-        bonds = [(j + 1, l + 1, mat[j, l]) for j, l in zip(*np.nonzero(np.triu(mat, 1)))]
-    else:
-        bonds = [(j, j + 1, d) for j, d in enumerate(spec.couplings, start=1)]
     h = np.zeros((labels.size, labels.size), dtype=complex)
-    for j, l, d in bonds:
-        rows, cols, xx = _signed_permutation(n, ((j, "X"), (l, "X")), labels)
-        yy = _signed_permutation(n, ((j, "Y"), (l, "Y")), labels)[2]
-        if spec.model == "dipolar":
-            diag, _, zz = _signed_permutation(n, ((j, "Z"), (l, "Z")), labels)
-            h[diag, diag] += d * zz
-            h[rows, cols] -= d * ((xx + yy) / 2.0)
-        else:
-            h[rows, cols] += d / 2.0 * (xx + yy if spec.model == "xx" else xx - yy)
+    for j, d in enumerate(spec.couplings, start=1):
+        rows, cols, xx = _signed_permutation(n, ((j, "X"), (j + 1, "X")), labels)
+        yy = _signed_permutation(n, ((j, "Y"), (j + 1, "Y")), labels)[2]
+        h[rows, cols] += d / 2.0 * (xx + yy if spec.model == "xx" else xx - yy)
     return h
 
 
 def conserved_sectors(spec: ChainSpec) -> tuple[np.ndarray, ...]:
     """Basis labels of each block of ``build_hamiltonian(spec)``, by charge.
 
-    xx and dipolar conserve the excitation number popcount(x); dq
+    xx conserves the excitation number popcount(x); dq
     conserves popcount(x ^ odd-site mask), its image under the gauge of
     ``similarity_transform``. Entry k holds the sorted labels of charge
     k = 0..n (C(n, k) of them); H has no entry between two blocks.

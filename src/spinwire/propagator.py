@@ -20,6 +20,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .chain import (
+    MODELS,
     ChainSpec,
     _check_choice,
     _check_finite_result,
@@ -114,11 +115,10 @@ def _check_mode_count(n: int) -> int:
 
 def spectral_decompose(spec: ChainSpec) -> SpectralDecomposition:
     """Diagonalise the single-excitation matrix of a nearest-neighbour chain (n <= 10 000)."""
-    _check_choice(spec.model, "model", ("xx", "dq"), UnsupportedModelError)
     n = _check_mode_count(spec.n)
     if n == 1:
         return SpectralDecomposition(1, np.zeros(1), np.ones((1, 1)))
-    freqs, modes = eigh_tridiagonal(np.zeros(n), spec.nn_couplings())
+    freqs, modes = eigh_tridiagonal(np.zeros(n), np.asarray(spec.couplings))
     # make each column's first entry above 1e-12 of its largest positive, so
     # results are deterministic across LAPACK builds
     mag = np.abs(modes)
@@ -302,7 +302,7 @@ def polarization_from_propagator(prop: Propagator, j: int, l: int, model: str = 
     the staggering sign (-1)^(j-l).
     """
     p = prop.probability(j, l)
-    model = _check_choice(model, "model", ("xx", "dq"), UnsupportedModelError)
+    model = _check_choice(model, "model", MODELS, UnsupportedModelError)
     return float(_gauge_sign(model, j, l) * p)
 
 
@@ -347,13 +347,12 @@ def end_autocorrelation(spec: ChainSpec, initial: str, t: float) -> float:
 def _end_block(spec: ChainSpec, kind: str, times) -> np.ndarray:
     """Symmetrised A(t) on sites (1, n) or (1, 2, n-1, n), every argument checked first."""
     _check_choice(kind, "initial", INITIAL_KINDS, InvalidConfigurationError)
-    _check_choice(spec.model, "model", ("xx", "dq"), UnsupportedModelError)
     n = spec.n
     sites = (1, n) if kind == "z_ends" else (1, 2, n - 1, n)
     if n < len(sites):
         raise InvalidDimensionError(f"the end sites need n >= {len(sites)}, got n={n}")
     # every mode frequency of the chain lies within 2 max|d|
-    times = _check_times(times, 2.0 * np.max(np.abs(spec.nn_couplings())))
+    times = _check_times(times, 2.0 * np.max(np.abs(spec.couplings)))
     amp = propagate_grid(spectral_decompose(spec), times, sites, sites)
     return 0.5 * (amp + np.swapaxes(amp, 1, 2))
 

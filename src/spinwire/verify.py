@@ -202,7 +202,7 @@ def _draw(rng, n, models):
 
 def polarization_vs_oracle(rng, max_n, oracle_n):
     n = oracle_n
-    cpl, t, dense = _draw(rng, n, ("xx", "dq"))
+    cpl, t, dense = _draw(rng, n, chain_mod.MODELS)
     dev = 0.0
     for spec, _, u in dense:
         for j, l in ((1, n), (2, n - 1), (1, 1)):
@@ -263,7 +263,7 @@ def mixed_overlap_vs_oracle(rng, max_n, oracle_n):
 
 def logical_channels_vs_oracle(rng, max_n, oracle_n):
     n = oracle_n
-    cpl, t, dense = _draw(rng, n, ("xx", "dq"))
+    cpl, t, dense = _draw(rng, n, chain_mod.MODELS)
     dev = 0.0
     for spec, _, u in dense:
         source = logical_mod.logical_basis(spec.model, n, "source")
@@ -286,7 +286,7 @@ def logical_channels_vs_oracle(rng, max_n, oracle_n):
 
 def autocorrelation_vs_oracle(rng, max_n, oracle_n):
     n = oracle_n
-    cpl, t, dense = _draw(rng, n, ("xx", "dq"))
+    cpl, t, dense = _draw(rng, n, chain_mod.MODELS)
     dev = 0.0
     for spec, _, u in dense:
         for kind in prop_mod.INITIAL_KINDS:
@@ -407,7 +407,7 @@ def mqc_support_and_conservation(rng, max_n, oracle_n):
 
 def purity_and_commutation(rng, max_n, oracle_n):
     n = oracle_n
-    cpl, t, dense = _draw(rng, n, ("xx", "dq"))
+    cpl, t, dense = _draw(rng, n, chain_mod.MODELS)
     rho0 = oracle_mod.deviation_to_dense(mqc_mod.prepare_state(n, "y_logical"))
     dev = 0.0
     for _, _, u in dense:

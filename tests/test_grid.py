@@ -500,7 +500,8 @@ def test_int_entry_points_accept_numpy_integers(entry, k):
     assert INT_ENTRY_POINTS[entry](k) == INT_ENTRY_POINTS[entry](7)
 
 
-BAD_CHOICES = ("bogus", "", None, 1, ["xx"], b"xx")
+# "dipolar" names a coupling family, not a chain model
+BAD_CHOICES = ("bogus", "", None, 1, ["xx"], b"xx", "dipolar")
 CHOICE_PROP = propagate(SITE_DEC, 0.7)
 CHOICE_ENTRY_POINTS = {
     "ChainSpec": (lambda c: ChainSpec(3, c, (1.0, 1.0)), UnsupportedModelError),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinwire.chain import ChainSpec, dipolar_couplings, homogeneous_couplings
+from spinwire.chain import ChainSpec, homogeneous_couplings
 from spinwire.errors import (
     AliasingError,
     InvalidConfigurationError,
@@ -291,9 +291,8 @@ def test_propagator_engine_exact_values():
 
 def test_propagator_engine_validation():
     dq = homogeneous_couplings(6, 1.0, "dq")
-    for spec in (homogeneous_couplings(6, 1.0, "xx"), dipolar_couplings(np.arange(6.0))):
-        with pytest.raises(UnsupportedModelError):
-            mqc_propagator_grid(spec, "z_ends", [])
+    with pytest.raises(UnsupportedModelError):
+        mqc_propagator_grid(homogeneous_couplings(6, 1.0, "xx"), "z_ends", [])
     for kind in ("full_z", "z-ends", None):
         with pytest.raises(InvalidConfigurationError):
             mqc_propagator_grid(dq, kind, [])

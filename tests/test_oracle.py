@@ -104,22 +104,6 @@ def test_hamiltonian_terms_explicit():
     np.testing.assert_allclose(h_xx, d / 2 * (np.kron(X, X) + np.kron(Y, Y)), atol=0)
     h_dq = build_hamiltonian(ChainSpec(2, "dq", (d,)))
     np.testing.assert_allclose(h_dq, d / 2 * (np.kron(X, X) - np.kron(Y, Y)), atol=0)
-    h_dip = build_hamiltonian(ChainSpec(2, "dipolar", (d,)))
-    np.testing.assert_allclose(
-        h_dip, d * (np.kron(Z, Z) - 0.5 * (np.kron(X, X) + np.kron(Y, Y))), atol=0
-    )
-
-
-def test_dipolar_uses_all_pairs():
-    cpl = (1.0, 0.3, 0.1)  # pairs (1,2), (1,3), (2,3)
-    h = build_hamiltonian(ChainSpec(3, "dipolar", cpl))
-    ref = np.zeros((8, 8), dtype=complex)
-    for (j, l), d in zip(((1, 2), (1, 3), (2, 3)), cpl):
-        zz = pauli_string_to_dense(3, ((j, "Z"), (l, "Z")))
-        xx = pauli_string_to_dense(3, ((j, "X"), (l, "X")))
-        yy = pauli_string_to_dense(3, ((j, "Y"), (l, "Y")))
-        ref += d * (zz - 0.5 * (xx + yy))
-    np.testing.assert_allclose(h, ref, atol=0)
 
 
 def test_excitation_sector_block_structure():

@@ -21,7 +21,6 @@ from spinwire.errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
     InvalidParameterError,
-    UnsupportedModelError,
 )
 from spinwire.oracle import build_hamiltonian, evolve_deviation, trace_overlap
 from spinwire.propagator import (
@@ -96,12 +95,6 @@ def test_homogeneous_spectrum_closed_form():
     dec = spectral_decompose(homogeneous_couplings(n, d))
     k = np.arange(n, 0, -1)
     np.testing.assert_allclose(dec.frequencies, 2 * d * np.cos(np.pi * k / (n + 1)), atol=1e-12)
-
-
-def test_dipolar_spec_rejected():
-    spec = ChainSpec(3, "dipolar", (1.0, 0.1, 1.0))
-    with pytest.raises(UnsupportedModelError):
-        spectral_decompose(spec)
 
 
 def test_decomposition_size_cap_raises_before_any_work(monkeypatch):
@@ -241,8 +234,6 @@ def test_autocorrelation_normalisation_and_errors():
         end_autocorrelation(homogeneous_couplings(6, 1.0), "x_ends", 0.1)
     with pytest.raises(InvalidDimensionError):
         end_autocorrelation(homogeneous_couplings(3, 1.0), "y_logical", 0.1)
-    with pytest.raises(UnsupportedModelError):
-        end_autocorrelation(ChainSpec(3, "dipolar", (1.0, 0.2, 1.0)), "z_ends", 0.1)
 
 
 @pytest.mark.parametrize("model", ["xx", "dq"])
