@@ -66,8 +66,11 @@ def _parse_grid(_ctx, _param, value: str) -> np.ndarray:
     if steps < 0:
         raise click.BadParameter(f"steps must be >= 0, got {steps}")
     # near the float range the last k * step may overflow; linspace then writes end there
-    with np.errstate(over="ignore"):
-        return np.linspace(start, end, steps)
+    try:
+        with np.errstate(over="ignore"):
+            return np.linspace(start, end, steps)
+    except MemoryError:
+        raise click.BadParameter(f"{steps} steps do not fit in memory")
 
 
 _BLOCK_ROWS = 2048
@@ -182,7 +185,7 @@ def _blas_thread_limit(count: int):
 
 
 def _domain_errors(f):
-    """Map domain errors and floating-point overflow to exit status 1 with a clean message.
+    """Map domain errors, float overflow and exhausted memory to exit 1 with a clean message.
 
     The command runs on one BLAS thread: its products are too small to
     share, and waking a second thread slows the Python code after them.
@@ -193,8 +196,9 @@ def _domain_errors(f):
         try:
             with np.errstate(over="raise", invalid="raise"), _blas_thread_limit(1):
                 return f(*args, **kwargs)
-        except (SpinwireError, FloatingPointError) as exc:
-            click.echo(f"error: {exc}", err=True)
+        except (SpinwireError, FloatingPointError, MemoryError) as exc:
+            # numpy's MemoryError names the allocation; a bare one has no message
+            click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
             sys.exit(1)
 
     return wrapper
@@ -309,12 +313,13 @@ def mqc(n, d, initial, engine, phase_steps, grid, out) -> None:
     kind = _INITIALS[initial]
     spec = _build_chain("homogeneous", n, d, "dq")
     if engine == "analytic":
-        spectra = mqc_propagator_grid(spec, kind, grid)
+        intensities = mqc_propagator_grid(spec, kind, grid)
     else:
-        spectra = mqc_phase_cycled_grid(spec, prepare_state(n, kind), grid, phase_steps=phase_steps)
-    # conserved total Tr[rho Z]/2^n: 2 for z_ends, 0 for logical states
+        state = prepare_state(n, kind)
+        intensities = mqc_phase_cycled_grid(spec, state, grid, phase_steps=phase_steps)
+    # conserved total Tr[rho Z]/2^n: 2 for z_ends, 0 for logical states; columns J_0, J_2
     scale = 0.5 if kind == "z_ends" else 1.0
-    cols = np.reshape([(scale * s.intensity(0), scale * s.intensity(2)) for s in spectra], (-1, 2))
+    cols = scale * intensities[:, [2, 4]]
     _write_table(out, _csv_blocks(["t", "j0", "j2"], grid[:, None], cols))
 
 

@@ -41,13 +41,12 @@ from .errors import (
     UnsupportedModelError,
 )
 from .pauli import DeviationState
-from .propagator import Propagator, _sine_modes, chain_propagator, homogeneous_amplitude
+from .propagator import _sine_modes, chain_propagator, homogeneous_amplitude
 
 __all__ = [
     "CHANNELS",
     "logical_basis",
     "dq_parity_correction",
-    "logical_correlations",
     "channel_correlations",
     "channel_fidelity",
     "logical_transport_homogeneous",
@@ -134,8 +133,10 @@ def channel_correlations(
     ``amplitudes`` holds A[(1, 2), :] (or more rows, of which the first
     two are used) with any leading axes, e.g. the (T, 2, n) block that
     ``propagate_grid(decomposition, times, (1, 2))`` returns; each
-    channel comes back with the leading shape. The dq readout follows
-    ``logical_correlations``.
+    channel comes back with the leading shape. For the dq model with
+    even n the raw y and z channels change sign; ``corrected=True``
+    reads them through the pi-x corrected target basis, where they agree
+    with the xx channels at all times.
     """
     amplitudes = np.asarray(amplitudes)
     if amplitudes.ndim < 2 or amplitudes.shape[-2] < 2 or amplitudes.shape[-1] < 4:
@@ -148,23 +149,6 @@ def channel_correlations(
 def channel_fidelity(vals: dict) -> float | np.ndarray:
     """Entanglement fidelity F = (C_1 + C_x + C_y + C_z) / 4 from the channels."""
     return (vals["1"] + vals["x"] + vals["y"] + vals["z"]) / 4.0
-
-
-def logical_correlations(
-    prop: Propagator, model: str = "xx", corrected: bool = True
-) -> dict[str, float]:
-    """Channel correlations C_alpha(t) from a single-excitation propagator.
-
-    The x channel pairs the one-excitation transfer amplitudes of the
-    two sites, z is a balanced combination of transfer probabilities,
-    and the identity channel involves the two-excitation Slater
-    determinant. For the dq model with even n the raw y and z channels
-    change sign; ``corrected=True`` reports the values seen through the
-    pi-x corrected target basis, which agree with the xx channels at
-    all times.
-    """
-    vals = channel_correlations(prop.amplitudes, model, corrected)
-    return {alpha: float(v) for alpha, v in vals.items()}
 
 
 def logical_transport_homogeneous(n: int, d: float, alpha: str, t: float) -> float:
@@ -267,5 +251,5 @@ def logical_correlation_from_spec(
 ) -> float:
     """Channel correlation for an arbitrary nearest-neighbour chain spec."""
     _check_choice(alpha, "channel", CHANNELS, InvalidConfigurationError)
-    prop = chain_propagator(spec, t)
-    return logical_correlations(prop, spec.model, corrected=corrected)[alpha]
+    amplitudes = chain_propagator(spec, t).amplitudes
+    return float(channel_correlations(amplitudes, spec.model, corrected)[alpha])

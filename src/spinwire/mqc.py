@@ -17,6 +17,9 @@ total Tr[rho Z]/2^n, which the analytic z-state series normalises to 1).
 ``mqc_phase_cycled`` runs that protocol literally at one time and is the
 reference for ``mqc_phase_cycled_grid``, which evaluates the same
 intensities on a whole time grid from one sector-blocked decomposition.
+Both grid engines return one float array of shape (len(times),
+2 max_order + 1), column max_order + q holding J_q; a single time gives
+an ``MqcSpectrum``.
 """
 
 from __future__ import annotations
@@ -158,7 +161,7 @@ def mqc_analytic(n: int, d: float, kind: str, t: float) -> MqcSpectrum:
     return MqcSpectrum(t, (-2, 0, 2), (j2, j0, j2))
 
 
-def mqc_propagator_grid(spec: ChainSpec, kind: str, times) -> tuple[MqcSpectrum, ...]:
+def mqc_propagator_grid(spec: ChainSpec, kind: str, times) -> np.ndarray:
     """Raw intensities of ``mqc_phase_cycled_grid`` from the end block of A(4t).
 
     The odd-site X gauge maps a bipartite dq chain onto free fermions, so
@@ -168,11 +171,15 @@ def mqc_propagator_grid(spec: ChainSpec, kind: str, times) -> tuple[MqcSpectrum,
         z_ends:    J_0 = sum_{j in 1, n} (1 + Re A_jj) / 2,  J_+-2 = sum (1 - Re A_jj) / 4
         y_logical: J_0 = -(Im A_12 + Im A_{n-1,n}) / 2,      J_+-2 = -J_0 / 2
         x_logical: every J_q is exactly 0 (checked as y_logical, on the same sites).
+
+    Returns shape (len(times), 5), the layout of ``mqc_phase_cycled_grid``
+    at max_order 2: columns J_-2, J_-1, J_0, J_1, J_2, with J_+-1 exactly 0.
     """
     _check_choice(spec.model, "model", ("dq",), UnsupportedModelError)
     _check_choice(kind, "kind", _SERIES_KINDS, InvalidConfigurationError)
     grid = _check_times(times, 4.0)
     amp = _end_block(spec, "z_ends" if kind == "z_ends" else "y_logical", 4.0 * grid)
+    zero = np.zeros(grid.size)
     if kind == "z_ends":
         ends = amp[:, (0, 1), (0, 1)].real
         j0, j2 = (1.0 + ends).sum(axis=1) / 2.0, (1.0 - ends).sum(axis=1) / 4.0
@@ -180,9 +187,8 @@ def mqc_propagator_grid(spec: ChainSpec, kind: str, times) -> tuple[MqcSpectrum,
         j0 = -(amp[:, 0, 1].imag + amp[:, 2, 3].imag) / 2.0
         j2 = -j0 / 2.0
     else:
-        j0 = j2 = np.zeros(grid.size)
-    rows = zip(grid.tolist(), j0.tolist(), j2.tolist())
-    return tuple(MqcSpectrum(t, (-2, 0, 2), (b, a, b)) for t, a, b in rows)
+        j0 = j2 = zero
+    return np.column_stack([j2, zero, j0, zero, j2])
 
 
 def mqc_phase_cycled(
@@ -283,41 +289,39 @@ def mqc_phase_cycled_grid(
     times,
     phase_steps: int = 8,
     max_order: int = 2,
-) -> tuple[MqcSpectrum, ...]:
-    """``mqc_phase_cycled`` at every time of ``times``, one spectrum each.
+) -> np.ndarray:
+    """``mqc_phase_cycled`` at every time of ``times``: shape (len(times), 2 max_order + 1).
 
-    H is block-diagonal in a conserved charge (``conserved_sectors``),
-    and so are U(t) and Z(t); R_phi is diagonal. Tr[R rho(t) R^dag Z(t)]
-    therefore reads only the diagonal blocks of rho(t), and the rotation
-    multiplies entry (a, b) by exp(i q phi) with q = pop(a) - pop(b).
-    Each block is built and diagonalised once, one sector at a time
-    (``_sector_blocks``); at each time the entries of rho_k(t) * Z_k(t)^T
-    are summed by q into moments M_q, and S(phi_m) = sum_q M_q
-    exp(i q phi_m) goes through the literal cycle's N phases and J_q
-    sums, so any aliasing of the N-step cycle is kept.
+    Column max_order + q holds J_q. H is block-diagonal in a conserved
+    charge (``conserved_sectors``), and so are U(t) and Z(t); R_phi is
+    diagonal. Tr[R rho(t) R^dag Z(t)] therefore reads only the diagonal
+    blocks of rho(t), and the rotation multiplies entry (a, b) by
+    exp(i p phi) with p = pop(a) - pop(b). Each block is built and
+    diagonalised once, one sector at a time (``_sector_blocks``); at each
+    time the entries of rho_k(t) * Z_k(t)^T are summed by p into moments
+    M_p. With S(phi) = sum_p M_p exp(i p phi), the literal cycle's
+    (1/N) sum_m exp(i q phi_m) S(phi_m) is exactly the fold
+    sum_{p = -q mod N} M_p, so any aliasing of the N-step cycle is kept;
+    only Re M_p reaches J_q.
 
     Every argument is checked before any work, also for an empty grid.
     """
     grid, phase_steps, max_order = _check_protocol(spec, initial, times, phase_steps, max_order)
     n = spec.n
+    orders = np.arange(-max_order, max_order + 1)
     if not grid.size:
-        return ()
+        return np.zeros((0, orders.size))
     width = 2 * n + 1
-    moments = np.zeros((grid.size, width), dtype=complex)
+    moments = np.zeros((grid.size, width))
     for eigen, rho_k, z_k, bins in _sector_blocks(spec, initial):
         for i, t in enumerate(grid):
             u = _unitary(eigen, t)
             rho_t = u @ rho_k @ u.conj().T
             z_t = (u * z_k) @ u.conj().T
-            overlap = (rho_t * z_t.T).ravel()
-            moments[i] += np.bincount(bins, overlap.real, width)
-            moments[i] += 1j * np.bincount(bins, overlap.imag, width)
+            moments[i] += np.bincount(bins, (rho_t * z_t.T).real.ravel(), width)
     moments /= 2**n
-    phis = 2.0 * np.pi * np.arange(phase_steps) / phase_steps
-    signals = moments @ np.exp(1j * np.outer(np.arange(-n, n + 1), phis))
-    orders = tuple(range(-max_order, max_order + 1))
-    intensities = (signals @ np.exp(1j * np.outer(phis, orders))).real / phase_steps
-    return tuple(
-        MqcSpectrum(float(t), orders, tuple(float(v) for v in row))
-        for t, row in zip(grid, intensities)
-    )
+    # |p + q| <= n + max_order, so every N past 2 (n + max_order) folds only p = -q; the cap
+    # gives the same mask and keeps N within int64
+    steps = min(phase_steps, 2 * (n + max_order) + 1)
+    fold = (np.arange(-n, n + 1)[:, None] + orders) % steps == 0
+    return moments @ fold

@@ -53,7 +53,6 @@ __all__ = [
     "mixed_state_overlap",
     "polarization_from_propagator",
     "polarization_correlation",
-    "end_autocorrelation",
     "end_autocorrelation_grid",
 ]
 
@@ -333,17 +332,6 @@ def _pair_creation_correlation(amp: np.ndarray, a: int, b: int, c: int, d: int) 
 INITIAL_KINDS = ("z_ends", "y_logical")
 
 
-def end_autocorrelation(spec: ChainSpec, initial: str, t: float) -> float:
-    """Autocorrelation C(t) = Tr[rho(t) rho(0)] / Tr[rho(0)^2] of an end state.
-
-    ``z_ends`` is Z_1 + Z_n; ``y_logical`` places (Y X + X Y)/2 on the
-    first and last site pairs. The chain model is taken from ``spec.model``.
-    C(0) = 1 and, for engineered couplings, the mirror revives C back to
-    1 at t*. One time of ``end_autocorrelation_grid``.
-    """
-    return float(end_autocorrelation_grid(spec, initial, [t])[0])
-
-
 def _end_block(spec: ChainSpec, kind: str, times) -> np.ndarray:
     """Symmetrised A(t) on sites (1, n) or (1, 2, n-1, n), every argument checked first."""
     _check_choice(kind, "initial", INITIAL_KINDS, InvalidConfigurationError)
@@ -358,7 +346,13 @@ def _end_block(spec: ChainSpec, kind: str, times) -> np.ndarray:
 
 
 def end_autocorrelation_grid(spec: ChainSpec, initial: str, times) -> np.ndarray:
-    """``end_autocorrelation`` at every time of ``times``, from one ``_end_block``."""
+    """Autocorrelation C(t) = Tr[rho(t) rho(0)] / Tr[rho(0)^2] of an end state on a time grid.
+
+    ``z_ends`` is Z_1 + Z_n; ``y_logical`` places (Y X + X Y)/2 on the
+    first and last site pairs. The chain model is taken from ``spec.model``.
+    C(0) = 1 and, for engineered couplings, the mirror revives C back to
+    1 at t*. Every time is read from one ``_end_block``.
+    """
     amp = _end_block(spec, initial, times)
     if initial == "z_ends":
         sign = _gauge_sign(spec.model, 1, spec.n)

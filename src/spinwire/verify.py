@@ -269,7 +269,7 @@ def logical_channels_vs_oracle(rng, max_n, oracle_n):
         source = logical_mod.logical_basis(spec.model, n, "source")
         target = logical_mod.logical_basis(spec.model, n, "target")
         prop = prop_mod.chain_propagator(spec, t)
-        got = logical_mod.logical_correlations(prop, spec.model, corrected=False)
+        got = logical_mod.channel_correlations(prop.amplitudes, spec.model, corrected=False)
         for alpha in logical_mod.CHANNELS:
             rho0 = oracle_mod.deviation_to_dense(source[alpha])
             ref = 2.0 * oracle_mod.trace_overlap(
@@ -293,7 +293,7 @@ def autocorrelation_vs_oracle(rng, max_n, oracle_n):
             rho0 = oracle_mod.deviation_to_dense(mqc_mod.prepare_state(n, kind))
             norm = oracle_mod.trace_overlap(rho0, rho0).real
             ref = oracle_mod.trace_overlap(u @ rho0 @ u.conj().T, rho0).real / norm
-            got = prop_mod.end_autocorrelation(spec, kind, t)
+            got = prop_mod.end_autocorrelation_grid(spec, kind, [t])[0]
             dev = max(dev, abs(got - ref))
     yield (
         "autocorrelation_vs_oracle",
@@ -308,9 +308,9 @@ def dq_parity_rule(rng, max_n, oracle_n):
     for n in (max_n, max_n + 1):
         cpl, t, _ = _draw(rng, n, ())
         prop = prop_mod.chain_propagator(ChainSpec(n, "xx", cpl), t)
-        xx = logical_mod.logical_correlations(prop, "xx")
-        raw = logical_mod.logical_correlations(prop, "dq", corrected=False)
-        cor = logical_mod.logical_correlations(prop, "dq", corrected=True)
+        xx = logical_mod.channel_correlations(prop.amplitudes, "xx")
+        raw = logical_mod.channel_correlations(prop.amplitudes, "dq", corrected=False)
+        cor = logical_mod.channel_correlations(prop.amplitudes, "dq", corrected=True)
         sign = -1.0 if logical_mod.dq_parity_correction(n) else 1.0
         for alpha in ("x", "1"):
             dev = max(dev, abs(raw[alpha] - xx[alpha]), abs(cor[alpha] - xx[alpha]))
@@ -333,7 +333,7 @@ def engineered_fidelity_mirror(rng, max_n, oracle_n):
         dev = max(dev, abs(f - 1.0))
         # closed forms agree with the propagator bilinears
         prop = prop_mod.chain_propagator(spec, 0.43 * t_star)
-        vals = logical_mod.logical_correlations(prop, "xx")
+        vals = logical_mod.channel_correlations(prop.amplitudes, "xx")
         for alpha in logical_mod.CHANNELS:
             closed = logical_mod.logical_transport_engineered(n, 1.0, alpha, 0.43 * t_star)
             dev = max(dev, abs(vals[alpha] - closed))
@@ -346,7 +346,7 @@ def homogeneous_logical_closed_forms(rng, max_n, oracle_n):
         d = 1.0
         t = float(rng.uniform(0.5, 4.0))
         prop = prop_mod.chain_propagator(chain_mod.homogeneous_couplings(n, d), t)
-        vals = logical_mod.logical_correlations(prop, "xx")
+        vals = logical_mod.channel_correlations(prop.amplitudes, "xx")
         for alpha in logical_mod.CHANNELS:
             closed = logical_mod.logical_transport_homogeneous(n, d, alpha, t)
             dev = max(dev, abs(vals[alpha] - closed))

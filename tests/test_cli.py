@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -166,6 +167,19 @@ def test_mqc_validates_an_empty_grid(runner, args):
     assert_clean_domain_error(runner.invoke(main, args))
 
 
+# 10^11 phases would not fit in memory; 2^63 and 10^30 do not fit in an int64 either
+@pytest.mark.parametrize("phase_steps", [10**11, 2**63, 10**30])
+def test_oracle_folds_a_long_phase_cycle_without_forming_its_phases(runner, phase_steps):
+    # every cycle longer than 2 (n + 2) resolves each order alike
+    base = ["mqc", "--n", "6", "--engine", "oracle", "--grid", "0:3:4"]
+    long = runner.invoke(main, base + ["--phase-steps", str(phase_steps)])
+    short = runner.invoke(main, base + ["--phase-steps", "16"])
+    assert long.exit_code == short.exit_code == 0, long.output
+    got, want = (np.array(rows_of(r.stdout), dtype=float) for r in (long, short))
+    assert got.shape == want.shape == (4, 3)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_mqc_oracle_respects_budget(runner):
     result = runner.invoke(
         main, ["mqc", "--n", "21", "--engine", "oracle", "--grid", "0:1:2"]
@@ -296,13 +310,44 @@ def test_negative_disorder_seed_is_a_domain_error(runner):
     assert_clean_domain_error(result)
 
 
-@pytest.mark.parametrize("grid", ["0:inf:2", "-inf:1:2", "nan:1:2", "0:nan:0"])
-def test_non_finite_grid_is_a_usage_error(runner, grid):
+# 10^17 steps is past any address space, so the grid fails at once on any machine
+BAD_GRIDS = [
+    ("0:inf:2", "must be finite"),
+    ("-inf:1:2", "must be finite"),
+    ("nan:1:2", "must be finite"),
+    ("0:nan:0", "must be finite"),
+    ("0:1:100000000000000000", "do not fit in memory"),
+]
+
+
+@pytest.mark.parametrize("grid, message", BAD_GRIDS, ids=[grid for grid, _ in BAD_GRIDS])
+def test_non_finite_grid_is_a_usage_error(runner, grid, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = runner.invoke(main, ["transfer", "--n", "4", "--grid", grid])
     assert result.exit_code == 2
-    assert "must be finite" in result.stderr
+    assert message in result.stderr
+    assert "Traceback" not in result.output
+
+
+# numpy names the allocation that failed; a bare MemoryError still names its cause
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 29.8 GiB"), "error: Unable to allocate 29.8 GiB"),
+        (MemoryError(), "error: out of memory"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_exhausted_memory_is_a_domain_error(runner, monkeypatch, error, line):
+    # never allocate for real: the transport path raises as an oversized grid would
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "propagate_grid", exhausted)
+    result = runner.invoke(main, ["transfer", "--n", "4", "--grid", "0:1:2"])
+    assert_clean_domain_error(result)
+    assert result.stderr == line + "\n"
 
 
 def test_bad_sites_are_domain_errors(runner):

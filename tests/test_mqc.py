@@ -243,9 +243,6 @@ def test_analytic_series_reject_bad_coupling_scale(series, d):
         mqc_analytic(8, d, MQC_SERIES[series], 0.7)
 
 
-ORDERS = (-2, 0, 2)
-
-
 @given(
     st.sampled_from(("z_ends", "y_logical", "x_logical")),
     st.integers(0, 2**32 - 1),
@@ -262,10 +259,9 @@ def test_propagator_engine_matches_phase_cycling(kind, seed, times, data):
     spec = ChainSpec(n, "dq", tuple(couplings))
     got = mqc_propagator_grid(spec, kind, times)
     want = mqc_phase_cycled_grid(spec, prepare_state(n, kind), times)
-    assert len(got) == len(want) == len(times)
-    for g, w in zip(got, want):
-        assert g.time == w.time and g.orders == ORDERS
-        assert max(abs(g.intensity(q) - w.intensity(q)) for q in ORDERS) <= 1e-12
+    # columns J_-2 .. J_2: the oracle's J_+-1 must vanish as the propagator's do
+    assert got.shape == want.shape == (len(times), 5)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [12, 21, 200])
@@ -274,19 +270,19 @@ def test_propagator_engine_matches_closed_forms(n, kind):
     times = np.linspace(-2.0, 16.0, 37)
     # the closed z_ends series is normalised to the conserved total 2
     scale = 0.5 if kind == "z_ends" else 1.0
-    spectra = mqc_propagator_grid(homogeneous_couplings(n, 0.8, "dq"), kind, times)
-    for t, spectrum in zip(times, spectra):
+    intensities = mqc_propagator_grid(homogeneous_couplings(n, 0.8, "dq"), kind, times)
+    assert intensities.shape == (len(times), 5)
+    assert np.all(intensities[:, [1, 3]] == 0.0)
+    for t, row in zip(times, intensities):
         want = mqc_analytic(n, 0.8, kind, t)
-        assert spectrum.time == t
-        assert np.max(np.abs(scale * np.array(spectrum.intensities) - want.intensities)) <= 1e-12
+        assert np.max(np.abs(scale * row[[0, 2, 4]] - want.intensities)) <= 1e-12
 
 
 def test_propagator_engine_exact_values():
     spec = homogeneous_couplings(9, 1.3, "dq")
     (start,) = mqc_propagator_grid(spec, "z_ends", [0.0])
-    assert start.intensities == (0.0, 2.0, 0.0)
-    for spectrum in mqc_propagator_grid(spec, "x_logical", np.linspace(-3.0, 7.0, 11)):
-        assert spectrum.intensities == (0.0, 0.0, 0.0)
+    assert start.tolist() == [0.0, 0.0, 2.0, 0.0, 0.0]
+    assert not np.any(mqc_propagator_grid(spec, "x_logical", np.linspace(-3.0, 7.0, 11)))
 
 
 def test_propagator_engine_validation():
@@ -299,4 +295,4 @@ def test_propagator_engine_validation():
     for n, kind in ((1, "z_ends"), (3, "y_logical"), (3, "x_logical")):
         with pytest.raises(InvalidDimensionError):
             mqc_propagator_grid(homogeneous_couplings(n, 1.0, "dq"), kind, [])
-    assert mqc_propagator_grid(dq, "y_logical", []) == ()
+    assert mqc_propagator_grid(dq, "y_logical", []).shape == (0, 5)

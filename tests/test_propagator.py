@@ -25,7 +25,7 @@ from spinwire.errors import (
 from spinwire.oracle import build_hamiltonian, evolve_deviation, trace_overlap
 from spinwire.propagator import (
     chain_propagator,
-    end_autocorrelation,
+    end_autocorrelation_grid,
     homogeneous_amplitude,
     mixed_state_overlap,
     polarization_correlation,
@@ -229,11 +229,11 @@ def test_autocorrelation_normalisation_and_errors():
     for model in ("xx", "dq"):
         for kind in ("z_ends", "y_logical"):
             spec = homogeneous_couplings(6, 1.0, model=model)
-            assert end_autocorrelation(spec, kind, 0.0) == pytest.approx(1.0, abs=1e-12)
+            assert end_autocorrelation_grid(spec, kind, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InvalidConfigurationError):
-        end_autocorrelation(homogeneous_couplings(6, 1.0), "x_ends", 0.1)
+        end_autocorrelation_grid(homogeneous_couplings(6, 1.0), "x_ends", [0.1])
     with pytest.raises(InvalidDimensionError):
-        end_autocorrelation(homogeneous_couplings(3, 1.0), "y_logical", 0.1)
+        end_autocorrelation_grid(homogeneous_couplings(3, 1.0), "y_logical", [0.1])
 
 
 @pytest.mark.parametrize("model", ["xx", "dq"])
@@ -249,15 +249,15 @@ def test_autocorrelation_matches_dense_oracle(model, kind):
     norm = trace_overlap(rho0, rho0).real
     for t in (0.35, 1.8):
         ref = trace_overlap(evolve_deviation(h, rho0, t), rho0).real / norm
-        assert end_autocorrelation(spec, kind, t) == pytest.approx(ref, abs=1e-8)
+        assert end_autocorrelation_grid(spec, kind, [t])[0] == pytest.approx(ref, abs=1e-8)
 
 
 def test_engineered_autocorrelation_revives_at_mirror_time():
     n = 7
     spec = engineered_couplings(n, 1.0, model="dq")
     t_star = transfer_timing(engineered_couplings(n, 1.0)).t_star
-    assert end_autocorrelation(spec, "z_ends", t_star) == pytest.approx(1.0, abs=1e-9)
-    assert end_autocorrelation(spec, "y_logical", t_star) == pytest.approx(1.0, abs=1e-9)
+    for kind in ("z_ends", "y_logical"):
+        assert end_autocorrelation_grid(spec, kind, [t_star])[0] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
