@@ -44,7 +44,7 @@ from .chain import (
 )
 from .errors import SpinwireError
 from .logical import channel_correlations, channel_fidelity
-from .mqc import mqc_phase_cycled_grid, mqc_propagator_grid, prepare_state
+from .mqc import _check_phase_steps, mqc_phase_cycled_grid, mqc_propagator_grid, prepare_state
 from .propagator import _check_mode_count, _gauge_sign, propagate_grid, spectral_decompose
 from .verify import run_verification
 
@@ -311,6 +311,9 @@ def mqc(n, d, initial, engine, phase_steps, grid, out) -> None:
     reported raw, their total being zero.
     """
     kind = _INITIALS[initial]
+    # the table reports orders up to 2; the analytic engine runs no cycle, but its
+    # manifest records one, so both engines check it before any work
+    _check_phase_steps(phase_steps, 2)
     spec = _build_chain("homogeneous", n, d, "dq")
     if engine == "analytic":
         intensities = mqc_propagator_grid(spec, kind, grid)

@@ -215,26 +215,44 @@ def _cycle(
 ) -> tuple[MqcSpectrum, ...]:
     """The literal cycle of ``mqc_phase_cycled`` for each of ``states`` under one U(t).
 
-    Z(t) = U Z U^dag is formed once and shared; the arguments are already checked.
+    Z(t) = U Z U^dag is formed once and shared, and each of the N rotation
+    diagonals once per call, for every state in turn, so only one is alive; the
+    arguments are already checked.
     """
     n = states[0].n
     z_t = u @ total_z(n) @ u.conj().T
+    rhos_t = [u @ deviation_to_dense(state) @ u.conj().T for state in states]
+    signals = np.empty((len(states), phase_steps), dtype=complex)
+    for m in range(phase_steps):
+        r = collective_rotation_diag(n, 2.0 * np.pi * m / phase_steps)
+        for i, rho_t in enumerate(rhos_t):
+            rotated = (r[:, None] * rho_t) * np.conj(r)[None, :]
+            signals[i, m] = trace_overlap(rotated, z_t)
     phis = 2.0 * np.pi * np.arange(phase_steps) / phase_steps
     orders = tuple(range(-max_order, max_order + 1))
-    spectra = []
-    for state in states:
-        rho_t = u @ deviation_to_dense(state) @ u.conj().T
-        signals = np.empty(phase_steps, dtype=complex)
-        for m in range(phase_steps):
-            phi = 2.0 * np.pi * m / phase_steps
-            r = collective_rotation_diag(n, phi)
-            rotated = (r[:, None] * rho_t) * np.conj(r)[None, :]
-            signals[m] = trace_overlap(rotated, z_t)
-        intensities = tuple(
-            float((np.exp(1j * q * phis) @ signals).real / phase_steps) for q in orders
+    return tuple(
+        MqcSpectrum(
+            t,
+            orders,
+            tuple(float((np.exp(1j * q * phis) @ row).real / phase_steps) for q in orders),
         )
-        spectra.append(MqcSpectrum(t, orders, intensities))
-    return tuple(spectra)
+        for row in signals
+    )
+
+
+def _check_phase_steps(phase_steps: int, max_order: int) -> tuple[int, int]:
+    """A cycle of ``phase_steps`` that resolves orders up to ``max_order``: both as ints.
+
+    phase_steps > 2 max_order, so no populated order aliases onto a reported one.
+    """
+    phase_steps = _check_int(phase_steps, "phase_steps", InvalidParameterError)
+    max_order = _check_int(max_order, "max_order", InvalidParameterError, minimum=0)
+    if phase_steps <= 2 * max_order:
+        raise AliasingError(
+            f"phase_steps={phase_steps} cannot resolve orders up to "
+            f"{max_order}; need phase_steps > {2 * max_order}"
+        )
+    return phase_steps, max_order
 
 
 def _check_protocol(
@@ -246,13 +264,7 @@ def _check_protocol(
         raise InvalidDimensionError(
             f"state on {initial.n} sites does not match chain n={n}"
         )
-    phase_steps = _check_int(phase_steps, "phase_steps", InvalidParameterError)
-    max_order = _check_int(max_order, "max_order", InvalidParameterError, minimum=0)
-    if phase_steps <= 2 * max_order:
-        raise AliasingError(
-            f"phase_steps={phase_steps} cannot resolve orders up to "
-            f"{max_order}; need phase_steps > {2 * max_order}"
-        )
+    phase_steps, max_order = _check_phase_steps(phase_steps, max_order)
     # every model has ||H|| <= 2 sum |d|, which bounds each phase E t; a bound
     # past the float range is inf, and every grid then fails the phase check
     with np.errstate(over="ignore"):
@@ -261,26 +273,57 @@ def _check_protocol(
     return grid, phase_steps, max_order
 
 
-def _sector_blocks(spec: ChainSpec, initial: DeviationState):
-    """Per conserved sector, one at a time: real eigenpairs of its H block,
-    its rho(0) block, Z on its labels and order bins.
+def _flip_sign(state: DeviationState) -> int:
+    """s with F rho F = s rho for the spin flip F = X^(x)n, or 0 when the terms of
+    ``state`` have mixed signs.
 
-    Both blocks are built on the sector's labels alone, so no 2^n x 2^n
-    array is ever formed and only the sector being yielded is held. H is
-    real in this basis under both models, xx and dq (checked exactly), so
-    its block is diagonalised in real arithmetic. Order bins index
-    pop(a) - pop(b) + n over the block's (a, b) entries.
+    F P F = (-1)^(#Y + #Z) P for each Pauli string P.
+    """
+    signs = {(-1) ** sum(letter != "X" for _, letter in string) for _, string in state.terms}
+    return signs.pop() if len(signs) == 1 else 0
+
+
+def _mirror_pairs(spec: ChainSpec):
+    """Per pair of conserved sectors k and n - k (k = 0..n // 2), one pair at a time:
+    ((labels, eigenpairs) of sector k, the same of sector n - k or None when k = n - k).
+
+    Only sector k's H block is built, on its labels alone, so no 2^n x 2^n array
+    is ever formed. H is real in this basis under both models, xx and dq
+    (checked exactly, once for both blocks of a pair), so the block is
+    diagonalised in real arithmetic. Sector n - k holds the flipped labels of
+    sector k in reversed order and its block is sector k's reversed
+    (``conserved_sectors``), so its eigenpairs are (E_k, V_k[::-1]).
     """
     n = spec.n
-    for labels in conserved_sectors(spec):
-        h_k = build_hamiltonian(spec, labels)
+    sectors = conserved_sectors(spec)
+    for k in range(n // 2 + 1):
+        h_k = build_hamiltonian(spec, sectors[k])
         if np.any(h_k.imag):
             raise UnsupportedModelError(f"{spec.model} Hamiltonian block is not real")
-        eigen = np.linalg.eigh(h_k.real)
+        energies, vectors = np.linalg.eigh(h_k.real)
         del h_k  # only the eigenpairs outlive the build
-        pop = popcount(labels, n)
-        bins = (pop[:, None] - pop[None, :] + n).ravel()
-        yield eigen, deviation_to_dense(initial, labels), n - 2.0 * pop, bins
+        mirror = None if 2 * k == n else (sectors[n - k], (energies, vectors[::-1]))
+        yield (sectors[k], (energies, vectors)), mirror
+
+
+def _sector_moments(labels: np.ndarray, eigen, initial: DeviationState, grid: np.ndarray):
+    """Moments M_p(t) of one sector, shape (len(grid), 2n + 1), column p + n.
+
+    At each time the entries (a, b) of rho_k(t) * Z_k(t)^T, with rho_k(0) the
+    block of ``initial`` on ``labels`` and ``eigen`` the block's eigenpairs,
+    are summed by p = pop(a) - pop(b); only the real part is kept.
+    """
+    n = initial.n
+    pop = popcount(labels, n)
+    bins = (pop[:, None] - pop[None, :] + n).ravel()
+    rho_k, z_k = deviation_to_dense(initial, labels), n - 2.0 * pop
+    out = np.empty((grid.size, 2 * n + 1))
+    for i, t in enumerate(grid):
+        u = _unitary(eigen, t)
+        rho_t = u @ rho_k @ u.conj().T
+        z_t = (u * z_k) @ u.conj().T
+        out[i] = np.bincount(bins, (rho_t * z_t.T).real.ravel(), 2 * n + 1)
+    return out
 
 
 def mqc_phase_cycled_grid(
@@ -296,13 +339,20 @@ def mqc_phase_cycled_grid(
     charge (``conserved_sectors``), and so are U(t) and Z(t); R_phi is
     diagonal. Tr[R rho(t) R^dag Z(t)] therefore reads only the diagonal
     blocks of rho(t), and the rotation multiplies entry (a, b) by
-    exp(i p phi) with p = pop(a) - pop(b). Each block is built and
-    diagonalised once, one sector at a time (``_sector_blocks``); at each
-    time the entries of rho_k(t) * Z_k(t)^T are summed by p into moments
-    M_p. With S(phi) = sum_p M_p exp(i p phi), the literal cycle's
+    exp(i p phi) with p = pop(a) - pop(b). Each block is diagonalised once
+    and its moments M_p(t) summed (``_sector_moments``). With
+    S(phi) = sum_p M_p exp(i p phi), the literal cycle's
     (1/N) sum_m exp(i q phi_m) S(phi_m) is exactly the fold
     sum_{p = -q mod N} M_p, so any aliasing of the N-step cycle is kept;
     only Re M_p reaches J_q.
+
+    The spin flip F = X^(x)n pairs sector k with sector n - k, so each pair
+    costs one build and one eigh (``_mirror_pairs``). F negates every Z_j,
+    hence Z and every order p, and F P F = (-1)^(#Y + #Z) P for a Pauli
+    string P. If every term of ``initial`` has the same sign s, M_p of
+    sector n - k is -s M_{-p} of sector k at every time, and sector n - k
+    costs no per-time work; a state of mixed signs evolves sector n - k with
+    the mirrored eigenpairs and its own rho block.
 
     Every argument is checked before any work, also for an empty grid.
     """
@@ -311,14 +361,17 @@ def mqc_phase_cycled_grid(
     orders = np.arange(-max_order, max_order + 1)
     if not grid.size:
         return np.zeros((0, orders.size))
-    width = 2 * n + 1
-    moments = np.zeros((grid.size, width))
-    for eigen, rho_k, z_k, bins in _sector_blocks(spec, initial):
-        for i, t in enumerate(grid):
-            u = _unitary(eigen, t)
-            rho_t = u @ rho_k @ u.conj().T
-            z_t = (u * z_k) @ u.conj().T
-            moments[i] += np.bincount(bins, (rho_t * z_t.T).real.ravel(), width)
+    sign = _flip_sign(initial)
+    moments = np.zeros((grid.size, 2 * n + 1))
+    for (labels, eigen), mirror in _mirror_pairs(spec):
+        part = _sector_moments(labels, eigen, initial, grid)
+        moments += part
+        if mirror is None:
+            continue
+        if sign:
+            moments -= sign * part[:, ::-1]
+        else:
+            moments += _sector_moments(*mirror, initial, grid)
     moments /= 2**n
     # |p + q| <= n + max_order, so every N past 2 (n + max_order) folds only p = -q; the cap
     # gives the same mask and keeps N within int64

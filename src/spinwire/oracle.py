@@ -208,19 +208,20 @@ def build_hamiltonian(spec: ChainSpec, labels: np.ndarray | None = None) -> np.n
     xx: sum_j d_j (X_j X_{j+1} + Y_j Y_{j+1}) / 2
     dq: sum_j d_j (X_j X_{j+1} - Y_j Y_{j+1}) / 2
 
-    X_j X_{j+1} and Y_j Y_{j+1} share one signed permutation; their phases
-    are added before the coupling multiplies them, as grouped above, so every
+    X_j X_{j+1} and Y_j Y_{j+1} share one signed permutation: both flip
+    bits j and j + 1, and every phase of X_j X_{j+1} is 1. So each bond
+    makes one primitive call, for Y_j Y_{j+1}, and its phases yy enter as
+    1 + yy (xx) or 1 - yy (dq) before the coupling multiplies them, so every
     entry equals the Kronecker-product sum exactly, subnormal d included.
-    A block is built on its labels alone, in the same bond and term order,
-    so it equals the slice H[np.ix_(labels, labels)] bit for bit.
+    A block is built on its labels alone, in the same bond order, so it
+    equals the slice H[np.ix_(labels, labels)] bit for bit.
     """
     n = require_within_budget(spec.n)
     labels = _check_block(n, labels)
     h = np.zeros((labels.size, labels.size), dtype=complex)
     for j, d in enumerate(spec.couplings, start=1):
-        rows, cols, xx = _signed_permutation(n, ((j, "X"), (j + 1, "X")), labels)
-        yy = _signed_permutation(n, ((j, "Y"), (j + 1, "Y")), labels)[2]
-        h[rows, cols] += d / 2.0 * (xx + yy if spec.model == "xx" else xx - yy)
+        rows, cols, yy = _signed_permutation(n, ((j, "Y"), (j + 1, "Y")), labels)
+        h[rows, cols] += d / 2.0 * (1 + yy if spec.model == "xx" else 1 - yy)
     return h
 
 
@@ -231,6 +232,13 @@ def conserved_sectors(spec: ChainSpec) -> tuple[np.ndarray, ...]:
     conserves popcount(x ^ odd-site mask), its image under the gauge of
     ``similarity_transform``. Entry k holds the sorted labels of charge
     k = 0..n (C(n, k) of them); H has no entry between two blocks.
+
+    The spin flip F = X^(x)n commutes with H under both models (it leaves
+    X_j X_{j+1} alone and maps Y_j Y_{j+1} to (-Y_j)(-Y_{j+1}) = Y_j Y_{j+1})
+    and complements every label, so it maps sector k onto sector n - k in
+    reversed order: exactly, sectors[n - k] == (2**n - 1 - sectors[k])[::-1]
+    and build_hamiltonian(spec, sectors[n - k]) is the block of sector k
+    with rows and columns reversed.
     """
     n = require_within_budget(spec.n)
     labels = np.arange(2**n)

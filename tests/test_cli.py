@@ -167,6 +167,22 @@ def test_mqc_validates_an_empty_grid(runner, args):
     assert_clean_domain_error(runner.invoke(main, args))
 
 
+@pytest.mark.parametrize("phase_steps", ["-5", "4"])
+def test_analytic_mqc_refuses_a_cycle_that_cannot_resolve_its_orders(
+    runner, tmp_path, phase_steps
+):
+    # the analytic engine runs no cycle, but the manifest would record this one
+    base = ["mqc", "--n", "6", "--grid", "0:1:2"]
+    out = tmp_path / "table.csv"
+    result = runner.invoke(main, base + ["--phase-steps", phase_steps, "--out", str(out)])
+    assert_clean_domain_error(result)
+    assert list(tmp_path.iterdir()) == []
+    # the smallest cycle that resolves order 2 leaves the analytic table as it was
+    tables = [runner.invoke(main, base + extra) for extra in ([], ["--phase-steps", "5"])]
+    assert tables[0].exit_code == tables[1].exit_code == 0
+    assert tables[0].stdout == tables[1].stdout
+
+
 # 10^11 phases would not fit in memory; 2^63 and 10^30 do not fit in an int64 either
 @pytest.mark.parametrize("phase_steps", [10**11, 2**63, 10**30])
 def test_oracle_folds_a_long_phase_cycle_without_forming_its_phases(runner, phase_steps):

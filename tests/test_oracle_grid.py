@@ -5,8 +5,10 @@ protocol ``mqc_phase_cycled`` (its reference); the signed-permutation operators
 of ``spinwire.oracle`` (``build_hamiltonian``, ``pauli_string_to_dense``,
 ``deviation_to_dense``, ``staggered_z``) against the Kronecker products
 of ``reference``; their blocks on sorted labels against slices of the
-dense operators; ``popcount`` against the per-bit loop it replaced; and
-``conserved_sectors`` against the block structure of H.
+dense operators; ``popcount`` against the per-bit loop it replaced;
+``conserved_sectors`` against the block structure of H and the spin-flip
+mirror between sectors k and n - k, which the grid engine uses to build
+and diagonalise one block per mirror pair.
 """
 
 import math
@@ -120,6 +122,42 @@ def test_sector_blocks_equal_slices_of_the_dense_operators(n, model):
             assert np.array_equal(deviation_to_dense(state, labels), rho[np.ix_(labels, labels)])
 
 
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("n", range(1, 11))
+def test_spin_flip_mirrors_sector_k_onto_sector_n_minus_k(n, model):
+    # X^n complements every label and commutes with H: sector n - k is sector k flipped
+    # and reversed, and so is its block, exactly
+    spec = random_spec(n, model, seed=200 + n)
+    sectors = conserved_sectors(spec)
+    for k in range(n + 1):
+        assert np.array_equal(sectors[n - k], (2**n - 1 - sectors[k])[::-1])
+        assert np.array_equal(build_hamiltonian(spec, sectors[n - k]),
+                              build_hamiltonian(spec, sectors[k])[::-1, ::-1])
+
+
+def _counting(monkeypatch, owner, name):
+    """Wrap ``owner.<name>`` so each call is counted; return the one-entry count list."""
+    count, inner = [0], getattr(owner, name)
+
+    def counter(*args, **kwargs):
+        count[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counter)
+    return count
+
+
+@pytest.mark.parametrize("kind", ["z_ends", "mixed"])
+@pytest.mark.parametrize("n", [5, 8, 10])
+def test_grid_engine_builds_and_diagonalises_one_block_per_mirror_pair(n, kind, monkeypatch):
+    # n // 2 + 1 pairs, not n + 1 sectors, whatever the state's flip parity
+    state = prepare_state(n, "z_ends") if kind == "z_ends" else MIXED_STATES[0](n)
+    builds = _counting(monkeypatch, mqc, "build_hamiltonian")
+    eighs = _counting(monkeypatch, np.linalg, "eigh")
+    mqc_phase_cycled_grid(random_spec(n, "dq", seed=n), state, [0.4, 1.3])
+    assert builds == eighs == [n // 2 + 1]
+
+
 @given(st.integers(1, 6), st.sampled_from(MODELS), st.integers(0, 2**32 - 1), st.data())
 @settings(max_examples=60, deadline=None)
 def test_blocks_on_any_sorted_labels_equal_slices(n, model, seed, data):
@@ -206,6 +244,73 @@ def test_grid_matches_literal_cycle(n, model, kind, seed, times, phase_steps, ma
         assert np.max(np.abs(row - ref.intensities)) <= 1e-12
 
 
+# states whose terms have both flip signs (F P F = (-1)^(#Y + #Z) P for F = X^n), so
+# sector n - k cannot be read off sector k and is evolved on its own
+MIXED_STATES = [
+    lambda n: DeviationState(n, ((1.0, ((1, "Z"),)), (0.7, ((2, "X"),)),
+                                 (0.3, ((1, "X"), (3, "Y"))))),
+    lambda n: DeviationState(n, ((1.0, ((2, "Y"),)), (-0.4j, ((1, "X"), (n, "X"))),
+                                 (0.2, ((n, "Z"),)))),
+]
+MIXED_IDS = ["z1-x2-x1y3", "y2-x1xn-zn"]
+
+
+@pytest.mark.parametrize(
+    "state, sign",
+    [(prepare_state(6, kind), 1 if kind == "x_logical" else -1) for kind in PREPARED_KINDS]
+    + [(make(6), 0) for make in MIXED_STATES],
+    ids=[*PREPARED_KINDS, *MIXED_IDS],
+)
+def test_flip_sign_is_the_states_parity_under_x_on_every_site(state, sign):
+    n = state.n
+    flip = pauli_string_to_dense(n, "X" * n)
+    rho = deviation_to_dense(state)
+    assert mqc._flip_sign(state) == sign
+    if sign:
+        assert np.array_equal(flip @ rho @ flip, sign * rho)
+    else:
+        assert not np.allclose(flip @ rho @ flip, rho)
+        assert not np.allclose(flip @ rho @ flip, -rho)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("n", range(5, 9))
+@pytest.mark.parametrize("make", MIXED_STATES, ids=MIXED_IDS)
+def test_grid_matches_literal_cycle_for_states_of_mixed_flip_parity(make, n, model):
+    # even n has a self-mirrored middle sector, odd n has none
+    spec = random_spec(n, model, seed=n)
+    state = make(n)
+    assert mqc._flip_sign(state) == 0
+    times = (0.0, 0.9, -2.3)
+    intensities = mqc_phase_cycled_grid(spec, state, times, 9, 4)
+    for row, t in zip(intensities, times):
+        ref = mqc_phase_cycled(spec, state, t, 9, 4)
+        assert np.max(np.abs(row - ref.intensities)) <= 1e-12
+
+
+@given(
+    st.integers(5, 8),
+    st.sampled_from(MODELS),
+    st.integers(0, 2**32 - 1),
+    TIMES,
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_grid_matches_literal_cycle_for_random_states(n, model, seed, times, data):
+    # either flip parity or a mix of both: the mirrored moments and the fallback
+    strings = data.draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1,
+                                 max_size=4, unique=True), label="strings")
+    terms = tuple((data.draw(WEIGHTS, label="weight"), parse_string_label(x)) for x in strings)
+    spec = random_spec(n, model, seed)
+    state = DeviationState(n, terms)
+    intensities = mqc_phase_cycled_grid(spec, state, times, 7, 3)
+    # weights reach 1e3 in size; the bound scales with them
+    scale = max(1.0, max(abs(w) for w, _ in terms))
+    for row, t in zip(intensities, times):
+        ref = mqc_phase_cycled(spec, state, t, 7, 3)
+        assert np.max(np.abs(row - ref.intensities)) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("kind", ["z_ends", "full_z", "y_logical"])
 @pytest.mark.parametrize("phase_steps, max_order", [(1, 0), (2, 0), (3, 1)])
 def test_grid_keeps_the_cycles_aliasing(kind, phase_steps, max_order):
@@ -226,7 +331,8 @@ def test_grid_keeps_the_cycles_aliasing(kind, phase_steps, max_order):
 def test_empty_grid_gives_empty_result(monkeypatch):
     spec = random_spec(5, "dq", seed=0)
     # an empty grid does no sector work
-    monkeypatch.setattr(mqc, "_sector_blocks", None)
+    monkeypatch.setattr(mqc, "_mirror_pairs", None)
+    monkeypatch.setattr(mqc, "_sector_moments", None)
     for max_order in (0, 2):
         got = mqc_phase_cycled_grid(spec, prepare_state(5, "z_ends"), [], 8, max_order)
         assert got.shape == (0, 2 * max_order + 1)
