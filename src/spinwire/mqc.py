@@ -25,7 +25,7 @@ an ``MqcSpectrum``.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,29 +215,26 @@ def _cycle(
 ) -> tuple[MqcSpectrum, ...]:
     """The literal cycle of ``mqc_phase_cycled`` for each of ``states`` under one U(t).
 
-    Z(t) = U Z U^dag is formed once and shared, and each of the N rotation
-    diagonals once per call, for every state in turn, so only one is alive; the
-    arguments are already checked.
+    Z(t) = U Z U^dag is formed once and shared; the arguments are already checked.
     """
     n = states[0].n
     z_t = u @ total_z(n) @ u.conj().T
-    rhos_t = [u @ deviation_to_dense(state) @ u.conj().T for state in states]
-    signals = np.empty((len(states), phase_steps), dtype=complex)
-    for m in range(phase_steps):
-        r = collective_rotation_diag(n, 2.0 * np.pi * m / phase_steps)
-        for i, rho_t in enumerate(rhos_t):
-            rotated = (r[:, None] * rho_t) * np.conj(r)[None, :]
-            signals[i, m] = trace_overlap(rotated, z_t)
     phis = 2.0 * np.pi * np.arange(phase_steps) / phase_steps
     orders = tuple(range(-max_order, max_order + 1))
-    return tuple(
-        MqcSpectrum(
-            t,
-            orders,
-            tuple(float((np.exp(1j * q * phis) @ row).real / phase_steps) for q in orders),
+    spectra = []
+    for state in states:
+        rho_t = u @ deviation_to_dense(state) @ u.conj().T
+        signals = np.empty(phase_steps, dtype=complex)
+        for m in range(phase_steps):
+            phi = 2.0 * np.pi * m / phase_steps
+            r = collective_rotation_diag(n, phi)
+            rotated = (r[:, None] * rho_t) * np.conj(r)[None, :]
+            signals[m] = trace_overlap(rotated, z_t)
+        intensities = tuple(
+            float((np.exp(1j * q * phis) @ signals).real / phase_steps) for q in orders
         )
-        for row in signals
-    )
+        spectra.append(MqcSpectrum(t, orders, intensities))
+    return tuple(spectra)
 
 
 def _check_phase_steps(phase_steps: int, max_order: int) -> tuple[int, int]:
@@ -273,26 +270,28 @@ def _check_protocol(
     return grid, phase_steps, max_order
 
 
-def _flip_sign(state: DeviationState) -> int:
-    """s with F rho F = s rho for the spin flip F = X^(x)n, or 0 when the terms of
-    ``state`` have mixed signs.
+def _flip_parts(state: DeviationState) -> dict[int, DeviationState]:
+    """``state`` split by parity under the spin flip F = X^(x)n: {s: rho_s} with
+    F rho_s F = s rho_s for s = +-1 and ``state`` the sum of the rho_s.
 
     F P F = (-1)^(#Y + #Z) P for each Pauli string P.
     """
-    signs = {(-1) ** sum(letter != "X" for _, letter in string) for _, string in state.terms}
-    return signs.pop() if len(signs) == 1 else 0
+    groups: dict[int, list] = {}
+    for weight, string in state.terms:
+        sign = (-1) ** sum(letter != "X" for _, letter in string)
+        groups.setdefault(sign, []).append((weight, string))
+    return {sign: DeviationState(state.n, tuple(terms)) for sign, terms in groups.items()}
 
 
 def _mirror_pairs(spec: ChainSpec):
     """Per pair of conserved sectors k and n - k (k = 0..n // 2), one pair at a time:
-    ((labels, eigenpairs) of sector k, the same of sector n - k or None when k = n - k).
+    sector k's labels and eigenpairs, and whether k != n - k.
 
     Only sector k's H block is built, on its labels alone, so no 2^n x 2^n array
     is ever formed. H is real in this basis under both models, xx and dq
-    (checked exactly, once for both blocks of a pair), so the block is
-    diagonalised in real arithmetic. Sector n - k holds the flipped labels of
-    sector k in reversed order and its block is sector k's reversed
-    (``conserved_sectors``), so its eigenpairs are (E_k, V_k[::-1]).
+    (checked exactly), so the block is diagonalised in real arithmetic. Sector
+    n - k is sector k flipped (``conserved_sectors``), and its moments are read
+    off sector k's, so it is neither built nor diagonalised.
     """
     n = spec.n
     sectors = conserved_sectors(spec)
@@ -300,29 +299,33 @@ def _mirror_pairs(spec: ChainSpec):
         h_k = build_hamiltonian(spec, sectors[k])
         if np.any(h_k.imag):
             raise UnsupportedModelError(f"{spec.model} Hamiltonian block is not real")
-        energies, vectors = np.linalg.eigh(h_k.real)
+        eigen = np.linalg.eigh(h_k.real)
         del h_k  # only the eigenpairs outlive the build
-        mirror = None if 2 * k == n else (sectors[n - k], (energies, vectors[::-1]))
-        yield (sectors[k], (energies, vectors)), mirror
+        yield sectors[k], eigen, 2 * k != n
 
 
-def _sector_moments(labels: np.ndarray, eigen, initial: DeviationState, grid: np.ndarray):
-    """Moments M_p(t) of one sector, shape (len(grid), 2n + 1), column p + n.
+def _sector_moments(
+    n: int, labels: np.ndarray, eigen, states: Iterable[DeviationState], grid: np.ndarray
+) -> np.ndarray:
+    """Moments M_p(t) of one sector for each of ``states``: shape
+    (len(states), len(grid), 2n + 1), column p + n.
 
-    At each time the entries (a, b) of rho_k(t) * Z_k(t)^T, with rho_k(0) the
-    block of ``initial`` on ``labels`` and ``eigen`` the block's eigenpairs,
-    are summed by p = pop(a) - pop(b); only the real part is kept.
+    At each time the entries (a, b) of rho_k(t) * Z_k(t)^T, with rho_k(0) a
+    state's block on ``labels`` and ``eigen`` the H block's eigenpairs, are
+    summed by p = pop(a) - pop(b); only the real part is kept. U(t) and Z_k(t)
+    are formed once per time and shared by the states.
     """
-    n = initial.n
     pop = popcount(labels, n)
     bins = (pop[:, None] - pop[None, :] + n).ravel()
-    rho_k, z_k = deviation_to_dense(initial, labels), n - 2.0 * pop
-    out = np.empty((grid.size, 2 * n + 1))
+    z_k = n - 2.0 * pop
+    rhos = [deviation_to_dense(state, labels) for state in states]
+    out = np.empty((len(rhos), grid.size, 2 * n + 1))
     for i, t in enumerate(grid):
         u = _unitary(eigen, t)
-        rho_t = u @ rho_k @ u.conj().T
-        z_t = (u * z_k) @ u.conj().T
-        out[i] = np.bincount(bins, (rho_t * z_t.T).real.ravel(), 2 * n + 1)
+        z_t = ((u * z_k) @ u.conj().T).T
+        for rho_k, row in zip(rhos, out[:, i]):
+            rho_t = u @ rho_k @ u.conj().T
+            row[:] = np.bincount(bins, (rho_t * z_t).real.ravel(), 2 * n + 1)
     return out
 
 
@@ -349,10 +352,11 @@ def mqc_phase_cycled_grid(
     The spin flip F = X^(x)n pairs sector k with sector n - k, so each pair
     costs one build and one eigh (``_mirror_pairs``). F negates every Z_j,
     hence Z and every order p, and F P F = (-1)^(#Y + #Z) P for a Pauli
-    string P. If every term of ``initial`` has the same sign s, M_p of
-    sector n - k is -s M_{-p} of sector k at every time, and sector n - k
-    costs no per-time work; a state of mixed signs evolves sector n - k with
-    the mirrored eigenpairs and its own rho block.
+    string P. The moments are linear in rho(0), which splits into parts
+    rho_s with F rho_s F = s rho_s (``_flip_parts``); for each part, M_p of
+    sector n - k is -s M_{-p} of sector k at every time. So only sector k is
+    evolved, once per part with U(t) and Z_k(t) shared, and sector n - k
+    costs no per-time work. Every prepared state has one part.
 
     Every argument is checked before any work, also for an empty grid.
     """
@@ -361,17 +365,13 @@ def mqc_phase_cycled_grid(
     orders = np.arange(-max_order, max_order + 1)
     if not grid.size:
         return np.zeros((0, orders.size))
-    sign = _flip_sign(initial)
+    parts = _flip_parts(initial)
     moments = np.zeros((grid.size, 2 * n + 1))
-    for (labels, eigen), mirror in _mirror_pairs(spec):
-        part = _sector_moments(labels, eigen, initial, grid)
-        moments += part
-        if mirror is None:
-            continue
-        if sign:
-            moments -= sign * part[:, ::-1]
-        else:
-            moments += _sector_moments(*mirror, initial, grid)
+    for labels, eigen, mirrored in _mirror_pairs(spec):
+        for sign, part in zip(parts, _sector_moments(n, labels, eigen, parts.values(), grid)):
+            moments += part
+            if mirrored:
+                moments -= sign * part[:, ::-1]
     moments /= 2**n
     # |p + q| <= n + max_order, so every N past 2 (n + max_order) folds only p = -q; the cap
     # gives the same mask and keeps N within int64

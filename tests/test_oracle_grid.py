@@ -245,7 +245,7 @@ def test_grid_matches_literal_cycle(n, model, kind, seed, times, phase_steps, ma
 
 
 # states whose terms have both flip signs (F P F = (-1)^(#Y + #Z) P for F = X^n), so
-# sector n - k cannot be read off sector k and is evolved on its own
+# sector k is evolved once per sign
 MIXED_STATES = [
     lambda n: DeviationState(n, ((1.0, ((1, "Z"),)), (0.7, ((2, "X"),)),
                                  (0.3, ((1, "X"), (3, "Y"))))),
@@ -256,21 +256,23 @@ MIXED_IDS = ["z1-x2-x1y3", "y2-x1xn-zn"]
 
 
 @pytest.mark.parametrize(
-    "state, sign",
-    [(prepare_state(6, kind), 1 if kind == "x_logical" else -1) for kind in PREPARED_KINDS]
-    + [(make(6), 0) for make in MIXED_STATES],
+    "state, signs",
+    [(prepare_state(6, kind), {1} if kind == "x_logical" else {-1}) for kind in PREPARED_KINDS]
+    + [(make(6), {-1, 1}) for make in MIXED_STATES],
     ids=[*PREPARED_KINDS, *MIXED_IDS],
 )
-def test_flip_sign_is_the_states_parity_under_x_on_every_site(state, sign):
+def test_flip_parts_split_the_state_by_its_parity_under_x_on_every_site(state, signs):
     n = state.n
     flip = pauli_string_to_dense(n, "X" * n)
-    rho = deviation_to_dense(state)
-    assert mqc._flip_sign(state) == sign
-    if sign:
+    parts = mqc._flip_parts(state)
+    assert set(parts) == signs
+    for sign, part in parts.items():
+        rho = deviation_to_dense(part)
+        assert np.any(rho)
         assert np.array_equal(flip @ rho @ flip, sign * rho)
-    else:
-        assert not np.allclose(flip @ rho @ flip, rho)
-        assert not np.allclose(flip @ rho @ flip, -rho)
+    by_string = sorted((term for part in parts.values() for term in part.terms),
+                       key=lambda term: term[1])
+    assert by_string == sorted(state.terms, key=lambda term: term[1])
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -280,7 +282,7 @@ def test_grid_matches_literal_cycle_for_states_of_mixed_flip_parity(make, n, mod
     # even n has a self-mirrored middle sector, odd n has none
     spec = random_spec(n, model, seed=n)
     state = make(n)
-    assert mqc._flip_sign(state) == 0
+    assert len(mqc._flip_parts(state)) == 2
     times = (0.0, 0.9, -2.3)
     intensities = mqc_phase_cycled_grid(spec, state, times, 9, 4)
     for row, t in zip(intensities, times):
@@ -297,7 +299,7 @@ def test_grid_matches_literal_cycle_for_states_of_mixed_flip_parity(make, n, mod
 )
 @settings(max_examples=40, deadline=None)
 def test_grid_matches_literal_cycle_for_random_states(n, model, seed, times, data):
-    # either flip parity or a mix of both: the mirrored moments and the fallback
+    # either flip parity or a mix of both: one part or two
     strings = data.draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1,
                                  max_size=4, unique=True), label="strings")
     terms = tuple((data.draw(WEIGHTS, label="weight"), parse_string_label(x)) for x in strings)
