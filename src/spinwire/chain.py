@@ -162,8 +162,9 @@ def _check_sites(n: int, sites, increasing: bool = True) -> tuple[int, ...]:
     return out
 
 
-# a float phase above 2^52 rad keeps no fractional bit, so exp(-i w t) is noise
-_MAX_PHASE = 2.0**52
+# a float phase w t is off by about |w t| 2^-53, so past 2^32 rad the error in
+# exp(-i w t) can pass ~1e-6
+_MAX_PHASE = 2.0**32
 
 
 def _check_times(times, rate: float) -> np.ndarray:
@@ -185,6 +186,23 @@ def _check_times(times, rate: float) -> np.ndarray:
 def _check_time(t: float, rate: float) -> float:
     """One finite real time, through ``_check_times``."""
     return float(_check_times([t], rate)[0])
+
+
+def _check_square(*operands: np.ndarray) -> int:
+    """Operands that are non-empty square 2-d ndarrays of one shape, of integer, real
+    or complex dtype and with finite entries: their dimension."""
+    shapes = [op.shape if isinstance(op, np.ndarray) else None for op in operands]
+    dim = shapes[0][0] if shapes[0] else 0
+    if dim < 1 or any(shape != (dim, dim) for shape in shapes):
+        raise InvalidDimensionError(
+            f"operands must be equal non-empty square ndarrays, got shapes {shapes}"
+        )
+    for op in operands:
+        if op.dtype.kind not in "iufc":
+            raise InvalidParameterError(f"operands must be numeric, got dtype {op.dtype}")
+        if not np.all(np.isfinite(op)):
+            raise InvalidParameterError("operands must have finite entries")
+    return dim
 
 
 def _check_seed(seed: int) -> int:

@@ -251,5 +251,4 @@ def logical_correlation_from_spec(
 ) -> float:
     """Channel correlation for an arbitrary nearest-neighbour chain spec."""
     _check_choice(alpha, "channel", CHANNELS, InvalidConfigurationError)
-    amplitudes = chain_propagator(spec, t).amplitudes
-    return float(channel_correlations(amplitudes, spec.model, corrected)[alpha])
+    return float(channel_correlations(chain_propagator(spec, t), spec.model, corrected)[alpha])

@@ -24,12 +24,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, _check_finite_result, _check_length, _check_sites, _check_time
+from .chain import (
+    ChainSpec,
+    _check_finite_result,
+    _check_length,
+    _check_sites,
+    _check_square,
+    _check_time,
+)
 from .errors import (
     IndexOutOfRangeError,
     InvalidConfigurationError,
     InvalidDimensionError,
-    InvalidParameterError,
     OracleSizeError,
 )
 from .pauli import DeviationState, PauliString, _validate_string, parse_string_label
@@ -255,23 +261,6 @@ def _unitary(eigen: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
     """exp(-i h t) from the eigenpairs ``eigen = np.linalg.eigh(h)``."""
     energies, vectors = eigen
     return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
-
-
-def _check_square(*operands: np.ndarray) -> int:
-    """Operands that are non-empty square 2-d ndarrays of one shape, of integer, real
-    or complex dtype and with finite entries: their dimension."""
-    shapes = [op.shape if isinstance(op, np.ndarray) else None for op in operands]
-    dim = shapes[0][0] if shapes[0] else 0
-    if dim < 1 or any(shape != (dim, dim) for shape in shapes):
-        raise InvalidDimensionError(
-            f"operands must be equal non-empty square ndarrays, got shapes {shapes}"
-        )
-    for op in operands:
-        if op.dtype.kind not in "iufc":
-            raise InvalidParameterError(f"operands must be numeric, got dtype {op.dtype}")
-        if not np.all(np.isfinite(op)):
-            raise InvalidParameterError("operands must have finite entries")
-    return dim
 
 
 def evolve_unitary(h: np.ndarray, t: float) -> np.ndarray:

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 from .chain import (
     _check_choice,
-    _check_finite_result,
     _check_length,
     _check_number,
     _check_pairs,
     _check_real,
     _check_sites,
 )
-from .errors import InvalidConfigurationError, InvalidDimensionError, InvalidParameterError
+from .errors import InvalidConfigurationError, InvalidParameterError
 
 __all__ = ["DeviationState"]
 
@@ -104,33 +103,6 @@ class DeviationState:
         return 0j
 
     # -- algebra ----------------------------------------------------------
-
-    def scaled(self, factor: complex) -> "DeviationState":
-        """Return factor * self."""
-        factor = _check_number(factor, "factor", InvalidParameterError)
-        return DeviationState.from_terms(
-            self.n, ((factor * w, s) for w, s in self.terms)
-        )
-
-    def __add__(self, other: "DeviationState") -> "DeviationState":
-        if not isinstance(other, DeviationState):
-            return NotImplemented
-        if other.n != self.n:
-            raise InvalidDimensionError("cannot add states of different length")
-        return DeviationState.from_terms(self.n, (*self.terms, *other.terms))
-
-    def overlap(self, other: "DeviationState") -> complex:
-        """Normalised trace overlap Tr[self . other] / 2**n.
-
-        Pauli strings are orthogonal under the normalised trace, so the
-        overlap is a weight dot product over shared strings.
-        """
-        if other.n != self.n:
-            raise InvalidDimensionError("cannot overlap states of different length")
-        table = {s: w for w, s in other.terms}
-        return _check_finite_result(
-            lambda: sum(w * table.get(s, 0j) for w, s in self.terms), "state overlap"
-        )
 
     def rotated_z(self, phi: float) -> "DeviationState":
         """Conjugate by the collective z rotation exp(-i phi Sum_j Z_j / 2).

@@ -3,7 +3,8 @@
 Both chain models conserve (or, for the double-quantum model, stagger)
 excitation number, so all dynamics reduce to the n x n tridiagonal
 single-excitation matrix M with M_{j,j+1} = d_j. The transfer amplitude
-matrix A(t) = exp(-i M t) is obtained spectrally; many-body amplitudes
+matrix A(t) = exp(-i M t) is obtained spectrally, as a plain (n, n)
+complex ndarray that every observable below takes; many-body amplitudes
 follow from determinants of its submatrices, and two-point observables
 from quadratic forms in its entries.
 
@@ -30,6 +31,7 @@ from .chain import (
     _check_scale,
     _check_site,
     _check_sites,
+    _check_square,
     _check_time,
     _check_times,
 )
@@ -42,7 +44,6 @@ from .errors import (
 
 __all__ = [
     "SpectralDecomposition",
-    "Propagator",
     "spectral_decompose",
     "propagate",
     "propagate_grid",
@@ -77,28 +78,6 @@ class SpectralDecomposition:
     modes: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """Transfer amplitude matrix A(t) = exp(-i M t) at one time.
-
-    A is symmetric (M is real symmetric, so A equals its transpose);
-    unitarity ties |A_{jl}|^2 into doubly stochastic transfer
-    probabilities.
-    """
-
-    n: int
-    time: float
-    amplitudes: np.ndarray = field(repr=False)
-
-    def amplitude(self, j: int, l: int) -> complex:
-        """A_{jl} with 1-based site indices."""
-        return complex(self.amplitudes[_check_site(self.n, j) - 1, _check_site(self.n, l) - 1])
-
-    def probability(self, j: int, l: int) -> float:
-        """Transfer probability |A_{jl}|^2."""
-        return abs(self.amplitude(j, l)) ** 2
-
-
 # every eigenvector is kept: n^2 float64 modes, 800 MB at this cap
 _MAX_N = 10_000
 
@@ -115,8 +94,6 @@ def _check_mode_count(n: int) -> int:
 def spectral_decompose(spec: ChainSpec) -> SpectralDecomposition:
     """Diagonalise the single-excitation matrix of a nearest-neighbour chain (n <= 10 000)."""
     n = _check_mode_count(spec.n)
-    if n == 1:
-        return SpectralDecomposition(1, np.zeros(1), np.ones((1, 1)))
     freqs, modes = eigh_tridiagonal(np.zeros(n), np.asarray(spec.couplings))
     # make each column's first entry above 1e-12 of its largest positive, so
     # results are deterministic across LAPACK builds
@@ -141,7 +118,7 @@ def propagate_grid(
     holding A[rows, cols](t); ``rows`` and ``cols`` are 1-based sites and
     default to the whole chain. A is evaluated as
     I + V (e^{-i w t} - 1) V^T, which is exact at t = 0. A time whose
-    phase |w t| exceeds 2^52 rad raises ``InvalidParameterError``.
+    phase |w t| exceeds 2^32 rad raises ``InvalidParameterError``.
     """
     n = decomposition.n
     v, w = decomposition.modes, decomposition.frequencies
@@ -163,18 +140,18 @@ def _site_indices(n: int, sites: Sequence[int] | None) -> np.ndarray:
     return np.array(_check_sites(n, sites, increasing=False), dtype=int) - 1
 
 
-def propagate(decomposition: SpectralDecomposition, t: float) -> Propagator:
-    """Evaluate the full A(t) at one time through ``propagate_grid``.
+def propagate(decomposition: SpectralDecomposition, t: float) -> np.ndarray:
+    """The full A(t) at one time through ``propagate_grid``, an (n, n) complex array.
 
-    The product is symmetrised to remove the tiny asymmetry left by
-    floating-point evaluation of V e^{-i w t} V^T.
+    A is symmetric (M is real symmetric), so the product is symmetrised to
+    remove the tiny asymmetry left by floating-point evaluation of
+    V e^{-i w t} V^T.
     """
-    t = _check_time(t, np.max(np.abs(decomposition.frequencies)))
     amp = propagate_grid(decomposition, (t,))[0]
-    return Propagator(decomposition.n, t, 0.5 * (amp + amp.T))
+    return 0.5 * (amp + amp.T)
 
 
-def chain_propagator(spec: ChainSpec, t: float) -> Propagator:
+def chain_propagator(spec: ChainSpec, t: float) -> np.ndarray:
     """Convenience: spectral_decompose + propagate."""
     return propagate(spectral_decompose(spec), t)
 
@@ -221,22 +198,23 @@ def engineered_frequencies(n: int, d: float) -> np.ndarray:
 
 
 def slater_amplitude(
-    prop: Propagator, sources: Sequence[int], targets: Sequence[int]
+    amplitudes: np.ndarray, sources: Sequence[int], targets: Sequence[int]
 ) -> complex:
-    """Many-excitation transfer amplitude as a Slater determinant.
+    """Many-excitation transfer amplitude as a Slater determinant of A(t).
 
     For excitations starting on ``sources`` and ending on ``targets``
     (both strictly increasing 1-based tuples of equal length m), the
     amplitude is det A[sources, targets]. The empty configuration has
     amplitude 1.
     """
-    src = _check_sites(prop.n, sources)
-    tgt = _check_sites(prop.n, targets)
+    n = _check_square(amplitudes)
+    src = _check_sites(n, sources)
+    tgt = _check_sites(n, targets)
     if len(src) != len(tgt):
         raise DimensionMismatchError(
             f"source and target excitation numbers differ: {len(src)} != {len(tgt)}"
         )
-    return _minor(prop.amplitudes, src, tgt)
+    return _minor(amplitudes, src, tgt)
 
 
 def _minor(amp: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> complex:
@@ -261,8 +239,8 @@ def _check_blocks(n: int, state: MixedState) -> list[tuple[tuple, tuple, complex
     ]
 
 
-def mixed_state_overlap(prop: Propagator, a: MixedState, b: MixedState) -> complex:
-    """Tr[U rho_a U^dag rho_b] for excitation-basis mixed states.
+def mixed_state_overlap(amplitudes: np.ndarray, a: MixedState, b: MixedState) -> complex:
+    """Tr[U rho_a U^dag rho_b] for excitation-basis mixed states, from A(t).
 
     States are sparse maps {(ket_sites, bra_sites): weight} over
     strictly increasing site tuples. Cross terms whose excitation
@@ -271,10 +249,10 @@ def mixed_state_overlap(prop: Propagator, a: MixedState, b: MixedState) -> compl
     The cost is one m x m minor per term pair of m excitations,
     whatever n; meant for sparse few-excitation states.
     """
-    av, bv = _check_blocks(prop.n, a), _check_blocks(prop.n, b)
-    amp = prop.amplitudes
+    n = _check_square(amplitudes)
+    av, bv = _check_blocks(n, a), _check_blocks(n, b)
     terms = (
-        wa * wb * _minor(amp, p, s) * np.conj(_minor(amp, q, r))
+        wa * wb * _minor(amplitudes, p, s) * np.conj(_minor(amplitudes, q, r))
         for p, q, wa in av for r, s, wb in bv if len(p) == len(s) and len(q) == len(r)
     )
     return _check_finite_result(lambda: sum(terms, 0j), "mixed-state overlap")
@@ -293,16 +271,19 @@ def _gauge_sign(model: str, j, l):
     return 1 if model == "xx" else (-1) ** ((np.asarray(j) - l) % 2)
 
 
-def polarization_from_propagator(prop: Propagator, j: int, l: int, model: str = "xx") -> float:
-    """Normalised polarisation correlation Tr[Z_j(t) Z_l] / 2^n.
+def polarization_from_propagator(
+    amplitudes: np.ndarray, j: int, l: int, model: str = "xx"
+) -> float:
+    """Normalised polarisation correlation Tr[Z_j(t) Z_l] / 2^n from A(t).
 
     Under the flip-flop model the correlation equals the transfer
     probability |A_{jl}|^2; the double-quantum model multiplies it by
     the staggering sign (-1)^(j-l).
     """
-    p = prop.probability(j, l)
+    n = _check_square(amplitudes)
+    j, l = _check_site(n, j), _check_site(n, l)
     model = _check_choice(model, "model", MODELS, UnsupportedModelError)
-    return float(_gauge_sign(model, j, l) * p)
+    return float(_gauge_sign(model, j, l) * abs(complex(amplitudes[j - 1, l - 1])) ** 2)
 
 
 def polarization_correlation(spec: ChainSpec, j: int, l: int, t: float) -> float:

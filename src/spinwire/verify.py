@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -69,16 +69,7 @@ class VerificationReport:
             "schema": "spinwire.verify/1",
             "parameters": self.parameters,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "deviation": c.deviation,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                    "inputs": c.inputs,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -103,7 +94,7 @@ def propagator_vs_expm(rng, max_n, oracle_n):
     cpl = chain_mod.random_couplings(rng, n)
     t = float(rng.uniform(0.3, 4.0))
     spec = ChainSpec(n, "xx", cpl)
-    amp = prop_mod.chain_propagator(spec, t).amplitudes
+    amp = prop_mod.chain_propagator(spec, t)
     ref = expm(-1j * spec.coupling_matrix() * t)
     yield (
         "propagator_vs_expm",
@@ -118,9 +109,9 @@ def unitarity_group_symmetry(rng, max_n, oracle_n):
     cpl = chain_mod.random_couplings(rng, n)
     t1, t2 = (float(x) for x in rng.uniform(0.2, 3.0, 2))
     dec = prop_mod.spectral_decompose(ChainSpec(n, "xx", cpl))
-    a1 = prop_mod.propagate(dec, t1).amplitudes
-    a2 = prop_mod.propagate(dec, t2).amplitudes
-    a12 = prop_mod.propagate(dec, t1 + t2).amplitudes
+    a1 = prop_mod.propagate(dec, t1)
+    a2 = prop_mod.propagate(dec, t2)
+    a12 = prop_mod.propagate(dec, t1 + t2)
     dev = max(
         np.abs(a1 @ a1.conj().T - np.eye(n)).max(),
         np.abs(a1 @ a2 - a12).max(),
@@ -139,7 +130,7 @@ def homogeneous_closed_form(rng, max_n, oracle_n):
     d = float(rng.uniform(0.5, 1.5))
     t = float(rng.uniform(0.2, 5.0))
     spec = chain_mod.homogeneous_couplings(n, d)
-    amp = prop_mod.chain_propagator(spec, t).amplitudes
+    amp = prop_mod.chain_propagator(spec, t)
     closed = np.array(
         [
             [prop_mod.homogeneous_amplitude(n, d, j, l, t) for l in range(1, n + 1)]
@@ -171,13 +162,13 @@ def engineered_mirror_profile(rng, max_n, oracle_n):
     d = 1.0
     spec = chain_mod.engineered_couplings(n, d)
     t_star = chain_mod.transfer_timing(spec).t_star
-    amp = prop_mod.chain_propagator(spec, t_star).amplitudes
+    amp = prop_mod.chain_propagator(spec, t_star)
     phase = (-1j) ** (n - 1)
     dev = max(abs(amp[j, n - 1 - j] - phase) for j in range(n))
     # binomial transfer profile away from the mirror time
     t = 0.37 * t_star
     tau = chain_mod.normalized_time(n, d, t)
-    amp_t = prop_mod.chain_propagator(spec, t).amplitudes
+    amp_t = prop_mod.chain_propagator(spec, t)
     s2, c2 = math.sin(tau) ** 2, math.cos(tau) ** 2
     for l in range(1, n + 1):
         pred = math.comb(n - 1, l - 1) * s2 ** (l - 1) * c2 ** (n - l)
@@ -219,11 +210,11 @@ def polarization_vs_oracle(rng, max_n, oracle_n):
 def slater_vs_oracle(rng, max_n, oracle_n):
     n = oracle_n
     cpl, t, [(spec, _, u)] = _draw(rng, n, ("xx",))
-    prop = prop_mod.chain_propagator(spec, t)
+    amp = prop_mod.chain_propagator(spec, t)
     dev = 0.0
     configs = [((1, 2), (n - 1, n)), ((1, 3), (2, n)), ((1, 2, 3), (1, n - 1, n))]
     for src, tgt in configs:
-        got = prop_mod.slater_amplitude(prop, src, tgt)
+        got = prop_mod.slater_amplitude(amp, src, tgt)
         ref = u[oracle_mod.basis_index(n, tgt), oracle_mod.basis_index(n, src)]
         dev = max(dev, abs(got - ref))
     yield (
@@ -248,8 +239,7 @@ def mixed_overlap_vs_oracle(rng, max_n, oracle_n):
         ((n,), (n - 1,)): +0.15j,
         ((n - 1, n), (n - 1, n)): 0.25,
     }
-    prop = prop_mod.chain_propagator(spec, t)
-    got = prop_mod.mixed_state_overlap(prop, a, b)
+    got = prop_mod.mixed_state_overlap(prop_mod.chain_propagator(spec, t), a, b)
     ra = oracle_mod.excitation_operator(n, a)
     rb = oracle_mod.excitation_operator(n, b)
     ref = np.trace(u @ ra @ u.conj().T @ rb)
@@ -268,8 +258,8 @@ def logical_channels_vs_oracle(rng, max_n, oracle_n):
     for spec, _, u in dense:
         source = logical_mod.logical_basis(spec.model, n, "source")
         target = logical_mod.logical_basis(spec.model, n, "target")
-        prop = prop_mod.chain_propagator(spec, t)
-        got = logical_mod.channel_correlations(prop.amplitudes, spec.model, corrected=False)
+        amp = prop_mod.chain_propagator(spec, t)
+        got = logical_mod.channel_correlations(amp, spec.model, corrected=False)
         for alpha in logical_mod.CHANNELS:
             rho0 = oracle_mod.deviation_to_dense(source[alpha])
             ref = 2.0 * oracle_mod.trace_overlap(
@@ -307,10 +297,10 @@ def dq_parity_rule(rng, max_n, oracle_n):
     dev = 0.0
     for n in (max_n, max_n + 1):
         cpl, t, _ = _draw(rng, n, ())
-        prop = prop_mod.chain_propagator(ChainSpec(n, "xx", cpl), t)
-        xx = logical_mod.channel_correlations(prop.amplitudes, "xx")
-        raw = logical_mod.channel_correlations(prop.amplitudes, "dq", corrected=False)
-        cor = logical_mod.channel_correlations(prop.amplitudes, "dq", corrected=True)
+        amp = prop_mod.chain_propagator(ChainSpec(n, "xx", cpl), t)
+        xx = logical_mod.channel_correlations(amp, "xx")
+        raw = logical_mod.channel_correlations(amp, "dq", corrected=False)
+        cor = logical_mod.channel_correlations(amp, "dq", corrected=True)
         sign = -1.0 if logical_mod.dq_parity_correction(n) else 1.0
         for alpha in ("x", "1"):
             dev = max(dev, abs(raw[alpha] - xx[alpha]), abs(cor[alpha] - xx[alpha]))
@@ -332,8 +322,8 @@ def engineered_fidelity_mirror(rng, max_n, oracle_n):
         f = logical_mod.entanglement_fidelity(n, 1.0, "engineered", t_star)
         dev = max(dev, abs(f - 1.0))
         # closed forms agree with the propagator bilinears
-        prop = prop_mod.chain_propagator(spec, 0.43 * t_star)
-        vals = logical_mod.channel_correlations(prop.amplitudes, "xx")
+        amp = prop_mod.chain_propagator(spec, 0.43 * t_star)
+        vals = logical_mod.channel_correlations(amp, "xx")
         for alpha in logical_mod.CHANNELS:
             closed = logical_mod.logical_transport_engineered(n, 1.0, alpha, 0.43 * t_star)
             dev = max(dev, abs(vals[alpha] - closed))
@@ -345,8 +335,8 @@ def homogeneous_logical_closed_forms(rng, max_n, oracle_n):
     for n in (max_n, max_n + 3):
         d = 1.0
         t = float(rng.uniform(0.5, 4.0))
-        prop = prop_mod.chain_propagator(chain_mod.homogeneous_couplings(n, d), t)
-        vals = logical_mod.channel_correlations(prop.amplitudes, "xx")
+        amp = prop_mod.chain_propagator(chain_mod.homogeneous_couplings(n, d), t)
+        vals = logical_mod.channel_correlations(amp, "xx")
         for alpha in logical_mod.CHANNELS:
             closed = logical_mod.logical_transport_homogeneous(n, d, alpha, t)
             dev = max(dev, abs(vals[alpha] - closed))

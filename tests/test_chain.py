@@ -160,7 +160,7 @@ def test_disorder_monte_carlo_median():
     spec = engineered_couplings(n, 1.0)
     t_star = transfer_timing(spec).t_star
     probs = [
-        chain_propagator(perturb_couplings(spec, sigma, seed), t_star).probability(1, n)
+        abs(chain_propagator(perturb_couplings(spec, sigma, seed), t_star)[0, n - 1]) ** 2
         for seed in range(100)
     ]
     median = float(np.median(probs))

@@ -534,6 +534,23 @@ def test_decomposition_size_cap_is_a_domain_error(runner):
     assert "n <= 10000" in result.stderr
 
 
+def test_phase_past_two_to_the_32_is_a_domain_error(runner):
+    # the n = 5 engineered chain's largest frequency is 1.6, so t = 1e10 puts its phase at
+    # 1.6e10 rad, where a float phase leaves an error of about 2e-6 in exp(-i w t)
+    result = runner.invoke(main, ["transfer", "--n", "5", "--grid", "1e10:1e10:1"])
+    assert_clean_domain_error(result)
+    assert "time out of range" in result.stderr
+
+
+def test_phase_just_under_two_to_the_32_runs(runner):
+    # the table's tau = 2 d t / n holds t to the rate 2 d, above the chain's 1.6
+    t = 0.99 * 2**32 / 2.0
+    result = runner.invoke(main, ["transfer", "--n", "5", "--grid", f"{t!r}:{t!r}:1"])
+    assert result.exit_code == 0, result.output
+    rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+    assert len(rows) == 5 and all(math.isfinite(float(r[-1])) for r in rows)
+
+
 @pytest.mark.parametrize(
     "args",
     [

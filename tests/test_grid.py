@@ -115,7 +115,7 @@ def test_grid_matches_single_time_propagator(n, seed, times, data):
     m = np.diag(couplings, 1) + np.diag(couplings, -1)
     r, c = np.array(rows, dtype=int) - 1, np.array(cols) - 1
     for k, t in enumerate(times):
-        single = propagate(dec, t).amplitudes
+        single = propagate(dec, t)
         assert np.max(np.abs(block[k] - single[np.ix_(r, c)]), initial=0.0) <= 1e-13
         assert np.max(np.abs(full[k] - expm(-1j * m * t))) <= 1e-12
 
@@ -246,7 +246,7 @@ def test_autocorrelation_grid_equals_single_time_calls(kind, model, seed, times,
     assert np.array_equal(curve, single)
 
 
-# 1e308 is finite, but its phases w t lie far past 2^52 rad or overflow;
+# 1e308 is finite, but its phases w t lie far past 2^32 rad or overflow;
 # the x_logical series forms no phase, and holds times to the y_logical range
 BAD_TIMES = ("a", None, float("nan"), float("inf"), 1e308, "0.5", True, 10**400,
              np.complex128(1 + 1j))
@@ -292,6 +292,13 @@ def test_time_entry_points_reject_bad_times(entry, t):
     # warnings are errors (pyproject.toml), so a phase that warns fails here too
     with pytest.raises(InvalidParameterError):
         TIME_ENTRY_POINTS[entry](t)
+
+
+def test_phase_bound_is_two_to_the_32_rad():
+    # normalized_time holds t to the rate 2 d = 1: a phase of 2^32 rad runs, the next float not
+    assert normalized_time(4, 0.5, 2.0**32) == 2.0**30
+    with pytest.raises(InvalidParameterError, match="time out of range"):
+        normalized_time(4, 0.5, np.nextafter(2.0**32, np.inf))
 
 
 # a float, a bool, a missing value, a string, and a numpy float of a valid size
@@ -372,13 +379,12 @@ SITE_N = 4
 SITE_DEC = spectral_decompose(homogeneous_couplings(SITE_N))
 SITE_PROP = propagate(SITE_DEC, 0.7)
 SITE_ENTRY_POINTS = {
-    "Propagator.amplitude[j]": lambda j: SITE_PROP.amplitude(j, 1),
-    "Propagator.amplitude[l]": lambda j: SITE_PROP.amplitude(1, j),
     "homogeneous_amplitude": lambda j: homogeneous_amplitude(SITE_N, 1.0, 1, j, 0.7),
     "polarization_correlation": lambda j: polarization_correlation(
         homogeneous_couplings(SITE_N), j, 1, 0.7
     ),
     "polarization_from_propagator": lambda j: polarization_from_propagator(SITE_PROP, 1, j, "dq"),
+    "polarization_from_propagator[j]": lambda j: polarization_from_propagator(SITE_PROP, j, 1),
     "propagate_grid[rows]": lambda j: propagate_grid(SITE_DEC, [0.7], (j,)),
     "propagate_grid[cols]": lambda j: propagate_grid(SITE_DEC, [0.7], None, (1, j)),
     "slater_amplitude": lambda j: slater_amplitude(SITE_PROP, (1,), (j,)),
@@ -512,7 +518,7 @@ CHOICE_ENTRY_POINTS = {
     "logical_basis[model]": (lambda c: logical_basis(c, 4), UnsupportedModelError),
     "logical_basis[pair]": (lambda c: logical_basis("xx", 4, c), InvalidConfigurationError),
     "channel_correlations": (
-        lambda c: channel_correlations(CHOICE_PROP.amplitudes, c), UnsupportedModelError
+        lambda c: channel_correlations(CHOICE_PROP, c), UnsupportedModelError
     ),
     "entanglement_fidelity[family]": (
         lambda c: entanglement_fidelity(6, 1.0, c, 0.5), UnsupportedFamilyError
@@ -624,6 +630,11 @@ OPERAND_ENTRY_POINTS = {
     "evolve_deviation[rho]": lambda op: evolve_deviation(np.eye(2), op, 0.1),
     "similarity_residual[h_xx]": lambda op: similarity_residual(op, np.eye(2)),
     "similarity_residual[h_dq]": lambda op: similarity_residual(np.eye(2), op),
+    "slater_amplitude": lambda op: slater_amplitude(op, (1,), (1,)),
+    "mixed_state_overlap": lambda op: mixed_state_overlap(
+        op, {((1,), (1,)): 1.0}, {((2,), (2,)): 1.0}
+    ),
+    "polarization_from_propagator": lambda op: polarization_from_propagator(op, 1, 1),
 }
 
 
@@ -641,11 +652,18 @@ def test_operand_entry_points_reject_unequal_shapes(entry):
         OPERAND_ENTRY_POINTS[entry](np.eye(3))
 
 
+@pytest.mark.parametrize("entry", ("mixed_state_overlap", "polarization_from_propagator",
+                                   "slater_amplitude"))
+def test_amplitude_entry_points_take_a_slice_of_the_grid(entry):
+    # the A(t) observables read a propagate_grid slice as they read propagate's symmetrised array
+    got = OPERAND_ENTRY_POINTS[entry](propagate_grid(SITE_DEC, [0.7])[0])
+    assert got == pytest.approx(OPERAND_ENTRY_POINTS[entry](SITE_PROP), abs=1e-15)
+
+
 # finite operands whose result overflows, one row per entry point; the finite-result rule
 # turns each into an InvalidParameterError, and the suite's warnings-as-errors filter fails a
 # row that warns on the way
 HUGE = np.full((2, 2), 1e308)
-HUGE_STATE = DeviationState.from_terms(SITE_N, [(1e308, ((1, "Z"),))])
 HUGE_MIXED = {((1,), (1,)): 1e308}
 OVERFLOWING_OPERANDS = {
     "trace_overlap": lambda: trace_overlap(np.array([[1e308]]), np.array([[1e308]])),
@@ -653,7 +671,6 @@ OVERFLOWING_OPERANDS = {
     # exp(-i Y pi/4) turns the all-ones rho onto |1><1| with twice its weight
     "evolve_deviation": lambda: evolve_deviation(np.array([[0, -1j], [1j, 0]]), HUGE, np.pi / 4),
     "mixed_state_overlap": lambda: mixed_state_overlap(SITE_PROP, HUGE_MIXED, HUGE_MIXED),
-    "DeviationState.overlap": lambda: HUGE_STATE.overlap(HUGE_STATE),
 }
 
 
@@ -683,11 +700,11 @@ ROLE_TABLES = {
 }
 # objects and flags, outside the value rules (object arguments are not checked by type);
 # so is any argument annotated as an ndarray operand or a prepared DeviationState
-OBJECT_ARGUMENTS = ("spec", "decomposition", "prop", "amplitudes", "vals", "corrected")
+OBJECT_ARGUMENTS = ("spec", "decomposition", "amplitudes", "vals", "corrected")
 OBJECT_ANNOTATIONS = ("np.ndarray", "DeviationState")
 MODULES = (chain, errors, pauli, propagator, logical, mqc, verify, oracle)
 RESULT_TYPES = (
-    "TransferTiming", "SpectralDecomposition", "Propagator", "MqcSpectrum", "CheckResult",
+    "TransferTiming", "SpectralDecomposition", "MqcSpectrum", "CheckResult",
     "VerificationReport",
 )
 
@@ -721,33 +738,49 @@ def test_package_exports_each_module_list_once():
 
 # public names whose only callers are the tests: dense references for the grid engines
 TEST_REFERENCES = ("evolve_deviation", "mqc_phase_cycled")
+# public methods whose only callers are the tests: the tests read prepared states through it
+TEST_METHOD_REFERENCES = ("DeviationState.weight",)
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_public_name_has_a_program_caller():
-    # each name in a module's __all__ must be read under src/ or perfbench/ outside its own
-    # definition; neither the __all__ string nor the def statement counts as a read
+    # each name in a module's __all__, and each public non-dunder method of an exported class,
+    # must be read under src/ or perfbench/ outside its own definition; neither the __all__
+    # string nor the def statement counts as a read, and a method is read as an attribute
     trees = {
         path: ast.parse(path.read_text())
         for folder in ("src", "perfbench")
         for path in sorted((ROOT / folder).rglob("*.py"))
     }
     reads = defaultdict(list)  # name -> (path, node id) of each read
+    attribute_reads = defaultdict(list)
     for path, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads[node.id].append((path, id(node)))
             elif isinstance(node, ast.Attribute):
                 reads[node.attr].append((path, id(node)))
+                attribute_reads[node.attr].append((path, id(node)))
     unused = []
     for module in MODULES:
         path = Path(module.__file__).resolve()
-        own = {
-            node.name: {(path, id(inner)) for inner in ast.walk(node)}
-            for node in trees[path].body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        }
+        top = [
+            node for node in trees[path].body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+        own = {node.name: {(path, id(inner)) for inner in ast.walk(node)} for node in top}
         unused += [
             f"{module.__name__}.{name}" for name in module.__all__
             if name not in TEST_REFERENCES and set(reads[name]) <= own.get(name, set())
+        ]
+        methods = [
+            (f"{cls.name}.{node.name}", node)
+            for cls in top if isinstance(cls, ast.ClassDef) and cls.name in module.__all__
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        ]
+        unused += [
+            f"{module.__name__}.{qualified}" for qualified, node in methods
+            if qualified not in TEST_METHOD_REFERENCES
+            and set(attribute_reads[node.name]) <= {(path, id(inner)) for inner in ast.walk(node)}
         ]
     assert not unused

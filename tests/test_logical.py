@@ -128,7 +128,7 @@ def test_corrected_dq_channels_match_dense_dq_dynamics(n):
         flip = pauli_string_to_dense(n, ((n - 1, "X"), (n, "X")))
         target = {alpha: flip @ op @ flip for alpha, op in target.items()}
     for t in rng.uniform(0.3, 2.5, 3):
-        got = channel_correlations(chain_propagator(spec, t).amplitudes, "dq", corrected=True)
+        got = channel_correlations(chain_propagator(spec, t), "dq", corrected=True)
         for alpha in CHANNELS:
             rho_t = evolve_deviation(h, deviation_to_dense(source[alpha]), t)
             ref = 2.0 * trace_overlap(rho_t, target[alpha])
@@ -138,7 +138,7 @@ def test_corrected_dq_channels_match_dense_dq_dynamics(n):
 def test_initial_time_values():
     for family in ("homogeneous", "engineered"):
         assert entanglement_fidelity(8, 1.0, family, 0.0) == pytest.approx(0.125, abs=1e-12)
-    vals = channel_correlations(chain_propagator(homogeneous_couplings(8, 1.0), 0.0).amplitudes)
+    vals = channel_correlations(chain_propagator(homogeneous_couplings(8, 1.0), 0.0))
     assert vals["1"] == pytest.approx(0.5, abs=1e-12)
     for alpha in ("x", "y", "z"):
         assert vals[alpha] == pytest.approx(0.0, abs=1e-12)
@@ -175,8 +175,7 @@ def test_frozen_channel_samples():
 
 def test_channel_bounds():
     for t in np.linspace(0.0, 8.0, 17):
-        prop = chain_propagator(engineered_couplings(8, 1.0), float(t))
-        vals = channel_correlations(prop.amplitudes)
+        vals = channel_correlations(chain_propagator(engineered_couplings(8, 1.0), float(t)))
         assert 0.5 - 1e-12 <= vals["1"] <= 1.0 + 1e-12
         for alpha in CHANNELS:
             assert -1.0 - 1e-12 <= vals[alpha] <= 1.0 + 1e-12
@@ -211,7 +210,7 @@ def test_uncorrected_dq_fidelity_collapses_at_mirror_time():
 def test_correlation_from_spec():
     spec = engineered_couplings(8, 1.0)
     t = 1.1
-    vals = channel_correlations(chain_propagator(spec, t).amplitudes)
+    vals = channel_correlations(chain_propagator(spec, t))
     for alpha in CHANNELS:
         assert logical_correlation_from_spec(spec, alpha, t) == pytest.approx(
             vals[alpha], abs=1e-14
@@ -222,14 +221,14 @@ def test_correlation_from_spec():
 
 def test_error_paths():
     with pytest.raises(InvalidDimensionError):
-        channel_correlations(chain_propagator(homogeneous_couplings(3, 1.0), 0.5).amplitudes)
+        channel_correlations(chain_propagator(homogeneous_couplings(3, 1.0), 0.5))
     with pytest.raises(UnsupportedFamilyError):
         entanglement_fidelity(8, 1.0, "dipolar", 0.5)
     with pytest.raises(UnsupportedModelError):
         entanglement_fidelity(8, 1.0, "engineered", 0.5, model="ising")
-    prop = chain_propagator(homogeneous_couplings(6, 1.0), 0.5)
+    amp = chain_propagator(homogeneous_couplings(6, 1.0), 0.5)
     with pytest.raises(UnsupportedModelError):
-        channel_correlations(prop.amplitudes, "ising")
+        channel_correlations(amp, "ising")
 
 
 @pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
@@ -243,11 +242,11 @@ def test_closed_forms_reject_bad_coupling_scale(closed, d):
 def test_channel_correlations_broadcast_over_time():
     spec = homogeneous_couplings(10, 1.0, model="dq")  # even n: raw readout flips y, z
     times = (0.0, 0.4, 2.5)
-    props = [chain_propagator(spec, t) for t in times]
-    block = np.stack([p.amplitudes[:2] for p in props])
+    amps = [chain_propagator(spec, t) for t in times]
+    block = np.stack([amp[:2] for amp in amps])
     vals = channel_correlations(block, "dq", corrected=False)
-    for k, prop in enumerate(props):
-        single = channel_correlations(prop.amplitudes, "dq", corrected=False)
+    for k, amp in enumerate(amps):
+        single = channel_correlations(amp, "dq", corrected=False)
         for alpha in CHANNELS:
             assert vals[alpha][k] == pytest.approx(single[alpha], abs=1e-15)
     assert channel_fidelity(vals).shape == (3,)

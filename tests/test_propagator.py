@@ -63,12 +63,19 @@ BONDS = st.one_of(
 def test_sign_fix_equals_the_per_column_loop(bonds):
     n = len(bonds) + 1
     modes = spectral_decompose(ChainSpec(n, "xx", bonds)).modes
-    if n > 1:
-        raw = eigh_tridiagonal(np.zeros(n), np.array(bonds))[1]
-        assert np.array_equal(modes, _looped_sign_fix(raw))
+    raw = eigh_tridiagonal(np.zeros(n), np.array(bonds))[1]
+    assert np.array_equal(modes, _looped_sign_fix(raw))
     for col in modes.T:
         significant = np.flatnonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))
         assert col[significant[0]] > 0
+
+
+def test_single_site_decomposition_is_one_zero_mode():
+    # eigh_tridiagonal takes the empty bond list of n = 1 without a special case
+    dec = spectral_decompose(ChainSpec(1, "xx", ()))
+    assert dec.frequencies.tolist() == [0.0]
+    assert dec.modes.tolist() == [[1.0]]
+    assert propagate(dec, 0.7).tolist() == [[1.0 + 0j]]
 
 
 def test_spectral_decomposition_reconstructs_matrix():
@@ -109,9 +116,9 @@ def test_decomposition_size_cap_raises_before_any_work(monkeypatch):
 def test_propagator_basics():
     spec = homogeneous_couplings(5, 1.0)
     dec = spectral_decompose(spec)
-    np.testing.assert_allclose(propagate(dec, 0.0).amplitudes, np.eye(5), atol=1e-14)
-    forward = propagate(dec, 1.3).amplitudes
-    backward = propagate(dec, -1.3).amplitudes
+    np.testing.assert_allclose(propagate(dec, 0.0), np.eye(5), atol=1e-14)
+    forward = propagate(dec, 1.3)
+    backward = propagate(dec, -1.3)
     np.testing.assert_allclose(backward, forward.conj().T, atol=1e-14)
 
 
@@ -128,7 +135,7 @@ def test_end_to_end_probability_law():
     n, d = 9, 1.3
     for t in (0.3, 1.1, 2.9):
         tau = 2 * d * t / n
-        p = chain_propagator(engineered_couplings(n, d), t).probability(1, n)
+        p = abs(chain_propagator(engineered_couplings(n, d), t)[0, n - 1]) ** 2
         assert p == pytest.approx(math.sin(tau) ** (2 * (n - 1)), abs=1e-12)
 
 
@@ -137,48 +144,48 @@ def test_end_to_end_probability_law():
 def test_unitarity_symmetry_group_properties(n, t, seed):
     rng = np.random.default_rng(seed)
     dec = spectral_decompose(ChainSpec(n, "xx", random_couplings(rng, n)))
-    a = propagate(dec, t).amplitudes
+    a = propagate(dec, t)
     np.testing.assert_allclose(a @ a.conj().T, np.eye(n), atol=1e-10)
     np.testing.assert_allclose(a, a.T, atol=0)  # symmetrised exactly
-    b = propagate(dec, 0.7 * t).amplitudes
-    ab = propagate(dec, 1.7 * t).amplitudes
+    b = propagate(dec, 0.7 * t)
+    ab = propagate(dec, 1.7 * t)
     np.testing.assert_allclose(a @ b, ab, atol=1e-10)
 
 
 def test_slater_amplitude_identity_and_errors():
-    prop = chain_propagator(homogeneous_couplings(6, 1.0), 0.0)
-    assert slater_amplitude(prop, (1, 3), (1, 3)) == pytest.approx(1.0)
-    assert slater_amplitude(prop, (1, 3), (2, 4)) == pytest.approx(0.0, abs=1e-14)
+    amp = chain_propagator(homogeneous_couplings(6, 1.0), 0.0)
+    assert slater_amplitude(amp, (1, 3), (1, 3)) == pytest.approx(1.0)
+    assert slater_amplitude(amp, (1, 3), (2, 4)) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(InvalidConfigurationError):
-        slater_amplitude(prop, (1, 1), (2, 3))
+        slater_amplitude(amp, (1, 1), (2, 3))
     with pytest.raises(InvalidConfigurationError):
-        slater_amplitude(prop, (3, 1), (2, 4))
+        slater_amplitude(amp, (3, 1), (2, 4))
     with pytest.raises(DimensionMismatchError):
-        slater_amplitude(prop, (1, 2), (3,))
+        slater_amplitude(amp, (1, 2), (3,))
     with pytest.raises(IndexOutOfRangeError):
-        slater_amplitude(prop, (1, 7), (2, 3))
+        slater_amplitude(amp, (1, 7), (2, 3))
 
 
 def test_two_site_determinant_is_unimodular():
     for t in (0.0, 0.7, 2.4):
-        prop = chain_propagator(homogeneous_couplings(2, 1.0), t)
-        assert slater_amplitude(prop, (1, 2), (1, 2)) == pytest.approx(1.0, abs=1e-12)
+        amp = chain_propagator(homogeneous_couplings(2, 1.0), t)
+        assert slater_amplitude(amp, (1, 2), (1, 2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_full_filling_determinant_modulus_one():
     n = 5
-    prop = chain_propagator(ChainSpec(n, "xx", random_couplings(RNG, n)), 1.1)
-    det = slater_amplitude(prop, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
+    amp = chain_propagator(ChainSpec(n, "xx", random_couplings(RNG, n)), 1.1)
+    det = slater_amplitude(amp, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
     assert abs(det) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mixed_state_overlap_reductions():
     n, t = 6, 0.8
-    prop = chain_propagator(homogeneous_couplings(n, 1.0), t)
+    amp = chain_propagator(homogeneous_couplings(n, 1.0), t)
     # pure-state reduction: the overlap is the transfer probability
     a = {((1,), (1,)): 1.0}
     b = {((n,), (n,)): 1.0}
-    assert mixed_state_overlap(prop, a, b).real == pytest.approx(prop.probability(1, n), abs=1e-12)
+    assert mixed_state_overlap(amp, a, b).real == pytest.approx(abs(amp[0, n - 1]) ** 2, abs=1e-12)
     # identity evolution gives the self-overlap
     at0 = chain_propagator(homogeneous_couplings(n, 1.0), 0.0)
     mixed = {((1,), (1,)): 0.5, ((2,), (2,)): 0.5, ((1,), (2,)): 0.25, ((2,), (1,)): 0.25}
@@ -189,14 +196,14 @@ def test_mixed_state_overlap_reductions():
 def test_mixed_state_overlap_on_a_long_chain():
     n = 20
     couplings = random_couplings(np.random.default_rng(20), n)
-    prop = chain_propagator(ChainSpec(n, "xx", couplings), 2.3)
+    amp = chain_propagator(ChainSpec(n, "xx", couplings), 2.3)
     for j, l in ((1, n), (3, 3), (7, 12)):
-        got = mixed_state_overlap(prop, {((j,), (j,)): 1.0}, {((l,), (l,)): 1.0})
-        assert got.real == pytest.approx(prop.probability(j, l), abs=1e-12)
+        got = mixed_state_overlap(amp, {((j,), (j,)): 1.0}, {((l,), (l,)): 1.0})
+        assert got.real == pytest.approx(abs(amp[j - 1, l - 1]) ** 2, abs=1e-12)
         assert abs(got.imag) <= 1e-12
     pair, image = (1, 2), (n - 1, n)
-    got = mixed_state_overlap(prop, {(pair, pair): 1.0}, {(image, image): 1.0})
-    assert got.real == pytest.approx(abs(slater_amplitude(prop, pair, image)) ** 2, abs=1e-12)
+    got = mixed_state_overlap(amp, {(pair, pair): 1.0}, {(image, image): 1.0})
+    assert got.real == pytest.approx(abs(slater_amplitude(amp, pair, image)) ** 2, abs=1e-12)
 
 
 def test_polarization_correlation_values():
