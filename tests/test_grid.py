@@ -384,7 +384,7 @@ SITE_ENTRY_POINTS = {
         homogeneous_couplings(SITE_N), j, 1, 0.7
     ),
     "polarization_from_propagator": lambda j: polarization_from_propagator(SITE_PROP, 1, j, "dq"),
-    "polarization_from_propagator[j]": lambda j: polarization_from_propagator(SITE_PROP, j, 1),
+    "from_propagator[j]": lambda j: polarization_from_propagator(SITE_PROP, j, 1),
     "propagate_grid[rows]": lambda j: propagate_grid(SITE_DEC, [0.7], (j,)),
     "propagate_grid[cols]": lambda j: propagate_grid(SITE_DEC, [0.7], None, (1, j)),
     "slater_amplitude": lambda j: slater_amplitude(SITE_PROP, (1,), (j,)),
