@@ -14,11 +14,14 @@ convention that site 1 is the most significant bit of a basis label.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .chain import (
     MODELS,
@@ -78,7 +81,9 @@ class SpectralDecomposition:
     modes: np.ndarray = field(repr=False)
 
 
-# every eigenvector is kept: n^2 float64 modes, 800 MB at this cap
+# every eigenvector is kept: 8 n^2 bytes of modes, 800 MB at this cap. dstevd's
+# n^2-float workspace and then the sign fix's np.abs(modes) each sit beside
+# them: `transfer --n 10000 --l 10000 --grid 0:1:3` peaks at 1960 MB RSS
 _MAX_N = 10_000
 
 
@@ -91,10 +96,62 @@ def _check_mode_count(n: int) -> int:
     return n
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+@functools.cache
+def _lapack_stevd():
+    """LAPACK's dstevd from scipy's compiled ``_flapack``, or None if it cannot be loaded.
+
+    The extension is loaded by path: importing ``scipy.linalg`` for this
+    one routine runs its package ``__init__`` (array_api_compat,
+    numpy.f2py, numpy.testing, ...), about half of a fresh CLI start-up.
+    ``_flapack`` is private scipy API, hence the None.
+    """
+    package, _, rest = _FLAPACK.partition(".")
+    spec = importlib.util.find_spec(package)
+    paths = [
+        os.path.join(root, *rest.split(".")) + suffix
+        for root in (spec.submodule_search_locations if spec else ())
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    path = next(filter(os.path.isfile, paths), None)
+    if path is None:
+        return None
+    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+    try:
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
+        loader.exec_module(module)
+    except ImportError:
+        return None
+    return getattr(module, "dstevd", None)
+
+
+def _eigh_tridiagonal(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvector columns of the zero-diagonal matrix with these bonds.
+
+    The same LAPACK call, and so the same bits, as
+    ``scipy.linalg.eigh_tridiagonal(np.zeros(n), couplings)``, which is
+    the fallback where ``_lapack_stevd`` finds no routine.
+    """
+    n = len(couplings) + 1
+    if n == 1:  # dstevd rejects an empty bond array
+        return np.zeros(1), np.ones((1, 1))
+    stevd = _lapack_stevd()
+    if stevd is None:
+        from scipy.linalg import eigh_tridiagonal
+
+        return eigh_tridiagonal(np.zeros(n), couplings)
+    freqs, modes, info = stevd(np.zeros(n), couplings, compute_v=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dstevd did not converge (LAPACK info={info})")
+    return freqs, modes
+
+
 def spectral_decompose(spec: ChainSpec) -> SpectralDecomposition:
     """Diagonalise the single-excitation matrix of a nearest-neighbour chain (n <= 10 000)."""
     n = _check_mode_count(spec.n)
-    freqs, modes = eigh_tridiagonal(np.zeros(n), np.asarray(spec.couplings))
+    freqs, modes = _eigh_tridiagonal(np.asarray(spec.couplings))
     # make each column's first entry above 1e-12 of its largest positive, so
     # results are deterministic across LAPACK builds
     mag = np.abs(modes)

@@ -18,7 +18,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import chain as chain_mod
 from . import logical as logical_mod
@@ -90,6 +89,8 @@ def spectral_reconstruction(rng, max_n, oracle_n):
 
 
 def propagator_vs_expm(rng, max_n, oracle_n):
+    from scipy.linalg import expm  # here: the CLI's tables never import scipy.linalg
+
     n = max_n
     cpl = chain_mod.random_couplings(rng, n)
     t = float(rng.uniform(0.3, 4.0))
@@ -194,12 +195,11 @@ def _draw(rng, n, models):
 def polarization_vs_oracle(rng, max_n, oracle_n):
     n = oracle_n
     cpl, t, dense = _draw(rng, n, chain_mod.MODELS)
+    z = {j: oracle_mod.pauli_string_to_dense(n, ((j, "Z"),)) for j in (1, 2, n - 1, n)}
     dev = 0.0
     for spec, _, u in dense:
         for j, l in ((1, n), (2, n - 1), (1, 1)):
-            zl = oracle_mod.pauli_string_to_dense(n, ((l, "Z"),))
-            zj = oracle_mod.pauli_string_to_dense(n, ((j, "Z"),))
-            ref = oracle_mod.trace_overlap(u @ zj @ u.conj().T, zl).real
+            ref = oracle_mod.trace_overlap(u @ z[j] @ u.conj().T, z[l]).real
             got = prop_mod.polarization_correlation(spec, j, l, t)
             dev = max(dev, abs(got - ref))
     yield (

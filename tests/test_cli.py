@@ -669,3 +669,36 @@ def test_import_resolves_nothing_and_keeps_the_blas_thread_count():
                           cwd=src, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == _blas_threads()
+
+
+def test_a_table_command_leaves_scipy_linalg_unimported():
+    # scipy.linalg's package __init__ was half of a fresh start-up; dstevd
+    # comes from its _flapack extension alone, and a later import of the
+    # package must still work and agree bit for bit
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from spinwire.cli import main\n"
+        "try:\n"
+        "    main(args=['transfer', '--n', '4', '--grid', '0:1:2'], prog_name='spinwire')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "assert 'scipy.linalg' not in sys.modules, [m for m in sys.modules if 'scipy' in m]\n"
+        "from spinwire.chain import engineered_couplings\n"
+        "from spinwire.propagator import _eigh_tridiagonal, spectral_decompose\n"
+        "spec = engineered_couplings(12)\n"
+        "dec = spectral_decompose(spec)\n"
+        "from scipy.linalg import eigh_tridiagonal\n"
+        "w, v = eigh_tridiagonal(np.zeros(12), np.array(spec.couplings))\n"
+        "assert np.array_equal(dec.frequencies, w)\n"
+        "flips = [np.array_equal(m, -x) for m, x in zip(dec.modes.T, v.T)]\n"
+        "assert np.array_equal(dec.modes, np.where(flips, -v, v))\n"
+        "got = _eigh_tridiagonal(np.array(spec.couplings))\n"
+        "assert np.array_equal(got[0], w) and np.array_equal(got[1], v)\n"
+        "print('ok')\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=src, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"

@@ -1,13 +1,15 @@
 """Single-excitation propagator, determinant amplitudes, observables."""
 
+import importlib.machinery
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from spinwire import propagator
 from spinwire.chain import (
     ChainSpec,
     engineered_couplings,
@@ -24,6 +26,8 @@ from spinwire.errors import (
 )
 from spinwire.oracle import build_hamiltonian, evolve_deviation, trace_overlap
 from spinwire.propagator import (
+    _eigh_tridiagonal,
+    _lapack_stevd,
     chain_propagator,
     end_autocorrelation_grid,
     homogeneous_amplitude,
@@ -71,7 +75,7 @@ def test_sign_fix_equals_the_per_column_loop(bonds):
 
 
 def test_single_site_decomposition_is_one_zero_mode():
-    # eigh_tridiagonal takes the empty bond list of n = 1 without a special case
+    # eigh_tridiagonal's answer for the empty bond list of n = 1, which dstevd rejects
     dec = spectral_decompose(ChainSpec(1, "xx", ()))
     assert dec.frequencies.tolist() == [0.0]
     assert dec.modes.tolist() == [[1.0]]
@@ -106,11 +110,76 @@ def test_homogeneous_spectrum_closed_form():
 
 def test_decomposition_size_cap_raises_before_any_work(monkeypatch):
     def no_solve(*_args, **_kwargs):
-        raise AssertionError("eigh_tridiagonal called above the cap")
+        raise AssertionError("eigensolver called above the cap")
 
-    monkeypatch.setattr("spinwire.propagator.eigh_tridiagonal", no_solve)
+    monkeypatch.setattr("spinwire.propagator._eigh_tridiagonal", no_solve)
+    monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", no_solve)
     with pytest.raises(InvalidDimensionError, match="n <= 10000"):
         spectral_decompose(homogeneous_couplings(10_001))
+
+
+@pytest.fixture()
+def reload_stevd():
+    """Let the decompositions after this test look for dstevd again."""
+    yield
+    _lapack_stevd.cache_clear()
+
+
+@given(st.integers(1, 80).flatmap(lambda n: st.lists(BONDS, min_size=n - 1, max_size=n - 1)))
+@example(bonds=list(homogeneous_couplings(500).couplings))
+@example(bonds=list(engineered_couplings(500).couplings))
+@example(bonds=list(homogeneous_couplings(3000).couplings))
+@example(bonds=list(engineered_couplings(3000).couplings))
+@settings(max_examples=150, deadline=None)
+def test_dstevd_gives_the_bits_of_eigh_tridiagonal(bonds):
+    assert _lapack_stevd() is not None
+    bonds = np.array(bonds)
+    got = _eigh_tridiagonal(bonds)
+    want = eigh_tridiagonal(np.zeros(len(bonds) + 1), bonds)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize(
+    "extension",
+    [
+        "scipy.linalg._no_such_extension",
+        "no_such_package._flapack",
+        "scipy.linalg._fblas",
+        "broken_lapack._flapack",
+    ],
+    ids=["not-found", "no-package", "no-dstevd", "not-loadable"],
+)
+def test_decomposition_falls_back_to_eigh_tridiagonal(
+    monkeypatch, tmp_path, reload_stevd, extension
+):
+    # a package whose _flapack is found but is no shared library
+    broken = tmp_path / "broken_lapack"
+    broken.mkdir()
+    (broken / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])).write_bytes(b"no ELF")
+    monkeypatch.syspath_prepend(tmp_path)
+    spec = engineered_couplings(40)
+    direct = spectral_decompose(spec)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigh_tridiagonal(*args, **kwargs)
+
+    _lapack_stevd.cache_clear()
+    monkeypatch.setattr(propagator, "_FLAPACK", extension)
+    monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", counted)
+    fallback = spectral_decompose(spec)
+    assert _lapack_stevd() is None
+    assert len(calls) == 1
+    assert np.array_equal(fallback.frequencies, direct.frequencies)
+    assert np.array_equal(fallback.modes, direct.modes)
+
+
+def test_lapack_failure_raises_linalg_error(monkeypatch):
+    monkeypatch.setattr(propagator, "_lapack_stevd", lambda: lambda d, e, compute_v: (d, None, 3))
+    with pytest.raises(np.linalg.LinAlgError, match="info=3"):
+        spectral_decompose(homogeneous_couplings(4))
 
 
 def test_propagator_basics():
