@@ -33,6 +33,7 @@ import numpy as np
 from .chain import (
     ChainSpec,
     _check_choice,
+    _check_finite_result,
     _check_int,
     _check_length,
     _check_time,
@@ -54,7 +55,6 @@ from .oracle import (
     popcount,
     require_within_budget,
     total_z,
-    trace_overlap,
 )
 from .pauli import DeviationState
 from .propagator import _end_block, _sine_modes
@@ -215,26 +215,32 @@ def _cycle(
 ) -> tuple[MqcSpectrum, ...]:
     """The literal cycle of ``mqc_phase_cycled`` for each of ``states`` under one U(t).
 
-    Z(t) = U Z U^dag is formed once and shared; the arguments are already checked.
+    Z(t) = U Z U^dag is formed once and shared, and so is each phase's rotation,
+    which is formed once per phase; the arguments are already checked.
     """
     n = states[0].n
+    dim = 2**n
     z_t = u @ total_z(n) @ u.conj().T
+    rhos = [u @ deviation_to_dense(state) @ u.conj().T for state in states]
+    signals = np.empty((len(rhos), phase_steps), dtype=complex)
+    for m in range(phase_steps):
+        r = collective_rotation_diag(n, 2.0 * np.pi * m / phase_steps)
+        r_left, r_right = r[:, None], np.conj(r)[None, :]
+        for rho_t, signal in zip(rhos, signals):
+            rotated = (r_left * rho_t) * r_right
+            signal[m] = _check_finite_result(
+                lambda: np.trace(rotated @ z_t) / dim, "trace overlap"
+            )
     phis = 2.0 * np.pi * np.arange(phase_steps) / phase_steps
     orders = tuple(range(-max_order, max_order + 1))
-    spectra = []
-    for state in states:
-        rho_t = u @ deviation_to_dense(state) @ u.conj().T
-        signals = np.empty(phase_steps, dtype=complex)
-        for m in range(phase_steps):
-            phi = 2.0 * np.pi * m / phase_steps
-            r = collective_rotation_diag(n, phi)
-            rotated = (r[:, None] * rho_t) * np.conj(r)[None, :]
-            signals[m] = trace_overlap(rotated, z_t)
-        intensities = tuple(
-            float((np.exp(1j * q * phis) @ signals).real / phase_steps) for q in orders
+    return tuple(
+        MqcSpectrum(
+            t,
+            orders,
+            tuple(float((np.exp(1j * q * phis) @ signal).real / phase_steps) for q in orders),
         )
-        spectra.append(MqcSpectrum(t, orders, intensities))
-    return tuple(spectra)
+        for signal in signals
+    )
 
 
 def _check_phase_steps(phase_steps: int, max_order: int) -> tuple[int, int]:
@@ -283,49 +289,110 @@ def _flip_parts(state: DeviationState) -> dict[int, DeviationState]:
     return {sign: DeviationState(state.n, tuple(terms)) for sign, terms in groups.items()}
 
 
+def _bit_reversal(labels: np.ndarray, n: int) -> np.ndarray:
+    """Image of each n-bit basis label under the site reversal j -> n + 1 - j."""
+    out = np.zeros_like(labels)
+    for bit in range(n):
+        out |= ((labels >> bit) & 1) << (n - 1 - bit)
+    return out
+
+
+def _reflection_halves(labels: np.ndarray, n: int, palindromic: bool) -> list[tuple]:
+    """The orbit bases of one sector under the site reversal R: a list of
+    (first, second, sign), one entry per non-empty half.
+
+    Orbit vector i of a half is c_i (e_first_i + sign e_second_i), with first and
+    second positions in ``labels`` (``_fold``). When the couplings are palindromic
+    and R maps the sector onto itself, R commutes with H there, and the sector
+    splits into an R-even half, (e_a + e_Ra)/sqrt2 for each pair a < Ra and e_f
+    for each label f that R fixes, and an R-odd half, (e_a - e_Ra)/sqrt2.
+    Otherwise the sector is one half, (all positions, None, 1): each orbit is
+    one label.
+    """
+    mirror = _bit_reversal(labels, n)
+    if not (palindromic and np.array_equal(np.sort(mirror), labels)):
+        return [(np.arange(labels.size), None, 1)]
+    partner = np.searchsorted(labels, mirror)
+    even, odd = np.flatnonzero(labels <= mirror), np.flatnonzero(labels < mirror)
+    return [(even, partner[even], 1)] + ([(odd, partner[odd], -1)] if odd.size else [])
+
+
+def _fold(x: np.ndarray, first: np.ndarray, second: np.ndarray | None, sign: int) -> np.ndarray:
+    """The block of x on the orbit vectors c_i (e_first_i + sign e_second_i).
+
+    c_i = 1/2 where first_i == second_i (the vector is e_first_i) and 1/sqrt2
+    otherwise. A sector that is one half (second None) is its own block: x.
+    """
+    if second is None:
+        return x
+    combine = np.add if sign > 0 else np.subtract
+    scale = np.where(first == second, 0.5, np.sqrt(0.5))
+    rows = x[first]
+    combine(rows, x[second], out=rows)
+    block = rows[:, first]
+    combine(block, rows[:, second], out=block)
+    block *= scale[:, None]
+    block *= scale
+    return block
+
+
 def _mirror_pairs(spec: ChainSpec):
     """Per pair of conserved sectors k and n - k (k = 0..n // 2), one pair at a time:
-    sector k's labels and eigenpairs, and whether k != n - k.
+    sector k's labels, its halves as (orbits, eigenpairs) with orbits from
+    ``_reflection_halves``, and whether k != n - k.
 
     Only sector k's H block is built, on its labels alone, so no 2^n x 2^n array
     is ever formed. H is real in this basis under both models, xx and dq
-    (checked exactly), so the block is diagonalised in real arithmetic. Sector
+    (checked exactly), so each half is diagonalised in real arithmetic. Sector
     n - k is sector k flipped (``conserved_sectors``), and its moments are read
     off sector k's, so it is neither built nor diagonalised.
     """
     n = spec.n
     sectors = conserved_sectors(spec)
+    couplings = np.asarray(spec.couplings)
+    palindromic = np.array_equal(couplings, couplings[::-1])
     for k in range(n // 2 + 1):
         h_k = build_hamiltonian(spec, sectors[k])
         if np.any(h_k.imag):
             raise UnsupportedModelError(f"{spec.model} Hamiltonian block is not real")
-        eigen = np.linalg.eigh(h_k.real)
+        halves = [
+            (orbits, np.linalg.eigh(_fold(h_k.real, *orbits)))
+            for orbits in _reflection_halves(sectors[k], n, palindromic)
+        ]
         del h_k  # only the eigenpairs outlive the build
-        yield sectors[k], eigen, 2 * k != n
+        yield sectors[k], halves, 2 * k != n
 
 
 def _sector_moments(
-    n: int, labels: np.ndarray, eigen, states: Iterable[DeviationState], grid: np.ndarray
+    n: int, labels: np.ndarray, halves, states: Iterable[DeviationState], grid: np.ndarray
 ) -> np.ndarray:
     """Moments M_p(t) of one sector for each of ``states``: shape
     (len(states), len(grid), 2n + 1), column p + n.
 
-    At each time the entries (a, b) of rho_k(t) * Z_k(t)^T, with rho_k(0) a
-    state's block on ``labels`` and ``eigen`` the H block's eigenpairs, are
-    summed by p = pop(a) - pop(b); only the real part is kept. U(t) and Z_k(t)
-    are formed once per time and shared by the states.
+    Each half (orbits, eigen) of ``_mirror_pairs`` is evolved on its own: at
+    each time the entries (i, j) of rho_h(t) * Z_h(t)^T, with rho_h(0) the fold
+    (``_fold``) of a state's block on ``labels`` and ``eigen`` the half's H
+    eigenpairs, are summed by p = pop(i) - pop(j), the popcounts of the orbits'
+    labels; only the real part is kept. R keeps popcount, so Z and the
+    rotation are diagonal in the orbit basis. The R-odd part of rho, the
+    part with R rho R = -rho, adds nothing: R commutes with U(t), Z and the
+    rotation, so its trace equals its own negative, bin by bin. The folds keep
+    only the R-even part, and need no split of the state. U(t) and Z_h(t) are
+    formed once per time and shared by the states.
     """
-    pop = popcount(labels, n)
-    bins = (pop[:, None] - pop[None, :] + n).ravel()
-    z_k = n - 2.0 * pop
     rhos = [deviation_to_dense(state, labels) for state in states]
-    out = np.empty((len(rhos), grid.size, 2 * n + 1))
-    for i, t in enumerate(grid):
-        u = _unitary(eigen, t)
-        z_t = ((u * z_k) @ u.conj().T).T
-        for rho_k, row in zip(rhos, out[:, i]):
-            rho_t = u @ rho_k @ u.conj().T
-            row[:] = np.bincount(bins, (rho_t * z_t).real.ravel(), 2 * n + 1)
+    out = np.zeros((len(rhos), grid.size, 2 * n + 1))
+    for orbits, eigen in halves:
+        pop = popcount(labels[orbits[0]], n)
+        bins = (pop[:, None] - pop[None, :] + n).ravel()
+        z_h = n - 2.0 * pop
+        blocks = [_fold(rho, *orbits) for rho in rhos]
+        for i, t in enumerate(grid):
+            u = _unitary(eigen, t)
+            z_t = ((u * z_h) @ u.conj().T).T
+            for rho_h, row in zip(blocks, out[:, i]):
+                rho_t = u @ rho_h @ u.conj().T
+                row += np.bincount(bins, (rho_t * z_t).real.ravel(), 2 * n + 1)
     return out
 
 
@@ -358,6 +425,12 @@ def mqc_phase_cycled_grid(
     evolved, once per part with U(t) and Z_k(t) shared, and sector n - k
     costs no per-time work. Every prepared state has one part.
 
+    When the couplings are a palindrome, the site reversal R commutes with H,
+    and each sector that R maps onto itself splits into an R-even and an R-odd
+    half (``_reflection_halves``): every sector under xx and under dq at odd
+    n, only the middle one under dq at even n. Each half is diagonalised and
+    evolved on its own; any other sector is one half, on the same path.
+
     Every argument is checked before any work, also for an empty grid.
     """
     grid, phase_steps, max_order = _check_protocol(spec, initial, times, phase_steps, max_order)
@@ -367,8 +440,8 @@ def mqc_phase_cycled_grid(
         return np.zeros((0, orders.size))
     parts = _flip_parts(initial)
     moments = np.zeros((grid.size, 2 * n + 1))
-    for labels, eigen, mirrored in _mirror_pairs(spec):
-        for sign, part in zip(parts, _sector_moments(n, labels, eigen, parts.values(), grid)):
+    for labels, halves, mirrored in _mirror_pairs(spec):
+        for sign, part in zip(parts, _sector_moments(n, labels, halves, parts.values(), grid)):
             moments += part
             if mirrored:
                 moments -= sign * part[:, ::-1]

@@ -82,9 +82,11 @@ class SpectralDecomposition:
 
 
 # every eigenvector is kept: 8 n^2 bytes of modes, 800 MB at this cap. dstevd's
-# n^2-float workspace and then the sign fix's np.abs(modes) each sit beside
-# them: `transfer --n 10000 --l 10000 --grid 0:1:3` peaks at 1960 MB RSS
+# n^2-float workspace sits beside them: `transfer --n 10000 --l 10000 --grid 0:1:3`
+# peaks at 1580 MB RSS
 _MAX_N = 10_000
+# columns per step of the sign fix
+_SIGN_BLOCK = 256
 
 
 def _check_mode_count(n: int) -> int:
@@ -153,10 +155,13 @@ def spectral_decompose(spec: ChainSpec) -> SpectralDecomposition:
     n = _check_mode_count(spec.n)
     freqs, modes = _eigh_tridiagonal(np.asarray(spec.couplings))
     # make each column's first entry above 1e-12 of its largest positive, so
-    # results are deterministic across LAPACK builds
-    mag = np.abs(modes)
-    lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
-    modes[:, modes[lead, np.arange(n)] < 0] *= -1
+    # results are deterministic across LAPACK builds; a block of columns at a
+    # time, so the magnitudes and the mask cost n x _SIGN_BLOCK, not n^2
+    for start in range(0, n, _SIGN_BLOCK):
+        block = modes[:, start:start + _SIGN_BLOCK]
+        mag = np.abs(block)
+        lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+        block[:, block[lead, np.arange(block.shape[1])] < 0] *= -1
     return SpectralDecomposition(n, freqs, modes)
 
 

@@ -743,44 +743,135 @@ TEST_METHOD_REFERENCES = ("DeviationState.weight",)
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _annotated_class(node) -> str | None:
+    """The class an annotation names as a bare name or a string, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _attribute_reads(tree, classes, returns):
+    """(attribute node, receiver class or None) for every attribute read in ``tree``.
+
+    The receiver's class is read where the code names it: a class named
+    directly (``ChainSpec.from_json``), the first parameter of a method of
+    that class, a call of the class or of a function whose return annotation
+    names it, a parameter annotated with it, and a name bound in the
+    enclosing functions to one of these. Anything else, such as a loop
+    variable or a comprehension target, is None: without a type checker its
+    class is not written in the code.
+    """
+    def resolve(node, bound):
+        if isinstance(node, ast.Name):
+            return node.id if node.id in classes else bound.get(node.id)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            return name if name in classes else returns.get(name)
+        return None
+
+    def visit(node, bound, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            bound = dict(bound)
+            for i, arg in enumerate(args):
+                bound[arg.arg] = _annotated_class(arg.annotation)
+                if i == 0 and owner is not None and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in node.decorator_list
+                ):
+                    bound[arg.arg] = owner
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Assign, ast.AnnAssign)) and inner.value is not None:
+                    targets = inner.targets if isinstance(inner, ast.Assign) else [inner.target]
+                    for target in targets:
+                        if isinstance(target, ast.Name):
+                            cls = resolve(inner.value, bound)
+                            # a name bound twice to different things has no one class
+                            bound[target.id] = cls if bound.get(target.id, cls) == cls else None
+            owner = None
+        elif isinstance(node, ast.Attribute):
+            yield node, resolve(node.value, bound)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, bound, owner)
+
+    yield from visit(tree, {}, None)
+
+
 def test_every_public_name_has_a_program_caller():
     # each name in a module's __all__, and each public non-dunder method of an exported class,
     # must be read under src/ or perfbench/ outside its own definition; neither the __all__
-    # string nor the def statement counts as a read, and a method is read as an attribute
+    # string nor the def statement counts as a read, and a method is read as an attribute.
+    # A method read counts for its owning class: for the class of the receiver where the code
+    # names it (``_attribute_reads``), and otherwise only when no other exported class has a
+    # method or field of that name. So ChainSpec.to_json and VerificationReport.to_json, or
+    # VerificationReport.passed and the CheckResult field ``passed``, never count each other's
+    # reads, and a read whose receiver is not named counts for neither.
     trees = {
         path: ast.parse(path.read_text())
         for folder in ("src", "perfbench")
         for path in sorted((ROOT / folder).rglob("*.py"))
     }
+    tops = {
+        path: [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for path, tree in trees.items()
+    }
+    exported = {
+        (path, cls.name): cls
+        for module in MODULES
+        for path in [Path(module.__file__).resolve()]
+        for cls in tops[path] if isinstance(cls, ast.ClassDef) and cls.name in module.__all__
+    }
+    owners = defaultdict(set)  # member name -> exported classes with a method or field of it
+    for (_, name), cls in exported.items():
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                owners[node.name].add(name)
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                owners[node.target.id].add(name)
+    annotated = defaultdict(set)  # function name -> classes its return annotations name
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                annotated[node.name].add(_annotated_class(node.returns))
+    classes = {name for _, name in exported}
+    returns = {
+        name: cls for name, found in annotated.items()
+        if len(found) == 1 for cls in found if cls in classes
+    }
     reads = defaultdict(list)  # name -> (path, node id) of each read
-    attribute_reads = defaultdict(list)
+    method_reads = defaultdict(list)  # (class, method) -> (path, node id) of each read
     for path, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads[node.id].append((path, id(node)))
             elif isinstance(node, ast.Attribute):
                 reads[node.attr].append((path, id(node)))
-                attribute_reads[node.attr].append((path, id(node)))
+        for node, cls in _attribute_reads(tree, classes, returns):
+            if cls is None and len(owners[node.attr]) == 1:
+                cls = next(iter(owners[node.attr]))
+            method_reads[cls, node.attr].append((path, id(node)))
     unused = []
     for module in MODULES:
         path = Path(module.__file__).resolve()
-        top = [
-            node for node in trees[path].body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        ]
-        own = {node.name: {(path, id(inner)) for inner in ast.walk(node)} for node in top}
+        own = {node.name: {(path, id(inner)) for inner in ast.walk(node)} for node in tops[path]}
         unused += [
             f"{module.__name__}.{name}" for name in module.__all__
             if name not in TEST_REFERENCES and set(reads[name]) <= own.get(name, set())
         ]
         methods = [
-            (f"{cls.name}.{node.name}", node)
-            for cls in top if isinstance(cls, ast.ClassDef) and cls.name in module.__all__
+            (cls.name, node)
+            for cls in tops[path] if (path, cls.name) in exported
             for node in cls.body
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
         ]
         unused += [
-            f"{module.__name__}.{qualified}" for qualified, node in methods
-            if qualified not in TEST_METHOD_REFERENCES
-            and set(attribute_reads[node.name]) <= {(path, id(inner)) for inner in ast.walk(node)}
+            f"{module.__name__}.{owner}.{node.name}" for owner, node in methods
+            if f"{owner}.{node.name}" not in TEST_METHOD_REFERENCES
+            and set(method_reads[owner, node.name])
+            <= {(path, id(inner)) for inner in ast.walk(node)}
         ]
     assert not unused

@@ -8,7 +8,9 @@ of ``reference``; their blocks on sorted labels against slices of the
 dense operators; ``popcount`` against the per-bit loop it replaced;
 ``conserved_sectors`` against the block structure of H and the spin-flip
 mirror between sectors k and n - k, which the grid engine uses to build
-and diagonalise one block per mirror pair.
+and diagonalise one block per mirror pair; and the split of each sector
+that the site reversal maps onto itself, on mirror-symmetric chains, into
+an R-even and an R-odd half.
 """
 
 import math
@@ -21,7 +23,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinwire import mqc
-from spinwire.chain import MODELS, ChainSpec, homogeneous_couplings
+from spinwire.chain import MODELS, ChainSpec, engineered_couplings, homogeneous_couplings
 from spinwire.cli import main
 from spinwire.errors import (
     AliasingError,
@@ -183,6 +185,115 @@ def test_grid_engine_refuses_a_hamiltonian_block_that_is_not_real(monkeypatch):
     monkeypatch.setattr(mqc, "build_hamiltonian", complex_block)
     with pytest.raises(UnsupportedModelError):
         mqc_phase_cycled_grid(random_spec(4, "dq", seed=0), prepare_state(4, "z_ends"), [0.5])
+
+
+MIRRORED = {"homogeneous": homogeneous_couplings, "engineered": engineered_couplings}
+
+
+def reversal_permutation(n: int) -> np.ndarray:
+    """Basis label of each label's mirror image, site j -> n + 1 - j, by a string reversal."""
+    return np.array([int(format(x, f"0{n}b")[::-1] or "0", 2) for x in range(2**n)])
+
+
+def half_sizes(spec: ChainSpec) -> list[list[int]]:
+    return [[orbits[0].size for orbits, _ in halves] for _, halves, _ in mqc._mirror_pairs(spec)]
+
+
+@pytest.mark.parametrize(
+    "n, model, sizes",
+    [
+        (10, "dq", [[1], [10], [45], [120], [210], [142, 110]]),
+        (8, "dq", [[1], [8], [28], [56], [43, 27]]),
+        (9, "dq", [[1], [5, 4], [20, 16], [44, 40], [66, 60]]),
+        (9, "xx", [[1], [5, 4], [20, 16], [44, 40], [66, 60]]),
+        (10, "xx", [[1], [5, 5], [25, 20], [60, 60], [110, 100], [126, 126]]),
+    ],
+)
+@pytest.mark.parametrize("family", MIRRORED)
+def test_mirror_invariant_sectors_split_into_two_halves(n, model, sizes, family):
+    # dq at even n: R complements the odd-site gauge, so only the middle sector maps onto itself
+    assert half_sizes(MIRRORED[family](n, model=model)) == sizes
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_chain_that_is_not_a_palindrome_keeps_whole_sectors(model):
+    n = 10
+    sizes = [[math.comb(n, k)] for k in range(n // 2 + 1)]
+    assert half_sizes(random_spec(n, model, seed=5)) == sizes
+    # one bond off its mirror by one ulp is enough
+    couplings = list(homogeneous_couplings(n).couplings)
+    couplings[0] = np.nextafter(1.0, 2.0)
+    assert half_sizes(ChainSpec(n, model, tuple(couplings))) == sizes
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_halves_are_the_blocks_of_the_orbit_basis(n, model):
+    # the orbit vectors are orthonormal, H has no entry between the halves, and each
+    # half's fold is its block in that basis
+    spec = engineered_couplings(n, model=model)
+    ends = DeviationState(n, ((1.0, ((1, "Z"),)), (0.5, ((n, "X"),))))
+    state = MIXED_STATES[0](n) if n >= 3 else ends
+    for labels in conserved_sectors(spec):
+        h = build_hamiltonian(spec, labels).real
+        rho = deviation_to_dense(state, labels)
+        bases = []
+        for first, second, sign in mqc._reflection_halves(labels, n, True):
+            if second is None:  # a sector that R maps onto another one
+                second = first
+            q = np.zeros((labels.size, first.size))
+            cols = np.arange(first.size)
+            single = first == second
+            q[first, cols] = np.where(single, 1.0, np.sqrt(0.5))
+            q[second[~single], cols[~single]] = sign * np.sqrt(0.5)
+            np.testing.assert_allclose(mqc._fold(h, first, second, sign), q.T @ h @ q,
+                                       atol=1e-15)
+            np.testing.assert_allclose(mqc._fold(rho, first, second, sign), q.T @ rho @ q,
+                                       atol=1e-15)
+            bases.append(q)
+        q = np.hstack(bases)
+        np.testing.assert_allclose(q.T @ q, np.eye(labels.size), atol=1e-15)
+        if len(bases) == 2:
+            assert np.max(np.abs(bases[0].T @ h @ bases[1])) <= 1e-15
+
+
+def test_a_sector_that_is_one_half_is_its_own_block():
+    spec = random_spec(6, "dq", seed=1)
+    labels = conserved_sectors(spec)[3]
+    [(first, second, sign)] = mqc._reflection_halves(labels, 6, False)
+    h = build_hamiltonian(spec, labels)
+    assert mqc._fold(h, first, second, sign) is h
+
+
+@given(
+    st.integers(2, 9),
+    st.sampled_from(MODELS),
+    st.sampled_from(sorted(MIRRORED)),
+    st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=2),
+    st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_grid_matches_literal_cycle_on_mirror_symmetric_chains(n, model, family, times, data):
+    # strings, their mirror images with other weights, and Z_1 and X_1: terms of both R
+    # parities and both flip parities, so every half sees an R-odd part it must drop
+    strings = data.draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), max_size=3,
+                                 unique=True), label="strings")
+    terms = [(data.draw(WEIGHTS, label="weight"), parse_string_label(x)) for x in strings]
+    mirrored = DeviationState.from_terms(n, terms).reflected().terms if terms else ()
+    terms += [(data.draw(WEIGHTS, label="mirror weight"), string) for _, string in mirrored]
+    terms += [(1.0, ((1, "Z"),)), (0.5, ((1, "X"),))]
+    state = DeviationState.from_terms(n, terms)
+    rho = deviation_to_dense(state)
+    reverse = reversal_permutation(n)
+    rho_r = rho[np.ix_(reverse, reverse)]
+    assume(np.any(rho_r != rho) and np.any(rho_r != -rho))
+    assume(len(mqc._flip_parts(state)) == 2)
+    spec = MIRRORED[family](n, model=model)
+    intensities = mqc_phase_cycled_grid(spec, state, times, 7, 3)
+    scale = max(1.0, max(abs(w) for w, _ in state.terms))
+    for row, t in zip(intensities, times):
+        ref = mqc_phase_cycled(spec, state, t, 7, 3)
+        assert np.max(np.abs(row - ref.intensities)) <= 1e-12 * scale
 
 
 def loop_popcount(labels: np.ndarray, n: int) -> np.ndarray:

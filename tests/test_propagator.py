@@ -2,6 +2,7 @@
 
 import importlib.machinery
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,9 @@ BONDS = st.one_of(
 
 
 @given(st.integers(1, 80).flatmap(lambda n: st.lists(BONDS, min_size=n - 1, max_size=n - 1)))
+# past one block of the column-blocked fix: 600 columns in three blocks, the last one partial
+@example(bonds=list(engineered_couplings(600).couplings))
+@example(bonds=[1.0, 0.0, -1e-12, 1e-13, 0.7] * 119 + [1.2, -0.3, 5e-324, 1e-11])
 @settings(max_examples=150, deadline=None)
 def test_sign_fix_equals_the_per_column_loop(bonds):
     n = len(bonds) + 1
@@ -94,6 +98,23 @@ def test_spectral_decomposition_reconstructs_matrix():
         col = dec.modes[:, k]
         lead = col[np.abs(col) > 1e-8][0]
         assert lead > 0
+
+
+@pytest.mark.parametrize("make", [homogeneous_couplings, engineered_couplings])
+def test_sign_fix_adds_no_n_squared_array_to_the_decomposition(make):
+    # dstevd holds the modes and an n^2 workspace, 16 n^2 bytes; the sign fix works on
+    # a block of columns at a time, under 16 MiB at n = 3000 (a whole-matrix fix adds
+    # |modes|, its mask and a fancy-indexed copy, 34 MiB)
+    n = 3000
+    spec = make(n)
+    spectral_decompose(homogeneous_couplings(3))  # load dstevd outside the trace
+    tracemalloc.start()
+    try:
+        spectral_decompose(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n**2 + 16 * 2**20
 
 
 def test_homogeneous_three_site_spectrum():
