@@ -102,9 +102,13 @@ def _check_number(value, name: str, error: type) -> complex:
 
 def _check_finite_result(compute, name: str):
     """``compute()`` run with float overflow silenced; a result with a non-finite
-    entry raises ``InvalidParameterError``, so finite operands that overflow never warn."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = compute()
+    entry, or a Python float operation that raises ``OverflowError`` on the way,
+    raises ``InvalidParameterError``, so finite operands that overflow never warn."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = compute()
+    except OverflowError:
+        value = math.inf
     if not np.all(np.isfinite(value)):
         raise InvalidParameterError(f"{name} overflows the float range")
     return value
@@ -188,9 +192,17 @@ def _check_time(t: float, rate: float) -> float:
     return float(_check_times([t], rate)[0])
 
 
+def _check_numeric(op: np.ndarray) -> None:
+    """An ndarray of numeric dtype (integer, real or complex) with finite entries."""
+    if op.dtype.kind not in "iufc":
+        raise InvalidParameterError(f"operands must be numeric, got dtype {op.dtype}")
+    if not np.all(np.isfinite(op)):
+        raise InvalidParameterError("operands must have finite entries")
+
+
 def _check_square(*operands: np.ndarray) -> int:
-    """Operands that are non-empty square 2-d ndarrays of one shape, of integer, real
-    or complex dtype and with finite entries: their dimension."""
+    """Operands that are non-empty square 2-d ndarrays of one shape, each by
+    ``_check_numeric``: their dimension."""
     shapes = [op.shape if isinstance(op, np.ndarray) else None for op in operands]
     dim = shapes[0][0] if shapes[0] else 0
     if dim < 1 or any(shape != (dim, dim) for shape in shapes):
@@ -198,10 +210,7 @@ def _check_square(*operands: np.ndarray) -> int:
             f"operands must be equal non-empty square ndarrays, got shapes {shapes}"
         )
     for op in operands:
-        if op.dtype.kind not in "iufc":
-            raise InvalidParameterError(f"operands must be numeric, got dtype {op.dtype}")
-        if not np.all(np.isfinite(op)):
-            raise InvalidParameterError("operands must have finite entries")
+        _check_numeric(op)
     return dim
 
 

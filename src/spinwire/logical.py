@@ -29,7 +29,9 @@ from .chain import (
     MODELS,
     ChainSpec,
     _check_choice,
+    _check_finite_result,
     _check_length,
+    _check_numeric,
     _check_scale,
     _check_time,
     normalized_time,
@@ -41,7 +43,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .pauli import DeviationState
-from .propagator import _sine_modes, chain_propagator, homogeneous_amplitude
+from .propagator import _sine_modes, homogeneous_amplitude, propagate, spectral_decompose
 
 __all__ = [
     "CHANNELS",
@@ -100,8 +102,9 @@ def dq_parity_correction(n: int) -> bool:
 # -- correlations from amplitudes ---------------------------------------------
 
 
-def _bilinear_channels(amp: np.ndarray) -> dict[str, np.ndarray]:
-    """All four logical correlations from rows 1, 2 of A (xx model).
+def _bilinear_channels(amp: np.ndarray) -> np.ndarray:
+    """All four logical correlations from rows 1, 2 of A (xx model), stacked
+    in ``CHANNELS`` order on a new first axis.
 
     ``amp`` has shape (..., R, n) with R >= 2; leading axes (a time grid,
     say) broadcast through.
@@ -113,7 +116,7 @@ def _bilinear_channels(amp: np.ndarray) -> dict[str, np.ndarray]:
     cy = (a1n * np.conj(a2m)).real - (a2n * np.conj(a1m)).real
     cz = 0.5 * (abs(a1n) ** 2 - abs(a1m) ** 2 - abs(a2n) ** 2 + abs(a2m) ** 2)
     c1 = 0.5 * (1.0 + abs(a1m * a2n - a1n * a2m) ** 2)
-    return {"x": cx, "y": cy, "z": cz, "1": c1}
+    return np.stack([cx, cy, cz, c1])
 
 
 def _readout(vals: dict, n: int, model: str, corrected: bool) -> dict:
@@ -136,14 +139,17 @@ def channel_correlations(
     channel comes back with the leading shape. For the dq model with
     even n the raw y and z channels change sign; ``corrected=True``
     reads them through the pi-x corrected target basis, where they agree
-    with the xx channels at all times.
+    with the xx channels at all times. A block that is not numeric and
+    finite, or a channel past the float range, is an ``InvalidParameterError``.
     """
     amplitudes = np.asarray(amplitudes)
     if amplitudes.ndim < 2 or amplitudes.shape[-2] < 2 or amplitudes.shape[-1] < 4:
         raise InvalidDimensionError(
             f"logical transport needs rows 1, 2 of A with n >= 4, got shape {amplitudes.shape}"
         )
-    return _readout(_bilinear_channels(amplitudes), amplitudes.shape[-1], model, corrected)
+    _check_numeric(amplitudes)
+    channels = _check_finite_result(lambda: _bilinear_channels(amplitudes), "channel correlation")
+    return _readout(dict(zip(CHANNELS, channels)), amplitudes.shape[-1], model, corrected)
 
 
 def channel_fidelity(vals: dict) -> float | np.ndarray:
@@ -251,4 +257,5 @@ def logical_correlation_from_spec(
 ) -> float:
     """Channel correlation for an arbitrary nearest-neighbour chain spec."""
     _check_choice(alpha, "channel", CHANNELS, InvalidConfigurationError)
-    return float(channel_correlations(chain_propagator(spec, t), spec.model, corrected)[alpha])
+    amp = propagate(spectral_decompose(spec), t)
+    return float(channel_correlations(amp, spec.model, corrected)[alpha])

@@ -18,7 +18,8 @@ total Tr[rho Z]/2^n, which the analytic z-state series normalises to 1).
 reference for ``mqc_phase_cycled_grid``, which evaluates the same
 intensities on a whole time grid from one sector-blocked decomposition.
 Both grid engines return one float array of shape (len(times),
-2 max_order + 1), column max_order + q holding J_q; a single time gives
+2 max_order + 1), column max_order + q holding J_q, and the literal cycle
+returns one such row. Only the closed forms of ``mqc_analytic`` come as
 an ``MqcSpectrum``.
 """
 
@@ -90,10 +91,6 @@ class MqcSpectrum:
             raise InvalidParameterError(
                 f"order {q} outside computed window {self.orders}"
             ) from None
-
-    def total(self) -> float:
-        """Sum of the computed intensities."""
-        return float(sum(self.intensities))
 
 
 def prepare_state(n: int, kind: str) -> DeviationState:
@@ -197,26 +194,29 @@ def mqc_phase_cycled(
     t: float,
     phase_steps: int = 8,
     max_order: int = 2,
-) -> MqcSpectrum:
-    """Full phase-cycling protocol on dense operators.
+) -> np.ndarray:
+    """Full phase-cycling protocol on dense operators: shape (2 max_order + 1,).
 
-    Requires phase_steps > 2 * max_order so no populated order can
-    alias onto a reported one. Returns raw intensities; their sum over
-    all orders equals the conserved overlap Tr[initial Z] / 2^n.
+    Element max_order + q holds J_q, the layout of one row of
+    ``mqc_phase_cycled_grid``. Requires phase_steps > 2 * max_order so no
+    populated order can alias onto a reported one. Returns raw
+    intensities; their sum over all orders equals the conserved overlap
+    Tr[initial Z] / 2^n.
     """
     grid, phase_steps, max_order = _check_protocol(spec, initial, [t], phase_steps, max_order)
-    t = float(grid[0])
-    u = _unitary(np.linalg.eigh(build_hamiltonian(spec)), t)
-    return _cycle(u, (initial,), t, phase_steps, max_order)[0]
+    u = _unitary(np.linalg.eigh(build_hamiltonian(spec)), float(grid[0]))
+    return _cycle(u, (initial,), phase_steps, max_order)[0]
 
 
 def _cycle(
-    u: np.ndarray, states: Sequence[DeviationState], t: float, phase_steps: int, max_order: int
-) -> tuple[MqcSpectrum, ...]:
-    """The literal cycle of ``mqc_phase_cycled`` for each of ``states`` under one U(t).
+    u: np.ndarray, states: Sequence[DeviationState], phase_steps: int, max_order: int
+) -> np.ndarray:
+    """The literal cycle of ``mqc_phase_cycled`` for each of ``states`` under one U(t):
+    shape (len(states), 2 max_order + 1), column max_order + q holding J_q.
 
     Z(t) = U Z U^dag is formed once and shared, and so is each phase's rotation,
-    which is formed once per phase; the arguments are already checked.
+    which is formed once per phase; the arguments are already checked. Each
+    J_q is its own sum over the phases.
     """
     n = states[0].n
     dim = 2**n
@@ -228,19 +228,13 @@ def _cycle(
         r_left, r_right = r[:, None], np.conj(r)[None, :]
         for rho_t, signal in zip(rhos, signals):
             rotated = (r_left * rho_t) * r_right
-            signal[m] = _check_finite_result(
-                lambda: np.trace(rotated @ z_t) / dim, "trace overlap"
-            )
+            signal[m] = _check_finite_result(lambda: np.trace(rotated @ z_t) / dim, "trace overlap")
     phis = 2.0 * np.pi * np.arange(phase_steps) / phase_steps
-    orders = tuple(range(-max_order, max_order + 1))
-    return tuple(
-        MqcSpectrum(
-            t,
-            orders,
-            tuple(float((np.exp(1j * q * phis) @ signal).real / phase_steps) for q in orders),
-        )
+    orders = range(-max_order, max_order + 1)
+    return np.array([
+        [(np.exp(1j * q * phis) @ signal).real / phase_steps for q in orders]
         for signal in signals
-    )
+    ])
 
 
 def _check_phase_steps(phase_steps: int, max_order: int) -> tuple[int, int]:

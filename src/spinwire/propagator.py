@@ -50,13 +50,11 @@ __all__ = [
     "spectral_decompose",
     "propagate",
     "propagate_grid",
-    "chain_propagator",
     "homogeneous_amplitude",
     "engineered_frequencies",
     "slater_amplitude",
     "mixed_state_overlap",
     "polarization_from_propagator",
-    "polarization_correlation",
     "end_autocorrelation_grid",
 ]
 
@@ -213,11 +211,6 @@ def propagate(decomposition: SpectralDecomposition, t: float) -> np.ndarray:
     return 0.5 * (amp + amp.T)
 
 
-def chain_propagator(spec: ChainSpec, t: float) -> np.ndarray:
-    """Convenience: spectral_decompose + propagate."""
-    return propagate(spectral_decompose(spec), t)
-
-
 # -- closed forms ---------------------------------------------------------
 
 
@@ -267,7 +260,7 @@ def slater_amplitude(
     For excitations starting on ``sources`` and ending on ``targets``
     (both strictly increasing 1-based tuples of equal length m), the
     amplitude is det A[sources, targets]. The empty configuration has
-    amplitude 1.
+    amplitude 1. Overflow raises ``InvalidParameterError``.
     """
     n = _check_square(amplitudes)
     src = _check_sites(n, sources)
@@ -276,7 +269,7 @@ def slater_amplitude(
         raise DimensionMismatchError(
             f"source and target excitation numbers differ: {len(src)} != {len(tgt)}"
         )
-    return _minor(amplitudes, src, tgt)
+    return _check_finite_result(lambda: _minor(amplitudes, src, tgt), "Slater amplitude")
 
 
 def _minor(amp: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> complex:
@@ -340,17 +333,13 @@ def polarization_from_propagator(
 
     Under the flip-flop model the correlation equals the transfer
     probability |A_{jl}|^2; the double-quantum model multiplies it by
-    the staggering sign (-1)^(j-l).
+    the staggering sign (-1)^(j-l). Overflow raises ``InvalidParameterError``.
     """
     n = _check_square(amplitudes)
     j, l = _check_site(n, j), _check_site(n, l)
     model = _check_choice(model, "model", MODELS, UnsupportedModelError)
-    return float(_gauge_sign(model, j, l) * abs(complex(amplitudes[j - 1, l - 1])) ** 2)
-
-
-def polarization_correlation(spec: ChainSpec, j: int, l: int, t: float) -> float:
-    """Polarisation correlation for a chain spec at one time."""
-    return polarization_from_propagator(chain_propagator(spec, t), j, l, spec.model)
+    sign, amp = _gauge_sign(model, j, l), complex(amplitudes[j - 1, l - 1])
+    return _check_finite_result(lambda: float(sign * abs(amp) ** 2), "polarization correlation")
 
 
 def _current_correlation(amp: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:

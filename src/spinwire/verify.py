@@ -95,7 +95,7 @@ def propagator_vs_expm(rng, max_n, oracle_n):
     cpl = chain_mod.random_couplings(rng, n)
     t = float(rng.uniform(0.3, 4.0))
     spec = ChainSpec(n, "xx", cpl)
-    amp = prop_mod.chain_propagator(spec, t)
+    amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), t)
     ref = expm(-1j * spec.coupling_matrix() * t)
     yield (
         "propagator_vs_expm",
@@ -131,7 +131,7 @@ def homogeneous_closed_form(rng, max_n, oracle_n):
     d = float(rng.uniform(0.5, 1.5))
     t = float(rng.uniform(0.2, 5.0))
     spec = chain_mod.homogeneous_couplings(n, d)
-    amp = prop_mod.chain_propagator(spec, t)
+    amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), t)
     closed = np.array(
         [
             [prop_mod.homogeneous_amplitude(n, d, j, l, t) for l in range(1, n + 1)]
@@ -163,13 +163,14 @@ def engineered_mirror_profile(rng, max_n, oracle_n):
     d = 1.0
     spec = chain_mod.engineered_couplings(n, d)
     t_star = chain_mod.transfer_timing(spec).t_star
-    amp = prop_mod.chain_propagator(spec, t_star)
+    dec = prop_mod.spectral_decompose(spec)
+    amp = prop_mod.propagate(dec, t_star)
     phase = (-1j) ** (n - 1)
     dev = max(abs(amp[j, n - 1 - j] - phase) for j in range(n))
     # binomial transfer profile away from the mirror time
     t = 0.37 * t_star
     tau = chain_mod.normalized_time(n, d, t)
-    amp_t = prop_mod.chain_propagator(spec, t)
+    amp_t = prop_mod.propagate(dec, t)
     s2, c2 = math.sin(tau) ** 2, math.cos(tau) ** 2
     for l in range(1, n + 1):
         pred = math.comb(n - 1, l - 1) * s2 ** (l - 1) * c2 ** (n - l)
@@ -198,28 +199,25 @@ def polarization_vs_oracle(rng, max_n, oracle_n):
     z = {j: oracle_mod.pauli_string_to_dense(n, ((j, "Z"),)) for j in (1, 2, n - 1, n)}
     dev = 0.0
     for spec, _, u in dense:
+        amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), t)
         for j, l in ((1, n), (2, n - 1), (1, 1)):
             ref = oracle_mod.trace_overlap(u @ z[j] @ u.conj().T, z[l]).real
-            got = prop_mod.polarization_correlation(spec, j, l, t)
+            got = prop_mod.polarization_from_propagator(amp, j, l, spec.model)
             dev = max(dev, abs(got - ref))
-    yield (
-        "polarization_vs_oracle", dev, _TOL_ORACLE, {"n": n, "couplings": cpl, "t": t}
-    )
+    yield ("polarization_vs_oracle", dev, _TOL_ORACLE, {"n": n, "couplings": cpl, "t": t})
 
 
 def slater_vs_oracle(rng, max_n, oracle_n):
     n = oracle_n
     cpl, t, [(spec, _, u)] = _draw(rng, n, ("xx",))
-    amp = prop_mod.chain_propagator(spec, t)
+    amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), t)
     dev = 0.0
     configs = [((1, 2), (n - 1, n)), ((1, 3), (2, n)), ((1, 2, 3), (1, n - 1, n))]
     for src, tgt in configs:
         got = prop_mod.slater_amplitude(amp, src, tgt)
         ref = u[oracle_mod.basis_index(n, tgt), oracle_mod.basis_index(n, src)]
         dev = max(dev, abs(got - ref))
-    yield (
-        "slater_vs_oracle", dev, _TOL_ORACLE, {"n": n, "couplings": cpl, "t": t}
-    )
+    yield ("slater_vs_oracle", dev, _TOL_ORACLE, {"n": n, "couplings": cpl, "t": t})
 
 
 def mixed_overlap_vs_oracle(rng, max_n, oracle_n):
@@ -239,7 +237,8 @@ def mixed_overlap_vs_oracle(rng, max_n, oracle_n):
         ((n,), (n - 1,)): +0.15j,
         ((n - 1, n), (n - 1, n)): 0.25,
     }
-    got = prop_mod.mixed_state_overlap(prop_mod.chain_propagator(spec, t), a, b)
+    amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), t)
+    got = prop_mod.mixed_state_overlap(amp, a, b)
     ra = oracle_mod.excitation_operator(n, a)
     rb = oracle_mod.excitation_operator(n, b)
     ref = np.trace(u @ ra @ u.conj().T @ rb)
@@ -258,7 +257,7 @@ def logical_channels_vs_oracle(rng, max_n, oracle_n):
     for spec, _, u in dense:
         source = logical_mod.logical_basis(spec.model, n, "source")
         target = logical_mod.logical_basis(spec.model, n, "target")
-        amp = prop_mod.chain_propagator(spec, t)
+        amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), t)
         got = logical_mod.channel_correlations(amp, spec.model, corrected=False)
         for alpha in logical_mod.CHANNELS:
             rho0 = oracle_mod.deviation_to_dense(source[alpha])
@@ -297,7 +296,7 @@ def dq_parity_rule(rng, max_n, oracle_n):
     dev = 0.0
     for n in (max_n, max_n + 1):
         cpl, t, _ = _draw(rng, n, ())
-        amp = prop_mod.chain_propagator(ChainSpec(n, "xx", cpl), t)
+        amp = prop_mod.propagate(prop_mod.spectral_decompose(ChainSpec(n, "xx", cpl)), t)
         xx = logical_mod.channel_correlations(amp, "xx")
         raw = logical_mod.channel_correlations(amp, "dq", corrected=False)
         cor = logical_mod.channel_correlations(amp, "dq", corrected=True)
@@ -322,7 +321,7 @@ def engineered_fidelity_mirror(rng, max_n, oracle_n):
         f = logical_mod.entanglement_fidelity(n, 1.0, "engineered", t_star)
         dev = max(dev, abs(f - 1.0))
         # closed forms agree with the propagator bilinears
-        amp = prop_mod.chain_propagator(spec, 0.43 * t_star)
+        amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), 0.43 * t_star)
         vals = logical_mod.channel_correlations(amp, "xx")
         for alpha in logical_mod.CHANNELS:
             closed = logical_mod.logical_transport_engineered(n, 1.0, alpha, 0.43 * t_star)
@@ -335,7 +334,8 @@ def homogeneous_logical_closed_forms(rng, max_n, oracle_n):
     for n in (max_n, max_n + 3):
         d = 1.0
         t = float(rng.uniform(0.5, 4.0))
-        amp = prop_mod.chain_propagator(chain_mod.homogeneous_couplings(n, d), t)
+        spec = chain_mod.homogeneous_couplings(n, d)
+        amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), t)
         vals = logical_mod.channel_correlations(amp, "xx")
         for alpha in logical_mod.CHANNELS:
             closed = logical_mod.logical_transport_homogeneous(n, d, alpha, t)
@@ -358,16 +358,14 @@ def mqc_vs_analytic(rng, max_n, oracle_n):
     t = float(rng.uniform(0.2, 1.5))
     u = oracle_mod._unitary(np.linalg.eigh(oracle_mod.build_hamiltonian(spec)), t)
     kinds = ("z_ends", "y_logical", "x_logical")
-    *cycled, cycled_x = mqc_mod._cycle(
-        u, [mqc_mod.prepare_state(n, kind) for kind in kinds], t, 8, 2
-    )
+    *cycled, cycled_x = mqc_mod._cycle(u, [mqc_mod.prepare_state(n, kind) for kind in kinds], 8, 2)
     dev = 0.0
-    # the z_ends series is normalised to J_0(0) = 1, the cycle to Tr[rho Z]/2^n = 2
-    for kind, scale, spectrum in zip(kinds, (2.0, 1.0), cycled):
+    # column 2 + q holds J_q; z_ends is normalised to J_0(0) = 1, the cycle to Tr[rho Z]/2^n = 2
+    for kind, scale, row in zip(kinds, (2.0, 1.0), cycled):
         analytic = mqc_mod.mqc_analytic(n, d, kind, t)
         for q in (-2, 0, 2):
-            dev = max(dev, abs(spectrum.intensity(q) - scale * analytic.intensity(q)))
-    dev = max(dev, max(abs(v) for v in cycled_x.intensities))
+            dev = max(dev, abs(row[2 + q] - scale * analytic.intensity(q)))
+    dev = max(dev, max(abs(v) for v in cycled_x))
     yield ("mqc_vs_analytic", dev, _TOL_ORACLE, {"n": n, "d": d, "t": t})
 
 
@@ -379,16 +377,16 @@ def mqc_support_and_conservation(rng, max_n, oracle_n):
     u_t, u_0 = oracle_mod._unitary(eigen, t), oracle_mod._unitary(eigen, 0.0)
     states = [mqc_mod.prepare_state(n, kind) for kind in mqc_mod.PREPARED_KINDS]
     dev = 0.0
+    # column n + q of a row holds J_q; each total adds the orders left to right
     for full, at0 in zip(
-        mqc_mod._cycle(u_t, states, t, 2 * n + 3, n),
-        mqc_mod._cycle(u_0, states, 0.0, 2 * n + 3, n),
+        mqc_mod._cycle(u_t, states, 2 * n + 3, n), mqc_mod._cycle(u_0, states, 2 * n + 3, n)
     ):
-        dev = max(dev, abs(full.total() - at0.total()))
-        for q, j in zip(full.orders, full.intensities):
+        dev = max(dev, abs(sum(full.tolist()) - sum(at0.tolist())))
+        for q, j in zip(range(-n, n + 1), full):
             if q not in (-2, 0, 2):
                 dev = max(dev, abs(j))
             if q < 0:
-                dev = max(dev, abs(j - full.intensity(-q)))
+                dev = max(dev, abs(j - full[n - q]))
     yield ("mqc_support_and_conservation", dev, _TOL_LINALG, {"n": n, "t": t})
 
 

@@ -19,7 +19,8 @@ from spinwire.cli import main as cli_main
 from spinwire.logical import entanglement_fidelity
 from spinwire.propagator import (
     end_autocorrelation_grid,
-    polarization_correlation,
+    polarization_from_propagator,
+    propagate,
     propagate_grid,
     spectral_decompose,
 )
@@ -66,9 +67,12 @@ def test_dq_staggered_sign_rule():
     n = 21
     xx = engineered_couplings(n, 1.0, model="xx")
     dq = engineered_couplings(n, 1.0, model="dq")
+    dec_xx, dec_dq = spectral_decompose(xx), spectral_decompose(dq)
     exact = all(
-        polarization_correlation(dq, 1, l, t) == (-1) ** (1 - l) * polarization_correlation(xx, 1, l, t)
+        polarization_from_propagator(a_dq, 1, l, "dq")
+        == (-1) ** (1 - l) * polarization_from_propagator(a_xx, 1, l, "xx")
         for t in (0.4, 1.9, 5.2, 16.49)
+        for a_xx, a_dq in [(propagate(dec_xx, t), propagate(dec_dq, t))]
         for l in range(1, n + 1)
     )
     finish("dq staggered sign rule", exact, f"exact on n=21: {exact}")

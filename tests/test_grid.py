@@ -84,12 +84,10 @@ from spinwire.oracle import (
 from spinwire.pauli import DeviationState
 from spinwire.propagator import (
     _TIME_BLOCK,
-    chain_propagator,
     end_autocorrelation_grid,
     engineered_frequencies,
     homogeneous_amplitude,
     mixed_state_overlap,
-    polarization_correlation,
     polarization_from_propagator,
     propagate,
     propagate_grid,
@@ -251,11 +249,7 @@ def test_autocorrelation_grid_equals_single_time_calls(kind, model, seed, times,
 BAD_TIMES = ("a", None, float("nan"), float("inf"), 1e308, "0.5", True, 10**400,
              np.complex128(1 + 1j))
 TIME_ENTRY_POINTS = {
-    "chain_propagator": lambda t: chain_propagator(homogeneous_couplings(4), t),
     "propagate": lambda t: propagate(spectral_decompose(homogeneous_couplings(4)), t),
-    "polarization_correlation": lambda t: polarization_correlation(
-        homogeneous_couplings(4), 1, 4, t
-    ),
     "logical_correlation_from_spec": lambda t: logical_correlation_from_spec(
         homogeneous_couplings(6), "x", t
     ),
@@ -380,9 +374,6 @@ SITE_DEC = spectral_decompose(homogeneous_couplings(SITE_N))
 SITE_PROP = propagate(SITE_DEC, 0.7)
 SITE_ENTRY_POINTS = {
     "homogeneous_amplitude": lambda j: homogeneous_amplitude(SITE_N, 1.0, 1, j, 0.7),
-    "polarization_correlation": lambda j: polarization_correlation(
-        homogeneous_couplings(SITE_N), j, 1, 0.7
-    ),
     "polarization_from_propagator": lambda j: polarization_from_propagator(SITE_PROP, 1, j, "dq"),
     "from_propagator[j]": lambda j: polarization_from_propagator(SITE_PROP, j, 1),
     "propagate_grid[rows]": lambda j: propagate_grid(SITE_DEC, [0.7], (j,)),
@@ -665,12 +656,20 @@ def test_amplitude_entry_points_take_a_slice_of_the_grid(entry):
 # row that warns on the way
 HUGE = np.full((2, 2), 1e308)
 HUGE_MIXED = {((1,), (1,)): 1e308}
+# a determinant of 1e400, and a square |A_11|^2 of 1e400 in Python float arithmetic
+HUGE_UPPER = np.eye(3) * 1e200
+HUGE_UPPER[0, 1] = 1e200
 OVERFLOWING_OPERANDS = {
     "trace_overlap": lambda: trace_overlap(np.array([[1e308]]), np.array([[1e308]])),
     "similarity_residual": lambda: similarity_residual(HUGE, -HUGE),
     # exp(-i Y pi/4) turns the all-ones rho onto |1><1| with twice its weight
     "evolve_deviation": lambda: evolve_deviation(np.array([[0, -1j], [1j, 0]]), HUGE, np.pi / 4),
     "mixed_state_overlap": lambda: mixed_state_overlap(SITE_PROP, HUGE_MIXED, HUGE_MIXED),
+    "slater_amplitude": lambda: slater_amplitude(HUGE_UPPER, (1, 2), (1, 2)),
+    "polarization_from_propagator": lambda: polarization_from_propagator(
+        np.eye(3) * 1e200, 1, 1
+    ),
+    "channel_correlations": lambda: channel_correlations(np.full((2, 4), 1e300)),
 }
 
 

@@ -38,7 +38,7 @@ from spinwire.oracle import (
     similarity_transform,
     trace_overlap,
 )
-from spinwire.propagator import chain_propagator
+from spinwire.propagator import propagate, spectral_decompose
 
 
 def test_source_basis_terms_xx():
@@ -127,8 +127,9 @@ def test_corrected_dq_channels_match_dense_dq_dynamics(n):
         # the pi-x correction: conjugate every target observable by X_{n-1} X_n
         flip = pauli_string_to_dense(n, ((n - 1, "X"), (n, "X")))
         target = {alpha: flip @ op @ flip for alpha, op in target.items()}
+    dec = spectral_decompose(spec)
     for t in rng.uniform(0.3, 2.5, 3):
-        got = channel_correlations(chain_propagator(spec, t), "dq", corrected=True)
+        got = channel_correlations(propagate(dec, t), "dq", corrected=True)
         for alpha in CHANNELS:
             rho_t = evolve_deviation(h, deviation_to_dense(source[alpha]), t)
             ref = 2.0 * trace_overlap(rho_t, target[alpha])
@@ -138,7 +139,8 @@ def test_corrected_dq_channels_match_dense_dq_dynamics(n):
 def test_initial_time_values():
     for family in ("homogeneous", "engineered"):
         assert entanglement_fidelity(8, 1.0, family, 0.0) == pytest.approx(0.125, abs=1e-12)
-    vals = channel_correlations(chain_propagator(homogeneous_couplings(8, 1.0), 0.0))
+    at0 = propagate(spectral_decompose(homogeneous_couplings(8, 1.0)), 0.0)
+    vals = channel_correlations(at0)
     assert vals["1"] == pytest.approx(0.5, abs=1e-12)
     for alpha in ("x", "y", "z"):
         assert vals[alpha] == pytest.approx(0.0, abs=1e-12)
@@ -174,8 +176,9 @@ def test_frozen_channel_samples():
 
 
 def test_channel_bounds():
+    dec = spectral_decompose(engineered_couplings(8, 1.0))
     for t in np.linspace(0.0, 8.0, 17):
-        vals = channel_correlations(chain_propagator(engineered_couplings(8, 1.0), float(t)))
+        vals = channel_correlations(propagate(dec, float(t)))
         assert 0.5 - 1e-12 <= vals["1"] <= 1.0 + 1e-12
         for alpha in CHANNELS:
             assert -1.0 - 1e-12 <= vals[alpha] <= 1.0 + 1e-12
@@ -210,7 +213,7 @@ def test_uncorrected_dq_fidelity_collapses_at_mirror_time():
 def test_correlation_from_spec():
     spec = engineered_couplings(8, 1.0)
     t = 1.1
-    vals = channel_correlations(chain_propagator(spec, t))
+    vals = channel_correlations(propagate(spectral_decompose(spec), t))
     for alpha in CHANNELS:
         assert logical_correlation_from_spec(spec, alpha, t) == pytest.approx(
             vals[alpha], abs=1e-14
@@ -221,12 +224,12 @@ def test_correlation_from_spec():
 
 def test_error_paths():
     with pytest.raises(InvalidDimensionError):
-        channel_correlations(chain_propagator(homogeneous_couplings(3, 1.0), 0.5))
+        channel_correlations(propagate(spectral_decompose(homogeneous_couplings(3, 1.0)), 0.5))
     with pytest.raises(UnsupportedFamilyError):
         entanglement_fidelity(8, 1.0, "dipolar", 0.5)
     with pytest.raises(UnsupportedModelError):
         entanglement_fidelity(8, 1.0, "engineered", 0.5, model="ising")
-    amp = chain_propagator(homogeneous_couplings(6, 1.0), 0.5)
+    amp = propagate(spectral_decompose(homogeneous_couplings(6, 1.0)), 0.5)
     with pytest.raises(UnsupportedModelError):
         channel_correlations(amp, "ising")
 
@@ -242,7 +245,8 @@ def test_closed_forms_reject_bad_coupling_scale(closed, d):
 def test_channel_correlations_broadcast_over_time():
     spec = homogeneous_couplings(10, 1.0, model="dq")  # even n: raw readout flips y, z
     times = (0.0, 0.4, 2.5)
-    amps = [chain_propagator(spec, t) for t in times]
+    dec = spectral_decompose(spec)
+    amps = [propagate(dec, t) for t in times]
     block = np.stack([amp[:2] for amp in amps])
     vals = channel_correlations(block, "dq", corrected=False)
     for k, amp in enumerate(amps):
@@ -258,3 +262,20 @@ def test_channel_correlations_broadcast_over_time():
 def test_channel_correlations_reject_blocks_without_two_rows_of_four_sites(shape):
     with pytest.raises(InvalidDimensionError):
         channel_correlations(np.zeros(shape, dtype=complex))
+
+
+# a block of strings, one with a NaN entry and ones with an infinite real or imaginary part,
+# each with the operand rule's message: the result rule alone would reject the NaN too
+NON_FINITE_BLOCKS = {
+    "strings": (np.full((2, 4), "a"), "numeric"),
+    "nan": (np.where(np.eye(2, 4), np.nan, 0.0), "finite entries"),
+    "inf": (np.full((2, 4), np.inf), "finite entries"),
+    "inf imag": (np.full((3, 2, 4), 1j * np.inf), "finite entries"),
+}
+
+
+@pytest.mark.parametrize("block", list(NON_FINITE_BLOCKS))
+def test_channel_correlations_reject_non_numeric_or_non_finite_blocks(block):
+    amplitudes, message = NON_FINITE_BLOCKS[block]
+    with pytest.raises(InvalidParameterError, match=message):
+        channel_correlations(amplitudes)

@@ -293,7 +293,7 @@ def test_grid_matches_literal_cycle_on_mirror_symmetric_chains(n, model, family,
     scale = max(1.0, max(abs(w) for w, _ in state.terms))
     for row, t in zip(intensities, times):
         ref = mqc_phase_cycled(spec, state, t, 7, 3)
-        assert np.max(np.abs(row - ref.intensities)) <= 1e-12 * scale
+        assert np.max(np.abs(row - ref)) <= 1e-12 * scale
 
 
 def loop_popcount(labels: np.ndarray, n: int) -> np.ndarray:
@@ -351,8 +351,8 @@ def test_grid_matches_literal_cycle(n, model, kind, seed, times, phase_steps, ma
     assert intensities.shape == (len(times), 2 * max_order + 1)
     for row, t in zip(intensities, times):
         ref = mqc_phase_cycled(spec, state, t, phase_steps, max_order)
-        assert ref.orders == tuple(range(-max_order, max_order + 1))
-        assert np.max(np.abs(row - ref.intensities)) <= 1e-12
+        assert ref.shape == (2 * max_order + 1,)
+        assert np.max(np.abs(row - ref)) <= 1e-12
 
 
 # states whose terms have both flip signs (F P F = (-1)^(#Y + #Z) P for F = X^n), so
@@ -398,7 +398,7 @@ def test_grid_matches_literal_cycle_for_states_of_mixed_flip_parity(make, n, mod
     intensities = mqc_phase_cycled_grid(spec, state, times, 9, 4)
     for row, t in zip(intensities, times):
         ref = mqc_phase_cycled(spec, state, t, 9, 4)
-        assert np.max(np.abs(row - ref.intensities)) <= 1e-12
+        assert np.max(np.abs(row - ref)) <= 1e-12
 
 
 @given(
@@ -421,7 +421,7 @@ def test_grid_matches_literal_cycle_for_random_states(n, model, seed, times, dat
     scale = max(1.0, max(abs(w) for w, _ in terms))
     for row, t in zip(intensities, times):
         ref = mqc_phase_cycled(spec, state, t, 7, 3)
-        assert np.max(np.abs(row - ref.intensities)) <= 1e-12 * scale
+        assert np.max(np.abs(row - ref)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("kind", ["z_ends", "full_z", "y_logical"])
@@ -437,7 +437,7 @@ def test_grid_keeps_the_cycles_aliasing(kind, phase_steps, max_order):
     resolved = mqc_phase_cycled_grid(spec, state, times, 16, max_order)
     for row, t in zip(aliased, times):
         ref = mqc_phase_cycled(spec, state, t, phase_steps, max_order)
-        assert np.max(np.abs(row - ref.intensities)) <= 1e-12
+        assert np.max(np.abs(row - ref)) <= 1e-12
     assert np.max(np.abs(aliased - resolved)) > 1e-6
 
 

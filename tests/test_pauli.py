@@ -16,7 +16,7 @@ from spinwire.errors import (
 )
 from spinwire.oracle import excitation_operator
 from spinwire.pauli import DeviationState, parse_string_label
-from spinwire.propagator import chain_propagator, mixed_state_overlap
+from spinwire.propagator import mixed_state_overlap, propagate, spectral_decompose
 
 
 def dense_label(n, sparse):
@@ -77,7 +77,7 @@ BAD_WEIGHTS = ("a", "1", True, np.True_, None, [1.0], float("nan"), complex(0, m
                10**400)
 
 
-PROP = chain_propagator(homogeneous_couplings(3), 0.4)
+PROP = propagate(spectral_decompose(homogeneous_couplings(3)), 0.4)
 WEIGHT_ENTRY_POINTS = {
     "DeviationState": lambda w: DeviationState(2, ((w, ((1, "X"),)),)),
     "DeviationState.from_terms": lambda w: DeviationState.from_terms(2, [(w, ((1, "X"),))]),

@@ -29,11 +29,10 @@ from spinwire.oracle import build_hamiltonian, evolve_deviation, trace_overlap
 from spinwire.propagator import (
     _eigh_tridiagonal,
     _lapack_stevd,
-    chain_propagator,
     end_autocorrelation_grid,
     homogeneous_amplitude,
     mixed_state_overlap,
-    polarization_correlation,
+    polarization_from_propagator,
     propagate,
     slater_amplitude,
     spectral_decompose,
@@ -223,9 +222,10 @@ def test_two_site_amplitude():
 
 def test_end_to_end_probability_law():
     n, d = 9, 1.3
+    dec = spectral_decompose(engineered_couplings(n, d))
     for t in (0.3, 1.1, 2.9):
         tau = 2 * d * t / n
-        p = abs(chain_propagator(engineered_couplings(n, d), t)[0, n - 1]) ** 2
+        p = abs(propagate(dec, t)[0, n - 1]) ** 2
         assert p == pytest.approx(math.sin(tau) ** (2 * (n - 1)), abs=1e-12)
 
 
@@ -243,7 +243,7 @@ def test_unitarity_symmetry_group_properties(n, t, seed):
 
 
 def test_slater_amplitude_identity_and_errors():
-    amp = chain_propagator(homogeneous_couplings(6, 1.0), 0.0)
+    amp = propagate(spectral_decompose(homogeneous_couplings(6, 1.0)), 0.0)
     assert slater_amplitude(amp, (1, 3), (1, 3)) == pytest.approx(1.0)
     assert slater_amplitude(amp, (1, 3), (2, 4)) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(InvalidConfigurationError):
@@ -258,26 +258,27 @@ def test_slater_amplitude_identity_and_errors():
 
 def test_two_site_determinant_is_unimodular():
     for t in (0.0, 0.7, 2.4):
-        amp = chain_propagator(homogeneous_couplings(2, 1.0), t)
+        amp = propagate(spectral_decompose(homogeneous_couplings(2, 1.0)), t)
         assert slater_amplitude(amp, (1, 2), (1, 2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_full_filling_determinant_modulus_one():
     n = 5
-    amp = chain_propagator(ChainSpec(n, "xx", random_couplings(RNG, n)), 1.1)
+    dec = spectral_decompose(ChainSpec(n, "xx", random_couplings(RNG, n)))
+    amp = propagate(dec, 1.1)
     det = slater_amplitude(amp, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
     assert abs(det) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mixed_state_overlap_reductions():
     n, t = 6, 0.8
-    amp = chain_propagator(homogeneous_couplings(n, 1.0), t)
+    amp = propagate(spectral_decompose(homogeneous_couplings(n, 1.0)), t)
     # pure-state reduction: the overlap is the transfer probability
     a = {((1,), (1,)): 1.0}
     b = {((n,), (n,)): 1.0}
     assert mixed_state_overlap(amp, a, b).real == pytest.approx(abs(amp[0, n - 1]) ** 2, abs=1e-12)
     # identity evolution gives the self-overlap
-    at0 = chain_propagator(homogeneous_couplings(n, 1.0), 0.0)
+    at0 = propagate(spectral_decompose(homogeneous_couplings(n, 1.0)), 0.0)
     mixed = {((1,), (1,)): 0.5, ((2,), (2,)): 0.5, ((1,), (2,)): 0.25, ((2,), (1,)): 0.25}
     self_overlap = 0.5**2 + 0.5**2 + 2 * 0.25**2
     assert mixed_state_overlap(at0, mixed, mixed).real == pytest.approx(self_overlap, abs=1e-12)
@@ -286,7 +287,7 @@ def test_mixed_state_overlap_reductions():
 def test_mixed_state_overlap_on_a_long_chain():
     n = 20
     couplings = random_couplings(np.random.default_rng(20), n)
-    amp = chain_propagator(ChainSpec(n, "xx", couplings), 2.3)
+    amp = propagate(spectral_decompose(ChainSpec(n, "xx", couplings)), 2.3)
     for j, l in ((1, n), (3, 3), (7, 12)):
         got = mixed_state_overlap(amp, {((j,), (j,)): 1.0}, {((l,), (l,)): 1.0})
         assert got.real == pytest.approx(abs(amp[j - 1, l - 1]) ** 2, abs=1e-12)
@@ -297,14 +298,13 @@ def test_mixed_state_overlap_on_a_long_chain():
 
 
 def test_polarization_correlation_values():
-    spec = homogeneous_couplings(2, 1.2)
+    dec = spectral_decompose(homogeneous_couplings(2, 1.2))
     for t in (0.0, 0.4, 1.7):
-        assert polarization_correlation(spec, 1, 2, t) == pytest.approx(
+        assert polarization_from_propagator(propagate(dec, t), 1, 2) == pytest.approx(
             math.sin(1.2 * t) ** 2, abs=1e-12
         )
-    assert polarization_correlation(homogeneous_couplings(5, 1.0), 3, 3, 0.0) == pytest.approx(
-        1.0, abs=1e-12
-    )
+    at0 = propagate(spectral_decompose(homogeneous_couplings(5, 1.0)), 0.0)
+    assert polarization_from_propagator(at0, 3, 3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dq_polarization_sign_alternation():
@@ -312,12 +312,14 @@ def test_dq_polarization_sign_alternation():
     spec = engineered_couplings(n, 1.0, model="dq")
     xx = engineered_couplings(n, 1.0, model="xx")
     t = 1.21
+    amp_dq, amp_xx = (propagate(spectral_decompose(s), t) for s in (spec, xx))
     for l in range(1, n + 1):
-        c_dq = polarization_correlation(spec, 1, l, t)
-        c_xx = polarization_correlation(xx, 1, l, t)
+        c_dq = polarization_from_propagator(amp_dq, 1, l, "dq")
+        c_xx = polarization_from_propagator(amp_xx, 1, l, "xx")
         assert c_dq == (-1) ** (1 - l) * c_xx  # shared backend: exact
     t_star = transfer_timing(engineered_couplings(n, 1.0)).t_star
-    assert polarization_correlation(spec, 1, n, t_star) == pytest.approx(
+    at_star = propagate(spectral_decompose(spec), t_star)
+    assert polarization_from_propagator(at_star, 1, n, "dq") == pytest.approx(
         (-1) ** (n - 1), abs=1e-9
     )
 
