@@ -418,12 +418,11 @@ def _engineered_scale(couplings: np.ndarray) -> float | None:
     return None
 
 
-def normalized_time(n: int, d: float, t) -> np.ndarray | float:
-    """tau = 2 d t / n, the mirror phase of the engineered family."""
+def normalized_time(n: int, d: float, times) -> np.ndarray:
+    """tau = 2 d t / n, the mirror phase of the engineered family, at every time of a grid."""
     _check_length(n)
     d = _check_scale(d)
-    times = _check_time(t, 2.0 * d) if np.isscalar(t) else _check_times(t, 2.0 * d)
-    return 2.0 * d * times / n
+    return 2.0 * d * _check_times(times, 2.0 * d) / n
 
 
 def transfer_timing(spec: ChainSpec) -> TransferTiming:

@@ -15,8 +15,9 @@ entanglement fidelity of the transferred qubit, F(0) = 1/8 for an
 unpolarised chain and F(t*) = 1 for perfect transfer.
 
 Every correlation reduces to quadratic forms in single-excitation
-amplitudes; closed forms specific to the homogeneous and engineered
-families are provided alongside the general propagator path.
+amplitudes. Closed forms specific to the homogeneous and engineered
+families check the general propagator path: each takes a time grid and
+returns all four channels in the layout of ``channel_correlations``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .chain import (
     _check_finite_result,
     _check_length,
     _check_numeric,
-    _check_scale,
-    _check_time,
+    _check_times,
     normalized_time,
 )
 from .errors import (
@@ -157,8 +157,13 @@ def channel_fidelity(vals: dict) -> float | np.ndarray:
     return (vals["1"] + vals["x"] + vals["y"] + vals["z"]) / 4.0
 
 
-def logical_transport_homogeneous(n: int, d: float, alpha: str, t: float) -> float:
-    """Closed-form channel correlation for the uniform chain.
+def _by_channel(rows) -> dict[str, np.ndarray]:
+    """{channel: (T,) array} from T rows that hold the channels in ``CHANNELS`` order."""
+    return dict(zip(CHANNELS, np.array(rows, dtype=float).reshape(-1, len(CHANNELS)).T))
+
+
+def logical_transport_homogeneous(n: int, d: float, times) -> dict[str, np.ndarray]:
+    """Closed-form channel correlations for the uniform chain on a time grid.
 
     x and y are double sums over the sine modes,
 
@@ -166,38 +171,35 @@ def logical_transport_homogeneous(n: int, d: float, alpha: str, t: float) -> flo
         C_y = 2(-1)^(n+1)/(n+1)^2 sum_{k,h} (-1)^(k+h) cos((w_h + w_k) t) B_{kh}
 
     with B_{kh} = [sin(2 kappa_h) sin(kappa_k) + sin(kappa_h) sin(2 kappa_k)]^2,
-    while z and the identity channel combine end transfer amplitudes.
+    while z and the identity channel combine the end transfer amplitudes
+    of one ``homogeneous_amplitude`` block. Returns {channel: (len(times),)
+    array} for every channel, the layout of ``channel_correlations``; each
+    time is summed on its own, n^2 floats at a time, with the amplitudes'
+    products in Python complex arithmetic, which numpy's can differ from in the last bit.
     """
-    _check_choice(alpha, "channel", CHANNELS, InvalidConfigurationError)
     n, d, kappa, w = _sine_modes(n, d, minimum=4)
-    t = _check_time(t, 4.0 * d)  # |w_h + w_k| <= 4 d
-    if alpha in ("x", "y"):
-        k = np.arange(1, n + 1)
-        bracket = (
-            np.sin(2 * kappa)[None, :] * np.sin(kappa)[:, None]
-            + np.sin(kappa)[None, :] * np.sin(2 * kappa)[:, None]
-        ) ** 2
-        sign = (-1.0) ** (k[:, None] + k[None, :])
-        if alpha == "x":
-            osc = np.cos((w[None, :] - w[:, None]) * t)
-            return float(2.0 / (n + 1) ** 2 * np.sum(sign * osc * bracket))
-        osc = np.cos((w[None, :] + w[:, None]) * t)
-        return float(
-            2.0 * (-1.0) ** (n + 1) / (n + 1) ** 2 * np.sum(sign * osc * bracket)
+    times = _check_times(times, 4.0 * d)  # |w_h + w_k| <= 4 d
+    k = np.arange(1, n + 1)
+    bracket = (
+        np.sin(2 * kappa)[None, :] * np.sin(kappa)[:, None]
+        + np.sin(kappa)[None, :] * np.sin(2 * kappa)[:, None]
+    ) ** 2
+    sign = (-1.0) ** (k[:, None] + k[None, :])
+    gaps, sums = w[None, :] - w[:, None], w[None, :] + w[:, None]
+    ends = homogeneous_amplitude(n, d, times, (1, 2), (n - 1, n))
+    return _by_channel([
+        (
+            2.0 / (n + 1) ** 2 * np.sum(sign * np.cos(gaps * t) * bracket),
+            2.0 * (-1.0) ** (n + 1) / (n + 1) ** 2 * np.sum(sign * np.cos(sums * t) * bracket),
+            0.5 * (abs(a1n) ** 2 - abs(a1m) ** 2 - abs(a2n) ** 2 + abs(a2m) ** 2),
+            0.5 * (1.0 + abs(a1m * a2n - a1n * a2m) ** 2),
         )
-    a1m = homogeneous_amplitude(n, d, 1, n - 1, t)
-    a1n = homogeneous_amplitude(n, d, 1, n, t)
-    a2m = homogeneous_amplitude(n, d, 2, n - 1, t)
-    a2n = homogeneous_amplitude(n, d, 2, n, t)
-    if alpha == "z":
-        return float(
-            0.5 * (abs(a1n) ** 2 - abs(a1m) ** 2 - abs(a2n) ** 2 + abs(a2m) ** 2)
-        )
-    return float(0.5 * (1.0 + abs(a1m * a2n - a1n * a2m) ** 2))
+        for t, ((a1m, a1n), (a2m, a2n)) in zip(times.tolist(), ends.tolist())
+    ])
 
 
-def logical_transport_engineered(n: int, d: float, alpha: str, t: float) -> float:
-    """Closed-form channel correlation for the parabolic-profile chain.
+def logical_transport_engineered(n: int, d: float, times) -> dict[str, np.ndarray]:
+    """Closed-form channel correlations for the parabolic-profile chain on a time grid.
 
     With s = sin(tau), c = cos(tau), tau = 2 d t / n:
 
@@ -207,49 +209,43 @@ def logical_transport_engineered(n: int, d: float, alpha: str, t: float) -> floa
                - 2(n-1) c^2 s^(2(n-2))] / 2
         C_1 = (1 + s^(4(n-2))) / 2
 
-    All four equal 1 at tau = pi/2, so F(t*) = 1.
+    All four equal 1 at tau = pi/2, so F(t*) = 1. Returns {channel:
+    (len(times),) array}, the layout of ``channel_correlations``, each time
+    in Python floats: numpy's vectorised ``**`` can differ from them in the last bit.
     """
-    _check_choice(alpha, "channel", CHANNELS, InvalidConfigurationError)
     n = _check_length(n, minimum=4)
-    d = _check_scale(d)
-    tau = normalized_time(n, d, _check_time(t, 2.0 * d))
-    s2 = math.sin(tau) ** 2
-    c2 = math.cos(tau) ** 2
-    if alpha == "x":
-        return s2 ** (n - 2)
-    if alpha == "y":
-        return s2 ** (n - 2) * (1.0 - 2.0 * (n - 1) * c2)
-    if alpha == "z":
-        return 0.5 * (
-            s2 ** (n - 3) * ((n - 1) * c2 - 1.0) ** 2
-            + s2 ** (n - 1)
-            - 2.0 * (n - 1) * c2 * s2 ** (n - 2)
-        )
-    return 0.5 * (1.0 + s2 ** (2 * (n - 2)))
+    rows = []
+    for tau in normalized_time(n, d, times).tolist():
+        s2, c2 = math.sin(tau) ** 2, math.cos(tau) ** 2
+        x = s2 ** (n - 2)
+        z = s2 ** (n - 3) * ((n - 1) * c2 - 1.0) ** 2 + s2 ** (n - 1) - 2.0 * (n - 1) * c2 * x
+        rows.append((x, x * (1.0 - 2.0 * (n - 1) * c2), 0.5 * z, 0.5 * (1.0 + s2 ** (2 * (n - 2)))))
+    return _by_channel(rows)
 
 
 def entanglement_fidelity(
     n: int,
     d: float,
     family: str,
-    t: float,
+    times,
     model: str = "xx",
     corrected: bool = True,
-) -> float:
-    """Average channel correlation F = (C_1 + C_x + C_y + C_z) / 4.
+) -> np.ndarray:
+    """Average channel correlation F = (C_1 + C_x + C_y + C_z) / 4 on a time grid, shape (T,).
 
     F is the entanglement fidelity of the end-to-end logical transfer:
     1 at perfect mirror transfer, 1/8 at t = 0 (only the identity
     channel survives, at 1/2). For the dq model on even chains the
     uncorrected readout loses the y and z channels at the mirror time,
     pinning F near zero there; the parity correction restores it.
+    ``family`` and ``model`` are checked before any closed form runs.
     """
     family = _check_choice(family, "family", ("homogeneous", "engineered"), UnsupportedFamilyError)
-    if family == "homogeneous":
-        vals = {a: logical_transport_homogeneous(n, d, a, t) for a in CHANNELS}
-    else:
-        vals = {a: logical_transport_engineered(n, d, a, t) for a in CHANNELS}
-    return channel_fidelity(_readout(vals, n, model, corrected))
+    model = _check_choice(model, "model", MODELS, UnsupportedModelError)
+    closed = (
+        logical_transport_homogeneous if family == "homogeneous" else logical_transport_engineered
+    )
+    return channel_fidelity(_readout(closed(n, d, times), n, model, corrected))
 
 
 def logical_correlation_from_spec(

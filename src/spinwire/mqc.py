@@ -19,8 +19,8 @@ reference for ``mqc_phase_cycled_grid``, which evaluates the same
 intensities on a whole time grid from one sector-blocked decomposition.
 Both grid engines return one float array of shape (len(times),
 2 max_order + 1), column max_order + q holding J_q, and the literal cycle
-returns one such row. Only the closed forms of ``mqc_analytic`` come as
-an ``MqcSpectrum``.
+returns one such row. Only ``mqc_analytic`` is a single-time closed form:
+its ``MqcSpectrum`` holds the intensities of the orders -2, 0, 2.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -77,10 +78,9 @@ _SERIES_KINDS = PREPARED_KINDS[:3]
 
 @dataclass(frozen=True)
 class MqcSpectrum:
-    """Coherence-order intensities J_q at one time."""
+    """Coherence-order intensities J_q at one time, for the orders -2, 0, 2 in that order."""
 
-    time: float
-    orders: tuple[int, ...]
+    orders: ClassVar[tuple[int, ...]] = (-2, 0, 2)
     intensities: tuple[float, ...]
 
     def intensity(self, q: int) -> float:
@@ -148,14 +148,14 @@ def mqc_analytic(n: int, d: float, kind: str, t: float) -> MqcSpectrum:
         s2 = np.sin(kappa) ** 2
         j0 = 2.0 / (n + 1) * float(np.sum(s2 * np.cos(2 * w * t) ** 2))
         j2 = 1.0 / (n + 1) * float(np.sum(s2 * np.sin(2 * w * t) ** 2))
-        return MqcSpectrum(t, (-2, 0, 2), (j2, j0, j2))
+        return MqcSpectrum((j2, j0, j2))
     t = _check_time(t, 8.0 * d)
     if kind == "x_logical":
-        return MqcSpectrum(t, (-2, 0, 2), (0.0, 0.0, 0.0))
+        return MqcSpectrum((0.0, 0.0, 0.0))
     weight = np.sin(kappa) * np.sin(2 * kappa)
     j0 = 2.0 / (n + 1) * float(np.sum(weight * np.sin(4 * w * t)))
     j2 = 1.0 / (n + 1) * float(np.sum(weight * np.sin(4 * w * t + np.pi)))
-    return MqcSpectrum(t, (-2, 0, 2), (j2, j0, j2))
+    return MqcSpectrum((j2, j0, j2))
 
 
 def mqc_propagator_grid(spec: ChainSpec, kind: str, times) -> np.ndarray:
@@ -171,10 +171,12 @@ def mqc_propagator_grid(spec: ChainSpec, kind: str, times) -> np.ndarray:
 
     Returns shape (len(times), 5), the layout of ``mqc_phase_cycled_grid``
     at max_order 2: columns J_-2, J_-1, J_0, J_1, J_2, with J_+-1 exactly 0.
+    A time whose A(4t) phase 8 max|d| |t| exceeds 2^32 rad raises
+    ``InvalidParameterError`` before 4t is formed.
     """
     _check_choice(spec.model, "model", ("dq",), UnsupportedModelError)
     _check_choice(kind, "kind", _SERIES_KINDS, InvalidConfigurationError)
-    grid = _check_times(times, 4.0)
+    grid = _check_times(times, 8.0 * float(np.max(np.abs(spec.couplings), initial=0.0)))
     amp = _end_block(spec, "z_ends" if kind == "z_ends" else "y_logical", 4.0 * grid)
     zero = np.zeros(grid.size)
     if kind == "z_ends":

@@ -35,7 +35,6 @@ from .chain import (
     _check_site,
     _check_sites,
     _check_square,
-    _check_time,
     _check_times,
 )
 from .errors import (
@@ -223,22 +222,31 @@ def _sine_modes(n: int, d: float, minimum: int = 1) -> tuple[int, float, np.ndar
     return n, d, kappa, 2.0 * d * np.cos(kappa)
 
 
-def homogeneous_amplitude(n: int, d: float, j: int, l: int, t: float) -> complex:
-    """A_{jl}(t) for the uniform chain via the sine-mode sum.
+def homogeneous_amplitude(
+    n: int,
+    d: float,
+    times: Sequence[float],
+    rows: Sequence[int] | None = None,
+    cols: Sequence[int] | None = None,
+) -> np.ndarray:
+    """A[rows, cols](t) for the uniform chain via the sine-mode sum, at every time of a grid.
 
     A_{jl} = 2/(n+1) sum_k sin(k pi j/(n+1)) sin(k pi l/(n+1))
              exp(-2 i d t cos(k pi/(n+1))).
 
-    Independent of the generic eigensolver path, so the two can be used
-    to cross-check each other.
+    Returns the layout of ``propagate_grid``: a complex array of shape
+    (len(times), len(rows), len(cols)), with 1-based ``rows`` and
+    ``cols`` defaulting to the whole chain. Independent of the generic
+    eigensolver path, so the two can be used to cross-check each other.
     """
     n, d, kappa, _ = _sine_modes(n, d)
-    j = _check_site(n, j)
-    l = _check_site(n, l)
-    t = _check_time(t, 2.0 * d)
-    weights = np.sin(kappa * j) * np.sin(kappa * l)
-    phases = np.exp(-2j * d * t * np.cos(kappa))
-    return complex(2.0 / (n + 1) * np.sum(weights * phases))
+    r, c = _site_indices(n, rows) + 1, _site_indices(n, cols) + 1
+    times = _check_times(times, 2.0 * d)
+    weights = np.sin(kappa * r[:, None, None]) * np.sin(kappa * c[:, None])
+    amp = np.empty((len(times), len(r), len(c)), dtype=complex)
+    for k, t in enumerate(times.tolist()):
+        amp[k] = 2.0 / (n + 1) * np.sum(weights * np.exp(-2j * d * t * np.cos(kappa)), axis=-1)
+    return amp
 
 
 def engineered_frequencies(n: int, d: float) -> np.ndarray:

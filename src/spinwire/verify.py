@@ -132,15 +132,9 @@ def homogeneous_closed_form(rng, max_n, oracle_n):
     t = float(rng.uniform(0.2, 5.0))
     spec = chain_mod.homogeneous_couplings(n, d)
     amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), t)
-    closed = np.array(
-        [
-            [prop_mod.homogeneous_amplitude(n, d, j, l, t) for l in range(1, n + 1)]
-            for j in range(1, n + 1)
-        ]
-    )
-    dev = np.abs(amp - closed).max()
+    dev = np.abs(amp - prop_mod.homogeneous_amplitude(n, d, [t])[0]).max()
     # two-site special case: the single off-diagonal is -i sin(d t)
-    a12 = prop_mod.homogeneous_amplitude(2, d, 1, 2, t)
+    a12 = prop_mod.homogeneous_amplitude(2, d, [t], (1,), (2,))[0, 0, 0]
     dev = max(dev, abs(a12 - (-1j * math.sin(d * t))))
     yield ("homogeneous_closed_form", dev, _TOL_LINALG, {"n": n, "d": d, "t": t})
 
@@ -169,7 +163,7 @@ def engineered_mirror_profile(rng, max_n, oracle_n):
     dev = max(abs(amp[j, n - 1 - j] - phase) for j in range(n))
     # binomial transfer profile away from the mirror time
     t = 0.37 * t_star
-    tau = chain_mod.normalized_time(n, d, t)
+    tau = chain_mod.normalized_time(n, d, [t])[0]
     amp_t = prop_mod.propagate(dec, t)
     s2, c2 = math.sin(tau) ** 2, math.cos(tau) ** 2
     for l in range(1, n + 1):
@@ -318,14 +312,14 @@ def engineered_fidelity_mirror(rng, max_n, oracle_n):
     for n in range(4, 21):
         spec = chain_mod.engineered_couplings(n, 1.0)
         t_star = chain_mod.transfer_timing(spec).t_star
-        f = logical_mod.entanglement_fidelity(n, 1.0, "engineered", t_star)
+        (f,) = logical_mod.entanglement_fidelity(n, 1.0, "engineered", [t_star])
         dev = max(dev, abs(f - 1.0))
         # closed forms agree with the propagator bilinears
         amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), 0.43 * t_star)
         vals = logical_mod.channel_correlations(amp, "xx")
+        closed = logical_mod.logical_transport_engineered(n, 1.0, [0.43 * t_star])
         for alpha in logical_mod.CHANNELS:
-            closed = logical_mod.logical_transport_engineered(n, 1.0, alpha, 0.43 * t_star)
-            dev = max(dev, abs(vals[alpha] - closed))
+            dev = max(dev, abs(vals[alpha] - closed[alpha][0]))
     yield ("engineered_fidelity_mirror", dev, 1e-9, {"n_range": [4, 20]})
 
 
@@ -337,9 +331,9 @@ def homogeneous_logical_closed_forms(rng, max_n, oracle_n):
         spec = chain_mod.homogeneous_couplings(n, d)
         amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), t)
         vals = logical_mod.channel_correlations(amp, "xx")
+        closed = logical_mod.logical_transport_homogeneous(n, d, [t])
         for alpha in logical_mod.CHANNELS:
-            closed = logical_mod.logical_transport_homogeneous(n, d, alpha, t)
-            dev = max(dev, abs(vals[alpha] - closed))
+            dev = max(dev, abs(vals[alpha] - closed[alpha][0]))
     yield (
         "homogeneous_logical_closed_forms",
         dev,

@@ -133,8 +133,8 @@ def test_logical_transport_closed_forms(tmp_path):
 def test_dq_parity_correction_restores_fidelity():
     n = 6  # even: correction required
     t_star = transfer_timing(engineered_couplings(n, 1.0)).t_star
-    f_fixed = entanglement_fidelity(n, 1.0, "engineered", t_star, model="dq", corrected=True)
-    f_raw = entanglement_fidelity(n, 1.0, "engineered", t_star, model="dq", corrected=False)
+    (f_fixed,) = entanglement_fidelity(n, 1.0, "engineered", [t_star], model="dq", corrected=True)
+    (f_raw,) = entanglement_fidelity(n, 1.0, "engineered", [t_star], model="dq", corrected=False)
     finish(
         "dq parity correction restores fidelity",
         abs(f_fixed - 1.0) <= 1e-9 and f_raw < 1.0 - 1e-3,

@@ -190,9 +190,11 @@ def test_transfer_timing_family_detection():
 
 def test_normalized_time_mirror_phase():
     t_star = transfer_timing(engineered_couplings(21, 1.0)).t_star
-    assert normalized_time(21, 1.0, t_star) == pytest.approx(math.pi / 2, rel=1e-15)
+    assert normalized_time(21, 1.0, [t_star]) == pytest.approx([math.pi / 2], rel=1e-15)
     grid = normalized_time(10, 2.0, np.array([0.0, 1.0]))
     np.testing.assert_allclose(grid, [0.0, 0.4])
+    with pytest.raises(InvalidParameterError):
+        normalized_time(21, 1.0, t_star)
 
 
 def test_spec_validation():

@@ -404,6 +404,18 @@ def assert_one_error(result):
     assert len(errors) == 1 and result.stderr.endswith(errors[0] + "\n")
 
 
+def test_mqc_engines_agree_on_a_time_only_the_chains_rate_bounds(runner):
+    # t = 2^31 turns A(4t) of the d = 1e-3 chain by 8e-3 t = 1.7e7 rad, inside the 2^32 rad range
+    args = ["mqc", "--n", "4", "--d", "1e-3", "--grid", "2147483648:2147483648:1"]
+    rows = {}
+    for engine in ("analytic", "oracle"):
+        result = runner.invoke(main, args + ["--engine", engine])
+        assert result.exit_code == 0, result.output
+        (row,) = rows_of(result.stdout)
+        rows[engine] = [float(v) for v in row]
+    assert rows["analytic"] == pytest.approx(rows["oracle"], abs=1e-8)
+
+
 # unbounded finite floats reach +-1.8e308, where every phase w t overflows
 GRID_ENDS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),

@@ -19,6 +19,7 @@ from spinwire.errors import (
     UnsupportedFamilyError,
     UnsupportedModelError,
 )
+from spinwire import logical
 from spinwire.logical import (
     CHANNELS,
     channel_correlations,
@@ -138,7 +139,7 @@ def test_corrected_dq_channels_match_dense_dq_dynamics(n):
 
 def test_initial_time_values():
     for family in ("homogeneous", "engineered"):
-        assert entanglement_fidelity(8, 1.0, family, 0.0) == pytest.approx(0.125, abs=1e-12)
+        assert entanglement_fidelity(8, 1.0, family, [0.0]) == pytest.approx([0.125], abs=1e-12)
     at0 = propagate(spectral_decompose(homogeneous_couplings(8, 1.0)), 0.0)
     vals = channel_correlations(at0)
     assert vals["1"] == pytest.approx(0.5, abs=1e-12)
@@ -149,30 +150,25 @@ def test_initial_time_values():
 def test_engineered_closed_forms_explicit():
     n, d, t = 7, 1.3, 0.9
     s, c = math.sin(2 * d * t / n), math.cos(2 * d * t / n)
-    assert logical_transport_engineered(n, d, "x", t) == pytest.approx(
-        s ** (2 * (n - 2)), abs=1e-12
-    )
-    assert logical_transport_engineered(n, d, "y", t) == pytest.approx(
-        s ** (2 * (n - 2)) * (1 - 2 * (n - 1) * c**2), abs=1e-12
-    )
-    assert logical_transport_engineered(n, d, "1", t) == pytest.approx(
-        0.5 * (1 + s ** (4 * (n - 2))), abs=1e-12
-    )
+    vals = logical_transport_engineered(n, d, [t])
+    assert vals["x"] == pytest.approx([s ** (2 * (n - 2))], abs=1e-12)
+    assert vals["y"] == pytest.approx([s ** (2 * (n - 2)) * (1 - 2 * (n - 1) * c**2)], abs=1e-12)
+    assert vals["1"] == pytest.approx([0.5 * (1 + s ** (4 * (n - 2)))], abs=1e-12)
     cz = 0.5 * (
         s ** (2 * (n - 3)) * ((n - 1) * c**2 - 1) ** 2
         + s ** (2 * (n - 1))
         - 2 * (n - 1) * c**2 * s ** (2 * (n - 2))
     )
-    assert logical_transport_engineered(n, d, "z", t) == pytest.approx(cz, abs=1e-12)
+    assert vals["z"] == pytest.approx([cz], abs=1e-12)
 
 
 def test_frozen_channel_samples():
-    got = [logical_transport_homogeneous(6, 1.0, a, 2.7) for a in ("x", "y", "z", "1")]
+    got = logical_transport_homogeneous(6, 1.0, [2.7])
     frozen = [0.233896694330509, -0.352100089982969, -0.171008235473989, 0.52735383180937]
-    np.testing.assert_allclose(got, frozen, atol=1e-12)
-    got = [logical_transport_engineered(6, 1.0, a, 2.0) for a in ("x", "y", "z", "1")]
+    np.testing.assert_allclose([got[a][0] for a in ("x", "y", "z", "1")], frozen, atol=1e-12)
+    got = logical_transport_engineered(6, 1.0, [2.0])
     frozen = [0.0213789409518399, -0.110661414753853, 0.0599549260770046, 0.500228529558111]
-    np.testing.assert_allclose(got, frozen, atol=1e-12)
+    np.testing.assert_allclose([got[a][0] for a in ("x", "y", "z", "1")], frozen, atol=1e-12)
 
 
 def test_channel_bounds():
@@ -191,8 +187,8 @@ def test_homogeneous_peaks_are_later_and_lower():
         20: (11.618146, 0.465577704),
     }
     for n, (t_peak, f_peak) in frozen.items():
-        assert entanglement_fidelity(n, 1.0, "homogeneous", t_peak) == pytest.approx(
-            f_peak, abs=1e-9
+        assert entanglement_fidelity(n, 1.0, "homogeneous", [t_peak]) == pytest.approx(
+            [f_peak], abs=1e-9
         )
         assert f_peak < 1.0
     times = [frozen[n][0] for n in (10, 15, 20)]
@@ -204,10 +200,10 @@ def test_homogeneous_peaks_are_later_and_lower():
 def test_uncorrected_dq_fidelity_collapses_at_mirror_time():
     n = 6  # even: correction required
     t_star = transfer_timing(engineered_couplings(n, 1.0)).t_star
-    good = entanglement_fidelity(n, 1.0, "engineered", t_star, model="dq", corrected=True)
-    bad = entanglement_fidelity(n, 1.0, "engineered", t_star, model="dq", corrected=False)
-    assert good == pytest.approx(1.0, abs=1e-9)
-    assert bad < 1.0 - 1e-6
+    good = entanglement_fidelity(n, 1.0, "engineered", [t_star], model="dq", corrected=True)
+    bad = entanglement_fidelity(n, 1.0, "engineered", [t_star], model="dq", corrected=False)
+    assert good == pytest.approx([1.0], abs=1e-9)
+    assert bad[0] < 1.0 - 1e-6
 
 
 def test_correlation_from_spec():
@@ -226,9 +222,9 @@ def test_error_paths():
     with pytest.raises(InvalidDimensionError):
         channel_correlations(propagate(spectral_decompose(homogeneous_couplings(3, 1.0)), 0.5))
     with pytest.raises(UnsupportedFamilyError):
-        entanglement_fidelity(8, 1.0, "dipolar", 0.5)
+        entanglement_fidelity(8, 1.0, "dipolar", [0.5])
     with pytest.raises(UnsupportedModelError):
-        entanglement_fidelity(8, 1.0, "engineered", 0.5, model="ising")
+        entanglement_fidelity(8, 1.0, "engineered", [0.5], model="ising")
     amp = propagate(spectral_decompose(homogeneous_couplings(6, 1.0)), 0.5)
     with pytest.raises(UnsupportedModelError):
         channel_correlations(amp, "ising")
@@ -237,9 +233,19 @@ def test_error_paths():
 @pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
 @pytest.mark.parametrize("closed", [logical_transport_homogeneous, logical_transport_engineered])
 def test_closed_forms_reject_bad_coupling_scale(closed, d):
-    for alpha in CHANNELS:
-        with pytest.raises(InvalidParameterError):
-            closed(8, d, alpha, 0.7)
+    with pytest.raises(InvalidParameterError):
+        closed(8, d, [0.7])
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "engineered"])
+@pytest.mark.parametrize("model", ["ising", None])
+def test_fidelity_checks_the_model_before_any_closed_form(monkeypatch, family, model):
+    calls = []
+    for name in ("logical_transport_homogeneous", "logical_transport_engineered"):
+        monkeypatch.setattr(logical, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(UnsupportedModelError):
+        entanglement_fidelity(6, 1.0, family, [0.5], model=model)
+    assert calls == []
 
 
 def test_channel_correlations_broadcast_over_time():

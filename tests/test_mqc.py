@@ -1,5 +1,6 @@
 """Multiple-quantum coherence protocol: prepared states, spectra, cycling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -222,8 +223,11 @@ def test_dense_protocols_reject_a_rate_past_the_float_range_without_warning(call
 
 
 def test_spectrum_accessors():
-    spect = MqcSpectrum(0.0, (-2, 0, 2), (0.25, 0.5, 0.25))
+    spect = MqcSpectrum((0.25, 0.5, 0.25))
     assert spect.intensity(0) == 0.5
+    assert spect.orders == MqcSpectrum.orders == (-2, 0, 2)
+    # an instance holds its intensities only: the orders are the class's
+    assert [f.name for f in dataclasses.fields(MqcSpectrum)] == ["intensities"]
     with pytest.raises(InvalidParameterError):
         spect.intensity(4)
 
@@ -285,6 +289,20 @@ def test_propagator_engine_exact_values():
     (start,) = mqc_propagator_grid(spec, "z_ends", [0.0])
     assert start.tolist() == [0.0, 0.0, 2.0, 0.0, 0.0]
     assert not np.any(mqc_propagator_grid(spec, "x_logical", np.linspace(-3.0, 7.0, 11)))
+
+
+def test_propagator_engine_holds_times_to_the_chains_own_rate():
+    # A(4t) turns at 8 max|d| = 8e-3 rad per unit t, so t = 2^31 is a phase of 1.7e7 rad
+    n, d, t = 4, 1e-3, 2.0**31
+    (row,) = mqc_propagator_grid(homogeneous_couplings(n, d, "dq"), "z_ends", [t])
+    want = mqc_analytic(n, d, "z_ends", t)
+    assert np.max(np.abs(0.5 * row[[0, 2, 4]] - want.intensities)) <= 1e-8
+    # and 2^32 rad of that phase is the end of the range
+    edge = 2.0**32 / 8e-3
+    spec = homogeneous_couplings(n, 1e-3, "dq")
+    assert mqc_propagator_grid(spec, "y_logical", [edge]).shape == (1, 5)
+    with pytest.raises(InvalidParameterError, match="time out of range"):
+        mqc_propagator_grid(spec, "y_logical", [np.nextafter(edge, np.inf)])
 
 
 def test_propagator_engine_validation():

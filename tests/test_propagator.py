@@ -213,11 +213,11 @@ def test_propagator_basics():
 
 def test_two_site_amplitude():
     d, t = 1.4, 0.9
-    assert homogeneous_amplitude(2, d, 1, 2, t) == pytest.approx(-1j * math.sin(d * t), abs=1e-14)
-    assert homogeneous_amplitude(2, d, 1, 2, math.pi / (2 * d)) == pytest.approx(-1j, abs=1e-14)
-    assert homogeneous_amplitude(7, d, 3, 3, 0.0) == pytest.approx(1.0, abs=1e-14)
+    amp = homogeneous_amplitude(2, d, [t, math.pi / (2 * d)], (1,), (2,))
+    assert amp[:, 0, 0] == pytest.approx([-1j * math.sin(d * t), -1j], abs=1e-14)
+    assert homogeneous_amplitude(7, d, [0.0], (3,), (3,))[0, 0, 0] == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(IndexOutOfRangeError):
-        homogeneous_amplitude(4, d, 0, 2, t)
+        homogeneous_amplitude(4, d, [t], (0,), (2,))
 
 
 def test_end_to_end_probability_law():
@@ -362,5 +362,5 @@ def test_engineered_autocorrelation_revives_at_mirror_time():
 @pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
 def test_homogeneous_amplitude_rejects_bad_coupling_scale(d):
     with pytest.raises(InvalidParameterError):
-        homogeneous_amplitude(6, d, 1, 6, 0.5)
+        homogeneous_amplitude(6, d, [0.5], (1,), (6,))
 
