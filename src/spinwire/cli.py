@@ -306,23 +306,22 @@ def logical(n, d, family, model, corrected, grid, out) -> None:
 def mqc(n, d, initial, engine, phase_steps, grid, out) -> None:
     """Tabulate coherence-order intensities on the homogeneous dq chain.
 
-    Columns: t, j0, j2 (orders +-2 are equal), read from the end block of
-    A(4t) (analytic) or by dense phase cycling (oracle). The z-ends
+    Columns: t, j0, j2 (orders +-2 are equal), from one decomposition of
+    the chain (analytic) or by dense phase cycling (oracle). The z-ends
     intensities are normalised so J0(0) = 1; logical initial states are
     reported raw, their total being zero.
     """
-    kind = _INITIALS[initial]
     spec = _build_chain("homogeneous", n, d, "dq")
+    state = prepare_state(n, _INITIALS[initial])
+    # the analytic engine runs no cycle, but the manifest records one: the table's
+    # orders reach 2, so both engines hold it to the oracle engine's own rule
+    _check_phase_steps(phase_steps, 2)
     if engine == "analytic":
-        # no cycle runs here, but the manifest records one: the table's orders reach
-        # 2, so it is held to the rule the oracle engine's own checks apply
-        _check_phase_steps(phase_steps, 2)
-        intensities = mqc_propagator_grid(spec, kind, grid)
+        intensities = mqc_propagator_grid(spec, state, grid)
     else:
-        state = prepare_state(n, kind)
         intensities = mqc_phase_cycled_grid(spec, state, grid, phase_steps=phase_steps)
-    # conserved total Tr[rho Z]/2^n: 2 for z_ends, 0 for logical states; columns J_0, J_2
-    scale = 0.5 if kind == "z_ends" else 1.0
+    # conserved total Tr[rho Z]/2^n: 2 for z-ends, 0 for logical states; columns J_0, J_2
+    scale = 0.5 if initial == "z-ends" else 1.0
     cols = scale * intensities[:, [2, 4]]
     _write_table(out, _csv_blocks(["t", "j0", "j2"], grid[:, None], cols))
 

@@ -9,18 +9,22 @@ polarisation:
     S(phi) = Tr[R_phi rho(t) R_phi^dag Z(t)] / 2^n,
     J_q    = (1/N) sum_m exp(+i q phi_m) S(phi_m),  phi_m = 2 pi m / N.
 
-Closed forms exist for the homogeneous chain; ``mqc_propagator_grid``
-reads the intensities of any dq chain from the end block of A(4t), and
-the dense-oracle cycling path reproduces both exactly (up to the conserved
+Closed forms exist for the homogeneous chain. ``mqc_propagator_grid``
+applies one spectral rule to any state that the odd-site X gauge maps
+onto a number-conserving bilinear (one-site Z and adjacent XX, YY, XY,
+YX strings, every prepared kind included) on any nearest-neighbour dq
+chain, from one decomposition of its single-excitation matrix. The
+dense-oracle cycling path reproduces both exactly (up to the conserved
 total Tr[rho Z]/2^n, which the analytic z-state series normalises to 1).
 
 ``mqc_phase_cycled`` runs that protocol literally at one time and is the
 reference for ``mqc_phase_cycled_grid``, which evaluates the same
 intensities on a whole time grid from one sector-blocked decomposition.
-Both grid engines return one float array of shape (len(times),
-2 max_order + 1), column max_order + q holding J_q, and the literal cycle
-returns one such row. Only ``mqc_analytic`` is a single-time closed form:
-its ``MqcSpectrum`` holds the intensities of the orders -2, 0, 2.
+Both grid engines take the chain, a ``DeviationState`` and a time grid,
+and return one float array of shape (len(times), 2 max_order + 1),
+column max_order + q holding J_q; the literal cycle returns one such row.
+Only ``mqc_analytic`` is a single-time closed form: its ``MqcSpectrum``
+holds the intensities of the orders -2, 0, 2.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .oracle import (
     total_z,
 )
 from .pauli import DeviationState
-from .propagator import _end_block, _sine_modes
+from .propagator import _TIME_BLOCK, SpectralDecomposition, _sine_modes, spectral_decompose
 
 __all__ = [
     "PREPARED_KINDS",
@@ -72,7 +76,7 @@ __all__ = [
 ]
 
 PREPARED_KINDS = ("z_ends", "y_logical", "x_logical", "full_z")
-# the kinds read from the single-excitation propagator: every one but full_z
+# the kinds with a homogeneous closed form: every one but full_z
 _SERIES_KINDS = PREPARED_KINDS[:3]
 
 
@@ -158,36 +162,131 @@ def mqc_analytic(n: int, d: float, kind: str, t: float) -> MqcSpectrum:
     return MqcSpectrum((j2, j0, j2))
 
 
-def mqc_propagator_grid(spec: ChainSpec, kind: str, times) -> np.ndarray:
-    """Raw intensities of ``mqc_phase_cycled_grid`` from the end block of A(4t).
+# each adjacent-pair string on sites (a, a + 1), in the gauge frame: its coefficient in
+# Q_{a,a+1}, then which pairing part it feeds, (XX - YY)/2 or (XY + YX)/2, and with what
+# sign; a bilinear has neither part
+_BOND_STRINGS = {"XX": (1, 0, 1), "YY": (1, 0, -1), "XY": (-1j, 1, 1), "YX": (1j, 1, 1)}
 
-    The odd-site X gauge maps a bipartite dq chain onto free fermions, so
-    for any nearest-neighbour dq chain, with A from ``_end_block`` (every
-    argument is checked before any work, also for an empty grid):
 
-        z_ends:    J_0 = sum_{j in 1, n} (1 + Re A_jj) / 2,  J_+-2 = sum (1 - Re A_jj) / 4
-        y_logical: J_0 = -(Im A_12 + Im A_{n-1,n}) / 2,      J_+-2 = -J_0 / 2
-        x_logical: every J_q is exactly 0 (checked as y_logical, on the same sites).
+def _gauge_bilinear(state: DeviationState) -> tuple[np.ndarray, np.ndarray]:
+    """``state`` under the odd-site X gauge as a Hermitian bilinear sum_ab Q_ab c^dag_a c_b
+    plus a multiple of the identity: Q's diagonal (n,) and first upper off-diagonal
+    (n - 1,), which holds the lower one too, so no n x n array is formed.
+
+    The gauge negates Y and Z on odd sites, and Jordan-Wigner with
+    Z_j = 1 - 2 n_j gives each string its place in Q:
+
+        Z_j:                       Q_jj = -2 w
+        XX, YY, XY, YX on a, a+1:  Q_{a,a+1} = 2h - 2ig = conj(Q_{a+1,a}),
+                                   h = (w_XX + w_YY)/2,  g = (w_XY - w_YX)/2
+
+    with w the gauge-frame weights. The identity part, the identity and the
+    constant of each Z_j, is dropped: it has no overlap with the traceless Z,
+    so the coherence protocol cannot see it. A weight that is not real (the
+    state is then not Hermitian, and the cycle's J_2 and J_-2 differ), any
+    other string, or a pairing part (w_XX - w_YY)/2 or (w_XY + w_YX)/2 above
+    1e-15 of the largest |w| raises ``InvalidConfigurationError``. The
+    arithmetic is on Python scalars, so a weight near the float range gives
+    inf, not a warning.
+    """
+    n = state.n
+    diag, upper = [0.0] * n, [0j] * (n - 1)
+    pairing = [[0.0] * (n - 1), [0.0] * (n - 1)]
+    largest = 0.0
+    for weight, string in state.terms:
+        if weight.imag:
+            raise InvalidConfigurationError(
+                f"weight {weight!r} of {string!r} is not real: the state is not Hermitian"
+            )
+        largest = max(largest, abs(weight.real))
+        sites = [site for site, _ in string]
+        letters = "".join(letter for _, letter in string)
+        # the gauge sign: -1 for each Y or Z on an odd site
+        weight = weight.real * math.prod(
+            -1 for site, letter in string if letter != "X" and site % 2
+        )
+        if letters == "Z":
+            diag[sites[0] - 1] = -2 * weight
+        elif letters in _BOND_STRINGS and sites[1] == sites[0] + 1:
+            coefficient, part, sign = _BOND_STRINGS[letters]
+            upper[sites[0] - 1] += coefficient * weight
+            pairing[part][sites[0] - 1] += sign * weight / 2
+        elif string:
+            raise InvalidConfigurationError(
+                f"{string!r} is not a one-site Z or an adjacent XX, YY, XY or YX string, "
+                "so the state is not a number-conserving bilinear"
+            )
+    remainder = max(map(abs, pairing[0] + pairing[1]), default=0.0)
+    if remainder > 1e-15 * largest:
+        raise InvalidConfigurationError(
+            f"the state has a pairing part of size {remainder:g}: (XX - YY)/2 and "
+            "(XY + YX)/2 on each gauge-frame bond must cancel"
+        )
+    return np.array(diag), np.array(upper)
+
+
+def _spectral_rule(
+    decomposition: SpectralDecomposition, q: tuple[np.ndarray, np.ndarray], grid: np.ndarray
+) -> np.ndarray:
+    """The (len(grid), 5) table of ``mqc_propagator_grid`` for the bilinear ``q`` of
+    ``_gauge_bilinear``, from the chain's modes V and frequencies w."""
+    diag, upper = q
+    v, w = decomposition.modes, decomposition.frequencies
+    s = np.where(np.arange(1, decomposition.n + 1) % 2, -1.0, 1.0)
+    qs = diag * s
+    m = 0.5 * (upper * s[1:] + upper.conj() * s[:-1])
+    # three-operand einsum loops over V in place: no n x n product is formed
+    weights = np.einsum("a,ak,ak->k", qs, v, v) + 2.0 * np.einsum("a,ak,ak->k", m, v[:-1], v[1:])
+    s0 = -0.5 * qs.sum()
+    spi = np.empty(grid.size)
+    # Re expm1(-i theta) W = (cos theta - 1) Re W + sin theta Im W, in real arithmetic
+    for k in range(0, grid.size, _TIME_BLOCK):
+        theta = 4.0 * np.multiply.outer(grid[k:k + _TIME_BLOCK], w)
+        shift = (np.cos(theta) - 1.0) @ weights.real + np.sin(theta) @ weights.imag
+        spi[k:k + _TIME_BLOCK] = s0 - 0.5 * shift
+    j0, j2 = (s0 + spi) / 2.0, (s0 - spi) / 4.0
+    zero = np.zeros(grid.size)
+    return np.column_stack([j2, zero, j0, zero, j2])
+
+
+def mqc_propagator_grid(spec: ChainSpec, initial: DeviationState, times) -> np.ndarray:
+    """Raw intensities of ``mqc_phase_cycled_grid`` for a bilinear state, from one
+    decomposition of the chain.
+
+    The odd-site X gauge maps a nearest-neighbour dq chain onto the xx chain,
+    the total Z onto sum_j s_j Z_j (s_j = -1 on odd sites, +1 on even ones),
+    and the state onto a bilinear Q (``_gauge_bilinear``). The order of
+    c^dag_a c_b is s_a - s_b, so only J_0 and J_+-2 appear, and with the
+    chain's modes V and frequencies w (``spectral_decompose``):
+
+        S0     = -1/2 sum_a Q_aa s_a
+        W_k    = sum_a Q_aa s_a V_ak^2 + 2 sum_a M_a V_ak V_{a+1,k},
+                 M_a = (Q_{a,a+1} s_{a+1} + Q_{a+1,a} s_a) / 2
+        Spi(t) = S0 - 1/2 Re sum_k expm1(-4 i w_k t) W_k
+        J_0    = (S0 + Spi) / 2,   J_+-2 = (S0 - Spi) / 4
+
+    S0 and Spi are the signals at the phases 0 and pi/2. The constant that
+    the identity parts of the state and of Z add to each is 0, because Z is
+    traceless. At t = 0 Spi is exactly S0.
 
     Returns shape (len(times), 5), the layout of ``mqc_phase_cycled_grid``
     at max_order 2: columns J_-2, J_-1, J_0, J_1, J_2, with J_+-1 exactly 0.
-    A time whose A(4t) phase 8 max|d| |t| exceeds 2^32 rad raises
-    ``InvalidParameterError`` before 4t is formed.
+    The model, the state's length and strings and the times are checked
+    before any work, also for an empty grid. A time whose A(4t) phase
+    8 max|d| |t| exceeds 2^32 rad raises ``InvalidParameterError`` before
+    4t is formed, and a table past the float range raises it too.
     """
     _check_choice(spec.model, "model", ("dq",), UnsupportedModelError)
-    _check_choice(kind, "kind", _SERIES_KINDS, InvalidConfigurationError)
+    if initial.n != spec.n:
+        raise InvalidDimensionError(
+            f"state on {initial.n} sites does not match chain n={spec.n}"
+        )
     grid = _check_times(times, 8.0 * float(np.max(np.abs(spec.couplings), initial=0.0)))
-    amp = _end_block(spec, "z_ends" if kind == "z_ends" else "y_logical", 4.0 * grid)
-    zero = np.zeros(grid.size)
-    if kind == "z_ends":
-        ends = amp[:, (0, 1), (0, 1)].real
-        j0, j2 = (1.0 + ends).sum(axis=1) / 2.0, (1.0 - ends).sum(axis=1) / 4.0
-    elif kind == "y_logical":
-        j0 = -(amp[:, 0, 1].imag + amp[:, 2, 3].imag) / 2.0
-        j2 = -j0 / 2.0
-    else:
-        j0 = j2 = zero
-    return np.column_stack([j2, zero, j0, zero, j2])
+    q = _gauge_bilinear(initial)
+    decomposition = spectral_decompose(spec)
+    return _check_finite_result(
+        lambda: _spectral_rule(decomposition, q, grid), "coherence intensities"
+    )
 
 
 def mqc_phase_cycled(

@@ -372,30 +372,27 @@ def _pair_creation_correlation(amp: np.ndarray, a: int, b: int, c: int, d: int) 
 INITIAL_KINDS = ("z_ends", "y_logical")
 
 
-def _end_block(spec: ChainSpec, kind: str, times) -> np.ndarray:
-    """Symmetrised A(t) on sites (1, n) or (1, 2, n-1, n), every argument checked first."""
-    _check_choice(kind, "initial", INITIAL_KINDS, InvalidConfigurationError)
-    n = spec.n
-    sites = (1, n) if kind == "z_ends" else (1, 2, n - 1, n)
-    if n < len(sites):
-        raise InvalidDimensionError(f"the end sites need n >= {len(sites)}, got n={n}")
-    # every mode frequency of the chain lies within 2 max|d|
-    times = _check_times(times, 2.0 * np.max(np.abs(spec.couplings)))
-    amp = propagate_grid(spectral_decompose(spec), times, sites, sites)
-    return 0.5 * (amp + np.swapaxes(amp, 1, 2))
-
-
 def end_autocorrelation_grid(spec: ChainSpec, initial: str, times) -> np.ndarray:
     """Autocorrelation C(t) = Tr[rho(t) rho(0)] / Tr[rho(0)^2] of an end state on a time grid.
 
     ``z_ends`` is Z_1 + Z_n; ``y_logical`` places (Y X + X Y)/2 on the
     first and last site pairs. The chain model is taken from ``spec.model``.
     C(0) = 1 and, for engineered couplings, the mirror revives C back to
-    1 at t*. Every time is read from one ``_end_block``.
+    1 at t*. Every time is read from one symmetrised end block of A(t), on
+    the sites (1, n) or (1, 2, n-1, n); every argument is checked first.
     """
-    amp = _end_block(spec, initial, times)
+    _check_choice(initial, "initial", INITIAL_KINDS, InvalidConfigurationError)
+    n = spec.n
+    sites = (1, n) if initial == "z_ends" else (1, 2, n - 1, n)
+    if n < len(sites):
+        raise InvalidDimensionError(f"the end sites need n >= {len(sites)}, got n={n}")
+    # every mode frequency of the chain lies within 2 max|d|; a Python float product,
+    # so a bound past the float range is inf, and every grid then fails the phase check
+    times = _check_times(times, 2.0 * float(np.max(np.abs(spec.couplings))))
+    amp = propagate_grid(spectral_decompose(spec), times, sites, sites)
+    amp = 0.5 * (amp + np.swapaxes(amp, 1, 2))
     if initial == "z_ends":
-        sign = _gauge_sign(spec.model, 1, spec.n)
+        sign = _gauge_sign(spec.model, 1, n)
         p11 = abs(amp[:, 0, 0]) ** 2
         pnn = abs(amp[:, 1, 1]) ** 2
         p1n = abs(amp[:, 0, 1]) ** 2
@@ -404,7 +401,7 @@ def end_autocorrelation_grid(spec: ChainSpec, initial: str, times) -> np.ndarray
     if spec.model == "dq":
         # the flip-flop image of the state is a sum of two bond currents, with
         # the gauge sign between their first sites 1 and n-1
-        s = _gauge_sign(spec.model, 1, spec.n - 1)
+        s = _gauge_sign(spec.model, 1, n - 1)
         return (
             _current_correlation(amp, 1, 2, 1, 2)
             + _current_correlation(amp, 3, 4, 3, 4)

@@ -17,6 +17,7 @@ from spinwire import cli
 from spinwire.chain import engineered_couplings, transfer_timing
 from spinwire.cli import main as cli_main
 from spinwire.logical import entanglement_fidelity
+from spinwire.mqc import mqc_phase_cycled_grid, mqc_propagator_grid, prepare_state
 from spinwire.propagator import (
     end_autocorrelation_grid,
     polarization_from_propagator,
@@ -166,6 +167,38 @@ def test_mirror_time_autocorrelation():
         ok = ok and abs(c0 - 1.0) <= 1e-9 and abs(t_peak - t_star) <= 0.05 * t_star
         details.append(f"{kind}: C(0)={c0:.9f}, peak at t={t_peak:.3f} (t*={t_star:.3f})")
     finish("mirror-time autocorrelation (n=21, dq)", ok, "; ".join(details))
+
+
+def test_thermal_coherence_spectrum_matches_the_oracle():
+    # full_z, the thermal state of the NMR experiment, through the propagator engine; no
+    # registry check covers it, because verify never calls this engine
+    n = 10
+    spec = engineered_couplings(n, 1.0, model="dq")
+    state = prepare_state(n, "full_z")
+    times = np.linspace(0.0, 1.25 * transfer_timing(spec).t_star, 7)
+    dev = float(np.max(np.abs(
+        mqc_propagator_grid(spec, state, times) - mqc_phase_cycled_grid(spec, state, times)
+    )))
+    ok = dev <= 1e-12
+    record_acceptance("full_z coherence spectrum vs oracle (n=10, dq)", ok, f"dev {dev:.1e}")
+    assert ok, dev
+
+
+def test_engineered_coherence_refocuses_by_parity_at_half_the_mirror_time():
+    # A(4t) at t = t*/2 is A(2 t*) = (-1)^(n+1) I: z_ends refocuses into J_0 = 2 at odd n,
+    # and sits wholly in J_+-2 = 1 at even n
+    dev = 0.0
+    for n in [*range(8, 22), 200]:
+        spec = engineered_couplings(n, 1.0, model="dq")
+        t = transfer_timing(spec).t_star / 2
+        (row,) = mqc_propagator_grid(spec, prepare_state(n, "z_ends"), [t])
+        want = [0.0, 0.0, 2.0, 0.0, 0.0] if n % 2 else [1.0, 0.0, 0.0, 0.0, 1.0]
+        dev = max(dev, float(np.max(np.abs(row - want))))
+    ok = dev <= 1e-12
+    record_acceptance(
+        "engineered dq coherence parity at t*/2 (n=8..21, 200)", ok, f"dev {dev:.1e}"
+    )
+    assert ok, dev
 
 
 # What ``--family dipolar`` leaves out at n = 6 and 8: the 1/r^3 tail of its

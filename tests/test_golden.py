@@ -4,7 +4,7 @@ Each file under ``tests/golden/`` is the CSV that ``spinwire <argv>``
 printed before the batched time-grid engine replaced the per-time
 propagator and the closed-form sums in the CLI. The analytic ``mqc_z_ends``
 and ``mqc_y_logical`` tables come from the per-time closed-form series
-that the end block of A(4t) (``mqc_propagator_grid``) later replaced; the
+that ``mqc_propagator_grid`` later replaced; the
 ``mqc_oracle_*`` tables were printed by the per-time dense phase cycle
 before the sector-blocked grid engine replaced it, except
 ``mqc_oracle_n10_y_logical``, printed by that engine while it still

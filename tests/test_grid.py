@@ -324,7 +324,7 @@ TIME_ENTRY_POINTS = {
         homogeneous_couplings(4, model="dq"), prepare_state(4, "z_ends"), [t]
     ),
     "mqc_propagator_grid": lambda t: mqc_propagator_grid(
-        homogeneous_couplings(4, model="dq"), "z_ends", [0.0, t]
+        homogeneous_couplings(4, model="dq"), prepare_state(4, "z_ends"), [0.0, t]
     ),
     "normalized_time": lambda t: normalized_time(4, 1.0, [t]),
     "normalized_time[grid]": lambda t: normalized_time(4, 1.0, [0.0, t]),
@@ -594,9 +594,6 @@ CHOICE_ENTRY_POINTS = {
     ),
     "prepare_state": (lambda c: prepare_state(4, c), InvalidConfigurationError),
     "mqc_analytic": (lambda c: mqc_analytic(4, 1.0, c, 0.5), InvalidConfigurationError),
-    "mqc_propagator_grid": (
-        lambda c: mqc_propagator_grid(INT_SPEC, c, [0.5]), InvalidConfigurationError
-    ),
 }
 
 

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinwire import mqc
 from spinwire.chain import ChainSpec, homogeneous_couplings
 from spinwire.errors import (
     AliasingError,
@@ -26,6 +28,8 @@ from spinwire.mqc import (
     mqc_propagator_grid,
     prepare_state,
 )
+from spinwire.pauli import DeviationState
+from spinwire.propagator import end_autocorrelation_grid, spectral_decompose
 from support import MQC_SERIES
 
 
@@ -212,6 +216,11 @@ OVERFLOWING_RATE_CALLS = {
     "single t=0.5": lambda spec, state: mqc_phase_cycled(spec, state, 0.5),
     "grid": lambda spec, state: mqc_phase_cycled_grid(spec, state, [0.0, 0.5]),
     "empty grid": lambda spec, state: mqc_phase_cycled_grid(spec, state, []),
+    # the rates 2 max|d| and 8 max|d| of the two propagator paths overflow as well
+    "end_autocorrelation_grid": lambda spec, state: end_autocorrelation_grid(
+        spec, "z_ends", [0.0]
+    ),
+    "mqc_propagator_grid": lambda spec, state: mqc_propagator_grid(spec, state, [0.0]),
 }
 
 
@@ -249,22 +258,39 @@ def test_analytic_series_reject_bad_coupling_scale(series, d):
         mqc_analytic(8, d, MQC_SERIES[series], 0.7)
 
 
+def random_bilinear(n: int, rng: np.random.Generator) -> DeviationState:
+    """A random real combination of Z_j, X X - Y Y and X Y + Y X on adjacent pairs, about
+    half of the weights zero: under the odd-site X gauge, the one-site, hopping and current
+    terms of a bilinear."""
+    weights = rng.normal(size=3 * n - 2) * rng.integers(0, 2, size=3 * n - 2)
+    terms = [(weights[j - 1], ((j, "Z"),)) for j in range(1, n + 1)]
+    for a in range(1, n):
+        h, g = weights[n + 2 * (a - 1):n + 2 * a]
+        terms += [
+            (h, ((a, "X"), (a + 1, "X"))), (-h, ((a, "Y"), (a + 1, "Y"))),
+            (g, ((a, "X"), (a + 1, "Y"))), (g, ((a, "Y"), (a + 1, "X"))),
+        ]
+    return DeviationState.from_terms(n, terms)
+
+
 @given(
-    st.sampled_from(("z_ends", "y_logical", "x_logical")),
+    st.integers(4, 10),
+    st.sampled_from(PREPARED_KINDS + ("random",)),
     st.integers(0, 2**32 - 1),
     st.lists(st.floats(-12.5, 12.5, allow_nan=False), max_size=3),
     st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_propagator_engine_matches_phase_cycling(kind, seed, times, data):
+def test_propagator_engine_matches_phase_cycling(n, kind, seed, times, data):
     # 4|t| <= 50 stays inside the validated range of propagate_grid
-    n = data.draw(st.integers(2 if kind == "z_ends" else 4, 8), label="n")
-    couplings = np.random.default_rng(seed).uniform(-1.5, 1.5, n - 1)
+    rng = np.random.default_rng(seed)
+    couplings = rng.uniform(-1.5, 1.5, n - 1)
     zeros = data.draw(st.lists(st.integers(0, n - 2), max_size=2), label="zero bonds")
     couplings[zeros] = 0.0
     spec = ChainSpec(n, "dq", tuple(couplings))
-    got = mqc_propagator_grid(spec, kind, times)
-    want = mqc_phase_cycled_grid(spec, prepare_state(n, kind), times)
+    state = random_bilinear(n, rng) if kind == "random" else prepare_state(n, kind)
+    got = mqc_propagator_grid(spec, state, times)
+    want = mqc_phase_cycled_grid(spec, state, times)
     # columns J_-2 .. J_2: the oracle's J_+-1 must vanish as the propagator's do
     assert got.shape == want.shape == (len(times), 5)
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
@@ -276,7 +302,8 @@ def test_propagator_engine_matches_closed_forms(n, kind):
     times = np.linspace(-2.0, 16.0, 37)
     # the closed z_ends series is normalised to the conserved total 2
     scale = 0.5 if kind == "z_ends" else 1.0
-    intensities = mqc_propagator_grid(homogeneous_couplings(n, 0.8, "dq"), kind, times)
+    spec = homogeneous_couplings(n, 0.8, "dq")
+    intensities = mqc_propagator_grid(spec, prepare_state(n, kind), times)
     assert intensities.shape == (len(times), 5)
     assert np.all(intensities[:, [1, 3]] == 0.0)
     for t, row in zip(times, intensities):
@@ -285,34 +312,118 @@ def test_propagator_engine_matches_closed_forms(n, kind):
 
 
 def test_propagator_engine_exact_values():
-    spec = homogeneous_couplings(9, 1.3, "dq")
-    (start,) = mqc_propagator_grid(spec, "z_ends", [0.0])
+    n = 9
+    spec = homogeneous_couplings(n, 1.3, "dq")
+    (start,) = mqc_propagator_grid(spec, prepare_state(n, "z_ends"), [0.0])
     assert start.tolist() == [0.0, 0.0, 2.0, 0.0, 0.0]
-    assert not np.any(mqc_propagator_grid(spec, "x_logical", np.linspace(-3.0, 7.0, 11)))
+    dark = mqc_propagator_grid(spec, prepare_state(n, "x_logical"), np.linspace(-3.0, 7.0, 11))
+    assert not np.any(dark)
 
 
 def test_propagator_engine_holds_times_to_the_chains_own_rate():
     # A(4t) turns at 8 max|d| = 8e-3 rad per unit t, so t = 2^31 is a phase of 1.7e7 rad
     n, d, t = 4, 1e-3, 2.0**31
-    (row,) = mqc_propagator_grid(homogeneous_couplings(n, d, "dq"), "z_ends", [t])
+    spec = homogeneous_couplings(n, d, "dq")
+    (row,) = mqc_propagator_grid(spec, prepare_state(n, "z_ends"), [t])
     want = mqc_analytic(n, d, "z_ends", t)
     assert np.max(np.abs(0.5 * row[[0, 2, 4]] - want.intensities)) <= 1e-8
     # and 2^32 rad of that phase is the end of the range
     edge = 2.0**32 / 8e-3
-    spec = homogeneous_couplings(n, 1e-3, "dq")
-    assert mqc_propagator_grid(spec, "y_logical", [edge]).shape == (1, 5)
+    state = prepare_state(n, "y_logical")
+    assert mqc_propagator_grid(spec, state, [edge]).shape == (1, 5)
     with pytest.raises(InvalidParameterError, match="time out of range"):
-        mqc_propagator_grid(spec, "y_logical", [np.nextafter(edge, np.inf)])
+        mqc_propagator_grid(spec, state, [np.nextafter(edge, np.inf)])
 
 
-def test_propagator_engine_validation():
-    dq = homogeneous_couplings(6, 1.0, "dq")
-    with pytest.raises(UnsupportedModelError):
-        mqc_propagator_grid(homogeneous_couplings(6, 1.0, "xx"), "z_ends", [])
-    for kind in ("full_z", "z-ends", None):
+# one-term states that are not bilinear under the odd-site X gauge: two Z factors, a pair
+# that is not adjacent, a Z beside a transverse factor, a pair whose pairing part does not
+# cancel (X_1 X_2 alone is (XX + YY)/2 + (XX - YY)/2 in the gauge frame), a lone transverse
+# factor, and a non-Hermitian term
+NON_BILINEAR = {
+    "Z1 Z2": (1.0, ((1, "Z"), (2, "Z"))),
+    "X1 X3": (1.0, ((1, "X"), (3, "X"))),
+    "Z1 X2": (1.0, ((1, "Z"), (2, "X"))),
+    "X1 X2": (1.0, ((1, "X"), (2, "X"))),
+    "X2": (1.0, ((2, "X"),)),
+    "i Z1": (1j, ((1, "Z"),)),
+}
+
+
+@pytest.fixture
+def no_decomposition(monkeypatch):
+    """Make decomposing a chain inside ``mqc`` fail, so a check that passes shows itself."""
+
+    def decompose(spec):
+        raise AssertionError("the chain was decomposed before the arguments were checked")
+
+    monkeypatch.setattr(mqc, "spectral_decompose", decompose)
+
+
+@pytest.mark.parametrize("name", sorted(NON_BILINEAR))
+def test_propagator_engine_rejects_a_state_that_is_not_bilinear(no_decomposition, name):
+    state = DeviationState(6, (NON_BILINEAR[name],))
+    for times in ([], [0.5]):
         with pytest.raises(InvalidConfigurationError):
-            mqc_propagator_grid(dq, kind, [])
-    for n, kind in ((1, "z_ends"), (3, "y_logical"), (3, "x_logical")):
-        with pytest.raises(InvalidDimensionError):
-            mqc_propagator_grid(homogeneous_couplings(n, 1.0, "dq"), kind, [])
-    assert mqc_propagator_grid(dq, "y_logical", []).shape == (0, 5)
+            mqc_propagator_grid(homogeneous_couplings(6, 1.0, "dq"), state, times)
+
+
+def test_propagator_engine_validation(no_decomposition):
+    # every rejection comes before the chain is decomposed, also on an empty grid
+    rejected = [
+        (homogeneous_couplings(6, 1.0, "xx"), prepare_state(6, "z_ends"), UnsupportedModelError),
+        (homogeneous_couplings(6, 1.0, "dq"), prepare_state(5, "z_ends"), InvalidDimensionError),
+        (homogeneous_couplings(5, 1.0, "dq"), prepare_state(6, "y_logical"), InvalidDimensionError),
+    ]
+    for spec, state, error in rejected:
+        for times in ([], [0.5]):
+            with pytest.raises(error):
+                mqc_propagator_grid(spec, state, times)
+
+
+def test_propagator_engine_serves_the_thermal_state():
+    # full_z, like every prepared kind, is a bilinear: its conserved total is n
+    dq = homogeneous_couplings(6, 1.0, "dq")
+    full = prepare_state(6, "full_z")
+    assert mqc_propagator_grid(dq, full, []).shape == (0, 5)
+    assert mqc_propagator_grid(dq, full, [0.0]).tolist() == [[0.0, 0.0, 6.0, 0.0, 0.0]]
+
+
+def test_propagator_engine_drops_the_identity():
+    # the identity has no overlap with the traceless Z, and the cycle cannot see it either
+    spec = homogeneous_couplings(5, 0.7, "dq")
+    times = [0.0, 0.9, 2.3]
+    state = prepare_state(5, "z_ends")
+    shifted = DeviationState(5, state.terms + ((3.0, ()),))
+    got = mqc_propagator_grid(spec, shifted, times)
+    assert np.array_equal(got, mqc_propagator_grid(spec, state, times))
+    assert np.max(np.abs(got - mqc_phase_cycled_grid(spec, shifted, times))) <= 1e-12
+
+
+def test_propagator_engine_adds_no_n_squared_array_to_the_decomposition():
+    # full_z fills the whole diagonal of Q; the rule reads V in place, so the call stays within
+    # the decomposition's own bound, and the rule alone holds less than one real n x n array
+    n = 2000
+    spec = homogeneous_couplings(n, model="dq")
+    state = prepare_state(n, "full_z")
+    times = np.linspace(0.0, 16.0, 801)
+    decomposition = spectral_decompose(spec)  # also loads dstevd outside the trace
+    peaks = []
+    for call in (
+        lambda: mqc_propagator_grid(spec, state, times),
+        lambda: mqc._spectral_rule(decomposition, mqc._gauge_bilinear(state), times),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 16 * n**2 + 16 * 2**20
+    assert peaks[1] < 8 * n**2
+
+
+def test_propagator_engine_rejects_a_table_past_the_float_range():
+    # -2 w is -inf for w = 1e308; the table is checked, so nothing warns
+    state = DeviationState(4, ((1e308, ((1, "Z"),)),))
+    with pytest.raises(InvalidParameterError, match="overflows"):
+        mqc_propagator_grid(homogeneous_couplings(4, 1.0, "dq"), state, [0.0, 0.3])
