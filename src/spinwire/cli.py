@@ -353,3 +353,7 @@ def verify(max_n, seed, tolerance, out) -> None:
         for c in failing:
             click.echo(f"  {c.name}: {json.dumps(c.inputs, sort_keys=True)}", err=True)
         sys.exit(1)
+
+
+if __name__ == "__main__":
+    main()

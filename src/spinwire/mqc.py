@@ -113,19 +113,13 @@ def prepare_state(n: int, kind: str) -> DeviationState:
                 n, tuple((1.0, ((j, "Z"),)) for j in range(1, n + 1))
             )
         return DeviationState(n, ((1.0, ((1, "Z"),)), (1.0, ((n, "Z"),))))
-    m = n - 1
-    y_state = DeviationState(
-        n,
-        (
-            (0.5, ((1, "Y"), (2, "X"))),
-            (0.5, ((1, "X"), (2, "Y"))),
-            (0.5, ((m, "Y"), (n, "X"))),
-            (0.5, ((m, "X"), (n, "Y"))),
-        ),
-    )
     if kind == "y_logical":
-        return y_state
-    return y_state.rotated_z(math.pi / 4)
+        pairs = ((0.5, "Y", "X"), (0.5, "X", "Y"))
+    else:
+        pairs = ((-0.5, "X", "X"), (0.5, "Y", "Y"))
+    return DeviationState(n, tuple(
+        (w, ((a, p), (b, q))) for a, b in ((1, 2), (n - 1, n)) for w, p, q in pairs
+    ))
 
 
 def mqc_analytic(n: int, d: float, kind: str, t: float) -> MqcSpectrum:

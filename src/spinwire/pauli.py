@@ -18,10 +18,9 @@ from .chain import (
     _check_length,
     _check_number,
     _check_pairs,
-    _check_real,
     _check_sites,
 )
-from .errors import InvalidConfigurationError, InvalidParameterError
+from .errors import InvalidConfigurationError
 
 __all__ = ["DeviationState"]
 
@@ -103,40 +102,6 @@ class DeviationState:
         return 0j
 
     # -- algebra ----------------------------------------------------------
-
-    def rotated_z(self, phi: float) -> "DeviationState":
-        """Conjugate by the collective z rotation exp(-i phi Sum_j Z_j / 2).
-
-        X and Y mix pairwise per site; Z factors are invariant. Each
-        string maps to a sum over its transverse factors.
-        """
-        phi = _check_real(phi, "phi", InvalidParameterError)
-        c, s = math.cos(phi), math.sin(phi)
-        out: list[tuple[complex, PauliString]] = []
-        for weight, sites in self.terms:
-            expanded: list[tuple[complex, list[tuple[int, str]]]] = [(weight, [])]
-            for site, letter in sites:
-                nxt: list[tuple[complex, list[tuple[int, str]]]] = []
-                if letter == "Z":
-                    for w, acc in expanded:
-                        nxt.append((w, acc + [(site, "Z")]))
-                elif letter == "X":
-                    # X -> cos X + sin Y under exp(-i phi Z/2) conjugation
-                    for w, acc in expanded:
-                        if abs(c) > 0:
-                            nxt.append((w * c, acc + [(site, "X")]))
-                        if abs(s) > 0:
-                            nxt.append((w * s, acc + [(site, "Y")]))
-                else:
-                    # Y -> cos Y - sin X
-                    for w, acc in expanded:
-                        if abs(c) > 0:
-                            nxt.append((w * c, acc + [(site, "Y")]))
-                        if abs(s) > 0:
-                            nxt.append((-w * s, acc + [(site, "X")]))
-                expanded = nxt
-            out.extend((w, tuple(acc)) for w, acc in expanded)
-        return DeviationState.from_terms(self.n, out)
 
     def reflected(self) -> "DeviationState":
         """Mirror the chain: site j -> n + 1 - j."""

@@ -25,7 +25,7 @@ from . import mqc as mqc_mod
 from . import oracle as oracle_mod
 from . import propagator as prop_mod
 from .chain import ChainSpec
-from .errors import InvalidDimensionError, InvalidParameterError
+from .errors import InvalidDimensionError, InvalidParameterError, OracleSizeError
 
 __all__ = ["CHECKS", "CheckResult", "VerificationReport", "run_verification"]
 
@@ -472,7 +472,9 @@ def run_verification(
     dense oracle comparisons run at min(max_n, oracle budget, 7). The
     checks draw from one generator seeded with ``seed``, in registry
     order. When ``tolerance`` is given it overrides every check's own
-    tolerance; it must be finite and >= 0.
+    tolerance; it must be finite and >= 0. An oracle budget below 4
+    raises ``OracleSizeError`` before any check runs: the logical checks
+    need the two end pairs of a chain of at least 4 sites.
     """
     max_n = chain_mod._check_length(max_n)
     if not 4 <= max_n <= 12:
@@ -483,7 +485,12 @@ def run_verification(
             raise InvalidParameterError(f"tolerance must be >= 0, got {tolerance!r}")
     seed = chain_mod._check_seed(seed)
     rng = np.random.default_rng(seed)
-    oracle_n = min(max_n, oracle_mod.oracle_budget(), 7)
+    budget = oracle_mod.oracle_budget()
+    if budget < 4:
+        raise OracleSizeError(
+            f"verify needs {oracle_mod._ENV_VAR} >= 4 for its oracle checks, got {budget}"
+        )
+    oracle_n = min(max_n, budget, 7)
     results = []
     for check in CHECKS:
         for name, deviation, tol, inputs in check(rng, max_n, oracle_n):

@@ -103,7 +103,7 @@ def registry_summary(names) -> tuple[bool, str]:
 
 
 # the z_ends, y_logical and x_logical series of mqc_analytic, under the labels by which
-# the entry-point tables and the parametrised tests name them
+# the input contract's CALLS and the parametrised tests name them
 MQC_SERIES = {
     "mqc_z_analytic": "z_ends", "mqc_y_analytic": "y_logical", "mqc_x_analytic": "x_logical"
 }

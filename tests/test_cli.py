@@ -295,6 +295,41 @@ def test_verify_rejects_out_of_range_max_n(runner):
         assert "max_n must be in 4..12" in result.stderr
 
 
+@pytest.mark.parametrize("budget", ["2", "3"])
+def test_verify_refuses_an_oracle_budget_below_4(runner, monkeypatch, budget):
+    # the logical checks need both end pairs of a 4-site chain; no check runs
+    monkeypatch.setenv("SPINWIRE_ORACLE_MAX_N", budget)
+    result = runner.invoke(main, ["verify", "--max-n", "8"])
+    assert_clean_domain_error(result)
+    assert "SPINWIRE_ORACLE_MAX_N >= 4" in result.stderr
+
+
+def test_verify_passes_at_an_oracle_budget_of_4(runner, monkeypatch):
+    monkeypatch.setenv("SPINWIRE_ORACLE_MAX_N", "4")
+    result = runner.invoke(main, ["verify", "--max-n", "8"])
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[-1] == "20/20 checks passed"
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(["verify", "--max-n", "4"], 0),
+     (["mqc", "--n", "4", "--phase-steps", "4", "--grid", "0:1:2"], 1)],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_module_form_runs_the_command(args, code):
+    # python -m spinwire.cli, the form that needs no installed console script
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "spinwire.cli", *args], capture_output=True,
+                          text=True, cwd=src, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stdout.splitlines()[-1] == "20/20 checks passed"
+    else:
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def assert_clean_domain_error(result):
     """Exit 1 through the domain-error handler: one ``error:`` line, no traceback."""
     assert result.exit_code == 1

@@ -28,6 +28,7 @@ from spinwire.mqc import (
     mqc_propagator_grid,
     prepare_state,
 )
+from spinwire.oracle import collective_rotation_diag, deviation_to_dense
 from spinwire.pauli import DeviationState
 from spinwire.propagator import end_autocorrelation_grid, spectral_decompose
 from support import MQC_SERIES
@@ -65,15 +66,15 @@ def test_prepared_state_y_logical():
 
 
 def test_prepared_state_x_logical_is_rotated_y():
+    # the collective pi/4 rotation R = exp(-i pi/4 sum_j Z_j / 2) turns (YX+XY)/2 into
+    # (YY-XX)/2 on each pair: R rho_y R^dagger against rho_x, densely
     n = 6
+    r = collective_rotation_diag(n, math.pi / 4)
+    rotated = r[:, None] * deviation_to_dense(prepare_state(n, "y_logical")) * r.conj()
     state = prepare_state(n, "x_logical")
-    rotated = prepare_state(n, "y_logical").rotated_z(math.pi / 4)
-    assert state == rotated
-    # collective pi/4 rotation turns (YX+XY)/2 into (YY-XX)/2 on each pair
-    assert state.weight(((1, "X"), (2, "X"))) == pytest.approx(-0.5, abs=1e-15)
-    assert state.weight(((1, "Y"), (2, "Y"))) == pytest.approx(0.5, abs=1e-15)
-    assert state.weight(((1, "Y"), (2, "X"))) == pytest.approx(0.0, abs=1e-15)
-    # the rotation leaves residues of about 1e-16 on the other strings, all pruned
+    assert np.max(np.abs(rotated - deviation_to_dense(state))) <= 1e-15
+    assert state.weight(((1, "X"), (2, "X"))) == -0.5
+    assert state.weight(((1, "Y"), (2, "Y"))) == 0.5
     assert len(state.terms) == 4
 
 

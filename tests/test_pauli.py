@@ -1,7 +1,5 @@
 """Symbolic Pauli-string state algebra."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,6 @@ from spinwire.errors import (
     IndexOutOfRangeError,
     InvalidConfigurationError,
     InvalidDimensionError,
-    InvalidParameterError,
 )
 from spinwire.oracle import excitation_operator
 from spinwire.pauli import DeviationState, parse_string_label
@@ -72,26 +69,7 @@ def test_from_terms_checks_strings_before_it_sorts_them():
         DeviationState.from_terms(2, [(1.0, ((1, "X"),)), (1.0, ((1, 2),))])
 
 
-# strings, bools, missing, a list, non-finite and past the float range
-BAD_WEIGHTS = ("a", "1", True, np.True_, None, [1.0], float("nan"), complex(0, math.inf),
-               10**400)
-
-
 PROP = propagate(spectral_decompose(homogeneous_couplings(3)), 0.4)
-WEIGHT_ENTRY_POINTS = {
-    "DeviationState": lambda w: DeviationState(2, ((w, ((1, "X"),)),)),
-    "DeviationState.from_terms": lambda w: DeviationState.from_terms(2, [(w, ((1, "X"),))]),
-    "mixed_state_overlap[a]": lambda w: mixed_state_overlap(PROP, {((1,), (1,)): w}, {}),
-    "mixed_state_overlap[b]": lambda w: mixed_state_overlap(PROP, {}, {((1,), (2,)): w}),
-    "excitation_operator": lambda w: excitation_operator(3, {((1,), (2,)): w}),
-}
-
-
-@pytest.mark.parametrize("w", BAD_WEIGHTS, ids=repr)
-@pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
-def test_weights_must_be_finite_numbers(entry, w):
-    with pytest.raises(InvalidConfigurationError):
-        WEIGHT_ENTRY_POINTS[entry](w)
 
 
 @pytest.mark.parametrize("state", ({(1,): 1.0}, {((1,), (1,), (1,)): 1.0}, {1: 1.0},
@@ -101,20 +79,6 @@ def test_mixed_states_map_site_tuple_pairs_to_weights(state):
         mixed_state_overlap(PROP, state, {})
     with pytest.raises(InvalidConfigurationError):
         excitation_operator(3, state)
-
-
-@pytest.mark.parametrize("w", (2, np.int64(2), np.float32(0.5), np.complex64(1 + 2j)), ids=repr)
-@pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
-def test_weights_accept_numpy_numbers(entry, w):
-    got, want = WEIGHT_ENTRY_POINTS[entry](w), WEIGHT_ENTRY_POINTS[entry](complex(w))
-    assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
-
-
-@pytest.mark.parametrize("x", ("a", True, None, float("nan"), 10**400), ids=repr)
-def test_rotation_rejects_non_numbers(x):
-    state = DeviationState(2, ((1.0, ((1, "X"),)),))
-    with pytest.raises(InvalidParameterError):
-        state.rotated_z(x)
 
 
 def test_from_terms_merges_and_prunes():
@@ -144,8 +108,7 @@ def test_pruning_follows_the_scale_of_the_state(weights, exponent):
     state = DeviationState.from_terms(4, terms)
     # weights within a factor 100 of each other: nothing is pruned, at any scale
     assert len(state.terms) == len(weights)
-    for same in (state.reflected().reflected(), state.rotated_z(0.0)):
-        assert same == state
+    assert state.reflected().reflected() == state
     largest = max(abs(w) for w in weights.values()) * scale
     residue = DeviationState.from_terms(4, [*terms, (1e-17 * largest, ((4, "X"),))])
     assert residue == state
@@ -157,31 +120,6 @@ def test_weight_lookup():
     a = DeviationState(3, ((0.25, ((1, "X"), (2, "Y"))), (0.5, ((3, "Z"),))))
     assert a.weight(((3, "Z"),)) == 0.5
     assert a.weight(((1, "Z"),)) == 0
-
-
-def test_rotation_mixes_transverse_letters():
-    x = DeviationState(1, ((1.0, ((1, "X"),)),))
-    phi = 0.3
-    rot = x.rotated_z(phi)
-    assert rot.weight(((1, "X"),)) == pytest.approx(math.cos(phi))
-    assert rot.weight(((1, "Y"),)) == pytest.approx(math.sin(phi))
-    y = DeviationState(1, ((1.0, ((1, "Y"),)),))
-    rot_y = y.rotated_z(phi)
-    assert rot_y.weight(((1, "Y"),)) == pytest.approx(math.cos(phi))
-    assert rot_y.weight(((1, "X"),)) == pytest.approx(-math.sin(phi))
-
-
-@given(st.floats(-5, 5, allow_nan=False))
-@settings(max_examples=30, deadline=None)
-def test_rotation_preserves_norm(phi):
-    state = DeviationState(
-        3, ((0.5, ((1, "X"), (2, "Y"))), (0.25, ((2, "Z"), (3, "X"))))
-    )
-    rotated = state.rotated_z(phi)
-    # Pauli strings are orthonormal under Tr[. .] / 2^n, so the norm is the sum of |w|^2
-    norm0 = sum(abs(w) ** 2 for w, _ in state.terms)
-    norm1 = sum(abs(w) ** 2 for w, _ in rotated.terms)
-    assert abs(norm1 - norm0) < 1e-12
 
 
 def test_reflection_is_an_involution():

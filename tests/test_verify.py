@@ -7,8 +7,9 @@ import pytest
 
 import spinwire.mqc
 import spinwire.oracle
+import spinwire.verify
 
-from spinwire.errors import InvalidDimensionError, InvalidParameterError
+from spinwire.errors import InvalidDimensionError, InvalidParameterError, OracleSizeError
 from spinwire.verify import CHECKS, CheckResult, run_verification
 
 from support import GRID, check_results
@@ -62,6 +63,18 @@ def test_max_n_bounds():
 def test_seed_and_tolerance_are_checked_before_any_check_runs(kwargs):
     with pytest.raises(InvalidParameterError):
         run_verification(max_n=4, **kwargs)
+
+
+@pytest.mark.parametrize("budget", ["2", "3"])
+def test_an_oracle_budget_below_4_is_refused_before_any_check_runs(budget, monkeypatch):
+    monkeypatch.setenv("SPINWIRE_ORACLE_MAX_N", budget)
+
+    def never(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(spinwire.verify, "CHECKS", (never,))
+    with pytest.raises(OracleSizeError, match="SPINWIRE_ORACLE_MAX_N >= 4"):
+        run_verification(max_n=8)
 
 
 def test_blanket_tolerance_override():
