@@ -33,17 +33,17 @@ from .chain import (
     _check_finite_result,
     _check_length,
     _check_numeric,
+    _check_time,
     _check_times,
     normalized_time,
 )
 from .errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
-    UnsupportedFamilyError,
     UnsupportedModelError,
 )
 from .pauli import DeviationState
-from .propagator import _sine_modes, homogeneous_amplitude, propagate, spectral_decompose
+from .propagator import _sine_modes, homogeneous_amplitude, propagate_grid, spectral_decompose
 
 __all__ = [
     "CHANNELS",
@@ -53,24 +53,10 @@ __all__ = [
     "channel_fidelity",
     "logical_transport_homogeneous",
     "logical_transport_engineered",
-    "entanglement_fidelity",
     "logical_correlation_from_spec",
 ]
 
 CHANNELS = ("x", "y", "z", "1")
-
-
-def _pair_observables(model: str, n: int, a: int, b: int) -> dict[str, DeviationState]:
-    """The zero-quantum encoding on {|01>, |10>} (xx) or the double-quantum
-    encoding on {|00>, |11>} (dq) on sites a, b."""
-    model = _check_choice(model, "model", MODELS, UnsupportedModelError)
-    h = -0.5 if model == "xx" else 0.5
-    return {
-        "x": DeviationState(n, ((0.5, ((a, "X"), (b, "X"))), (-h, ((a, "Y"), (b, "Y"))))),
-        "y": DeviationState(n, ((0.5, ((a, "Y"), (b, "X"))), (h, ((a, "X"), (b, "Y"))))),
-        "z": DeviationState(n, ((0.5, ((a, "Z"),)), (h, ((b, "Z"),)))),
-        "1": DeviationState(n, ((0.5, ()), (h, ((a, "Z"), (b, "Z"))))),
-    }
 
 
 def logical_basis(model: str, n: int, pair: str = "source") -> dict[str, DeviationState]:
@@ -78,11 +64,20 @@ def logical_basis(model: str, n: int, pair: str = "source") -> dict[str, Deviati
 
     Target observables are the site reflections of the source ones, so
     at perfect mirror transfer every source observable maps onto its
-    target partner with unit correlation.
+    target partner with unit correlation. The xx model uses the
+    zero-quantum encoding on {|01>, |10>}, the dq model the
+    double-quantum encoding on {|00>, |11>}.
     """
     n = _check_length(n, minimum=2)
     pair = _check_choice(pair, "pair", ("source", "target"), InvalidConfigurationError)
-    obs = _pair_observables(model, n, 1, 2)
+    model = _check_choice(model, "model", MODELS, UnsupportedModelError)
+    h = -0.5 if model == "xx" else 0.5
+    obs = {
+        "x": DeviationState(n, ((0.5, ((1, "X"), (2, "X"))), (-h, ((1, "Y"), (2, "Y"))))),
+        "y": DeviationState(n, ((0.5, ((1, "Y"), (2, "X"))), (h, ((1, "X"), (2, "Y"))))),
+        "z": DeviationState(n, ((0.5, ((1, "Z"),)), (h, ((2, "Z"),)))),
+        "1": DeviationState(n, ((0.5, ()), (h, ((1, "Z"), (2, "Z"))))),
+    }
     if pair == "source":
         return obs
     return {name: state.reflected() for name, state in obs.items()}
@@ -119,15 +114,6 @@ def _bilinear_channels(amp: np.ndarray) -> np.ndarray:
     return np.stack([cx, cy, cz, c1])
 
 
-def _readout(vals: dict, n: int, model: str, corrected: bool) -> dict:
-    """Channels as read out under ``model``: raw dq on even n flips y and z."""
-    model = _check_choice(model, "model", MODELS, UnsupportedModelError)
-    if model == "dq" and not corrected and dq_parity_correction(n):
-        vals["y"] = -vals["y"]
-        vals["z"] = -vals["z"]
-    return vals
-
-
 def channel_correlations(
     amplitudes: np.ndarray, model: str = "xx", corrected: bool = True
 ) -> dict[str, np.ndarray]:
@@ -142,14 +128,19 @@ def channel_correlations(
     with the xx channels at all times. A block that is not numeric and
     finite, or a channel past the float range, is an ``InvalidParameterError``.
     """
+    model = _check_choice(model, "model", MODELS, UnsupportedModelError)
     amplitudes = np.asarray(amplitudes)
     if amplitudes.ndim < 2 or amplitudes.shape[-2] < 2 or amplitudes.shape[-1] < 4:
         raise InvalidDimensionError(
             f"logical transport needs rows 1, 2 of A with n >= 4, got shape {amplitudes.shape}"
         )
     _check_numeric(amplitudes)
-    channels = _check_finite_result(lambda: _bilinear_channels(amplitudes), "channel correlation")
-    return _readout(dict(zip(CHANNELS, channels)), amplitudes.shape[-1], model, corrected)
+    x, y, z, one = _check_finite_result(
+        lambda: _bilinear_channels(amplitudes), "channel correlation"
+    )
+    if model == "dq" and not corrected and dq_parity_correction(amplitudes.shape[-1]):
+        y, z = -y, -z
+    return dict(zip(CHANNELS, (x, y, z, one)))
 
 
 def channel_fidelity(vals: dict) -> float | np.ndarray:
@@ -223,35 +214,16 @@ def logical_transport_engineered(n: int, d: float, times) -> dict[str, np.ndarra
     return _by_channel(rows)
 
 
-def entanglement_fidelity(
-    n: int,
-    d: float,
-    family: str,
-    times,
-    model: str = "xx",
-    corrected: bool = True,
-) -> np.ndarray:
-    """Average channel correlation F = (C_1 + C_x + C_y + C_z) / 4 on a time grid, shape (T,).
-
-    F is the entanglement fidelity of the end-to-end logical transfer:
-    1 at perfect mirror transfer, 1/8 at t = 0 (only the identity
-    channel survives, at 1/2). For the dq model on even chains the
-    uncorrected readout loses the y and z channels at the mirror time,
-    pinning F near zero there; the parity correction restores it.
-    ``family`` and ``model`` are checked before any closed form runs.
-    """
-    family = _check_choice(family, "family", ("homogeneous", "engineered"), UnsupportedFamilyError)
-    model = _check_choice(model, "model", MODELS, UnsupportedModelError)
-    closed = (
-        logical_transport_homogeneous if family == "homogeneous" else logical_transport_engineered
-    )
-    return channel_fidelity(_readout(closed(n, d, times), n, model, corrected))
-
-
 def logical_correlation_from_spec(
     spec: ChainSpec, alpha: str, t: float, corrected: bool = True
 ) -> float:
-    """Channel correlation for an arbitrary nearest-neighbour chain spec."""
+    """Channel correlation for an arbitrary nearest-neighbour chain spec at one time.
+
+    Reads rows 1, 2 of ``propagate_grid`` at [t], the path of the CLI's
+    ``logical`` tables. Every mode frequency lies within 2 max|d|, so t is
+    held to that rate before the chain is decomposed.
+    """
     _check_choice(alpha, "channel", CHANNELS, InvalidConfigurationError)
-    amp = propagate(spectral_decompose(spec), t)
+    t = _check_time(t, 2.0 * float(np.max(np.abs(spec.couplings), initial=0.0)))
+    amp = propagate_grid(spectral_decompose(spec), [t], (1, 2))[0]
     return float(channel_correlations(amp, spec.model, corrected)[alpha])

@@ -28,6 +28,7 @@ from .chain import (
     ChainSpec,
     _check_finite_result,
     _check_length,
+    _check_real,
     _check_sites,
     _check_square,
     _check_time,
@@ -36,6 +37,7 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidConfigurationError,
     InvalidDimensionError,
+    InvalidParameterError,
     OracleSizeError,
 )
 from .pauli import DeviationState, PauliString, _validate_string, parse_string_label
@@ -202,8 +204,9 @@ def basis_index(n: int, sites: Sequence[int]) -> int:
 def excitation_operator(n: int, blocks: MixedState) -> np.ndarray:
     """Dense sum of |ket><bra| blocks given as strictly increasing site tuples."""
     n = require_within_budget(n)
+    entries = _check_blocks(n, blocks)  # before the 2^n x 2^n allocation
     out = np.zeros((2**n, 2**n), dtype=complex)
-    for ket, bra, weight in _check_blocks(n, blocks):
+    for ket, bra, weight in entries:
         out[basis_index(n, ket), basis_index(n, bra)] += weight
     return out
 
@@ -264,8 +267,13 @@ def _unitary(eigen: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
 
 
 def evolve_unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) by full diagonalisation; t is held to the phase bound of h's spectrum."""
+    """exp(-i h t) by full diagonalisation.
+
+    t must be a finite real before h is diagonalised; the phase bound of
+    h's spectrum, which needs the eigenvalues, is checked after.
+    """
     _check_square(h)
+    t = _check_real(t, "times", InvalidParameterError)
     eigen = np.linalg.eigh(h)
     return _unitary(eigen, _check_time(t, np.max(np.abs(eigen[0]), initial=0.0)))
 

@@ -312,7 +312,8 @@ def engineered_fidelity_mirror(rng, max_n, oracle_n):
     for n in range(4, 21):
         spec = chain_mod.engineered_couplings(n, 1.0)
         t_star = chain_mod.transfer_timing(spec).t_star
-        (f,) = logical_mod.entanglement_fidelity(n, 1.0, "engineered", [t_star])
+        mirror = logical_mod.logical_transport_engineered(n, 1.0, [t_star])
+        (f,) = logical_mod.channel_fidelity(mirror)
         dev = max(dev, abs(f - 1.0))
         # closed forms agree with the propagator bilinears
         amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), 0.43 * t_star)

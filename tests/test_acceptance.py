@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from spinwire import cli
 from spinwire.chain import engineered_couplings, transfer_timing
 from spinwire.cli import main as cli_main
-from spinwire.logical import entanglement_fidelity
+from spinwire.logical import channel_correlations, channel_fidelity
 from spinwire.mqc import mqc_phase_cycled_grid, mqc_propagator_grid, prepare_state
 from spinwire.propagator import (
     end_autocorrelation_grid,
@@ -133,9 +133,10 @@ def test_logical_transport_closed_forms(tmp_path):
 
 def test_dq_parity_correction_restores_fidelity():
     n = 6  # even: correction required
-    t_star = transfer_timing(engineered_couplings(n, 1.0)).t_star
-    (f_fixed,) = entanglement_fidelity(n, 1.0, "engineered", [t_star], model="dq", corrected=True)
-    (f_raw,) = entanglement_fidelity(n, 1.0, "engineered", [t_star], model="dq", corrected=False)
+    spec = engineered_couplings(n, 1.0, model="dq")
+    amp = propagate_grid(spectral_decompose(spec), [transfer_timing(spec).t_star], (1, 2))
+    (f_fixed,) = channel_fidelity(channel_correlations(amp, "dq", corrected=True))
+    (f_raw,) = channel_fidelity(channel_correlations(amp, "dq", corrected=False))
     finish(
         "dq parity correction restores fidelity",
         abs(f_fixed - 1.0) <= 1e-9 and f_raw < 1.0 - 1e-3,

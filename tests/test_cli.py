@@ -368,6 +368,7 @@ BAD_GRIDS = [
     ("nan:1:2", "must be finite"),
     ("0:nan:0", "must be finite"),
     ("0:1:100000000000000000", "do not fit in memory"),
+    ("a:b:3", "expected start:end:steps numbers"),
 ]
 
 

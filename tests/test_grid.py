@@ -51,7 +51,6 @@ from spinwire.errors import (
     InvalidDimensionError,
     InvalidParameterError,
     SpinwireError,
-    UnsupportedFamilyError,
     UnsupportedModelError,
 )
 from spinwire.logical import (
@@ -59,7 +58,6 @@ from spinwire.logical import (
     channel_correlations,
     channel_fidelity,
     dq_parity_correction,
-    entanglement_fidelity,
     logical_basis,
     logical_correlation_from_spec,
     logical_transport_engineered,
@@ -210,12 +208,6 @@ CLOSED_FORM_GRIDS = {
     "logical_transport_engineered": lambda n, times: np.stack(
         list(logical_transport_engineered(n, 0.8, times).values())
     ).T,
-    "entanglement_fidelity[homogeneous]": lambda n, times: entanglement_fidelity(
-        n, 0.8, "homogeneous", times, "dq", corrected=False
-    ),
-    "entanglement_fidelity[engineered]": lambda n, times: entanglement_fidelity(
-        n, 0.8, "engineered", times
-    ),
     "normalized_time": lambda n, times: normalized_time(n, 0.8, times),
 }
 
@@ -360,9 +352,6 @@ CALLS = {
     "channel_fidelity": (channel_fidelity, dict(vals=channel_correlations(SITE_PROP))),
     **{f.__name__: (f, dict(n=6, d=1.0, times=[0.5]))
        for f in (logical_transport_homogeneous, logical_transport_engineered)},
-    "entanglement_fidelity": (entanglement_fidelity, dict(
-        n=6, d=1.0, family="engineered", times=[0.5], model="xx", corrected=True
-    )),
     "logical_correlation_from_spec": (logical_correlation_from_spec, dict(
         spec=homogeneous_couplings(6), alpha="x", t=0.5, corrected=True
     )),
@@ -494,7 +483,6 @@ ROLES = {
     **dict.fromkeys(("prefactor", "r_min", "sigma", "tolerance", "phi"), (REAL,)),
     **dict.fromkeys(("seed", "phase_steps", "max_order"), (INT,)),
     "model": (_choice(UnsupportedModelError),),
-    "family": (_choice(UnsupportedFamilyError),),
     **dict.fromkeys(("kind", "initial", "pair", "alpha"), (_choice(InvalidConfigurationError),)),
     "labels": (LABELS,),
 }

@@ -16,16 +16,14 @@ from spinwire.errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
     InvalidParameterError,
-    UnsupportedFamilyError,
     UnsupportedModelError,
 )
-from spinwire import logical
+from spinwire import propagator
 from spinwire.logical import (
     CHANNELS,
     channel_correlations,
     channel_fidelity,
     dq_parity_correction,
-    entanglement_fidelity,
     logical_basis,
     logical_correlation_from_spec,
     logical_transport_engineered,
@@ -39,7 +37,7 @@ from spinwire.oracle import (
     similarity_transform,
     trace_overlap,
 )
-from spinwire.propagator import propagate, spectral_decompose
+from spinwire.propagator import propagate, propagate_grid, spectral_decompose
 
 
 def test_source_basis_terms_xx():
@@ -138,8 +136,8 @@ def test_corrected_dq_channels_match_dense_dq_dynamics(n):
 
 
 def test_initial_time_values():
-    for family in ("homogeneous", "engineered"):
-        assert entanglement_fidelity(8, 1.0, family, [0.0]) == pytest.approx([0.125], abs=1e-12)
+    for closed in (logical_transport_homogeneous, logical_transport_engineered):
+        assert channel_fidelity(closed(8, 1.0, [0.0])) == pytest.approx([0.125], abs=1e-12)
     at0 = propagate(spectral_decompose(homogeneous_couplings(8, 1.0)), 0.0)
     vals = channel_correlations(at0)
     assert vals["1"] == pytest.approx(0.5, abs=1e-12)
@@ -187,9 +185,8 @@ def test_homogeneous_peaks_are_later_and_lower():
         20: (11.618146, 0.465577704),
     }
     for n, (t_peak, f_peak) in frozen.items():
-        assert entanglement_fidelity(n, 1.0, "homogeneous", [t_peak]) == pytest.approx(
-            [f_peak], abs=1e-9
-        )
+        fidelity = channel_fidelity(logical_transport_homogeneous(n, 1.0, [t_peak]))
+        assert fidelity == pytest.approx([f_peak], abs=1e-9)
         assert f_peak < 1.0
     times = [frozen[n][0] for n in (10, 15, 20)]
     peaks = [frozen[n][1] for n in (10, 15, 20)]
@@ -199,9 +196,10 @@ def test_homogeneous_peaks_are_later_and_lower():
 
 def test_uncorrected_dq_fidelity_collapses_at_mirror_time():
     n = 6  # even: correction required
-    t_star = transfer_timing(engineered_couplings(n, 1.0)).t_star
-    good = entanglement_fidelity(n, 1.0, "engineered", [t_star], model="dq", corrected=True)
-    bad = entanglement_fidelity(n, 1.0, "engineered", [t_star], model="dq", corrected=False)
+    spec = engineered_couplings(n, 1.0, model="dq")
+    amp = propagate_grid(spectral_decompose(spec), [transfer_timing(spec).t_star], (1, 2))
+    good = channel_fidelity(channel_correlations(amp, "dq", corrected=True))
+    bad = channel_fidelity(channel_correlations(amp, "dq", corrected=False))
     assert good == pytest.approx([1.0], abs=1e-9)
     assert bad[0] < 1.0 - 1e-6
 
@@ -218,34 +216,22 @@ def test_correlation_from_spec():
         logical_correlation_from_spec(spec, "w", t)
 
 
+@pytest.mark.parametrize("t", [math.nan, 1e308])
+def test_correlation_from_spec_checks_the_time_before_decomposing(monkeypatch, t):
+    def no_decomposition(couplings):
+        raise AssertionError("decomposed before the time check")
+
+    monkeypatch.setattr(propagator, "_eigh_tridiagonal", no_decomposition)
+    with pytest.raises(InvalidParameterError):
+        logical_correlation_from_spec(engineered_couplings(8, 1.0), "x", t)
+
+
 def test_error_paths():
     with pytest.raises(InvalidDimensionError):
         channel_correlations(propagate(spectral_decompose(homogeneous_couplings(3, 1.0)), 0.5))
-    with pytest.raises(UnsupportedFamilyError):
-        entanglement_fidelity(8, 1.0, "dipolar", [0.5])
-    with pytest.raises(UnsupportedModelError):
-        entanglement_fidelity(8, 1.0, "engineered", [0.5], model="ising")
     amp = propagate(spectral_decompose(homogeneous_couplings(6, 1.0)), 0.5)
     with pytest.raises(UnsupportedModelError):
         channel_correlations(amp, "ising")
-
-
-@pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
-@pytest.mark.parametrize("closed", [logical_transport_homogeneous, logical_transport_engineered])
-def test_closed_forms_reject_bad_coupling_scale(closed, d):
-    with pytest.raises(InvalidParameterError):
-        closed(8, d, [0.7])
-
-
-@pytest.mark.parametrize("family", ["homogeneous", "engineered"])
-@pytest.mark.parametrize("model", ["ising", None])
-def test_fidelity_checks_the_model_before_any_closed_form(monkeypatch, family, model):
-    calls = []
-    for name in ("logical_transport_homogeneous", "logical_transport_engineered"):
-        monkeypatch.setattr(logical, name, lambda *args, name=name: calls.append(name))
-    with pytest.raises(UnsupportedModelError):
-        entanglement_fidelity(6, 1.0, family, [0.5], model=model)
-    assert calls == []
 
 
 def test_channel_correlations_broadcast_over_time():

@@ -1,6 +1,7 @@
 """Dense reference engine: operators, Hamiltonians, budget policy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spinwire.errors import (
     IndexOutOfRangeError,
     InvalidConfigurationError,
     InvalidDimensionError,
+    InvalidParameterError,
     OracleSizeError,
 )
 from spinwire.oracle import (
@@ -84,6 +86,18 @@ def test_excitation_operator_blocks():
     np.testing.assert_array_equal(op, expected)
 
 
+def test_excitation_operator_checks_blocks_before_allocating():
+    # site 11 is outside the 10 sites: rejected before the 16 MiB dense matrix exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexOutOfRangeError):
+            excitation_operator(10, {((1,), (11,)): 1.0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_deviation_to_dense():
     state = DeviationState(2, ((1.0, ((1, "Z"),)), (-0.5, ((1, "X"), (2, "X")))))
     np.testing.assert_allclose(
@@ -139,6 +153,20 @@ def test_evolution_contracts():
     assert trace_overlap(evolve_deviation(h, h, 2.1), h) == pytest.approx(
         trace_overlap(h, h), abs=1e-10
     )
+
+
+@pytest.mark.parametrize("t", ["a", None, math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("evolve", [
+    lambda t: evolve_unitary(np.eye(4), t),
+    lambda t: evolve_deviation(np.eye(4), np.eye(4), t),
+], ids=["evolve_unitary", "evolve_deviation"])
+def test_evolution_rejects_a_bad_time_before_diagonalising(monkeypatch, evolve, t):
+    def no_eigh(h):
+        raise AssertionError("diagonalised before the time check")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(InvalidParameterError):
+        evolve(t)
 
 
 def test_two_site_polarisation_transfer():
