@@ -147,6 +147,12 @@ def test_perturbation_contract():
         perturb_couplings(spec, -0.1, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+def test_perturbation_rejects_bad_seed(seed):
+    with pytest.raises(InvalidParameterError):
+        perturb_couplings(engineered_couplings(8, 1.0), 0.1, seed)
+
+
 def test_disorder_monte_carlo_median():
     # engineered n=15, 5% multiplicative disorder: the end-to-end transfer
     # probability at the clean mirror time stays high in the median

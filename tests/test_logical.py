@@ -204,6 +204,34 @@ def test_uncorrected_dq_fidelity_collapses_at_mirror_time():
     assert bad[0] < 1.0 - 1e-6
 
 
+@pytest.mark.parametrize("n", range(4, 26))
+@pytest.mark.parametrize("family", ["homogeneous", "engineered"])
+def test_dq_readout_of_the_spectral_path_matches_the_closed_forms(family, n):
+    # the one fidelity path: dq channels of a propagate_grid block, read
+    # with and without the pi-x correction, against the xx closed forms
+    if family == "homogeneous":
+        spec = homogeneous_couplings(n, 0.8, model="dq")
+        times = np.linspace(0.0, 1.5 * n, 9)
+        closed = logical_transport_homogeneous(n, 0.8, times)
+    else:
+        spec = engineered_couplings(n, 1.0, model="dq")
+        times = np.linspace(0.0, transfer_timing(spec).t_star, 9)
+        closed = logical_transport_engineered(n, 1.0, times)
+    amp = propagate_grid(spectral_decompose(spec), times, (1, 2))
+    good = channel_correlations(amp, "dq", corrected=True)
+    raw = channel_correlations(amp, "dq", corrected=False)
+    sign = -1.0 if n % 2 == 0 else 1.0
+    for alpha in CHANNELS:
+        assert np.max(np.abs(good[alpha] - closed[alpha])) <= 1e-12, alpha
+        flip = sign if alpha in ("y", "z") else 1.0
+        np.testing.assert_array_equal(raw[alpha], flip * good[alpha])
+    np.testing.assert_allclose(channel_fidelity(good), channel_fidelity(closed), atol=1e-12)
+    if family == "engineered":
+        # at the mirror time every corrected channel is 1; raw even-n y, z are -1
+        assert channel_fidelity(good)[-1] == pytest.approx(1.0, abs=1e-9)
+        assert channel_fidelity(raw)[-1] == pytest.approx(0.5 + 0.5 * sign, abs=1e-9)
+
+
 def test_correlation_from_spec():
     spec = engineered_couplings(8, 1.0)
     t = 1.1
@@ -232,6 +260,13 @@ def test_error_paths():
     amp = propagate(spectral_decompose(homogeneous_couplings(6, 1.0)), 0.5)
     with pytest.raises(UnsupportedModelError):
         channel_correlations(amp, "ising")
+
+
+@pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("closed", [logical_transport_homogeneous, logical_transport_engineered])
+def test_closed_forms_reject_bad_coupling_scale(closed, d):
+    with pytest.raises(InvalidParameterError):
+        closed(8, d, [0.7])
 
 
 def test_channel_correlations_broadcast_over_time():

@@ -31,6 +31,7 @@ from spinwire.mqc import (
 from spinwire.oracle import collective_rotation_diag, deviation_to_dense
 from spinwire.pauli import DeviationState
 from spinwire.propagator import end_autocorrelation_grid, spectral_decompose
+from support import MQC_SERIES
 
 
 def test_prepared_state_z_ends():
@@ -249,6 +250,13 @@ def test_long_chain_zero_order_revives_near_mirror_time():
     assert mqc_analytic(n, d, "z_ends", t_peak).intensity(0) == pytest.approx(j_peak, abs=1e-9)
     for dt in (-0.05, 0.05):
         assert mqc_analytic(n, d, "z_ends", t_peak + dt).intensity(0) < j_peak
+
+
+@pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("series", list(MQC_SERIES))
+def test_analytic_series_reject_bad_coupling_scale(series, d):
+    with pytest.raises(InvalidParameterError):
+        mqc_analytic(8, d, MQC_SERIES[series], 0.7)
 
 
 def random_bilinear(n: int, rng: np.random.Generator) -> DeviationState:

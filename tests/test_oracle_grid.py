@@ -470,6 +470,13 @@ def test_grid_validates_before_any_work(times, monkeypatch):
             mqc_phase_cycled_grid(spec, state, times, phase_steps=bad)
 
 
+@pytest.mark.parametrize("times", [[0.0, math.nan], [math.inf], [[0.5]], ["a"], 0.5])
+def test_grid_rejects_bad_times(times):
+    spec = random_spec(4, "dq", seed=0)
+    with pytest.raises(InvalidParameterError):
+        mqc_phase_cycled_grid(spec, prepare_state(4, "z_ends"), times)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

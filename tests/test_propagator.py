@@ -23,7 +23,9 @@ from spinwire.errors import (
     IndexOutOfRangeError,
     InvalidConfigurationError,
     InvalidDimensionError,
+    InvalidParameterError,
 )
+from spinwire.oracle import build_hamiltonian, evolve_deviation, trace_overlap
 from spinwire.propagator import (
     _eigh_tridiagonal,
     _lapack_stevd,
@@ -334,6 +336,22 @@ def test_autocorrelation_normalisation_and_errors():
         end_autocorrelation_grid(homogeneous_couplings(3, 1.0), "y_logical", [0.1])
 
 
+@pytest.mark.parametrize("model", ["xx", "dq"])
+@pytest.mark.parametrize("kind", ["z_ends", "y_logical"])
+def test_autocorrelation_matches_dense_oracle(model, kind):
+    from spinwire.mqc import prepare_state
+    from spinwire.oracle import deviation_to_dense
+
+    n = 6
+    spec = ChainSpec(n, model, random_couplings(RNG, n))
+    h = build_hamiltonian(spec)
+    rho0 = deviation_to_dense(prepare_state(n, kind))
+    norm = trace_overlap(rho0, rho0).real
+    for t in (0.35, 1.8):
+        ref = trace_overlap(evolve_deviation(h, rho0, t), rho0).real / norm
+        assert end_autocorrelation_grid(spec, kind, [t])[0] == pytest.approx(ref, abs=1e-8)
+
+
 def test_engineered_autocorrelation_revives_at_mirror_time():
     n = 7
     spec = engineered_couplings(n, 1.0, model="dq")
@@ -341,3 +359,8 @@ def test_engineered_autocorrelation_revives_at_mirror_time():
     for kind in ("z_ends", "y_logical"):
         assert end_autocorrelation_grid(spec, kind, [t_star])[0] == pytest.approx(1.0, abs=1e-9)
 
+
+@pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
+def test_homogeneous_amplitude_rejects_bad_coupling_scale(d):
+    with pytest.raises(InvalidParameterError):
+        homogeneous_amplitude(6, d, [0.5], (1,), (6,))
