@@ -75,10 +75,140 @@ def _parse_grid(_ctx, _param, value: str) -> np.ndarray:
 
 _BLOCK_ROWS = 2048
 
+# A formatted cell is 6 little-endian uint64 words, 48 bytes; unused bytes are 0:
+#   word 0     sign, then "0." and up to three zeros when -4 <= E < 0
+#   words 1-4  16 (digit, point) byte pairs: pair 0 is blank, pair i + 1 holds
+#              digit i and the decimal point when it follows digit i
+#   word 5     "e" sign and 2 or 3 exponent digits, then a comma in byte 7
+_WORDS = 6
+# tables run over the exponents E = floor(log10 |x|) of |x| in [1e-290, 1e290], one more each way
+_E_MAX = 291
 
-def _cells(values, line: str = "%.15g") -> list[str]:
-    """One ``line`` per row of ``values``; +0.0 folds negative zero into plain 0."""
-    return [line % tuple(row) for row in (np.asarray(values, dtype=float) + 0.0).tolist()]
+
+@functools.cache
+def _format_tables():
+    """Lookup tables of ``_format_cells``, built from Python ints on the first call.
+
+    Row E + _E_MAX holds the scale 10^(14 - E) as the double-double
+    hi + lo (hi correctly rounded, lo the rounded remainder), with hi split
+    into two 26-bit halves for exact products, and words 0 and 5 of a cell
+    with exponent E.
+    """
+    powers = []
+    for k in range(14 + _E_MAX, 13 - _E_MAX, -1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den
+        hi_num, hi_den = hi.as_integer_ratio()
+        mantissa, exponent = math.frexp(hi)
+        split = 134217729.0 * mantissa
+        top = split - (split - mantissa)
+        powers.append((hi, (num * hi_den - hi_num * den) / (den * hi_den),
+                       math.ldexp(top, exponent), math.ldexp(mantissa - top, exponent)))
+    hi, lo, hi_top, hi_bottom = (np.array(column) for column in zip(*powers))
+    # r = 0..9999 as four (digit, 0) pairs, and its count of trailing zero digits
+    r = np.arange(10_000, dtype=np.uint64)
+    quads = sum((r // 10 ** (3 - i) % 10 + 48) << np.uint64(16 * i) for i in range(4))
+    zeros = np.zeros(10_000, dtype=np.int64)
+    for i in range(1, 4):
+        zeros[r % 10**i == 0] = i
+    zeros[0] = 4
+    # masks of words 1-4 when only the first ``kept`` pairs are kept
+    keep = np.array([[(1 << 16 * min(max(kept - 4 * w, 0), 4)) - 1 for w in range(4)]
+                     for kept in range(17)], dtype=np.uint64)
+    lead, tail = np.zeros((2, 2 * _E_MAX + 1), dtype=np.uint64)
+    for e in range(-_E_MAX, _E_MAX + 1):
+        if -4 <= e < 0:
+            lead[e + _E_MAX] = int.from_bytes(b"\0" + b"0." + b"0" * (-e - 1), "little")
+        elif not -4 <= e < 15:
+            tail[e + _E_MAX] = int.from_bytes(b"e%+03d" % e, "little")
+    tail |= np.uint64(ord(",") << 56)
+    return hi, lo, hi_top, hi_bottom, quads, zeros, keep, lead, tail
+
+
+def _format_cells(values) -> np.ndarray:
+    """Every cell of ``values`` as ``'%.15g,' % (x + 0.0)``, byte for byte.
+
+    Returns uint64 words of shape ``values.shape + (_WORDS,)``; their
+    bytes with the zero bytes dropped are the text (see the layout above).
+    With E = floor(log10 |x|), the 15 digits are x 10^(14 - E) rounded,
+    and that product is formed in double-double arithmetic, about 30
+    digits. Zero is written as "0". A cell goes through ``%.15g`` itself
+    when this cannot decide it: any other |x| outside [1e-290, 1e290],
+    NaN, and a remainder within 1e-6 of one half, which takes in every
+    exact tie.
+    """
+    hi, lo, hi_top, hi_bottom, quads, zeros, keep, lead, tail = _format_tables()
+    x = np.asarray(values, dtype=float).ravel() + 0.0
+    a = np.abs(x)
+    fast = (a >= 1e-290) & (a <= 1e290)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    # log10 may miss E by one next to a power of ten; the product's size tells
+    p = a * hi[e + _E_MAX]
+    e += (p >= 1e15).view(np.int8)
+    e -= (p < 1e14).view(np.int8)
+    row = e + _E_MAX
+    p = a * hi[row]
+    # a 10^(14 - E) = p + low: Dekker's exact product with hi, then a lo
+    split = 134217729.0 * a
+    a_top = split - (split - a)
+    a_bottom = a - a_top
+    top, bottom = hi_top[row], hi_bottom[row]
+    low = ((a_top * top - p) + a_top * bottom + a_bottom * top) + a_bottom * bottom + a * lo[row]
+    digits = np.floor(p)
+    rem = (p - digits) + low
+    whole = np.floor(rem)
+    digits += whole
+    rem -= whole
+    digits += rem > 0.5
+    fast &= (np.abs(rem - 0.5) > 1e-6) & (digits >= 1e14) & (digits <= 1e15)
+    carry = digits == 1e15
+    digits[carry] = 1e14
+    e += carry
+    row += carry
+    m = digits.astype(np.int64)
+    # four groups of four digits; the first holds a blank and d0 d1 d2
+    m, r3 = np.divmod(m, 10_000)
+    r0, r2 = np.divmod(m, 10_000)
+    r0, r1 = np.divmod(r0, 10_000)
+    tz = zeros[r3] + (r3 == 0) * (zeros[r2] + (r2 == 0) * (zeros[r1] + (r1 == 0) * zeros[r0]))
+    last = 14 - tz  # index of the last nonzero digit
+    sci = (e < -4) | (e >= 15)
+    small = ~sci & (e < 0)
+    # fixed notation keeps every integer digit, zeros included
+    kept = np.where(sci | small, last, np.maximum(last, e)) + 2  # pairs kept, pair 0 included
+    out = np.empty((x.size, _WORDS), dtype=np.uint64)
+    out[:, 0] = lead[row]
+    out[x < 0, 0] |= np.uint64(ord("-"))
+    for word, group in enumerate((r0, r1, r2, r3), 1):
+        out[:, word] = quads[group]
+    out[:, 1] &= ~np.uint64(0xFF)  # pair 0, the leading "0" of r0 < 1000
+    trim = np.flatnonzero(kept < 16)  # cells with trailing zeros to drop
+    out[trim, 1:5] &= keep[kept[trim]]
+    out[:, 5] = tail[row]
+    point = np.where(sci, 0, e)
+    cells = np.flatnonzero(~small & (last > point))
+    chars = out.view(np.uint8).reshape(-1)
+    chars[cells * (8 * _WORDS) + 11 + 2 * point[cells]] = ord(".")
+    out[x == 0, 1] = ord("0") << 16
+    for cell in np.flatnonzero(~fast & (x != 0)).tolist():
+        text = b"%.15g" % x[cell]
+        out[cell] = 0
+        out[cell, 5] = ord(",") << 56
+        chars[cell * 8 * _WORDS:cell * 8 * _WORDS + len(text)] = np.frombuffer(text, np.uint8)
+    return out.reshape(np.shape(values) + (_WORDS,))
+
+
+def _joined(cells) -> np.ndarray:
+    """Each row of cells (shape (R, C, _WORDS)) as its text, left-aligned in a
+    zero-padded (R, width) byte array."""
+    raw = cells.view(np.uint8).reshape(len(cells), 8 * _WORDS * cells.shape[1])
+    used = raw != 0
+    count = used.sum(axis=1)
+    text = np.zeros((len(raw), count.max(initial=0)), dtype=np.uint8)
+    # boolean indexing runs in row order, so row i takes its count[i] bytes in order
+    text[np.arange(text.shape[1]) < count[:, None]] = raw[used]
+    return text
 
 
 def _csv_blocks(header: list[str], keys, values, sites=None, block_rows: int = _BLOCK_ROWS):
@@ -88,21 +218,33 @@ def _csv_blocks(header: list[str], keys, values, sites=None, block_rows: int = _
     ``sites`` time k gives one row: keys[k], then values[k] (shape (T, V)).
     With ``sites`` (shape (S,)) it gives S rows: keys[k], sites[s] and
     values[k, s] (shape (T, S)). Key and site cells are formatted once
-    each; only the value cells are formatted per row.
+    each and joined into text up front; each block's value cells are
+    formatted in one ``_format_cells`` call, and the rows are joined by
+    dropping the zero bytes of their cell words.
     """
     yield ",".join(header) + "\n"
     keys, values = np.asarray(keys, dtype=float), np.asarray(values, dtype=float)
-    prefixes = _cells(keys, ",".join(["%.15g"] * keys.shape[1]))
+    if sites is None and not values.shape[1]:  # rows of keys only: the last key ends the row
+        keys, values = keys[:, :-1], keys[:, -1:]
+    prefixes = _joined(_format_cells(keys))[:, None]
     if sites is None:
-        tails = [",%.15g" * values.shape[1]]
+        tails = np.zeros((1, 0), dtype=np.uint8)
+        values = values[:, None, :]
     else:
-        tails = ["," + site + ",%.15g" for site in _cells(np.asarray(sites)[:, None])]
-    step = max(1, block_rows // len(tails))
-    for start in range(0, len(prefixes), step):
-        template = "".join(
-            key + ("\n" + key).join(tails) + "\n" for key in prefixes[start:start + step]
-        )
-        yield template % tuple((values[start:start + step] + 0.0).ravel().tolist())
+        tails = _joined(_format_cells(np.asarray(sites, dtype=float))[:, None])
+        values = values[:, :, None]
+    width = prefixes.shape[2] + tails.shape[1]
+    step = max(1, block_rows // values.shape[1])
+    for start in range(0, len(keys), step):
+        block = values[start:start + step]
+        cells = _format_cells(block)
+        cells[..., -1, -1] ^= np.uint64((ord(",") ^ ord("\n")) << 56)
+        text = cells.view(np.uint8).reshape(block.shape[:2] + (8 * _WORDS * block.shape[2],))
+        line = np.empty(text.shape[:2] + (width + text.shape[2],), dtype=np.uint8)
+        line[..., :prefixes.shape[2]] = prefixes[start:start + step]
+        line[..., prefixes.shape[2]:width] = tails
+        line[..., width:] = text
+        yield line.tobytes().translate(None, b"\0").decode()
 
 
 def _write_table(out: Path | None, chunks) -> None:

@@ -176,8 +176,9 @@ def propagate_grid(
     Returns a complex array of shape (len(times), len(rows), len(cols))
     holding A[rows, cols](t); ``rows`` and ``cols`` are 1-based sites and
     default to the whole chain. A is evaluated as
-    I + V (e^{-i w t} - 1) V^T, which is exact at t = 0. A time whose
-    phase |w t| exceeds 2^32 rad raises ``InvalidParameterError``.
+    I + V (e^{-i w t} - 1) V^T, which is exact at t = 0, with its real and
+    imaginary parts from two real products per block of times. A time
+    whose phase |w t| exceeds 2^32 rad raises ``InvalidParameterError``.
     """
     n = decomposition.n
     v, w = decomposition.modes, decomposition.frequencies
@@ -185,10 +186,15 @@ def propagate_grid(
     r = _site_indices(n, rows)
     c = _site_indices(n, cols)
     amp = np.empty((len(times), len(r), len(c)), dtype=complex)
+    parts = amp.view(float).reshape(amp.shape + (2,))
+    left, right = v[r], v[c].T
     for k in range(0, len(times), _TIME_BLOCK):
-        shift = np.expm1(-1j * np.multiply.outer(times[k:k + _TIME_BLOCK], w))
-        left = (v[r] * shift[:, None, :]).reshape(-1, n)
-        amp[k:k + _TIME_BLOCK] = (left @ v[c].T).reshape(len(shift), len(r), len(c))
+        # e^{-i phi} - 1 as numpy's complex expm1 forms it: -2 sin^2(phi/2) + i sin(-phi)
+        phase = np.multiply.outer(times[k:k + _TIME_BLOCK], w)
+        half = np.sin(0.5 * phase)
+        for part, shift in enumerate((-2.0 * half * half, -np.sin(phase))):
+            block = (left * shift[:, None, :]).reshape(-1, n) @ right
+            parts[k:k + _TIME_BLOCK, ..., part] = block.reshape(len(phase), len(r), len(c))
     amp += r[:, None] == c[None, :]
     return amp
 
