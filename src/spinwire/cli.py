@@ -255,7 +255,8 @@ def _write_table(out: Path | None, chunks) -> None:
     """
     if out is None:
         for chunk in chunks:
-            click.echo(chunk, nl=False)
+            # color=True: the writer emits no escape codes, so skip click's ANSI-stripping pass
+            click.echo(chunk, nl=False, color=True)
         return
     out = Path(out)
     digest = hashlib.sha256()
@@ -327,8 +328,9 @@ def _blas_thread_limit(count: int):
 
 
 def _domain_errors(f):
-    """Map domain errors, float overflow and exhausted memory to exit 1 with a clean message.
+    """Map domain errors, float overflow, exhausted memory and unwritable output to exit 1.
 
+    Each prints one ``error:`` line; a closed stdout pipe is left to click.
     The command runs on one BLAS thread: its products are too small to
     share, and waking a second thread slows the Python code after them.
     """
@@ -338,9 +340,12 @@ def _domain_errors(f):
         try:
             with np.errstate(over="raise", invalid="raise"), _blas_thread_limit(1):
                 return f(*args, **kwargs)
-        except (SpinwireError, FloatingPointError, MemoryError) as exc:
+        except BrokenPipeError:
+            raise
+        except (SpinwireError, FloatingPointError, MemoryError, OSError) as exc:
             # numpy's MemoryError names the allocation; a bare one has no message
-            click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
+            fallback = "out of memory" if isinstance(exc, MemoryError) else type(exc).__name__
+            click.echo(f"error: {str(exc) or fallback}", err=True)
             sys.exit(1)
 
     return wrapper

@@ -187,6 +187,7 @@ def propagate_grid(
     c = _site_indices(n, cols)
     amp = np.empty((len(times), len(r), len(c)), dtype=complex)
     parts = amp.view(float).reshape(amp.shape + (2,))
+    # keep the copy: dstevd's modes are Fortran-ordered, and v.T would change the product's bits
     left, right = v[r], v[c].T
     for k in range(0, len(times), _TIME_BLOCK):
         # e^{-i phi} - 1 as numpy's complex expm1 forms it: -2 sin^2(phi/2) + i sin(-phi)

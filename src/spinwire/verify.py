@@ -346,14 +346,18 @@ def homogeneous_logical_closed_forms(rng, max_n, oracle_n):
 # -- coherence protocol ---------------------------------------------------
 
 
-def mqc_vs_analytic(rng, max_n, oracle_n):
+def coherence_orders(rng, max_n, oracle_n):
     n = oracle_n
     d = 1.0
-    spec = chain_mod.homogeneous_couplings(n, d, model="dq")
+    # one dense build and eigh serve both identities, each at its own time
+    eigen = np.linalg.eigh(
+        oracle_mod.build_hamiltonian(chain_mod.homogeneous_couplings(n, d, model="dq"))
+    )
     t = float(rng.uniform(0.2, 1.5))
-    u = oracle_mod._unitary(np.linalg.eigh(oracle_mod.build_hamiltonian(spec)), t)
     kinds = ("z_ends", "y_logical", "x_logical")
-    *cycled, cycled_x = mqc_mod._cycle(u, [mqc_mod.prepare_state(n, kind) for kind in kinds], 8, 2)
+    *cycled, cycled_x = mqc_mod._cycle(
+        oracle_mod._unitary(eigen, t), [mqc_mod.prepare_state(n, kind) for kind in kinds], 8, 2
+    )
     dev = 0.0
     # column 2 + q holds J_q; z_ends is normalised to J_0(0) = 1, the cycle to Tr[rho Z]/2^n = 2
     for kind, scale, row in zip(kinds, (2.0, 1.0), cycled):
@@ -363,12 +367,7 @@ def mqc_vs_analytic(rng, max_n, oracle_n):
     dev = max(dev, max(abs(v) for v in cycled_x))
     yield ("mqc_vs_analytic", dev, _TOL_ORACLE, {"n": n, "d": d, "t": t})
 
-
-def mqc_support_and_conservation(rng, max_n, oracle_n):
-    n = oracle_n
-    spec = chain_mod.homogeneous_couplings(n, 1.0, model="dq")
     t = float(rng.uniform(0.2, 1.5))
-    eigen = np.linalg.eigh(oracle_mod.build_hamiltonian(spec))
     u_t, u_0 = oracle_mod._unitary(eigen, t), oracle_mod._unitary(eigen, 0.0)
     states = [mqc_mod.prepare_state(n, kind) for kind in mqc_mod.PREPARED_KINDS]
     dev = 0.0
@@ -457,8 +456,7 @@ CHECKS = (
     dq_parity_rule,
     engineered_fidelity_mirror,
     homogeneous_logical_closed_forms,
-    mqc_vs_analytic,
-    mqc_support_and_conservation,
+    coherence_orders,
     purity_and_commutation,
     chain_utilities,
 )

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -638,6 +639,59 @@ def test_stdout_and_out_file_hold_the_same_bytes(runner, tmp_path, args):
     (entry,) = json.loads((tmp_path / "table.csv.manifest.json").read_text())["output-files"]
     assert entry["sha256"] == hashlib.sha256(data).hexdigest()
     assert entry["bytes"] == len(data)
+
+
+def test_stdout_tables_skip_the_ansi_stripping_pass(runner, tmp_path, monkeypatch):
+    args = ["transfer", "--n", "30", "--grid", "-2:5:41"]
+    out = tmp_path / "table.csv"
+    assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
+
+    def never(*args):
+        raise AssertionError("the table went through click's ANSI stripping")
+
+    monkeypatch.setattr(click.utils, "strip_ansi", never)
+    printed = runner.invoke(main, args)
+    assert printed.exit_code == 0, printed.exception
+    assert printed.stdout_bytes == out.read_bytes()
+
+
+@pytest.mark.parametrize("parent", ["missing directory", "regular file"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["transfer", "--n", "4", "--grid", "0:1:2"],
+        ["logical", "--n", "4", "--grid", "0:1:2"],
+        ["mqc", "--n", "4", "--grid", "0:1:2"],
+        ["verify", "--max-n", "4"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_an_unwritable_out_is_one_error_line(runner, tmp_path, args, parent):
+    if parent == "regular file":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x.out"
+    else:
+        out = tmp_path / "missing" / "x.out"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
+    assert "Traceback" not in result.output
+
+
+def test_a_reader_closing_stdout_early_gets_no_error_line():
+    # a 13 MB table: the writer is still writing when the pipe closes
+    src = Path(cli.__file__).resolve().parents[1]
+    args = ["transfer", "--n", "200", "--grid", "0:100:2001"]
+    with subprocess.Popen([sys.executable, "-m", "spinwire.cli", *args], cwd=src,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=300)
+    assert head.startswith(b"t,tau,site,correlation\n")
+    assert proc.returncode == 1
+    assert stderr == b""
 
 
 # -- BLAS thread policy ----------------------------------------------------------

@@ -118,8 +118,8 @@ def test_each_dense_hamiltonian_is_built_and_diagonalised_once(monkeypatch):
     for module in (spinwire.oracle, spinwire.mqc):
         monkeypatch.setattr(module, "build_hamiltonian", build)
     assert run_verification(max_n=8, seed=0).passed
-    # xx and dq in four checks, xx alone in two, one homogeneous dq chain in two
-    assert calls == {"eigh": 12, "build_hamiltonian": 12}
+    # xx and dq in four checks, xx alone in two, and the homogeneous dq chain of coherence_orders
+    assert calls == {"eigh": 11, "build_hamiltonian": 11}
 
 
 def test_each_dense_evolution_forms_z_t_once(monkeypatch):
@@ -133,6 +133,6 @@ def test_each_dense_evolution_forms_z_t_once(monkeypatch):
     for module in (spinwire.mqc, spinwire.oracle):
         monkeypatch.setattr(module, "total_z", counted)
     assert run_verification(max_n=8, seed=0).passed
-    # one Z(t) per U(t): one U in mqc_vs_analytic, two in mqc_support_and_conservation,
-    # and the commutator check of purity_and_commutation
+    # one Z(t) per U(t): three U in coherence_orders (one for mqc_vs_analytic, two for
+    # mqc_support_and_conservation) and the commutator check of purity_and_commutation
     assert len(calls) == 4
