@@ -247,11 +247,46 @@ def _csv_blocks(header: list[str], keys, values, sites=None, block_rows: int = _
         yield line.tobytes().translate(None, b"\0").decode()
 
 
+@contextlib.contextmanager
+def _staged(paths: list[Path]):
+    """Yield a new temporary path beside each of ``paths``, in its directory, and move
+    each onto its target when the block completes.
+
+    The temporaries are made first, so a directory that cannot take a file fails
+    before any work, with the target's path in the error. On any error every
+    temporary is removed, and so is each target already moved, so no file of
+    the set is left without the others.
+    """
+    temps = []
+    try:
+        for path in paths:
+            temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+            try:
+                temp.open("xb").close()
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
+            temps.append(temp)
+        yield temps
+        moved = []
+        try:
+            for temp, path in zip(temps, paths):
+                os.replace(temp, path)
+                moved.append(path)
+        except OSError as exc:
+            for path in moved:
+                path.unlink(missing_ok=True)
+            raise OSError(exc.errno, exc.strerror, str(paths[len(moved)])) from None
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
 def _write_table(out: Path | None, chunks) -> None:
     """Write the CSV ``chunks`` of ``_csv_blocks`` to ``out`` with a manifest, or to stdout.
 
     The manifest records the current command's options, every one but
-    ``--out``, with the grid as [start, end, steps].
+    ``--out``, with the grid as [start, end, steps]. Both files are written
+    to temporaries and moved into place together (``_staged``).
     """
     if out is None:
         for chunk in chunks:
@@ -259,30 +294,29 @@ def _write_table(out: Path | None, chunks) -> None:
             click.echo(chunk, nl=False, color=True)
         return
     out = Path(out)
-    digest = hashlib.sha256()
-    size = 0
-    with out.open("wb") as fh:
-        for chunk in chunks:
-            data = chunk.encode()
-            fh.write(data)
-            digest.update(data)
-            size += len(data)
-    ctx = click.get_current_context()
-    parameters = {key: value for key, value in ctx.params.items() if key != "out"}
-    grid = parameters["grid"]
-    start, end = (float(grid[0]), float(grid[-1])) if len(grid) else (0.0, 0.0)
-    parameters["grid"] = [start, end, len(grid)]
-    manifest = {
-        "schema": "spinwire.manifest/1",
-        "command": ctx.command.name,
-        "parameters": parameters,
-        "artifact-version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "output-files": [{"path": out.name, "sha256": digest.hexdigest(), "bytes": size}],
-    }
-    out.with_name(out.name + ".manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    with _staged([out, out.with_name(out.name + ".manifest.json")]) as (table, manifest):
+        digest = hashlib.sha256()
+        size = 0
+        with table.open("wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode()
+                fh.write(data)
+                digest.update(data)
+                size += len(data)
+        ctx = click.get_current_context()
+        parameters = {key: value for key, value in ctx.params.items() if key != "out"}
+        grid = parameters["grid"]
+        start, end = (float(grid[0]), float(grid[-1])) if len(grid) else (0.0, 0.0)
+        parameters["grid"] = [start, end, len(grid)]
+        record = {
+            "schema": "spinwire.manifest/1",
+            "command": ctx.command.name,
+            "parameters": parameters,
+            "artifact-version": __version__,
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "output-files": [{"path": out.name, "sha256": digest.hexdigest(), "bytes": size}],
+        }
+        manifest.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 @functools.cache
@@ -485,15 +519,18 @@ def verify(max_n, seed, tolerance, out) -> None:
     """Run the cross-module invariant suite.
 
     Prints one line per check and exits 1 if any fails. The JSON
-    report is byte-identical across runs with the same parameters.
+    report is byte-identical across runs with the same parameters. Its
+    directory is checked before any check runs, and the report is moved
+    into place at the end (``_staged``).
     """
-    report = run_verification(max_n=max_n, seed=seed, tolerance=tolerance)
-    for check in report.checks:
-        click.echo(check.line())
-    passed = sum(c.passed for c in report.checks)
-    click.echo(f"{passed}/{len(report.checks)} checks passed")
-    if out is not None:
-        Path(out).write_text(report.to_json())
+    with _staged([] if out is None else [Path(out)]) as temps:
+        report = run_verification(max_n=max_n, seed=seed, tolerance=tolerance)
+        for check in report.checks:
+            click.echo(check.line())
+        passed = sum(c.passed for c in report.checks)
+        click.echo(f"{passed}/{len(report.checks)} checks passed")
+        for temp in temps:
+            temp.write_text(report.to_json())
     if not report.passed:
         failing = [c for c in report.checks if not c.passed]
         click.echo("failing inputs:", err=True)

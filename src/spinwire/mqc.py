@@ -30,7 +30,7 @@ holds the intensities of the orders -2, 0, 2.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -378,57 +378,99 @@ def _flip_parts(state: DeviationState) -> dict[int, DeviationState]:
     return {sign: DeviationState(state.n, tuple(terms)) for sign, terms in groups.items()}
 
 
+def _g_parity(state: DeviationState) -> int:
+    """g when G = F R maps ``state`` onto g times itself, g = +-1, and 0 otherwise.
+
+    G P G = (-1)^(#Y + #Z) R(P) for a Pauli string P, R(P) its mirror image, so
+    the image is formed term by term, without a dense operator.
+    """
+    weights: dict = {}
+    for weight, string in state.terms:
+        weights[string] = weights.get(string, 0) + weight
+    weights = {string: weight for string, weight in weights.items() if weight}
+    image = {
+        tuple(sorted((state.n + 1 - site, letter) for site, letter in string)):
+        (-1) ** sum(letter != "X" for _, letter in string) * weight
+        for string, weight in weights.items()
+    }
+    for g in (1, -1):
+        if image == {string: g * weight for string, weight in weights.items()}:
+            return g
+    return 0
+
+
 def _bit_reversal(labels: np.ndarray, n: int) -> np.ndarray:
     """Image of each n-bit basis label under the site reversal j -> n + 1 - j."""
-    out = np.zeros_like(labels)
-    for bit in range(n):
-        out |= ((labels >> bit) & 1) << (n - 1 - bit)
-    return out
+    return ((labels[:, None] >> np.arange(n)) & 1) @ (1 << np.arange(n - 1, -1, -1))
 
 
-def _reflection_halves(labels: np.ndarray, n: int, palindromic: bool) -> list[tuple]:
-    """The orbit bases of one sector under the site reversal R: a list of
-    (first, second, sign), one entry per non-empty half.
+def _reflection_halves(labels: np.ndarray, image: np.ndarray | None) -> list[tuple]:
+    """The orbit bases of one sector under a mirror M of its labels, ``image`` being
+    M(labels), or None: a list of (first, second, sign), one entry per non-empty half.
 
     Orbit vector i of a half is c_i (e_first_i + sign e_second_i), with first and
-    second positions in ``labels`` (``_fold``). When the couplings are palindromic
-    and R maps the sector onto itself, R commutes with H there, and the sector
-    splits into an R-even half, (e_a + e_Ra)/sqrt2 for each pair a < Ra and e_f
-    for each label f that R fixes, and an R-odd half, (e_a - e_Ra)/sqrt2.
-    Otherwise the sector is one half, (all positions, None, 1): each orbit is
-    one label.
+    second positions in ``labels`` (``_fold``). When M maps the sector onto itself,
+    the sector splits into an M-even half, (e_a + e_Ma)/sqrt2 for each pair a < Ma
+    and then e_f for each label f that M fixes, and an M-odd half, (e_a - e_Ma)/sqrt2
+    for the same pairs in the same order. Otherwise the sector is one half,
+    (all positions, None, 1): each orbit is one label.
     """
-    mirror = _bit_reversal(labels, n)
-    if not (palindromic and np.array_equal(np.sort(mirror), labels)):
+    if image is None or not np.array_equal(np.sort(image), labels):
         return [(np.arange(labels.size), None, 1)]
-    partner = np.searchsorted(labels, mirror)
-    even, odd = np.flatnonzero(labels <= mirror), np.flatnonzero(labels < mirror)
+    partner = np.searchsorted(labels, image)
+    odd = np.flatnonzero(labels < image)
+    even = np.concatenate([odd, np.flatnonzero(labels == image)])
     return [(even, partner[even], 1)] + ([(odd, partner[odd], -1)] if odd.size else [])
 
 
-def _fold(x: np.ndarray, first: np.ndarray, second: np.ndarray | None, sign: int) -> np.ndarray:
-    """The block of x on the orbit vectors c_i (e_first_i + sign e_second_i).
+def _fold(x: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """The block of x from the orbit vectors of ``cols`` to those of ``rows``, each
+    a (first, second, sign) of ``_reflection_halves``.
 
-    c_i = 1/2 where first_i == second_i (the vector is e_first_i) and 1/sqrt2
-    otherwise. A sector that is one half (second None) is its own block: x.
+    Orbit vector i is c_i (e_first_i + sign e_second_i), with c_i = 1/2 where
+    first_i == second_i (the vector is e_first_i) and 1/sqrt2 otherwise. A sector
+    that is one half (second None) is its own block: x.
     """
-    if second is None:
+    if rows[1] is None:
         return x
-    combine = np.add if sign > 0 else np.subtract
-    scale = np.where(first == second, 0.5, np.sqrt(0.5))
-    rows = x[first]
-    combine(rows, x[second], out=rows)
-    block = rows[:, first]
-    combine(block, rows[:, second], out=block)
-    block *= scale[:, None]
-    block *= scale
+    (first, second, sign), (first_c, second_c, sign_c) = rows, cols
+    block = x[first]
+    (np.add if sign > 0 else np.subtract)(block, x[second], out=block)
+    block, other = block[:, first_c], block[:, second_c]
+    (np.add if sign_c > 0 else np.subtract)(block, other, out=block)
+    block *= np.where(first == second, 0.5, np.sqrt(0.5))[:, None]
+    block *= np.where(first_c == second_c, 0.5, np.sqrt(0.5))
     return block
+
+
+def _mirror_image(spec: ChainSpec, labels: np.ndarray) -> np.ndarray | None:
+    """The images of ``labels`` under the chain's mirror, or None when its couplings
+    are not a palindrome (exactly: a chain one ulp off keeps whole sectors).
+
+    The mirror is the site reversal R, x -> bitreverse(x), which keeps popcount
+    and commutes with H. Under dq at even n R complements the odd-site gauge, so
+    it maps sector k onto n - k, and the mirror is G = F R,
+    x -> (2^n - 1) ^ bitreverse(x), which maps it back onto k; F commutes with
+    H too, so G does. pop(Gx) = n - pop(x).
+    """
+    n = spec.n
+    couplings = np.asarray(spec.couplings)
+    if not np.array_equal(couplings, couplings[::-1]):
+        return None
+    return _bit_reversal(labels, n) ^ (2**n - 1) * _flips(spec)
+
+
+def _flips(spec: ChainSpec) -> bool:
+    """Whether the mirror of ``_mirror_image`` is G = F R rather than R."""
+    return spec.model == "dq" and spec.n % 2 == 0
 
 
 def _mirror_pairs(spec: ChainSpec):
     """Per pair of conserved sectors k and n - k (k = 0..n // 2), one pair at a time:
     sector k's labels, its halves as (orbits, eigenpairs) with orbits from
-    ``_reflection_halves``, and whether k != n - k.
+    ``_reflection_halves`` under the mirror of ``_mirror_image``, whether
+    k != n - k, and whether the halves are those of G, whose pairs (a, Ga) have
+    popcounts p and n - p.
 
     Only sector k's H block is built, on its labels alone, so no 2^n x 2^n array
     is ever formed. H is real in this basis under both models, xx and dq
@@ -436,53 +478,207 @@ def _mirror_pairs(spec: ChainSpec):
     n - k is sector k flipped (``conserved_sectors``), and its moments are read
     off sector k's, so it is neither built nor diagonalised.
     """
-    n = spec.n
     sectors = conserved_sectors(spec)
-    couplings = np.asarray(spec.couplings)
-    palindromic = np.array_equal(couplings, couplings[::-1])
-    for k in range(n // 2 + 1):
-        h_k = build_hamiltonian(spec, sectors[k])
+    for k in range(spec.n // 2 + 1):
+        labels = sectors[k]
+        h_k = build_hamiltonian(spec, labels)
         if np.any(h_k.imag):
             raise UnsupportedModelError(f"{spec.model} Hamiltonian block is not real")
         halves = [
-            (orbits, np.linalg.eigh(_fold(h_k.real, *orbits)))
-            for orbits in _reflection_halves(sectors[k], n, palindromic)
+            (orbits, np.linalg.eigh(_fold(h_k.real, orbits, orbits)))
+            for orbits in _reflection_halves(labels, _mirror_image(spec, labels))
         ]
         del h_k  # only the eigenpairs outlive the build
-        yield sectors[k], halves, 2 * k != n
+        yield labels, halves, 2 * k != spec.n, _flips(spec) and len(halves) == 2
+
+
+# bytes of one stacked (times, m, m) complex array; a time batch holds a few of them
+_BATCH_BYTES = 1 << 18
+# the two parts of rho under G = F R as (G-parity, blocks (P, Q)), with half 0 = E and
+# 1 = O: the G-even part has the EE and OO blocks, the G-odd part OE and EO
+_G_PARTS = ((1, ((0, 0), (1, 1))), (-1, ((1, 0), (0, 1))))
+
+
+def _real_left(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v @ x for a real matrix v and a C-contiguous complex stack x: one real
+    product on x's float view, whose rows interleave real and imaginary parts."""
+    return np.matmul(v, x.view(float)).view(complex)
+
+
+def _eigenbasis_t(v_l: np.ndarray, x: np.ndarray, v_r: np.ndarray) -> np.ndarray:
+    """(V_l^T x V_r)^T, C-contiguous, for real V_l, V_r and a complex x: two real
+    products (``_real_left``), the block that ``_evolved`` takes."""
+    y = _real_left(v_l.T, np.ascontiguousarray(x))
+    return _real_left(v_r.T, np.ascontiguousarray(y.T))
+
+
+def _phases(left, right, times: np.ndarray) -> np.ndarray:
+    """exp(-i (w_la - w_rb) t) for the eigenpairs (w, V) ``left`` and ``right`` at each
+    time, transposed: shape (len(times), m_r, m_l)."""
+    return np.exp(1j * np.multiply.outer(times, right[0]))[:, :, None] * np.exp(
+        -1j * np.multiply.outer(times, left[0]))[:, None, :]
+
+
+def _evolved(left, tilde_t: np.ndarray, right, phases: np.ndarray) -> np.ndarray:
+    """U_l(t) X U_r(t)^dag at each time: shape (len(times), m_l, m_r).
+
+    ``left`` and ``right`` are the eigenpairs (w, V) of two halves, V real, and
+    ``tilde_t`` is the transpose of X in their eigenbases, (V_l^T X V_r)^T, so that
+    U_l X U_r^dag = V_l (tilde * exp(-i (w_la - w_rb) t)) V_r^T with the phases of
+    ``_phases``. Both products with V are real products (``_real_left``), the one
+    with V_r on the transpose.
+    """
+    y = _real_left(right[1], phases * tilde_t)
+    y = np.ascontiguousarray(y.transpose(0, 2, 1))
+    return _real_left(left[1], y)
+
+
+def _binned(bins: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Each time's ``weights`` (shape (T,) + bins.shape) summed by ``bins`` in 0..size - 1,
+    all in one bincount with per-time offsets: shape (T, size)."""
+    count = len(weights)
+    index = bins.ravel() + size * np.arange(count)[:, None]
+    return np.bincount(index.ravel(), weights.ravel(), count * size).reshape(count, size)
+
+
+def _batches(grid: np.ndarray, m: int):
+    """Consecutive slices of ``grid`` whose (len, m, m) complex stacks fit _BATCH_BYTES."""
+    step = max(1, _BATCH_BYTES // (16 * m * m))
+    return (slice(k, k + step) for k in range(0, grid.size, step))
 
 
 def _sector_moments(
-    n: int, labels: np.ndarray, halves, states: Iterable[DeviationState], grid: np.ndarray
+    n: int, labels: np.ndarray, halves, flips: bool, states: Sequence[DeviationState],
+    parities: Sequence[int], grid: np.ndarray,
 ) -> np.ndarray:
-    """Moments M_p(t) of one sector for each of ``states``: shape
-    (len(states), len(grid), 2n + 1), column p + n.
+    """Moments M_p(t) of one sector for each of ``states``, whose G-parities
+    (``_g_parity``) are ``parities``: shape (len(states), len(grid), 2n + 1),
+    column p + n.
 
-    Each half (orbits, eigen) of ``_mirror_pairs`` is evolved on its own: at
-    each time the entries (i, j) of rho_h(t) * Z_h(t)^T, with rho_h(0) the fold
-    (``_fold``) of a state's block on ``labels`` and ``eigen`` the half's H
-    eigenpairs, are summed by p = pop(i) - pop(j), the popcounts of the orbits'
-    labels; only the real part is kept. R keeps popcount, so Z and the
-    rotation are diagonal in the orbit basis. The R-odd part of rho, the
-    part with R rho R = -rho, adds nothing: R commutes with U(t), Z and the
-    rotation, so its trace equals its own negative, bin by bin. The folds keep
-    only the R-even part, and need no split of the state. U(t) and Z_h(t) are
-    formed once per time and shared by the states.
+    M_p sums rho_ab(t) Z_ba(t) over the sector's labels a, b with
+    p = pop(a) - pop(b); only the real part is kept. rho(0) is taken to the
+    orbit basis of the halves (``_fold``), and each block between two halves
+    (orbits, eigen) of ``_mirror_pairs`` is evolved as U_l X U_r^dag from X in
+    the halves' eigenbases (``_evolved``), a batch of times at once
+    (``_batches``); each batch is binned by one bincount per state and part
+    (``_binned``). Z(t) is formed once per batch and shared by the states. The
+    halves of R, and a sector that is one half, are binned on their own
+    (``_half_moments``); the halves of G (``flips``) by the corners of their
+    blocks (``_corner_moments``).
     """
+    out = np.zeros((len(states), grid.size, 2 * n + 1))
     rhos = [deviation_to_dense(state, labels) for state in states]
-    out = np.zeros((len(rhos), grid.size, 2 * n + 1))
-    for orbits, eigen in halves:
-        pop = popcount(labels[orbits[0]], n)
-        bins = (pop[:, None] - pop[None, :] + n).ravel()
-        z_h = n - 2.0 * pop
-        blocks = [_fold(rho, *orbits) for rho in rhos]
-        for i, t in enumerate(grid):
-            u = _unitary(eigen, t)
-            z_t = ((u * z_h) @ u.conj().T).T
-            for rho_h, row in zip(blocks, out[:, i]):
-                rho_t = u @ rho_h @ u.conj().T
-                row += np.bincount(bins, (rho_t * z_t).real.ravel(), 2 * n + 1)
+    if flips:
+        _corner_moments(n, labels, halves, states, parities, rhos, grid, out)
+    else:
+        _half_moments(n, labels, halves, rhos, grid, out)
     return out
+
+
+def _half_moments(n, labels, halves, rhos, grid, out) -> None:
+    """Add each half's moments to ``out`` (``_sector_moments``), for halves whose orbit
+    vectors each have one popcount: those of R, or a whole sector.
+
+    R keeps Z and the rotation diagonal in the orbit basis, so each half is
+    evolved and binned on its own, by the orbits' popcounts. The R-odd part of
+    rho, the part with R rho R = -rho, adds nothing: R commutes with U(t), Z and
+    the rotation, so its trace equals its own negative, bin by bin. It lies in
+    the blocks between the halves, which are never evolved.
+    """
+    size = 2 * n + 1
+    # every half's blocks first, so the sector's rho blocks can go
+    tildes = [[_eigenbasis_t(eigen[1], _fold(rho, orbits, orbits), eigen[1]) for rho in rhos]
+              for orbits, eigen in halves]
+    rhos.clear()
+    for (orbits, eigen), half_tildes in zip(halves, tildes):
+        pop = popcount(labels[orbits[0]], n)
+        # each order twice: a cell's real and imaginary parts are adjacent floats
+        bins = np.repeat(pop[:, None] - pop + n, 2, axis=1)
+        vectors = eigen[1]
+        z_tilde = (vectors.T * (n - 2.0 * pop)) @ vectors  # symmetric: its own transpose
+        for rows in _batches(grid, pop.size):
+            phases = _phases(eigen, eigen, grid[rows])
+            z_t = _evolved(eigen, z_tilde, eigen, phases)
+            for tilde, moments in zip(half_tildes, out):
+                weights = _evolved(eigen, tilde, eigen, phases).view(float)
+                # Z(t) is Hermitian, so Re rho_ab Z_ba = Re rho_ab conj(Z_ab), the sum of
+                # the products of their float views' two parts
+                weights *= z_t.view(float)
+                moments[rows] += _binned(bins, weights, size)
+
+
+def _corner_moments(n, labels, halves, states, parities, rhos, grid, out) -> None:
+    """Add the moments of a sector split by G = F R to ``out`` (``_sector_moments``).
+
+    pop(Ga) = n - pop(a), so Z is G-odd. Its one orbit block is EO, rows in the
+    G-even half E and columns in the G-odd half O: diag(z_f) on the pairs
+    (f, s = Gf), zero on the labels f = Gf. Every block of rho counts. The
+    label-basis corners (f, f), (f, s), (s, f) and (s, s) of rho(t) * Z(t)^T are
+    +- sums of the evolved blocks, so they are binned from those, with no
+    product back to the labels. A fixed label is a pair with a zero O vector:
+    O's eigenvectors are padded to E's size. With e = pop(f) - n/2 (0 on a fixed
+    label), Zb the EO block of Z(t), Z+- = Zb^T +- conj(Zb), and X+- = P +- Q for
+    the blocks (P, Q) of one G-parity part of rho, of parity g:
+
+        (f, f), (s, s) corners: 1/4 Re[X+ * Z+] at order e_i - e_j, and -g
+                                times the same at e_j - e_i
+        (f, s), (s, f) corners: 1/4 Re[X- * Z-] at order e_i + e_j, and -g
+                                times the same at -e_i - e_j
+
+    The G-even part (g = +1) has (P, Q) = (EE, OO), the G-odd part (g = -1)
+    (OE, EO). A part that ``_g_parity`` shows to be zero is skipped: every
+    prepared kind has one part, x_logical the G-even one and the rest the
+    G-odd one, while Z_1 + 0.7 X_2 has both. A Hermitian state (every weight
+    real) has OE(t) = EO(t)^dag, so EO alone is evolved.
+    """
+    size = 2 * n + 1
+    (even, eigen_e), (odd, (w_o, v_o)) = halves
+    split, pairs = even[0].size, odd[0].size
+    v_pad = np.zeros((split, split))
+    v_pad[:pairs, :pairs] = v_o
+    eigens = (eigen_e, (np.concatenate([w_o, np.zeros(split - pairs)]), v_pad))
+    e = np.zeros(split, dtype=np.int64)
+    e[:pairs] = popcount(labels[odd[0]], n) - n // 2
+    bins = np.repeat(np.stack([e[:, None] - e, e[:, None] + e]) + n, 2, axis=2)
+    # Z's EO block: z_f = n - 2 pop(f) = -2 e_f on the pairs, 0 on the fixed labels
+    z_tilde_t = np.ascontiguousarray(((eigen_e[1].T * (-2.0 * e)) @ v_pad).T)
+    work = []
+    for index, (state, parity, rho) in enumerate(zip(states, parities, rhos)):
+        hermitian = not any(weight.imag for weight, _ in state.terms)
+        for g, blocks in _G_PARTS:
+            if parity == -g:  # this part of the state is zero
+                continue
+            tildes = []
+            # a Hermitian state's OE(t) is EO(t)^dag: its G-odd part evolves EO alone
+            for i, j in blocks[1:] if hermitian and g < 0 else blocks:
+                tilde = np.zeros((split, split), dtype=complex)
+                block = _eigenbasis_t(halves[i][1][1], _fold(rho, halves[i][0], halves[j][0]),
+                                      halves[j][1][1])
+                tilde[:block.shape[0], :block.shape[1]] = block
+                tildes.append(((i, j), tilde))
+            work.append((index, g, tildes))
+    rhos.clear()  # only the blocks in the eigenbases outlive the folds
+    blocks = {(0, 1)} | {block for _, _, tildes in work for block, _ in tildes}
+    for rows in _batches(grid, split):
+        phases = {(i, j): _phases(eigens[i], eigens[j], grid[rows]) for i, j in blocks}
+        z_b = _evolved(eigens[0], z_tilde_t, eigens[1], phases[0, 1])
+        # conj(Z+-) = Zb^dag +- Zb, so that Re X Z+- is the float views' dot of X and conj(Z+-)
+        z_minus = np.ascontiguousarray(z_b.conj().transpose(0, 2, 1))
+        z_plus = z_minus + z_b
+        z_minus -= z_b
+        x = np.empty_like(z_b)
+        weights = np.empty((len(z_b), 2, split, 2 * split))
+        for index, g, tildes in work:
+            evolved = [_evolved(eigens[i], tilde, eigens[j], phases[i, j])
+                       for (i, j), tilde in tildes]
+            if len(evolved) == 1:
+                evolved.insert(0, evolved[0].conj().transpose(0, 2, 1))
+            p, q = evolved
+            np.multiply(np.add(p, q, out=x).view(float), z_plus.view(float), out=weights[:, 0])
+            np.multiply(np.subtract(p, q, out=x).view(float), z_minus.view(float),
+                        out=weights[:, 1])
+            corners = 0.25 * _binned(bins, weights, size)
+            out[index, rows] += corners - g * corners[:, ::-1]
 
 
 def mqc_phase_cycled_grid(
@@ -506,7 +702,7 @@ def mqc_phase_cycled_grid(
     only Re M_p reaches J_q.
 
     The spin flip F = X^(x)n pairs sector k with sector n - k, so each pair
-    costs one build and one eigh (``_mirror_pairs``). F negates every Z_j,
+    costs one build (``_mirror_pairs``). F negates every Z_j,
     hence Z and every order p, and F P F = (-1)^(#Y + #Z) P for a Pauli
     string P. The moments are linear in rho(0), which splits into parts
     rho_s with F rho_s F = s rho_s (``_flip_parts``); for each part, M_p of
@@ -514,11 +710,16 @@ def mqc_phase_cycled_grid(
     evolved, once per part with U(t) and Z_k(t) shared, and sector n - k
     costs no per-time work. Every prepared state has one part.
 
-    When the couplings are a palindrome, the site reversal R commutes with H,
-    and each sector that R maps onto itself splits into an R-even and an R-odd
-    half (``_reflection_halves``): every sector under xx and under dq at odd
-    n, only the middle one under dq at even n. Each half is diagonalised and
-    evolved on its own; any other sector is one half, on the same path.
+    When the couplings are a palindrome, a mirror M of the chain commutes
+    with H and maps every sector onto itself (``_mirror_image``): the site
+    reversal R under xx and under dq at odd n, and G = F R under dq at even
+    n, where R maps sector k onto n - k. Each sector then splits into an
+    M-even and an M-odd half (``_reflection_halves``), which are diagonalised
+    and evolved on their own, a batch of times at once; at n = 10 the largest
+    block is 126 wide, not 252. R keeps popcount, so each half is binned on
+    its own; G does not, and the corners of each block are binned from the
+    evolved halves (``_sector_moments``). A chain that is not a palindrome keeps
+    whole sectors, each one half, on the same path.
 
     Every argument is checked before any work, also for an empty grid.
     """
@@ -528,9 +729,13 @@ def mqc_phase_cycled_grid(
     if not grid.size:
         return np.zeros((0, orders.size))
     parts = _flip_parts(initial)
+    states = list(parts.values())
+    parities = [_g_parity(state) for state in states]
     moments = np.zeros((grid.size, 2 * n + 1))
-    for labels, halves, mirrored in _mirror_pairs(spec):
-        for sign, part in zip(parts, _sector_moments(n, labels, halves, parts.values(), grid)):
+    for labels, halves, mirrored, flips in _mirror_pairs(spec):
+        for sign, part in zip(
+            parts, _sector_moments(n, labels, halves, flips, states, parities, grid)
+        ):
             moments += part
             if mirrored:
                 moments -= sign * part[:, ::-1]

@@ -175,6 +175,11 @@ def engineered_mirror_profile(rng, max_n, oracle_n):
 # -- oracle comparisons ------------------------------------------------
 
 
+def _conjugated(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """U x U^dag: one evolved dense operator."""
+    return u @ x @ u.conj().T
+
+
 def _draw(rng, n, models):
     """Draw couplings, then t; per model, (spec, H, U(t)) from one build and one eigh."""
     cpl = chain_mod.random_couplings(rng, n)
@@ -194,8 +199,10 @@ def polarization_vs_oracle(rng, max_n, oracle_n):
     dev = 0.0
     for spec, _, u in dense:
         amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), t)
+        # Z_1(t) serves two pairs, so each Z_j(t) is formed once
+        z_t = {j: _conjugated(u, z[j]) for j in (1, 2)}
         for j, l in ((1, n), (2, n - 1), (1, 1)):
-            ref = oracle_mod.trace_overlap(u @ z[j] @ u.conj().T, z[l]).real
+            ref = oracle_mod.trace_overlap(z_t[j], z[l]).real
             got = prop_mod.polarization_from_propagator(amp, j, l, spec.model)
             dev = max(dev, abs(got - ref))
     yield ("polarization_vs_oracle", dev, _TOL_ORACLE, {"n": n, "couplings": cpl, "t": t})
@@ -235,7 +242,7 @@ def mixed_overlap_vs_oracle(rng, max_n, oracle_n):
     got = prop_mod.mixed_state_overlap(amp, a, b)
     ra = oracle_mod.excitation_operator(n, a)
     rb = oracle_mod.excitation_operator(n, b)
-    ref = np.trace(u @ ra @ u.conj().T @ rb)
+    ref = np.trace(_conjugated(u, ra) @ rb)
     yield (
         "mixed_overlap_vs_oracle",
         abs(got - ref),
@@ -256,7 +263,7 @@ def logical_channels_vs_oracle(rng, max_n, oracle_n):
         for alpha in logical_mod.CHANNELS:
             rho0 = oracle_mod.deviation_to_dense(source[alpha])
             ref = 2.0 * oracle_mod.trace_overlap(
-                u @ rho0 @ u.conj().T, oracle_mod.deviation_to_dense(target[alpha])
+                _conjugated(u, rho0), oracle_mod.deviation_to_dense(target[alpha])
             ).real
             dev = max(dev, abs(got[alpha] - ref))
     yield (
@@ -270,12 +277,15 @@ def logical_channels_vs_oracle(rng, max_n, oracle_n):
 def autocorrelation_vs_oracle(rng, max_n, oracle_n):
     n = oracle_n
     cpl, t, dense = _draw(rng, n, chain_mod.MODELS)
+    # each kind's rho(0) and Tr[rho(0)^2] hold for both models
+    states = []
+    for kind in prop_mod.INITIAL_KINDS:
+        rho0 = oracle_mod.deviation_to_dense(mqc_mod.prepare_state(n, kind))
+        states.append((kind, rho0, oracle_mod.trace_overlap(rho0, rho0).real))
     dev = 0.0
     for spec, _, u in dense:
-        for kind in prop_mod.INITIAL_KINDS:
-            rho0 = oracle_mod.deviation_to_dense(mqc_mod.prepare_state(n, kind))
-            norm = oracle_mod.trace_overlap(rho0, rho0).real
-            ref = oracle_mod.trace_overlap(u @ rho0 @ u.conj().T, rho0).real / norm
+        for kind, rho0, norm in states:
+            ref = oracle_mod.trace_overlap(_conjugated(u, rho0), rho0).real / norm
             got = prop_mod.end_autocorrelation_grid(spec, kind, [t])[0]
             dev = max(dev, abs(got - ref))
     yield (
@@ -391,10 +401,10 @@ def purity_and_commutation(rng, max_n, oracle_n):
     n = oracle_n
     cpl, t, dense = _draw(rng, n, chain_mod.MODELS)
     rho0 = oracle_mod.deviation_to_dense(mqc_mod.prepare_state(n, "y_logical"))
+    p0 = oracle_mod.trace_overlap(rho0, rho0).real
     dev = 0.0
     for _, _, u in dense:
-        rho_t = u @ rho0 @ u.conj().T
-        p0 = oracle_mod.trace_overlap(rho0, rho0).real
+        rho_t = _conjugated(u, rho0)
         pt = oracle_mod.trace_overlap(rho_t, rho_t).real
         dev = max(dev, abs(pt - p0))
     (_, hx, _), (_, hd, _) = dense

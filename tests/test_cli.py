@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinwire
+import spinwire.verify
 from spinwire import cli
 from spinwire.cli import main
 
@@ -678,6 +679,41 @@ def test_an_unwritable_out_is_one_error_line(runner, tmp_path, args, parent):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
     assert "Traceback" not in result.output
+
+
+def test_a_manifest_path_that_cannot_be_written_leaves_no_table(runner, tmp_path):
+    # the table and its manifest are moved into place together or not at all
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, ["transfer", "--n", "4", "--grid", "0:1:2", "--out", str(out)])
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "x.csv.manifest.json" in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv.manifest.json"]
+
+
+def test_a_written_table_leaves_no_temporary_behind(runner, tmp_path):
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, ["transfer", "--n", "4", "--grid", "0:1:2", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.csv.manifest.json"]
+    manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+    assert manifest["output-files"][0]["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_verify_checks_its_out_directory_before_any_check(runner, tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(spinwire.verify, "CHECKS", (never,))
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "x.json"
+    result = runner.invoke(main, ["verify", "--max-n", "4", "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
 
 
 def test_a_reader_closing_stdout_early_gets_no_error_line():

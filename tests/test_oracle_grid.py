@@ -8,13 +8,18 @@ of ``reference``; their blocks on sorted labels against slices of the
 dense operators; ``popcount`` against the per-bit loop it replaced;
 ``conserved_sectors`` against the block structure of H and the spin-flip
 mirror between sectors k and n - k, which the grid engine uses to build
-and diagonalise one block per mirror pair; and the split of each sector
-that the site reversal maps onto itself, on mirror-symmetric chains, into
-an R-even and an R-odd half.
+one block per mirror pair; and the split of every sector of a
+mirror-symmetric chain into an even and an odd half under its mirror: the
+site reversal R, or G = F R under dq at even n, where R maps sector k onto
+n - k. R keeps popcount and G complements it, so the grid engine bins the
+halves of G from their corners; the literal cycle checks both on
+palindromic chains, for every prepared state and for states with parts of
+both G parities, and a tracemalloc bound holds its time batches in check.
 """
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -195,15 +200,21 @@ def reversal_permutation(n: int) -> np.ndarray:
     return np.array([int(format(x, f"0{n}b")[::-1] or "0", 2) for x in range(2**n)])
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_bit_reversal_equals_the_string_reversal(n):
+    labels = np.arange(2**n)
+    assert np.array_equal(mqc._bit_reversal(labels, n), reversal_permutation(n))
+
+
 def half_sizes(spec: ChainSpec) -> list[list[int]]:
-    return [[orbits[0].size for orbits, _ in halves] for _, halves, _ in mqc._mirror_pairs(spec)]
+    return [[orbits[0].size for orbits, _ in halves] for _, halves, *_ in mqc._mirror_pairs(spec)]
 
 
 @pytest.mark.parametrize(
     "n, model, sizes",
     [
-        (10, "dq", [[1], [10], [45], [120], [210], [142, 110]]),
-        (8, "dq", [[1], [8], [28], [56], [43, 27]]),
+        (10, "dq", [[1], [5, 5], [25, 20], [60, 60], [110, 100], [126, 126]]),
+        (8, "dq", [[1], [4, 4], [16, 12], [28, 28], [38, 32]]),
         (9, "dq", [[1], [5, 4], [20, 16], [44, 40], [66, 60]]),
         (9, "xx", [[1], [5, 4], [20, 16], [44, 40], [66, 60]]),
         (10, "xx", [[1], [5, 5], [25, 20], [60, 60], [110, 100], [126, 126]]),
@@ -211,8 +222,26 @@ def half_sizes(spec: ChainSpec) -> list[list[int]]:
 )
 @pytest.mark.parametrize("family", MIRRORED)
 def test_mirror_invariant_sectors_split_into_two_halves(n, model, sizes, family):
-    # dq at even n: R complements the odd-site gauge, so only the middle sector maps onto itself
+    # dq at even n: R complements the odd-site gauge, and G = F R splits every sector
     assert half_sizes(MIRRORED[family](n, model=model)) == sizes
+
+
+@pytest.mark.parametrize("n", range(2, 11, 2))
+def test_every_sector_of_an_even_dq_palindrome_splits_by_g(n):
+    # G fixes only labels of popcount n/2; sector 0 of dq at even n is one of them
+    spec = engineered_couplings(n, model="dq")
+    sectors = conserved_sectors(spec)
+    pairs = list(mqc._mirror_pairs(spec))
+    assert len(pairs) == n // 2 + 1
+    for (labels, halves, mirrored, flips), k in zip(pairs, range(n // 2 + 1)):
+        assert np.array_equal(labels, sectors[k])
+        assert mirrored == (2 * k != n)
+        assert sum(orbits[0].size for orbits, _ in halves) == labels.size
+        assert len(halves) == (2 if labels.size >= 2 else 1)
+        assert flips == (len(halves) == 2)
+        image = mqc._mirror_image(spec, labels)
+        assert np.array_equal(image, (2**n - 1) ^ reversal_permutation(n)[labels])
+        assert np.array_equal(popcount(image, n), n - popcount(labels, n))
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -226,43 +255,56 @@ def test_a_chain_that_is_not_a_palindrome_keeps_whole_sectors(model):
     assert half_sizes(ChainSpec(n, model, tuple(couplings))) == sizes
 
 
+def orbit_basis(labels: np.ndarray, orbits: tuple) -> np.ndarray:
+    """The orbit vectors of one half as the columns of a len(labels) x len(half) matrix."""
+    first, second, sign = orbits
+    if second is None:  # a sector that is one half
+        second = first
+    q = np.zeros((labels.size, first.size))
+    cols = np.arange(first.size)
+    single = first == second
+    q[first, cols] = np.where(single, 1.0, np.sqrt(0.5))
+    q[second[~single], cols[~single]] = sign * np.sqrt(0.5)
+    return q
+
+
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("n", range(2, 9))
 def test_halves_are_the_blocks_of_the_orbit_basis(n, model):
-    # the orbit vectors are orthonormal, H has no entry between the halves, and each
-    # half's fold is its block in that basis
+    # the orbit vectors are orthonormal, H has no entry between the halves, each fold is
+    # the block of its two halves in that basis, and Z has no entry within a half under G
+    # (it flips popcount) and none between the halves under R (it keeps it)
     spec = engineered_couplings(n, model=model)
     ends = DeviationState(n, ((1.0, ((1, "Z"),)), (0.5, ((n, "X"),))))
     state = MIXED_STATES[0](n) if n >= 3 else ends
+    flips = model == "dq" and n % 2 == 0
     for labels in conserved_sectors(spec):
         h = build_hamiltonian(spec, labels).real
         rho = deviation_to_dense(state, labels)
-        bases = []
-        for first, second, sign in mqc._reflection_halves(labels, n, True):
-            if second is None:  # a sector that R maps onto another one
-                second = first
-            q = np.zeros((labels.size, first.size))
-            cols = np.arange(first.size)
-            single = first == second
-            q[first, cols] = np.where(single, 1.0, np.sqrt(0.5))
-            q[second[~single], cols[~single]] = sign * np.sqrt(0.5)
-            np.testing.assert_allclose(mqc._fold(h, first, second, sign), q.T @ h @ q,
-                                       atol=1e-15)
-            np.testing.assert_allclose(mqc._fold(rho, first, second, sign), q.T @ rho @ q,
-                                       atol=1e-15)
-            bases.append(q)
+        z = np.diag(n - 2.0 * popcount(labels, n))
+        halves = mqc._reflection_halves(labels, mqc._mirror_image(spec, labels))
+        bases = [orbit_basis(labels, orbits) for orbits in halves]
+        for rows, left in zip(halves, bases):
+            for cols, right in zip(halves, bases):
+                for x in (h, rho, z):
+                    np.testing.assert_allclose(mqc._fold(x, rows, cols), left.T @ x @ right,
+                                               atol=1e-15)
         q = np.hstack(bases)
         np.testing.assert_allclose(q.T @ q, np.eye(labels.size), atol=1e-15)
         if len(bases) == 2:
-            assert np.max(np.abs(bases[0].T @ h @ bases[1])) <= 1e-15
+            even, odd = bases
+            assert np.max(np.abs(even.T @ h @ odd)) <= 1e-15
+            for left, right in ((even, even), (odd, odd)) if flips else ((even, odd),):
+                assert np.max(np.abs(left.T @ z @ right)) <= 1e-15
 
 
 def test_a_sector_that_is_one_half_is_its_own_block():
     spec = random_spec(6, "dq", seed=1)
     labels = conserved_sectors(spec)[3]
-    [(first, second, sign)] = mqc._reflection_halves(labels, 6, False)
+    assert mqc._mirror_image(spec, labels) is None
+    [half] = mqc._reflection_halves(labels, None)
     h = build_hamiltonian(spec, labels)
-    assert mqc._fold(h, first, second, sign) is h
+    assert mqc._fold(h, half, half) is h
 
 
 @given(
@@ -332,6 +374,21 @@ def test_grid_engine_holds_no_dense_operator():
 TIMES = st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=3)
 
 
+def test_grid_engine_batches_its_times_within_a_bound():
+    # one batch of all 256 times would stack 256 copies of a 126 x 126 complex half,
+    # 62 MiB per array; the batches keep the whole call under half a dense matrix
+    n, dense_bytes = 10, 16 * 4**10
+    spec = homogeneous_couplings(n, model="dq")
+    state = prepare_state(n, "z_ends")
+    tracemalloc.start()
+    try:
+        mqc_phase_cycled_grid(spec, state, np.linspace(0.0, 5.0, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes // 2
+
+
 @given(
     st.integers(2, 8),
     st.sampled_from(MODELS),
@@ -399,6 +456,60 @@ def test_grid_matches_literal_cycle_for_states_of_mixed_flip_parity(make, n, mod
     for row, t in zip(intensities, times):
         ref = mqc_phase_cycled(spec, state, t, 9, 4)
         assert np.max(np.abs(row - ref)) <= 1e-12
+
+
+# every prepared kind, and Hermitian states beyond them: Z_1 + 0.7 X_2 has a G-even and
+# a G-odd part, X_1 Y_2 - Y_{n-1} X_n is G-even like x_logical, and the last one is G-odd
+# like the other prepared kinds but has terms of both flip parities
+PALINDROME_STATES = {
+    **{kind: partial(prepare_state, kind=kind) for kind in PREPARED_KINDS},
+    "z1+0.7x2": lambda n: DeviationState(n, ((1.0, ((1, "Z"),)), (0.7, ((2, "X"),)))),
+    "x1y2-y(n-1)xn": lambda n: DeviationState(
+        n, ((1.0, ((1, "X"), (2, "Y"))), (-1.0, ((n - 1, "Y"), (n, "X"))))),
+    "z1+zn+0.3(x1-xn)": lambda n: DeviationState(
+        n, ((1.0, ((1, "Z"),)), (1.0, ((n, "Z"),)), (0.3, ((1, "X"),)), (-0.3, ((n, "X"),)))),
+}
+
+
+@given(
+    st.sampled_from([4, 6, 8]),
+    st.sampled_from(sorted(PALINDROME_STATES)),
+    TIMES,
+    st.integers(5, 32),
+    st.integers(0, 4),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_grid_matches_literal_cycle_on_palindromic_even_dq_chains(
+    n, name, times, phase_steps, max_order, data
+):
+    # n / 2 drawn bonds mirrored into n - 1 couplings: every sector splits by G = F R
+    assume(phase_steps > 2 * max_order)
+    bonds = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=n // 2, max_size=n // 2),
+                      label="bonds")
+    spec = ChainSpec(n, "dq", tuple(bonds + bonds[-2::-1]))
+    state = PALINDROME_STATES[name](n)
+    intensities = mqc_phase_cycled_grid(spec, state, times, phase_steps, max_order)
+    for row, t in zip(intensities, times):
+        ref = mqc_phase_cycled(spec, state, t, phase_steps, max_order)
+        assert np.max(np.abs(row - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, parity",
+    [("z_ends", -1), ("y_logical", -1), ("x_logical", 1), ("full_z", -1),
+     ("z1+0.7x2", 0), ("x1y2-y(n-1)xn", 1), ("z1+zn+0.3(x1-xn)", -1)],
+)
+def test_g_parity_matches_the_dense_mirror(name, parity):
+    # G = F R as a permutation of the labels, x -> (2^n - 1) ^ bitreverse(x), no phases
+    n = 6
+    state = PALINDROME_STATES[name](n)
+    assert mqc._g_parity(state) == parity
+    g = (2**n - 1) ^ reversal_permutation(n)
+    rho = deviation_to_dense(state)
+    mirrored = rho[np.ix_(g, g)]
+    for sign in (1, -1):
+        assert np.array_equal(mirrored, sign * rho) == (parity == sign)
 
 
 @given(

@@ -136,3 +136,33 @@ def test_each_dense_evolution_forms_z_t_once(monkeypatch):
     # one Z(t) per U(t): three U in coherence_orders (one for mqc_vs_analytic, two for
     # mqc_support_and_conservation) and the commutator check of purity_and_commutation
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize(
+    "check, counts",
+    [
+        # per model, Z_1(t) and Z_2(t) serve the pairs (1, n), (2, n - 1) and (1, 1)
+        ("polarization_vs_oracle", {"evolved": 4, "states": 0, "overlaps": 6}),
+        # per kind, rho(0) and Tr[rho(0)^2] once, then rho(t) and one overlap per model
+        ("autocorrelation_vs_oracle", {"evolved": 4, "states": 2, "overlaps": 6}),
+        # Tr[rho(0)^2] once, then rho(t) and its purity per model
+        ("purity_and_commutation", {"evolved": 2, "states": 1, "overlaps": 3}),
+    ],
+)
+def test_model_independent_dense_work_is_done_once(check, counts, monkeypatch):
+    calls = dict.fromkeys(counts, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, owner, attr in (("evolved", spinwire.verify, "_conjugated"),
+                              ("states", spinwire.oracle, "deviation_to_dense"),
+                              ("overlaps", spinwire.oracle, "trace_overlap")):
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+    results = list(getattr(spinwire.verify, check)(np.random.default_rng(0), 8, 7))
+    assert all(deviation <= tol for _, deviation, tol, _ in results)
+    assert calls == counts
