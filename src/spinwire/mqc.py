@@ -404,19 +404,17 @@ def _bit_reversal(labels: np.ndarray, n: int) -> np.ndarray:
     return ((labels[:, None] >> np.arange(n)) & 1) @ (1 << np.arange(n - 1, -1, -1))
 
 
-def _reflection_halves(labels: np.ndarray, image: np.ndarray | None) -> list[tuple]:
+def _reflection_halves(labels: np.ndarray, image: np.ndarray) -> list[tuple]:
     """The orbit bases of one sector under a mirror M of its labels, ``image`` being
-    M(labels), or None: a list of (first, second, sign), one entry per non-empty half.
+    M(labels), a permutation of them: a list of (first, second, sign), one entry per
+    non-empty half.
 
     Orbit vector i of a half is c_i (e_first_i + sign e_second_i), with first and
-    second positions in ``labels`` (``_fold``). When M maps the sector onto itself,
-    the sector splits into an M-even half, (e_a + e_Ma)/sqrt2 for each pair a < Ma
-    and then e_f for each label f that M fixes, and an M-odd half, (e_a - e_Ma)/sqrt2
-    for the same pairs in the same order. Otherwise the sector is one half,
-    (all positions, None, 1): each orbit is one label.
+    second positions in ``labels`` (``_fold``). The M-even half E has
+    (e_a + e_Ma)/sqrt2 for each pair a < Ma and then e_f for each label f that M
+    fixes, and the M-odd half O has (e_a - e_Ma)/sqrt2 for the same pairs in the
+    same order. The identity mirror fixes every label, so the sector is one half.
     """
-    if image is None or not np.array_equal(np.sort(image), labels):
-        return [(np.arange(labels.size), None, 1)]
     partner = np.searchsorted(labels, image)
     odd = np.flatnonzero(labels < image)
     even = np.concatenate([odd, np.flatnonzero(labels == image)])
@@ -428,49 +426,44 @@ def _fold(x: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
     a (first, second, sign) of ``_reflection_halves``.
 
     Orbit vector i is c_i (e_first_i + sign e_second_i), with c_i = 1/2 where
-    first_i == second_i (the vector is e_first_i) and 1/sqrt2 otherwise. A sector
-    that is one half (second None) is its own block: x.
+    first_i == second_i (the vector is e_first_i) and 1/sqrt2 otherwise. Each axis
+    is scaled right after its sum, so no entry grows past twice the largest of x,
+    and (x + x) * 1/2 is exact: the half of the identity mirror folds to x itself,
+    bit for bit.
     """
-    if rows[1] is None:
-        return x
     (first, second, sign), (first_c, second_c, sign_c) = rows, cols
     block = x[first]
     (np.add if sign > 0 else np.subtract)(block, x[second], out=block)
+    block *= np.where(first == second, 0.5, np.sqrt(0.5))[:, None]
     block, other = block[:, first_c], block[:, second_c]
     (np.add if sign_c > 0 else np.subtract)(block, other, out=block)
-    block *= np.where(first == second, 0.5, np.sqrt(0.5))[:, None]
     block *= np.where(first_c == second_c, 0.5, np.sqrt(0.5))
     return block
 
 
-def _mirror_image(spec: ChainSpec, labels: np.ndarray) -> np.ndarray | None:
-    """The images of ``labels`` under the chain's mirror, or None when its couplings
-    are not a palindrome (exactly: a chain one ulp off keeps whole sectors).
+def _mirror_image(spec: ChainSpec, labels: np.ndarray) -> np.ndarray:
+    """The images of ``labels`` under the chain's mirror, a permutation of them.
 
-    The mirror is the site reversal R, x -> bitreverse(x), which keeps popcount
-    and commutes with H. Under dq at even n R complements the odd-site gauge, so
-    it maps sector k onto n - k, and the mirror is G = F R,
-    x -> (2^n - 1) ^ bitreverse(x), which maps it back onto k; F commutes with
-    H too, so G does. pop(Gx) = n - pop(x).
+    If the couplings are a palindrome, the mirror is the site reversal R,
+    x -> bitreverse(x), which keeps popcount and commutes with H. Under dq at even
+    n R complements the odd-site gauge, so it maps sector k onto n - k, and the
+    mirror is G = F R, x -> (2^n - 1) ^ bitreverse(x), which maps it back onto k;
+    F commutes with H too, so G does. pop(Gx) = n - pop(x). Otherwise (exactly:
+    one ulp off is not a palindrome) the mirror is the identity.
     """
     n = spec.n
     couplings = np.asarray(spec.couplings)
     if not np.array_equal(couplings, couplings[::-1]):
-        return None
-    return _bit_reversal(labels, n) ^ (2**n - 1) * _flips(spec)
-
-
-def _flips(spec: ChainSpec) -> bool:
-    """Whether the mirror of ``_mirror_image`` is G = F R rather than R."""
-    return spec.model == "dq" and spec.n % 2 == 0
+        return labels
+    image = _bit_reversal(labels, n)
+    return image ^ (2**n - 1) if spec.model == "dq" and n % 2 == 0 else image
 
 
 def _mirror_pairs(spec: ChainSpec):
     """Per pair of conserved sectors k and n - k (k = 0..n // 2), one pair at a time:
     sector k's labels, its halves as (orbits, eigenpairs) with orbits from
-    ``_reflection_halves`` under the mirror of ``_mirror_image``, whether
-    k != n - k, and whether the halves are those of G, whose pairs (a, Ga) have
-    popcounts p and n - p.
+    ``_reflection_halves`` under the mirror of ``_mirror_image``, and whether
+    k != n - k.
 
     Only sector k's H block is built, on its labels alone, so no 2^n x 2^n array
     is ever formed. H is real in this basis under both models, xx and dq
@@ -489,14 +482,14 @@ def _mirror_pairs(spec: ChainSpec):
             for orbits in _reflection_halves(labels, _mirror_image(spec, labels))
         ]
         del h_k  # only the eigenpairs outlive the build
-        yield labels, halves, 2 * k != spec.n, _flips(spec) and len(halves) == 2
+        yield labels, halves, 2 * k != spec.n
 
 
 # bytes of one stacked (times, m, m) complex array; a time batch holds a few of them
 _BATCH_BYTES = 1 << 18
-# the two parts of rho under G = F R as (G-parity, blocks (P, Q)), with half 0 = E and
-# 1 = O: the G-even part has the EE and OO blocks, the G-odd part OE and EO
-_G_PARTS = ((1, ((0, 0), (1, 1))), (-1, ((1, 0), (0, 1))))
+# the two parts of rho under a mirror M as (M-parity, blocks (P, Q)), with half 0 = E
+# and 1 = O: the even part has the EE and OO blocks, the odd part OE and EO
+_PARTS = ((1, ((0, 0), (1, 1))), (-1, ((1, 0), (0, 1))))
 
 
 def _real_left(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -548,137 +541,110 @@ def _batches(grid: np.ndarray, m: int):
 
 
 def _sector_moments(
-    n: int, labels: np.ndarray, halves, flips: bool, states: Sequence[DeviationState],
-    parities: Sequence[int], grid: np.ndarray,
+    n: int, labels: np.ndarray, halves, states: Sequence[DeviationState], grid: np.ndarray
 ) -> np.ndarray:
-    """Moments M_p(t) of one sector for each of ``states``, whose G-parities
-    (``_g_parity``) are ``parities``: shape (len(states), len(grid), 2n + 1),
-    column p + n.
+    """Moments M_p(t) of one sector for each of ``states``: shape
+    (len(states), len(grid), 2n + 1), column p + n.
 
-    M_p sums rho_ab(t) Z_ba(t) over the sector's labels a, b with
-    p = pop(a) - pop(b); only the real part is kept. rho(0) is taken to the
-    orbit basis of the halves (``_fold``), and each block between two halves
-    (orbits, eigen) of ``_mirror_pairs`` is evolved as U_l X U_r^dag from X in
-    the halves' eigenbases (``_evolved``), a batch of times at once
-    (``_batches``); each batch is binned by one bincount per state and part
-    (``_binned``). Z(t) is formed once per batch and shared by the states. The
-    halves of R, and a sector that is one half, are binned on their own
-    (``_half_moments``); the halves of G (``flips``) by the corners of their
-    blocks (``_corner_moments``).
+    M_p sums Re rho_ab(t) Z_ba(t) over the sector's labels a, b with
+    p = pop(a) - pop(b). ``halves`` are the (orbits, eigenpairs) of
+    ``_mirror_pairs`` under a mirror M: E, and O if M moves a label. rho's even
+    part (M rho M = rho) holds its EE and OO blocks, its odd part EO and OE.
+    Each block is folded (``_fold``), taken to its halves' eigenbases and
+    evolved as U_l X U_r^dag (``_evolved``), a batch of times at once, with
+    each block of Z(t) formed once per batch and shared by the states.
+
+    With s = Mf for the labels f of E's orbits and z = n - 2 pop, Z's orbit
+    blocks are diagonal: (z_f + z_s)/2 on EE and OO, (z_f - z_s)/2 on EO; one
+    of the two is zero. M reads off the halves: R and the identity keep
+    popcount, G = F R complements it. If M keeps it, neither Z nor the rotation
+    has an entry between the halves, so the odd part adds nothing (M commutes
+    with U(t), Z and the rotation: its trace is its own negative, order by
+    order), nor does a block where Z is zero; neither is evolved. Each even
+    block's product X(t) * conj(Z(t)) is binned at its orbits' orders.
+
+    Under G, O is padded to E's size (a fixed label is a pair with a zero O
+    vector), and the label-basis corners (f, f), (f, s), (s, f), (s, s) of
+    rho(t) * Z(t)^T are binned from +- sums of the evolved blocks. With
+    e = pop(f) - n/2, Zb the EO block of Z(t), Z+- = Zb^T +- conj(Zb) and
+    X+- = P +- Q for the blocks (P, Q) of a part of G-parity g:
+
+        (f, f), (s, s): 1/4 Re[X+ * Z+] at order e_i - e_j, and -g times it at e_j - e_i
+        (f, s), (s, f): 1/4 Re[X- * Z-] at order e_i + e_j, and -g times it at -e_i - e_j
+
+    A part that ``_g_parity`` shows to be zero is skipped, and a Hermitian
+    state has OE(t) = EO(t)^dag, so EO alone is evolved.
     """
-    out = np.zeros((len(states), grid.size, 2 * n + 1))
-    rhos = [deviation_to_dense(state, labels) for state in states]
-    if flips:
-        _corner_moments(n, labels, halves, states, parities, rhos, grid, out)
-    else:
-        _half_moments(n, labels, halves, rhos, grid, out)
-    return out
-
-
-def _half_moments(n, labels, halves, rhos, grid, out) -> None:
-    """Add each half's moments to ``out`` (``_sector_moments``), for halves whose orbit
-    vectors each have one popcount: those of R, or a whole sector.
-
-    R keeps Z and the rotation diagonal in the orbit basis, so each half is
-    evolved and binned on its own, by the orbits' popcounts. The R-odd part of
-    rho, the part with R rho R = -rho, adds nothing: R commutes with U(t), Z and
-    the rotation, so its trace equals its own negative, bin by bin. It lies in
-    the blocks between the halves, which are never evolved.
-    """
-    size = 2 * n + 1
-    # every half's blocks first, so the sector's rho blocks can go
-    tildes = [[_eigenbasis_t(eigen[1], _fold(rho, orbits, orbits), eigen[1]) for rho in rhos]
-              for orbits, eigen in halves]
-    rhos.clear()
-    for (orbits, eigen), half_tildes in zip(halves, tildes):
-        pop = popcount(labels[orbits[0]], n)
-        # each order twice: a cell's real and imaginary parts are adjacent floats
-        bins = np.repeat(pop[:, None] - pop + n, 2, axis=1)
-        vectors = eigen[1]
-        z_tilde = (vectors.T * (n - 2.0 * pop)) @ vectors  # symmetric: its own transpose
-        for rows in _batches(grid, pop.size):
-            phases = _phases(eigen, eigen, grid[rows])
-            z_t = _evolved(eigen, z_tilde, eigen, phases)
-            for tilde, moments in zip(half_tildes, out):
-                weights = _evolved(eigen, tilde, eigen, phases).view(float)
-                # Z(t) is Hermitian, so Re rho_ab Z_ba = Re rho_ab conj(Z_ab), the sum of
-                # the products of their float views' two parts
-                weights *= z_t.view(float)
-                moments[rows] += _binned(bins, weights, size)
-
-
-def _corner_moments(n, labels, halves, states, parities, rhos, grid, out) -> None:
-    """Add the moments of a sector split by G = F R to ``out`` (``_sector_moments``).
-
-    pop(Ga) = n - pop(a), so Z is G-odd. Its one orbit block is EO, rows in the
-    G-even half E and columns in the G-odd half O: diag(z_f) on the pairs
-    (f, s = Gf), zero on the labels f = Gf. Every block of rho counts. The
-    label-basis corners (f, f), (f, s), (s, f) and (s, s) of rho(t) * Z(t)^T are
-    +- sums of the evolved blocks, so they are binned from those, with no
-    product back to the labels. A fixed label is a pair with a zero O vector:
-    O's eigenvectors are padded to E's size. With e = pop(f) - n/2 (0 on a fixed
-    label), Zb the EO block of Z(t), Z+- = Zb^T +- conj(Zb), and X+- = P +- Q for
-    the blocks (P, Q) of one G-parity part of rho, of parity g:
-
-        (f, f), (s, s) corners: 1/4 Re[X+ * Z+] at order e_i - e_j, and -g
-                                times the same at e_j - e_i
-        (f, s), (s, f) corners: 1/4 Re[X- * Z-] at order e_i + e_j, and -g
-                                times the same at -e_i - e_j
-
-    The G-even part (g = +1) has (P, Q) = (EE, OO), the G-odd part (g = -1)
-    (OE, EO). A part that ``_g_parity`` shows to be zero is skipped: every
-    prepared kind has one part, x_logical the G-even one and the rest the
-    G-odd one, while Z_1 + 0.7 X_2 has both. A Hermitian state (every weight
-    real) has OE(t) = EO(t)^dag, so EO alone is evolved.
-    """
-    size = 2 * n + 1
-    (even, eigen_e), (odd, (w_o, v_o)) = halves
-    split, pairs = even[0].size, odd[0].size
-    v_pad = np.zeros((split, split))
-    v_pad[:pairs, :pairs] = v_o
-    eigens = (eigen_e, (np.concatenate([w_o, np.zeros(split - pairs)]), v_pad))
-    e = np.zeros(split, dtype=np.int64)
-    e[:pairs] = popcount(labels[odd[0]], n) - n // 2
-    bins = np.repeat(np.stack([e[:, None] - e, e[:, None] + e]) + n, 2, axis=2)
-    # Z's EO block: z_f = n - 2 pop(f) = -2 e_f on the pairs, 0 on the fixed labels
-    z_tilde_t = np.ascontiguousarray(((eigen_e[1].T * (-2.0 * e)) @ v_pad).T)
+    size, ((first, second, _), _), pops = 2 * n + 1, halves[0], popcount(labels, n)
+    keeps = np.array_equal(pops[first], pops[second])
+    e, z_f, z_s = pops[first] - n // 2, n - 2.0 * pops[first], n - 2.0 * pops[second]
+    eigens = [eigen for _, eigen in halves]
+    if not keeps:
+        (w, v), split = eigens[1], first.size
+        eigens[1] = (np.concatenate([w, np.zeros(split - w.size)]), np.zeros((split, split)))
+        eigens[1][1][:w.size, :w.size] = v
+    # Z's nonzero blocks, transposed in the eigenbases (``_evolved``): V_r^T D V_l
+    z_tildes = {}
+    for (i, j), diagonal in (((0, 0), z_f + z_s), ((1, 1), z_f + z_s), ((0, 1), z_f - z_s)):
+        if j < len(eigens) and np.any(diagonal):
+            v_l, v_r = eigens[i][1], eigens[j][1]
+            z_tildes[i, j] = (v_r.T * (0.5 * diagonal[:len(v_r)])) @ v_l
     work = []
-    for index, (state, parity, rho) in enumerate(zip(states, parities, rhos)):
-        hermitian = not any(weight.imag for weight, _ in state.terms)
-        for g, blocks in _G_PARTS:
-            if parity == -g:  # this part of the state is zero
+    for index, state in enumerate(states):
+        rho = deviation_to_dense(state, labels)
+        # if M keeps popcount, only the even part counts
+        parity = 1 if keeps else _g_parity(state)
+        for g, blocks in _PARTS:
+            if parity == -g:
                 continue
+            if keeps:
+                blocks = [block for block in blocks if block in z_tildes]
+            elif g < 0 and not any(weight.imag for weight, _ in state.terms):  # Hermitian
+                blocks = blocks[1:]
             tildes = []
-            # a Hermitian state's OE(t) is EO(t)^dag: its G-odd part evolves EO alone
-            for i, j in blocks[1:] if hermitian and g < 0 else blocks:
-                tilde = np.zeros((split, split), dtype=complex)
-                block = _eigenbasis_t(halves[i][1][1], _fold(rho, halves[i][0], halves[j][0]),
-                                      halves[j][1][1])
-                tilde[:block.shape[0], :block.shape[1]] = block
-                tildes.append(((i, j), tilde))
+            for i, j in blocks:
+                # the rows of the (padded) eigenvectors that the orbits span
+                (orbits_l, _), (orbits_r, _) = halves[i], halves[j]
+                v_l, v_r = eigens[i][1][:orbits_l[0].size], eigens[j][1][:orbits_r[0].size]
+                tildes.append(((i, j), _eigenbasis_t(v_l, _fold(rho, orbits_l, orbits_r), v_r)))
             work.append((index, g, tildes))
-    rhos.clear()  # only the blocks in the eigenbases outlive the folds
-    blocks = {(0, 1)} | {block for _, _, tildes in work for block, _ in tildes}
-    for rows in _batches(grid, split):
-        phases = {(i, j): _phases(eigens[i], eigens[j], grid[rows]) for i, j in blocks}
-        z_b = _evolved(eigens[0], z_tilde_t, eigens[1], phases[0, 1])
-        # conj(Z+-) = Zb^dag +- Zb, so that Re X Z+- is the float views' dot of X and conj(Z+-)
-        z_minus = np.ascontiguousarray(z_b.conj().transpose(0, 2, 1))
-        z_plus = z_minus + z_b
-        z_minus -= z_b
-        x = np.empty_like(z_b)
-        weights = np.empty((len(z_b), 2, split, 2 * split))
-        for index, g, tildes in work:
-            evolved = [_evolved(eigens[i], tilde, eigens[j], phases[i, j])
-                       for (i, j), tilde in tildes]
-            if len(evolved) == 1:
-                evolved.insert(0, evolved[0].conj().transpose(0, 2, 1))
-            p, q = evolved
-            np.multiply(np.add(p, q, out=x).view(float), z_plus.view(float), out=weights[:, 0])
-            np.multiply(np.subtract(p, q, out=x).view(float), z_minus.view(float),
-                        out=weights[:, 1])
-            corners = 0.25 * _binned(bins, weights, size)
-            out[index, rows] += corners - g * corners[:, ::-1]
+    out = np.zeros((len(states), grid.size, size))
+    for (k, l), z_tilde in z_tildes.items():
+        # one even block at a time if M keeps popcount, every block of a part under G
+        items = [(index, g, [t for t in tildes if not keeps or t[0] == (k, l)])
+                 for index, g, tildes in work]
+        m = eigens[k][0].size
+        diff = e[:m, None] - e[:m]
+        bins = np.repeat(diff if keeps else np.stack([diff, e[:, None] + e]), 2, axis=-1) + n
+        blocks = {(k, l)} | {block for _, _, tildes in items for block, _ in tildes}
+        for rows in _batches(grid, m):
+            phases = {(i, j): _phases(eigens[i], eigens[j], grid[rows]) for i, j in blocks}
+            z_t = _evolved(eigens[k], z_tilde, eigens[l], phases[k, l])
+            if not keeps:
+                # conj(Z+-) = Zb^dag +- Zb, so Re X Z+- is the float views' dot of X and conj(Z+-)
+                z_minus = np.ascontiguousarray(z_t.conj().transpose(0, 2, 1))
+                z_plus = z_minus + z_t
+                z_minus -= z_t
+                x = np.empty_like(z_t)
+                weights = np.empty((len(z_t),) + bins.shape)
+            for index, g, tildes in items:
+                evolved = [_evolved(eigens[i], tilde, eigens[j], phases[i, j])
+                           for (i, j), tilde in tildes]
+                if keeps:
+                    # Z(t) is Hermitian: Re rho_ab Z_ba is the float views' dot of rho and Z
+                    product = evolved[0].view(float)
+                    product *= z_t.view(float)
+                    out[index, rows] += _binned(bins, product, size)
+                    continue
+                p, q = evolved if len(evolved) == 2 else (evolved[0].conj().transpose(0, 2, 1),
+                                                          evolved[0])
+                np.multiply(np.add(p, q, out=x).view(float), z_plus.view(float),
+                            out=weights[:, 0])
+                np.multiply(np.subtract(p, q, out=x).view(float), z_minus.view(float),
+                            out=weights[:, 1])
+                corners = 0.25 * _binned(bins, weights, size)
+                out[index, rows] += corners - g * corners[:, ::-1]
+    return out
 
 
 def mqc_phase_cycled_grid(
@@ -710,16 +676,13 @@ def mqc_phase_cycled_grid(
     evolved, once per part with U(t) and Z_k(t) shared, and sector n - k
     costs no per-time work. Every prepared state has one part.
 
-    When the couplings are a palindrome, a mirror M of the chain commutes
-    with H and maps every sector onto itself (``_mirror_image``): the site
-    reversal R under xx and under dq at odd n, and G = F R under dq at even
-    n, where R maps sector k onto n - k. Each sector then splits into an
-    M-even and an M-odd half (``_reflection_halves``), which are diagonalised
-    and evolved on their own, a batch of times at once; at n = 10 the largest
-    block is 126 wide, not 252. R keeps popcount, so each half is binned on
-    its own; G does not, and the corners of each block are binned from the
-    evolved halves (``_sector_moments``). A chain that is not a palindrome keeps
-    whole sectors, each one half, on the same path.
+    A mirror M of the chain commutes with H and maps every sector onto itself
+    (``_mirror_image``): on a palindrome, the site reversal R under xx and
+    under dq at odd n, and G = F R under dq at even n, where R maps sector k
+    onto n - k; otherwise the identity. Each sector splits into an M-even and
+    an M-odd half (``_reflection_halves``), diagonalised and evolved on their
+    own (at n = 10 the largest block is 126 wide, not 252), and one rule bins
+    every sector's moments (``_sector_moments``).
 
     Every argument is checked before any work, also for an empty grid.
     """
@@ -730,12 +693,9 @@ def mqc_phase_cycled_grid(
         return np.zeros((0, orders.size))
     parts = _flip_parts(initial)
     states = list(parts.values())
-    parities = [_g_parity(state) for state in states]
     moments = np.zeros((grid.size, 2 * n + 1))
-    for labels, halves, mirrored, flips in _mirror_pairs(spec):
-        for sign, part in zip(
-            parts, _sector_moments(n, labels, halves, flips, states, parities, grid)
-        ):
+    for labels, halves, mirrored in _mirror_pairs(spec):
+        for sign, part in zip(parts, _sector_moments(n, labels, halves, states, grid)):
             moments += part
             if mirrored:
                 moments -= sign * part[:, ::-1]

@@ -233,12 +233,11 @@ def test_every_sector_of_an_even_dq_palindrome_splits_by_g(n):
     sectors = conserved_sectors(spec)
     pairs = list(mqc._mirror_pairs(spec))
     assert len(pairs) == n // 2 + 1
-    for (labels, halves, mirrored, flips), k in zip(pairs, range(n // 2 + 1)):
+    for (labels, halves, mirrored), k in zip(pairs, range(n // 2 + 1)):
         assert np.array_equal(labels, sectors[k])
         assert mirrored == (2 * k != n)
         assert sum(orbits[0].size for orbits, _ in halves) == labels.size
         assert len(halves) == (2 if labels.size >= 2 else 1)
-        assert flips == (len(halves) == 2)
         image = mqc._mirror_image(spec, labels)
         assert np.array_equal(image, (2**n - 1) ^ reversal_permutation(n)[labels])
         assert np.array_equal(popcount(image, n), n - popcount(labels, n))
@@ -258,8 +257,6 @@ def test_a_chain_that_is_not_a_palindrome_keeps_whole_sectors(model):
 def orbit_basis(labels: np.ndarray, orbits: tuple) -> np.ndarray:
     """The orbit vectors of one half as the columns of a len(labels) x len(half) matrix."""
     first, second, sign = orbits
-    if second is None:  # a sector that is one half
-        second = first
     q = np.zeros((labels.size, first.size))
     cols = np.arange(first.size)
     single = first == second
@@ -299,12 +296,16 @@ def test_halves_are_the_blocks_of_the_orbit_basis(n, model):
 
 
 def test_a_sector_that_is_one_half_is_its_own_block():
+    # the identity mirror: every label is fixed, and (x + x) / 2 folds to x bit for bit
     spec = random_spec(6, "dq", seed=1)
     labels = conserved_sectors(spec)[3]
-    assert mqc._mirror_image(spec, labels) is None
-    [half] = mqc._reflection_halves(labels, None)
-    h = build_hamiltonian(spec, labels)
-    assert mqc._fold(h, half, half) is h
+    assert np.array_equal(mqc._mirror_image(spec, labels), labels)
+    [half] = mqc._reflection_halves(labels, labels)
+    h = build_hamiltonian(spec, labels).real
+    folded = mqc._fold(h, half, half)
+    assert np.array_equal(folded, h)
+    for got, want in zip(np.linalg.eigh(folded), np.linalg.eigh(h)):
+        assert np.array_equal(got, want)
 
 
 @given(
@@ -510,6 +511,47 @@ def test_g_parity_matches_the_dense_mirror(name, parity):
     mirrored = rho[np.ix_(g, g)]
     for sign in (1, -1):
         assert np.array_equal(mirrored, sign * rho) == (parity == sign)
+
+
+def sector_halves(spec: ChainSpec, labels: np.ndarray, image: np.ndarray) -> list[tuple]:
+    """The halves of one sector under the mirror with ``image``, as ``_mirror_pairs`` gives them."""
+    h = build_hamiltonian(spec, labels).real
+    return [(orbits, np.linalg.eigh(mqc._fold(h, orbits, orbits)))
+            for orbits in mqc._reflection_halves(labels, image)]
+
+
+@given(st.sampled_from(["xx", "dq"]), st.integers(2, 9), TIMES, st.data())
+@settings(max_examples=60, deadline=None)
+def test_mirror_halves_give_the_moments_of_the_whole_sector(model, n, times, data):
+    # n // 2 drawn bonds mirrored into n - 1 couplings: R splits xx and odd-n dq, G even-n
+    # dq. Strings, their mirror images with other weights, and Z_1 and X_1 give terms of
+    # both flip, R and G parities; the state is also taken with real weights, and split
+    # into its G-even and G-odd parts (G P G = (-1)^(#Y + #Z) R(P)). Each sector's moments
+    # from its halves must equal those of the identity mirror's one half, the whole
+    # sector, in the units of J (the engine divides the moments by 2^n)
+    bonds = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=n // 2, max_size=n // 2),
+                      label="bonds")
+    spec = ChainSpec(n, model, tuple(bonds + bonds[::-1][1 - n % 2:]))
+    strings = data.draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), max_size=3,
+                                 unique=True), label="strings")
+    terms = [(data.draw(WEIGHTS, label="weight"), parse_string_label(x)) for x in strings]
+    mirrored = DeviationState.from_terms(n, terms).reflected().terms if terms else ()
+    terms += [(data.draw(WEIGHTS, label="mirror weight"), string) for _, string in mirrored]
+    terms += [(1.0, ((1, "Z"),)), (0.5, ((1, "X"),))]
+    state = DeviationState.from_terms(n, terms)
+    image = [((-1) ** sum(letter != "X" for _, letter in string) * weight, string)
+             for weight, string in state.reflected().terms]
+    states = [state, DeviationState.from_terms(n, [(w.real, x) for w, x in state.terms])]
+    states += [DeviationState.from_terms(n, [*state.terms, *((g * w, x) for w, x in image)])
+               for g in (1, -1)]
+    assert [mqc._g_parity(part) for part in states[2:]] == [1, -1]
+    scale = max(abs(w) for part in states for w, _ in part.terms)
+    for labels in conserved_sectors(spec):
+        halves = sector_halves(spec, labels, mqc._mirror_image(spec, labels))
+        split = mqc._sector_moments(n, labels, halves, states, np.array(times))
+        whole = mqc._sector_moments(n, labels, sector_halves(spec, labels, labels), states,
+                                    np.array(times))
+        assert np.max(np.abs(split - whole)) / 2**n <= 1e-12 * scale
 
 
 @given(
