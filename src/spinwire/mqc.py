@@ -406,8 +406,7 @@ def _bit_reversal(labels: np.ndarray, n: int) -> np.ndarray:
 
 def _reflection_halves(labels: np.ndarray, image: np.ndarray) -> list[tuple]:
     """The orbit bases of one sector under a mirror M of its labels, ``image`` being
-    M(labels), a permutation of them: a list of (first, second, sign), one entry per
-    non-empty half.
+    M(labels), a permutation of them: one (first, second, sign) per non-empty half.
 
     Orbit vector i of a half is c_i (e_first_i + sign e_second_i), with first and
     second positions in ``labels`` (``_fold``). The M-even half E has
@@ -426,10 +425,9 @@ def _fold(x: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
     a (first, second, sign) of ``_reflection_halves``.
 
     Orbit vector i is c_i (e_first_i + sign e_second_i), with c_i = 1/2 where
-    first_i == second_i (the vector is e_first_i) and 1/sqrt2 otherwise. Each axis
-    is scaled right after its sum, so no entry grows past twice the largest of x,
-    and (x + x) * 1/2 is exact: the half of the identity mirror folds to x itself,
-    bit for bit.
+    first_i == second_i (the vector is e_first_i) and 1/sqrt2 otherwise. Each axis is
+    scaled right after its sum, so no entry passes twice the largest of x, and the
+    exact (x + x) / 2 folds the identity mirror's one half to x itself, bit for bit.
     """
     (first, second, sign), (first_c, second_c, sign_c) = rows, cols
     block = x[first]
@@ -575,7 +573,8 @@ def _sector_moments(
     A part that ``_g_parity`` shows to be zero is skipped, and a Hermitian
     state has OE(t) = EO(t)^dag, so EO alone is evolved.
     """
-    size, ((first, second, _), _), pops = 2 * n + 1, halves[0], popcount(labels, n)
+    size, pops = 2 * n + 1, popcount(labels, n)
+    (first, second, _), _ = halves[0]
     keeps = np.array_equal(pops[first], pops[second])
     e, z_f, z_s = pops[first] - n // 2, n - 2.0 * pops[first], n - 2.0 * pops[second]
     eigens = [eigen for _, eigen in halves]
@@ -608,14 +607,15 @@ def _sector_moments(
                 v_l, v_r = eigens[i][1][:orbits_l[0].size], eigens[j][1][:orbits_r[0].size]
                 tildes.append(((i, j), _eigenbasis_t(v_l, _fold(rho, orbits_l, orbits_r), v_r)))
             work.append((index, g, tildes))
+        del rho  # only the blocks in the eigenbases outlive the folds
     out = np.zeros((len(states), grid.size, size))
     for (k, l), z_tilde in z_tildes.items():
         # one even block at a time if M keeps popcount, every block of a part under G
         items = [(index, g, [t for t in tildes if not keeps or t[0] == (k, l)])
                  for index, g, tildes in work]
         m = eigens[k][0].size
-        diff = e[:m, None] - e[:m]
-        bins = np.repeat(diff if keeps else np.stack([diff, e[:, None] + e]), 2, axis=-1) + n
+        diff = e[:m, None] - e[:m] + n
+        bins = np.repeat(diff if keeps else np.stack([diff, e[:, None] + e + n]), 2, axis=-1)
         blocks = {(k, l)} | {block for _, _, tildes in items for block, _ in tildes}
         for rows in _batches(grid, m):
             phases = {(i, j): _phases(eigens[i], eigens[j], grid[rows]) for i, j in blocks}

@@ -8,13 +8,16 @@ of ``reference``; their blocks on sorted labels against slices of the
 dense operators; ``popcount`` against the per-bit loop it replaced;
 ``conserved_sectors`` against the block structure of H and the spin-flip
 mirror between sectors k and n - k, which the grid engine uses to build
-one block per mirror pair; and the split of every sector of a
-mirror-symmetric chain into an even and an odd half under its mirror: the
-site reversal R, or G = F R under dq at even n, where R maps sector k onto
-n - k. R keeps popcount and G complements it, so the grid engine bins the
-halves of G from their corners; the literal cycle checks both on
-palindromic chains, for every prepared state and for states with parts of
-both G parities, and a tracemalloc bound holds its time batches in check.
+one block per mirror pair; and the split of every sector into an even and
+an odd half under its mirror: the site reversal R on a palindrome, or
+G = F R under dq at even n, where R maps sector k onto n - k, and the
+identity otherwise, whose one half folds to the whole sector bit for bit.
+R and the identity keep popcount and G complements it, and one routine
+bins every sector: sector by sector, its moments from the mirror's halves
+equal those of the identity's one half, and the literal cycle checks the
+whole table on palindromic chains, for every prepared state and for
+states with parts of both G parities. A tracemalloc bound holds the time
+batches in check.
 """
 
 import math
