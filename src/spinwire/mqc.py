@@ -591,8 +591,7 @@ def _sector_moments(
     work = []
     for index, state in enumerate(states):
         rho = deviation_to_dense(state, labels)
-        # if M keeps popcount, only the even part counts
-        parity = 1 if keeps else _g_parity(state)
+        parity = 1 if keeps else _g_parity(state)  # if M keeps popcount, the even part alone
         for g, blocks in _PARTS:
             if parity == -g:
                 continue
@@ -615,6 +614,7 @@ def _sector_moments(
                  for index, g, tildes in work]
         m = eigens[k][0].size
         diff = e[:m, None] - e[:m] + n
+        # each order twice: a cell's real and imaginary parts are adjacent floats
         bins = np.repeat(diff if keeps else np.stack([diff, e[:, None] + e + n]), 2, axis=-1)
         blocks = {(k, l)} | {block for _, _, tildes in items for block, _ in tildes}
         for rows in _batches(grid, m):
