@@ -129,6 +129,13 @@ def _check_choice(value, name: str, choices: tuple[str, ...], error: type) -> st
     return value
 
 
+def _check_flag(value, name: str) -> bool:
+    """A bool or NumPy bool, as a bool; else ``InvalidConfigurationError``."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidConfigurationError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def _check_length(n: int, minimum: int = 1) -> int:
     """A chain length: an integer of at least ``minimum``."""
     return _check_int(n, "chain length", InvalidDimensionError, minimum)

@@ -464,8 +464,8 @@ def logical(n, d, family, model, corrected, grid, out) -> None:
     channel average; it reaches 1 at the engineered mirror time.
     """
     spec = _build_chain(family, n, d, model)
-    amp = propagate_grid(spectral_decompose(spec), grid, (1, 2))
-    vals = channel_correlations(amp, model, corrected)
+    amp = propagate_grid(spectral_decompose(spec), grid, (1, 2), (n - 1, n))
+    vals = channel_correlations(amp, n, model, corrected)
     cols = np.column_stack([vals["x"], vals["y"], vals["z"], vals["1"], channel_fidelity(vals)])
     header = ["t", "c_x", "c_y", "c_z", "c_1", "fidelity"]
     _write_table(out, _csv_blocks(header, grid[:, None], cols))

@@ -31,6 +31,7 @@ from .chain import (
     ChainSpec,
     _check_choice,
     _check_finite_result,
+    _check_flag,
     _check_length,
     _check_numeric,
     _check_time,
@@ -98,15 +99,11 @@ def dq_parity_correction(n: int) -> bool:
 
 
 def _bilinear_channels(amp: np.ndarray) -> np.ndarray:
-    """All four logical correlations from rows 1, 2 of A (xx model), stacked
-    in ``CHANNELS`` order on a new first axis.
-
-    ``amp`` has shape (..., R, n) with R >= 2; leading axes (a time grid,
-    say) broadcast through.
-    """
-    n = amp.shape[-1]
-    a1m, a1n = amp[..., 0, n - 2], amp[..., 0, n - 1]
-    a2m, a2n = amp[..., 1, n - 2], amp[..., 1, n - 1]
+    """All four logical correlations (xx model) from the (..., 2, 2) end block
+    A[(1, 2), (n-1, n)], stacked in ``CHANNELS`` order on a new first axis; leading
+    axes (a time grid, say) broadcast through."""
+    a1m, a1n = amp[..., 0, 0], amp[..., 0, 1]
+    a2m, a2n = amp[..., 1, 0], amp[..., 1, 1]
     cx = (a1n * np.conj(a2m) + a2n * np.conj(a1m)).real
     cy = (a1n * np.conj(a2m)).real - (a2n * np.conj(a1m)).real
     cz = 0.5 * (abs(a1n) ** 2 - abs(a1m) ** 2 - abs(a2n) ** 2 + abs(a2m) ** 2)
@@ -115,30 +112,33 @@ def _bilinear_channels(amp: np.ndarray) -> np.ndarray:
 
 
 def channel_correlations(
-    amplitudes: np.ndarray, model: str = "xx", corrected: bool = True
+    amplitudes: np.ndarray, n: int, model: str = "xx", corrected: bool = True
 ) -> dict[str, np.ndarray]:
-    """Channel correlations C_alpha from rows 1 and 2 of the propagator.
+    """Channel correlations C_alpha from the end block of the propagator of an n-site chain.
 
-    ``amplitudes`` holds A[(1, 2), :] (or more rows, of which the first
-    two are used) with any leading axes, e.g. the (T, 2, n) block that
-    ``propagate_grid(decomposition, times, (1, 2))`` returns; each
-    channel comes back with the leading shape. For the dq model with
-    even n the raw y and z channels change sign; ``corrected=True``
-    reads them through the pi-x corrected target basis, where they agree
-    with the xx channels at all times. A block that is not numeric and
-    finite, or a channel past the float range, is an ``InvalidParameterError``.
+    ``amplitudes`` holds A[(1, 2), (n-1, n)] on its last two axes, with any
+    leading axes, e.g. the (T, 2, 2) block of ``propagate_grid(decomposition,
+    times, (1, 2), (n - 1, n))``; each channel comes back with the leading
+    shape. For the dq model with even n (at least 4) the raw y and z channels
+    change sign; ``corrected=True`` reads them through the pi-x corrected
+    target basis, where they agree with the xx channels at all times. A block
+    whose last two axes are not (2, 2) is an ``InvalidDimensionError``; one
+    that is not numeric and finite, or a channel past the float range, is an
+    ``InvalidParameterError``.
     """
+    n = _check_length(n, minimum=4)
     model = _check_choice(model, "model", MODELS, UnsupportedModelError)
+    corrected = _check_flag(corrected, "corrected")
     amplitudes = np.asarray(amplitudes)
-    if amplitudes.ndim < 2 or amplitudes.shape[-2] < 2 or amplitudes.shape[-1] < 4:
+    if amplitudes.shape[-2:] != (2, 2):
         raise InvalidDimensionError(
-            f"logical transport needs rows 1, 2 of A with n >= 4, got shape {amplitudes.shape}"
+            f"logical transport needs the (2, 2) end block of A, got shape {amplitudes.shape}"
         )
     _check_numeric(amplitudes)
     x, y, z, one = _check_finite_result(
         lambda: _bilinear_channels(amplitudes), "channel correlation"
     )
-    if model == "dq" and not corrected and dq_parity_correction(amplitudes.shape[-1]):
+    if model == "dq" and not corrected and dq_parity_correction(n):
         y, z = -y, -z
     return dict(zip(CHANNELS, (x, y, z, one)))
 
@@ -219,11 +219,11 @@ def logical_correlation_from_spec(
 ) -> float:
     """Channel correlation for an arbitrary nearest-neighbour chain spec at one time.
 
-    Reads rows 1, 2 of ``propagate_grid`` at [t], the path of the CLI's
-    ``logical`` tables. Every mode frequency lies within 2 max|d|, so t is
-    held to that rate before the chain is decomposed.
+    Reads the end block A[(1, 2), (n-1, n)] of ``propagate_grid`` at [t], the
+    path of the CLI's ``logical`` tables. Every mode frequency lies within
+    2 max|d|, so t is held to that rate before the chain is decomposed.
     """
     _check_choice(alpha, "channel", CHANNELS, InvalidConfigurationError)
     t = _check_time(t, 2.0 * float(np.max(np.abs(spec.couplings), initial=0.0)))
-    amp = propagate_grid(spectral_decompose(spec), [t], (1, 2))[0]
-    return float(channel_correlations(amp, spec.model, corrected)[alpha])
+    amp = propagate_grid(spectral_decompose(spec), [t], (1, 2), (spec.n - 1, spec.n))[0]
+    return float(channel_correlations(amp, spec.n, spec.model, corrected)[alpha])

@@ -69,8 +69,8 @@ class SpectralDecomposition:
     frequencies : ndarray
         Eigenvalues in ascending order.
     modes : ndarray
-        Orthonormal eigenvectors as columns, sign-fixed so the first
-        significant entry of each column is positive.
+        Orthonormal eigenvectors as columns, as LAPACK returns them: the
+        sign of each column is free, and no result reads it.
     """
 
     n: int
@@ -82,8 +82,6 @@ class SpectralDecomposition:
 # n^2-float workspace sits beside them: `transfer --n 10000 --l 10000 --grid 0:1:3`
 # peaks at 1580 MB RSS
 _MAX_N = 10_000
-# columns per step of the sign fix
-_SIGN_BLOCK = 256
 
 
 def _check_mode_count(n: int) -> int:
@@ -151,14 +149,6 @@ def spectral_decompose(spec: ChainSpec) -> SpectralDecomposition:
     """Diagonalise the single-excitation matrix of a nearest-neighbour chain (n <= 10 000)."""
     n = _check_mode_count(spec.n)
     freqs, modes = _eigh_tridiagonal(np.asarray(spec.couplings))
-    # make each column's first entry above 1e-12 of its largest positive, so
-    # results are deterministic across LAPACK builds; a block of columns at a
-    # time, so the magnitudes and the mask cost n x _SIGN_BLOCK, not n^2
-    for start in range(0, n, _SIGN_BLOCK):
-        block = modes[:, start:start + _SIGN_BLOCK]
-        mag = np.abs(block)
-        lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
-        block[:, block[lead, np.arange(block.shape[1])] < 0] *= -1
     return SpectralDecomposition(n, freqs, modes)
 
 

@@ -259,7 +259,7 @@ def logical_channels_vs_oracle(rng, max_n, oracle_n):
         source = logical_mod.logical_basis(spec.model, n, "source")
         target = logical_mod.logical_basis(spec.model, n, "target")
         amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), t)
-        got = logical_mod.channel_correlations(amp, spec.model, corrected=False)
+        got = logical_mod.channel_correlations(amp[:2, -2:], n, spec.model, corrected=False)
         for alpha in logical_mod.CHANNELS:
             rho0 = oracle_mod.deviation_to_dense(source[alpha])
             ref = 2.0 * oracle_mod.trace_overlap(
@@ -301,9 +301,9 @@ def dq_parity_rule(rng, max_n, oracle_n):
     for n in (max_n, max_n + 1):
         cpl, t, _ = _draw(rng, n, ())
         amp = prop_mod.propagate(prop_mod.spectral_decompose(ChainSpec(n, "xx", cpl)), t)
-        xx = logical_mod.channel_correlations(amp, "xx")
-        raw = logical_mod.channel_correlations(amp, "dq", corrected=False)
-        cor = logical_mod.channel_correlations(amp, "dq", corrected=True)
+        xx = logical_mod.channel_correlations(amp[:2, -2:], n, "xx")
+        raw = logical_mod.channel_correlations(amp[:2, -2:], n, "dq", corrected=False)
+        cor = logical_mod.channel_correlations(amp[:2, -2:], n, "dq", corrected=True)
         sign = -1.0 if logical_mod.dq_parity_correction(n) else 1.0
         for alpha in ("x", "1"):
             dev = max(dev, abs(raw[alpha] - xx[alpha]), abs(cor[alpha] - xx[alpha]))
@@ -327,7 +327,7 @@ def engineered_fidelity_mirror(rng, max_n, oracle_n):
         dev = max(dev, abs(f - 1.0))
         # closed forms agree with the propagator bilinears
         amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), 0.43 * t_star)
-        vals = logical_mod.channel_correlations(amp, "xx")
+        vals = logical_mod.channel_correlations(amp[:2, -2:], n, "xx")
         closed = logical_mod.logical_transport_engineered(n, 1.0, [0.43 * t_star])
         for alpha in logical_mod.CHANNELS:
             dev = max(dev, abs(vals[alpha] - closed[alpha][0]))
@@ -341,7 +341,7 @@ def homogeneous_logical_closed_forms(rng, max_n, oracle_n):
         t = float(rng.uniform(0.5, 4.0))
         spec = chain_mod.homogeneous_couplings(n, d)
         amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), t)
-        vals = logical_mod.channel_correlations(amp, "xx")
+        vals = logical_mod.channel_correlations(amp[:2, -2:], n, "xx")
         closed = logical_mod.logical_transport_homogeneous(n, d, [t])
         for alpha in logical_mod.CHANNELS:
             dev = max(dev, abs(vals[alpha] - closed[alpha][0]))

@@ -134,9 +134,10 @@ def test_logical_transport_closed_forms(tmp_path):
 def test_dq_parity_correction_restores_fidelity():
     n = 6  # even: correction required
     spec = engineered_couplings(n, 1.0, model="dq")
-    amp = propagate_grid(spectral_decompose(spec), [transfer_timing(spec).t_star], (1, 2))
-    (f_fixed,) = channel_fidelity(channel_correlations(amp, "dq", corrected=True))
-    (f_raw,) = channel_fidelity(channel_correlations(amp, "dq", corrected=False))
+    t_star = transfer_timing(spec).t_star
+    amp = propagate_grid(spectral_decompose(spec), [t_star], (1, 2), (n - 1, n))
+    (f_fixed,) = channel_fidelity(channel_correlations(amp, n, "dq", corrected=True))
+    (f_raw,) = channel_fidelity(channel_correlations(amp, n, "dq", corrected=False))
     finish(
         "dq parity correction restores fidelity",
         abs(f_fixed - 1.0) <= 1e-9 and f_raw < 1.0 - 1e-3,

@@ -118,6 +118,15 @@ def test_logical_mirror_fidelity(runner):
     assert float(rows_of(result.stdout)[0][5]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_logical_on_a_chain_without_two_end_pairs_is_a_length_error(runner, tmp_path, n):
+    out = tmp_path / "table.csv"
+    result = runner.invoke(main, ["logical", "--n", n, "--grid", "0:1:2", "--out", str(out)])
+    assert_clean_domain_error(result)
+    assert result.stderr == f"error: chain length must be >= 4, got {n}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_logical_raw_dq_flips_two_channels(runner):
     args = ["logical", "--n", "6", "--model", "dq", "--grid", "0.9:0.9:1"]
     fixed = rows_of(runner.invoke(main, args).stdout)[0]
@@ -829,8 +838,7 @@ def test_a_table_command_leaves_scipy_linalg_unimported():
         "from scipy.linalg import eigh_tridiagonal\n"
         "w, v = eigh_tridiagonal(np.zeros(12), np.array(spec.couplings))\n"
         "assert np.array_equal(dec.frequencies, w)\n"
-        "flips = [np.array_equal(m, -x) for m, x in zip(dec.modes.T, v.T)]\n"
-        "assert np.array_equal(dec.modes, np.where(flips, -v, v))\n"
+        "assert np.array_equal(dec.modes, v)\n"
         "got = _eigh_tridiagonal(np.array(spec.couplings))\n"
         "assert np.array_equal(got[0], w) and np.array_equal(got[1], v)\n"
         "print('ok')\n"

@@ -170,7 +170,7 @@ def test_grid_rejects_bad_times_and_rows(times, rows):
 def test_engineered_grid_channels_match_closed_forms(n):
     times = np.linspace(0.0, n * np.pi / 2, 41)
     vals = channel_correlations(
-        propagate_grid(spectral_decompose(engineered_couplings(n)), times, (1, 2))
+        propagate_grid(spectral_decompose(engineered_couplings(n)), times, (1, 2), (n - 1, n)), n
     )
     want = logical_transport_engineered(n, 1.0, times)
     for alpha in CHANNELS:
@@ -180,9 +180,8 @@ def test_engineered_grid_channels_match_closed_forms(n):
 @pytest.mark.parametrize("n", [10, 200])
 def test_homogeneous_grid_channels_match_closed_forms(n):
     times = np.linspace(0.0, 16.0, 41)
-    vals = channel_correlations(
-        propagate_grid(spectral_decompose(homogeneous_couplings(n, 0.8)), times, (1, 2))
-    )
+    dec = spectral_decompose(homogeneous_couplings(n, 0.8))
+    vals = channel_correlations(propagate_grid(dec, times, (1, 2), (n - 1, n)), n)
     want = logical_transport_homogeneous(n, 0.8, times)
     for alpha in CHANNELS:
         assert np.max(np.abs(vals[alpha] - want[alpha])) <= 1e-12, alpha
@@ -303,6 +302,7 @@ def test_phase_bound_is_two_to_the_32_rad():
 
 SITE_DEC = spectral_decompose(homogeneous_couplings(4))
 SITE_PROP = propagate(SITE_DEC, 0.7)
+END_BLOCK = SITE_PROP[:2, -2:]
 DQ_SPEC = homogeneous_couplings(4, model="dq")
 Z_ENDS = prepare_state(4, "z_ends")
 LABEL_N = 3
@@ -347,9 +347,9 @@ CALLS = {
     "logical_basis": (logical_basis, dict(model="xx", n=4, pair="source")),
     "dq_parity_correction": (dq_parity_correction, dict(n=4)),
     "channel_correlations": (
-        channel_correlations, dict(amplitudes=SITE_PROP, model="xx", corrected=True)
+        channel_correlations, dict(amplitudes=END_BLOCK, n=4, model="xx", corrected=True)
     ),
-    "channel_fidelity": (channel_fidelity, dict(vals=channel_correlations(SITE_PROP))),
+    "channel_fidelity": (channel_fidelity, dict(vals=channel_correlations(END_BLOCK, 4))),
     **{f.__name__: (f, dict(n=6, d=1.0, times=[0.5]))
        for f in (logical_transport_homogeneous, logical_transport_engineered)},
     "logical_correlation_from_spec": (logical_correlation_from_spec, dict(
@@ -454,6 +454,8 @@ LABELS = Rule(
              [[1], [1, 2]], [1, "a"], [2**64]),
     same=((np.array([1, 4]), [1, 4]), (np.array([1, 4], dtype=np.uint8), (1, 4))),
 )
+# missing, a string, and numbers that are not bools
+FLAG = Rule(_raising(InvalidConfigurationError, None, "no", 0, 1.0), same=((np.True_, True),))
 
 
 def _choice(error):
@@ -485,11 +487,12 @@ ROLES = {
     "model": (_choice(UnsupportedModelError),),
     **dict.fromkeys(("kind", "initial", "pair", "alpha"), (_choice(InvalidConfigurationError),)),
     "labels": (LABELS,),
+    "corrected": (FLAG,),
 }
-# objects and flags, outside the value rules (object arguments are not checked by type);
+# objects, outside the value rules (object arguments are not checked by type);
 # so is any argument annotated as an ndarray operand or a prepared DeviationState, but for
 # popcount's labels, which follow the label rule
-OBJECT_ARGUMENTS = ("spec", "decomposition", "amplitudes", "vals", "corrected", "rng")
+OBJECT_ARGUMENTS = ("spec", "decomposition", "amplitudes", "vals", "rng")
 OBJECT_ANNOTATIONS = ("np.ndarray", "DeviationState")
 
 
@@ -665,7 +668,7 @@ OVERFLOWING_OPERANDS = {
     "polarization_from_propagator": lambda: polarization_from_propagator(
         np.eye(3) * 1e200, 1, 1
     ),
-    "channel_correlations": lambda: channel_correlations(np.full((2, 4), 1e300)),
+    "channel_correlations": lambda: channel_correlations(np.full((2, 2), 1e300), 4),
 }
 
 

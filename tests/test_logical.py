@@ -1,6 +1,7 @@
 """Logical pair encodings and end-to-end channel correlations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ def test_corrected_dq_channels_match_dense_dq_dynamics(n):
         target = {alpha: flip @ op @ flip for alpha, op in target.items()}
     dec = spectral_decompose(spec)
     for t in rng.uniform(0.3, 2.5, 3):
-        got = channel_correlations(propagate(dec, t), "dq", corrected=True)
+        got = channel_correlations(propagate(dec, t)[:2, -2:], n, "dq", corrected=True)
         for alpha in CHANNELS:
             rho_t = evolve_deviation(h, deviation_to_dense(source[alpha]), t)
             ref = 2.0 * trace_overlap(rho_t, target[alpha])
@@ -139,7 +140,7 @@ def test_initial_time_values():
     for closed in (logical_transport_homogeneous, logical_transport_engineered):
         assert channel_fidelity(closed(8, 1.0, [0.0])) == pytest.approx([0.125], abs=1e-12)
     at0 = propagate(spectral_decompose(homogeneous_couplings(8, 1.0)), 0.0)
-    vals = channel_correlations(at0)
+    vals = channel_correlations(at0[:2, -2:], 8)
     assert vals["1"] == pytest.approx(0.5, abs=1e-12)
     for alpha in ("x", "y", "z"):
         assert vals[alpha] == pytest.approx(0.0, abs=1e-12)
@@ -172,7 +173,7 @@ def test_frozen_channel_samples():
 def test_channel_bounds():
     dec = spectral_decompose(engineered_couplings(8, 1.0))
     for t in np.linspace(0.0, 8.0, 17):
-        vals = channel_correlations(propagate(dec, float(t)))
+        vals = channel_correlations(propagate(dec, float(t))[:2, -2:], 8)
         assert 0.5 - 1e-12 <= vals["1"] <= 1.0 + 1e-12
         for alpha in CHANNELS:
             assert -1.0 - 1e-12 <= vals[alpha] <= 1.0 + 1e-12
@@ -197,9 +198,10 @@ def test_homogeneous_peaks_are_later_and_lower():
 def test_uncorrected_dq_fidelity_collapses_at_mirror_time():
     n = 6  # even: correction required
     spec = engineered_couplings(n, 1.0, model="dq")
-    amp = propagate_grid(spectral_decompose(spec), [transfer_timing(spec).t_star], (1, 2))
-    good = channel_fidelity(channel_correlations(amp, "dq", corrected=True))
-    bad = channel_fidelity(channel_correlations(amp, "dq", corrected=False))
+    t_star = transfer_timing(spec).t_star
+    amp = propagate_grid(spectral_decompose(spec), [t_star], (1, 2), (n - 1, n))
+    good = channel_fidelity(channel_correlations(amp, n, "dq", corrected=True))
+    bad = channel_fidelity(channel_correlations(amp, n, "dq", corrected=False))
     assert good == pytest.approx([1.0], abs=1e-9)
     assert bad[0] < 1.0 - 1e-6
 
@@ -217,9 +219,9 @@ def test_dq_readout_of_the_spectral_path_matches_the_closed_forms(family, n):
         spec = engineered_couplings(n, 1.0, model="dq")
         times = np.linspace(0.0, transfer_timing(spec).t_star, 9)
         closed = logical_transport_engineered(n, 1.0, times)
-    amp = propagate_grid(spectral_decompose(spec), times, (1, 2))
-    good = channel_correlations(amp, "dq", corrected=True)
-    raw = channel_correlations(amp, "dq", corrected=False)
+    amp = propagate_grid(spectral_decompose(spec), times, (1, 2), (n - 1, n))
+    good = channel_correlations(amp, n, "dq", corrected=True)
+    raw = channel_correlations(amp, n, "dq", corrected=False)
     sign = -1.0 if n % 2 == 0 else 1.0
     for alpha in CHANNELS:
         assert np.max(np.abs(good[alpha] - closed[alpha])) <= 1e-12, alpha
@@ -235,7 +237,7 @@ def test_dq_readout_of_the_spectral_path_matches_the_closed_forms(family, n):
 def test_correlation_from_spec():
     spec = engineered_couplings(8, 1.0)
     t = 1.1
-    vals = channel_correlations(propagate(spectral_decompose(spec), t))
+    vals = channel_correlations(propagate(spectral_decompose(spec), t)[:2, -2:], 8)
     for alpha in CHANNELS:
         assert logical_correlation_from_spec(spec, alpha, t) == pytest.approx(
             vals[alpha], abs=1e-14
@@ -255,11 +257,12 @@ def test_correlation_from_spec_checks_the_time_before_decomposing(monkeypatch, t
 
 
 def test_error_paths():
+    amp = propagate(spectral_decompose(homogeneous_couplings(3, 1.0)), 0.5)
     with pytest.raises(InvalidDimensionError):
-        channel_correlations(propagate(spectral_decompose(homogeneous_couplings(3, 1.0)), 0.5))
+        channel_correlations(amp[:2, -2:], 3)
     amp = propagate(spectral_decompose(homogeneous_couplings(6, 1.0)), 0.5)
     with pytest.raises(UnsupportedModelError):
-        channel_correlations(amp, "ising")
+        channel_correlations(amp[:2, -2:], 6, "ising")
 
 
 @pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
@@ -274,30 +277,51 @@ def test_channel_correlations_broadcast_over_time():
     times = (0.0, 0.4, 2.5)
     dec = spectral_decompose(spec)
     amps = [propagate(dec, t) for t in times]
-    block = np.stack([amp[:2] for amp in amps])
-    vals = channel_correlations(block, "dq", corrected=False)
+    block = np.stack([amp[:2, -2:] for amp in amps])
+    vals = channel_correlations(block, 10, "dq", corrected=False)
     for k, amp in enumerate(amps):
-        single = channel_correlations(amp, "dq", corrected=False)
+        single = channel_correlations(amp[:2, -2:], 10, "dq", corrected=False)
         for alpha in CHANNELS:
             assert vals[alpha][k] == pytest.approx(single[alpha], abs=1e-15)
     assert channel_fidelity(vals).shape == (3,)
     with pytest.raises(InvalidDimensionError):
-        channel_correlations(block[..., :3])
+        channel_correlations(block[..., :1], 10)
 
 
-@pytest.mark.parametrize("shape", [(6,), (1, 6), (), (3, 1, 6), (2, 3)], ids=repr)
-def test_channel_correlations_reject_blocks_without_two_rows_of_four_sites(shape):
+def test_the_logical_table_path_holds_only_the_end_block():
+    # the end block of 256 times is 16 KiB, and propagate_grid's per-block phases and
+    # products about 6 MiB at n = 1000; rows 1, 2 over all n columns took the peak to 25 MiB
+    n = 1000
+    dec = spectral_decompose(engineered_couplings(n))
+    times = np.linspace(0.0, 50.0, 256)
+    tracemalloc.start()
+    try:
+        vals = channel_correlations(propagate_grid(dec, times, (1, 2), (n - 1, n)), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [v.shape for v in vals.values()] == [(256,)] * len(CHANNELS)
+    assert peak < 12 * 2**20
+
+
+# blocks whose last two axes are not (2, 2), whole rows of A among them, then an
+# end block of a chain too short to hold two end pairs
+@pytest.mark.parametrize(
+    "shape, n", [((2,), 6), ((1, 2), 6), ((), 6), ((3, 2, 1), 6), ((2, 3), 6), ((2, 6), 6),
+                 ((2, 2), 3)], ids=repr
+)
+def test_channel_correlations_reject_blocks_that_are_not_the_end_block(shape, n):
     with pytest.raises(InvalidDimensionError):
-        channel_correlations(np.zeros(shape, dtype=complex))
+        channel_correlations(np.zeros(shape, dtype=complex), n)
 
 
 # a block of strings, one with a NaN entry and ones with an infinite real or imaginary part,
 # each with the operand rule's message: the result rule alone would reject the NaN too
 NON_FINITE_BLOCKS = {
-    "strings": (np.full((2, 4), "a"), "numeric"),
-    "nan": (np.where(np.eye(2, 4), np.nan, 0.0), "finite entries"),
-    "inf": (np.full((2, 4), np.inf), "finite entries"),
-    "inf imag": (np.full((3, 2, 4), 1j * np.inf), "finite entries"),
+    "strings": (np.full((2, 2), "a"), "numeric"),
+    "nan": (np.where(np.eye(2), np.nan, 0.0), "finite entries"),
+    "inf": (np.full((2, 2), np.inf), "finite entries"),
+    "inf imag": (np.full((3, 2, 2), 1j * np.inf), "finite entries"),
 }
 
 
@@ -305,4 +329,4 @@ NON_FINITE_BLOCKS = {
 def test_channel_correlations_reject_non_numeric_or_non_finite_blocks(block):
     amplitudes, message = NON_FINITE_BLOCKS[block]
     with pytest.raises(InvalidParameterError, match=message):
-        channel_correlations(amplitudes)
+        channel_correlations(amplitudes, 6)

@@ -3,6 +3,7 @@
 import importlib.machinery
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from spinwire import propagator
+from spinwire import mqc, propagator
 from spinwire.chain import (
     ChainSpec,
     engineered_couplings,
@@ -25,8 +26,10 @@ from spinwire.errors import (
     InvalidDimensionError,
     InvalidParameterError,
 )
+from spinwire.mqc import mqc_propagator_grid, prepare_state
 from spinwire.oracle import build_hamiltonian, evolve_deviation, trace_overlap
 from spinwire.propagator import (
+    SpectralDecomposition,
     _eigh_tridiagonal,
     _lapack_stevd,
     end_autocorrelation_grid,
@@ -42,40 +45,14 @@ from spinwire.propagator import (
 RNG = np.random.default_rng(20260814)
 
 
-def _looped_sign_fix(modes):
-    """The per-column sign fix the vectorised one replaced."""
-    modes = modes.copy()
-    for k in range(modes.shape[1]):
-        col = modes[:, k]
-        lead = col[np.argmax(np.abs(col) > 1e-12 * np.max(np.abs(col)))]
-        if lead < 0:
-            modes[:, k] = -col
-    return modes
-
-
 # ordinary bonds, exact zeros (decoupled blocks) and tiny bonds whose modes
-# put lead entries near the 1e-12 cut
+# hold entries many orders of magnitude apart
 BONDS = st.one_of(
     st.floats(-1.5, 1.5, allow_nan=False),
     st.just(0.0),
     st.sampled_from([1e-13, -1e-12, 1e-11, 5e-324]),
     st.floats(1e-14, 1e-10),
 )
-
-
-@given(st.integers(1, 80).flatmap(lambda n: st.lists(BONDS, min_size=n - 1, max_size=n - 1)))
-# past one block of the column-blocked fix: 600 columns in three blocks, the last one partial
-@example(bonds=list(engineered_couplings(600).couplings))
-@example(bonds=[1.0, 0.0, -1e-12, 1e-13, 0.7] * 119 + [1.2, -0.3, 5e-324, 1e-11])
-@settings(max_examples=150, deadline=None)
-def test_sign_fix_equals_the_per_column_loop(bonds):
-    n = len(bonds) + 1
-    modes = spectral_decompose(ChainSpec(n, "xx", bonds)).modes
-    raw = eigh_tridiagonal(np.zeros(n), np.array(bonds))[1]
-    assert np.array_equal(modes, _looped_sign_fix(raw))
-    for col in modes.T:
-        significant = np.flatnonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))
-        assert col[significant[0]] > 0
 
 
 def test_single_site_decomposition_is_one_zero_mode():
@@ -93,18 +70,34 @@ def test_spectral_decomposition_reconstructs_matrix():
     np.testing.assert_allclose((dec.modes * dec.frequencies) @ dec.modes.T, m, atol=1e-12)
     np.testing.assert_allclose(dec.modes.T @ dec.modes, np.eye(6), atol=1e-12)
     assert np.all(np.diff(dec.frequencies) >= 0)
-    # deterministic sign fix: leading significant entry positive
-    for k in range(6):
-        col = dec.modes[:, k]
-        lead = col[np.abs(col) > 1e-8][0]
-        assert lead > 0
+
+
+@given(st.integers(4, 40), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_mode_sign_changes_no_bit_of_any_result(n, seed, data):
+    # each result reads a mode only through products of its own entries, where
+    # the sign cancels exactly, so the decomposition leaves every sign free
+    spec = ChainSpec(n, "dq", random_couplings(np.random.default_rng(seed), n))
+    dec = spectral_decompose(spec)
+    flips = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="flips")
+    flipped = SpectralDecomposition(n, dec.frequencies, np.where(flips, -dec.modes, dec.modes))
+    times = data.draw(st.lists(st.floats(-50, 50, allow_nan=False), max_size=4), label="times")
+    rows = data.draw(st.lists(st.integers(1, n), max_size=4), label="rows")
+    cols = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4), label="cols")
+    assert np.array_equal(
+        propagate_grid(flipped, times, rows, cols), propagate_grid(dec, times, rows, cols)
+    )
+    state = prepare_state(n, data.draw(st.sampled_from(("z_ends", "full_z", "y_logical")),
+                                       label="state"))
+    want = mqc_propagator_grid(spec, state, times)
+    with mock.patch.object(mqc, "spectral_decompose", lambda _: flipped):
+        assert np.array_equal(mqc_propagator_grid(spec, state, times), want)
 
 
 @pytest.mark.parametrize("make", [homogeneous_couplings, engineered_couplings])
 def test_sign_fix_adds_no_n_squared_array_to_the_decomposition(make):
-    # dstevd holds the modes and an n^2 workspace, 16 n^2 bytes; the sign fix works on
-    # a block of columns at a time, under 16 MiB at n = 3000 (a whole-matrix fix adds
-    # |modes|, its mask and a fancy-indexed copy, 34 MiB)
+    # dstevd holds the modes and an n^2 workspace, 16 n^2 bytes, and the decomposition
+    # adds no n^2 array of its own: under 16 MiB more at n = 3000
     n = 3000
     spec = make(n)
     spectral_decompose(homogeneous_couplings(3))  # load dstevd outside the trace
