@@ -35,6 +35,7 @@ from .chain import (
     FAMILIES,
     MODELS,
     ChainSpec,
+    _check_length,
     dipolar_couplings,
     engineered_couplings,
     homogeneous_couplings,
@@ -463,7 +464,8 @@ def logical(n, d, family, model, corrected, grid, out) -> None:
     Columns: t, c_x, c_y, c_z, c_1, fidelity. The fidelity is the
     channel average; it reaches 1 at the engineered mirror time.
     """
-    spec = _build_chain(family, n, d, model)
+    # the two end pairs need n >= 4: one length message for every short chain
+    spec = _build_chain(family, _check_length(n, minimum=4), d, model)
     amp = propagate_grid(spectral_decompose(spec), grid, (1, 2), (n - 1, n))
     vals = channel_correlations(amp, n, model, corrected)
     cols = np.column_stack([vals["x"], vals["y"], vals["z"], vals["1"], channel_fidelity(vals)])

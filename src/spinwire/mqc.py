@@ -61,6 +61,7 @@ from .oracle import (
     popcount,
     require_within_budget,
     total_z,
+    trace_overlap,
 )
 from .pauli import DeviationState
 from .propagator import _TIME_BLOCK, SpectralDecomposition, _sine_modes, spectral_decompose
@@ -311,10 +312,9 @@ def _cycle(
 
     Z(t) = U Z U^dag is formed once and shared, and so is each phase's rotation,
     which is formed once per phase; the arguments are already checked. Each
-    J_q is its own sum over the phases.
+    signal is one ``trace_overlap``, and each J_q its own sum over the phases.
     """
     n = states[0].n
-    dim = 2**n
     z_t = u @ total_z(n) @ u.conj().T
     rhos = [u @ deviation_to_dense(state) @ u.conj().T for state in states]
     signals = np.empty((len(rhos), phase_steps), dtype=complex)
@@ -322,8 +322,7 @@ def _cycle(
         r = collective_rotation_diag(n, 2.0 * np.pi * m / phase_steps)
         r_left, r_right = r[:, None], np.conj(r)[None, :]
         for rho_t, signal in zip(rhos, signals):
-            rotated = (r_left * rho_t) * r_right
-            signal[m] = _check_finite_result(lambda: np.trace(rotated @ z_t) / dim, "trace overlap")
+            signal[m] = trace_overlap((r_left * rho_t) * r_right, z_t)
     phis = 2.0 * np.pi * np.arange(phase_steps) / phase_steps
     orders = range(-max_order, max_order + 1)
     return np.array([

@@ -197,14 +197,9 @@ def _site_indices(n: int, sites: Sequence[int] | None) -> np.ndarray:
 
 
 def propagate(decomposition: SpectralDecomposition, t: float) -> np.ndarray:
-    """The full A(t) at one time through ``propagate_grid``, an (n, n) complex array.
-
-    A is symmetric (M is real symmetric), so the product is symmetrised to
-    remove the tiny asymmetry left by floating-point evaluation of
-    V e^{-i w t} V^T.
-    """
-    amp = propagate_grid(decomposition, (t,))[0]
-    return 0.5 * (amp + amp.T)
+    """The full A(t) at one time, an (n, n) complex array: ``propagate_grid``'s row at t,
+    bit for bit, with the same rounding-level asymmetry as every table's block."""
+    return propagate_grid(decomposition, (t,))[0]
 
 
 # -- closed forms ---------------------------------------------------------
@@ -375,8 +370,8 @@ def end_autocorrelation_grid(spec: ChainSpec, initial: str, times) -> np.ndarray
     ``z_ends`` is Z_1 + Z_n; ``y_logical`` places (Y X + X Y)/2 on the
     first and last site pairs. The chain model is taken from ``spec.model``.
     C(0) = 1 and, for engineered couplings, the mirror revives C back to
-    1 at t*. Every time is read from one symmetrised end block of A(t), on
-    the sites (1, n) or (1, 2, n-1, n); every argument is checked first.
+    1 at t*. Every time is read from one ``propagate_grid`` end block of
+    A(t), on the sites (1, n) or (1, 2, n-1, n); every argument is checked first.
     """
     _check_choice(initial, "initial", INITIAL_KINDS, InvalidConfigurationError)
     n = spec.n
@@ -387,7 +382,6 @@ def end_autocorrelation_grid(spec: ChainSpec, initial: str, times) -> np.ndarray
     # so a bound past the float range is inf, and every grid then fails the phase check
     times = _check_times(times, 2.0 * float(np.max(np.abs(spec.couplings))))
     amp = propagate_grid(spectral_decompose(spec), times, sites, sites)
-    amp = 0.5 * (amp + np.swapaxes(amp, 1, 2))
     if initial == "z_ends":
         sign = _gauge_sign(spec.model, 1, n)
         p11 = abs(amp[:, 0, 0]) ** 2

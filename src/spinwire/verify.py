@@ -242,7 +242,8 @@ def mixed_overlap_vs_oracle(rng, max_n, oracle_n):
     got = prop_mod.mixed_state_overlap(amp, a, b)
     ra = oracle_mod.excitation_operator(n, a)
     rb = oracle_mod.excitation_operator(n, b)
-    ref = np.trace(_conjugated(u, ra) @ rb)
+    # mixed_state_overlap is the unnormalised trace: dim times trace_overlap's, exactly
+    ref = len(ra) * oracle_mod.trace_overlap(_conjugated(u, ra), rb)
     yield (
         "mixed_overlap_vs_oracle",
         abs(got - ref),
@@ -258,8 +259,9 @@ def logical_channels_vs_oracle(rng, max_n, oracle_n):
     for spec, _, u in dense:
         source = logical_mod.logical_basis(spec.model, n, "source")
         target = logical_mod.logical_basis(spec.model, n, "target")
-        amp = prop_mod.propagate(prop_mod.spectral_decompose(spec), t)
-        got = logical_mod.channel_correlations(amp[:2, -2:], n, spec.model, corrected=False)
+        # the end block that the logical table reads
+        block = prop_mod.propagate_grid(prop_mod.spectral_decompose(spec), [t], (1, 2), (n - 1, n))
+        got = logical_mod.channel_correlations(block[0], n, spec.model, corrected=False)
         for alpha in logical_mod.CHANNELS:
             rho0 = oracle_mod.deviation_to_dense(source[alpha])
             ref = 2.0 * oracle_mod.trace_overlap(
@@ -359,22 +361,23 @@ def homogeneous_logical_closed_forms(rng, max_n, oracle_n):
 def coherence_orders(rng, max_n, oracle_n):
     n = oracle_n
     d = 1.0
+    spec = chain_mod.homogeneous_couplings(n, d, model="dq")
     # one dense build and eigh serve both identities, each at its own time
-    eigen = np.linalg.eigh(
-        oracle_mod.build_hamiltonian(chain_mod.homogeneous_couplings(n, d, model="dq"))
-    )
+    eigen = np.linalg.eigh(oracle_mod.build_hamiltonian(spec))
     t = float(rng.uniform(0.2, 1.5))
     kinds = ("z_ends", "y_logical", "x_logical")
-    *cycled, cycled_x = mqc_mod._cycle(
-        oracle_mod._unitary(eigen, t), [mqc_mod.prepare_state(n, kind) for kind in kinds], 8, 2
-    )
+    states = [mqc_mod.prepare_state(n, kind) for kind in kinds]
+    cycled = mqc_mod._cycle(oracle_mod._unitary(eigen, t), states, 8, 2)
     dev = 0.0
     # column 2 + q holds J_q; z_ends is normalised to J_0(0) = 1, the cycle to Tr[rho Z]/2^n = 2
     for kind, scale, row in zip(kinds, (2.0, 1.0), cycled):
         analytic = mqc_mod.mqc_analytic(n, d, kind, t)
         for q in (-2, 0, 2):
             dev = max(dev, abs(row[2 + q] - scale * analytic.intensity(q)))
-    dev = max(dev, max(abs(v) for v in cycled_x))
+    dev = max(dev, np.abs(cycled[2]).max())  # x_logical: the readout is blind to it
+    # the analytic engine of the mqc table, raw like the cycle, row by row
+    for state, row in zip(states, cycled):
+        dev = max(dev, np.abs(mqc_mod.mqc_propagator_grid(spec, state, [t])[0] - row).max())
     yield ("mqc_vs_analytic", dev, _TOL_ORACLE, {"n": n, "d": d, "t": t})
 
     t = float(rng.uniform(0.2, 1.5))
@@ -382,15 +385,18 @@ def coherence_orders(rng, max_n, oracle_n):
     states = [mqc_mod.prepare_state(n, kind) for kind in mqc_mod.PREPARED_KINDS]
     dev = 0.0
     # column n + q of a row holds J_q; each total adds the orders left to right
-    for full, at0 in zip(
-        mqc_mod._cycle(u_t, states, 2 * n + 3, n), mqc_mod._cycle(u_0, states, 2 * n + 3, n)
-    ):
+    cycled = mqc_mod._cycle(u_t, states, 2 * n + 3, n)
+    for full, at0 in zip(cycled, mqc_mod._cycle(u_0, states, 2 * n + 3, n)):
         dev = max(dev, abs(sum(full.tolist()) - sum(at0.tolist())))
         for q, j in zip(range(-n, n + 1), full):
             if q not in (-2, 0, 2):
                 dev = max(dev, abs(j))
             if q < 0:
                 dev = max(dev, abs(j - full[n - q]))
+    # the oracle engine of the mqc table, on the same cycle
+    for state, full in zip(states, cycled):
+        grid = mqc_mod.mqc_phase_cycled_grid(spec, state, [t], 2 * n + 3, n)
+        dev = max(dev, np.abs(grid[0] - full).max())
     yield ("mqc_support_and_conservation", dev, _TOL_LINALG, {"n": n, "t": t})
 
 

@@ -118,7 +118,7 @@ def test_logical_mirror_fidelity(runner):
     assert float(rows_of(result.stdout)[0][5]) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("n", ["2", "3"])
+@pytest.mark.parametrize("n", ["0", "1", "2", "3"])
 def test_logical_on_a_chain_without_two_end_pairs_is_a_length_error(runner, tmp_path, n):
     out = tmp_path / "table.csv"
     result = runner.invoke(main, ["logical", "--n", n, "--grid", "0:1:2", "--out", str(out)])

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinwire.chain import ChainSpec, homogeneous_couplings, random_couplings
 from spinwire.errors import (
@@ -187,6 +189,17 @@ def test_trace_overlap_orthonormal_strings():
             assert got == pytest.approx(1.0 if label_a == label_b else 0.0, abs=1e-14)
     with pytest.raises(InvalidDimensionError):
         trace_overlap(np.eye(2), np.eye(4))
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(-100, 100),
+       st.integers(-100, 100))
+@settings(max_examples=60, deadline=None)
+def test_trace_overlap_matches_the_matrix_product_trace(dim, seed, scale_a, scale_b):
+    rng = np.random.default_rng(seed)
+    a, b = (10.0**scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            for scale in (scale_a, scale_b))
+    bound = 1e-13 * np.abs(a).max() * np.abs(b).max() * dim
+    assert abs(trace_overlap(a, b) - np.trace(a @ b) / dim) <= bound
 
 
 def test_collective_rotation_phases():

@@ -118,8 +118,10 @@ def test_each_dense_hamiltonian_is_built_and_diagonalised_once(monkeypatch):
     for module in (spinwire.oracle, spinwire.mqc):
         monkeypatch.setattr(module, "build_hamiltonian", build)
     assert run_verification(max_n=8, seed=0).passed
-    # xx and dq in four checks, xx alone in two, and the homogeneous dq chain of coherence_orders
-    assert calls == {"eigh": 11, "build_hamiltonian": 11}
+    # xx and dq in four checks, xx alone in two, and the homogeneous dq chain of coherence_orders;
+    # then the oracle mqc engine's sector blocks for each of the 4 prepared kinds at n = 7: one
+    # build per sector pair k = 0..3, one eigh per half (two in each sector but k = 0)
+    assert calls == {"eigh": 11 + 4 * 7, "build_hamiltonian": 11 + 4 * 4}
 
 
 def test_each_dense_evolution_forms_z_t_once(monkeypatch):

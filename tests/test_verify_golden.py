@@ -1,11 +1,11 @@
 """Golden verify reports: ``spinwire verify`` must keep its exact bytes.
 
 Each ``tests/golden/verify/<name>.json`` is the ``--out`` report and
-``<name>.txt`` the stdout that ``spinwire verify <argv>`` produced
-before the checks became a registry of plain functions. They are fixed
-references, not snapshots to refresh: the registry must run the same
-checks on the same random draws in the same order, so both files match
-byte for byte.
+``<name>.txt`` the stdout of ``spinwire verify <argv>``. The test is
+byte-exact: the registry must run the same checks on the same random
+draws in the same order, to the last rounding bit. The files change
+only through ``tests/rebaseline_verify.py``, which regenerates them
+and refuses any change but a deviation that moves by at most 1e-13.
 """
 
 from pathlib import Path
@@ -27,11 +27,16 @@ CASES = {
 }
 
 
+def run_case(name: str, report: Path):
+    """``spinwire verify`` with the arguments of case ``name`` and ``--out report``."""
+    args, _ = CASES[name]
+    return CliRunner().invoke(main, ["verify", *args, "--out", str(report)])
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_verify_matches_golden(name, tmp_path):
-    args, exit_code = CASES[name]
     report = tmp_path / "report.json"
-    result = CliRunner().invoke(main, ["verify", *args, "--out", str(report)])
-    assert result.exit_code == exit_code, result.output
+    result = run_case(name, report)
+    assert result.exit_code == CASES[name][1], result.output
     assert result.stdout == (GOLDEN / f"{name}.txt").read_text()
     assert report.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
