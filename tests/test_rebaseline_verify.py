@@ -33,8 +33,8 @@ def test_a_rounding_move_is_taken_and_listed():
 
     new = edited(nudge)
     assert refusals(REPORT, new) == []
-    check = REPORT["checks"][0]
-    assert moves(REPORT, new) == [(check["name"], check["deviation"], check["deviation"] + SLACK / 2)]
+    name, old = REPORT["checks"][0]["name"], REPORT["checks"][0]["deviation"]
+    assert moves(REPORT, new) == [(name, old, old + SLACK / 2)]
 
 
 @pytest.mark.parametrize("edit", [
